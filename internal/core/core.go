@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"macaw/internal/backoff"
@@ -255,9 +256,17 @@ type Stream struct {
 	tcpRecv   *transport.TCPReceiver
 	offered   int
 
-	offeredAt map[uint32]sim.Time
+	// offeredAt holds each offered packet's offer time, indexed by seq-1:
+	// UDP and TCP senders both number their offers 1, 2, 3, ... Delivered
+	// entries are overwritten with consumed; pending counts the rest.
+	offeredAt []sim.Time
+	pending   int
 	delays    []sim.Duration
 }
+
+// consumed marks an offeredAt entry whose packet was delivered (or that was
+// never offered). Offer times are never negative.
+const consumed sim.Time = -1
 
 // Offered reports the number of packets the application generated.
 func (s *Stream) Offered() int { return s.offered }
@@ -399,20 +408,25 @@ func (n *Network) AddStream(from, to *Station, kind TransportKind, rate float64)
 
 func (s *Stream) offer(seq uint32) {
 	s.offered++
-	if s.offeredAt == nil {
-		s.offeredAt = make(map[uint32]sim.Time)
+	i := int(seq) - 1
+	for len(s.offeredAt) <= i {
+		s.offeredAt = append(s.offeredAt, consumed)
 	}
-	s.offeredAt[seq] = s.From.net.Sim.Now()
+	if s.offeredAt[i] == consumed {
+		s.pending++
+	}
+	s.offeredAt[i] = s.From.net.Sim.Now()
 }
 
 func (s *Stream) record(t sim.Time, seq uint32) {
 	if s.counter != nil {
 		s.counter.Record(t)
-		if at, ok := s.offeredAt[seq]; ok {
+		if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] != consumed {
 			if t >= s.counter.Warmup() {
-				s.delays = append(s.delays, t-at)
+				s.delays = append(s.delays, t-s.offeredAt[i])
 			}
-			delete(s.offeredAt, seq)
+			s.offeredAt[i] = consumed
+			s.pending--
 		}
 	}
 }
@@ -530,6 +544,11 @@ func (n *Network) Start(total, warmup sim.Duration) {
 	n.runTotal = total
 	for _, s := range n.streams {
 		s.counter = stats.NewWindowed(start+warmup, start+total)
+		// A CBR source offers at most rate×total packets in the run, so
+		// the bookkeeping never regrows mid-run.
+		expect := int(s.Rate*total.Seconds()) + 1
+		s.offeredAt = slices.Grow(s.offeredAt, expect)
+		s.delays = slices.Grow(s.delays, expect)
 		s.gen.Start(start + s.startAt)
 	}
 }
@@ -561,7 +580,10 @@ func (n *Network) Collect() Results {
 				xs[i] = float64(d)
 			}
 			r.MeanDelay = sum / sim.Duration(len(s.delays))
-			r.P95Delay = sim.Duration(stats.Percentile(xs, 0.95))
+			// xs is Collect's own copy: sort it in place rather than
+			// letting Percentile copy it again.
+			sort.Float64s(xs)
+			r.P95Delay = sim.Duration(stats.PercentileSorted(xs, 0.95))
 		}
 		res.Streams = append(res.Streams, r)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"macaw/internal/sim"
 	"macaw/internal/traffic"
 )
 
@@ -156,12 +155,8 @@ func (s *Stream) adoptFrom(w *Stream) error {
 		return fmt.Errorf("tcp streams cannot fork")
 	}
 	s.offered = w.offered
-	if w.offeredAt != nil {
-		s.offeredAt = make(map[uint32]sim.Time, len(w.offeredAt))
-		for k, v := range w.offeredAt {
-			s.offeredAt[k] = v
-		}
-	}
+	s.offeredAt = append(s.offeredAt[:0], w.offeredAt...)
+	s.pending = w.pending
 	s.delays = append(s.delays[:0], w.delays...)
 	if err := s.counter.AdoptFrom(w.counter); err != nil {
 		return err

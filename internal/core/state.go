@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file is the network's contribution to the snapshot state inventory
 // (DESIGN.md §14): a canonical, deterministic dump of every piece of
@@ -53,14 +50,11 @@ func (s *Stream) appendState(b []byte) []byte {
 	if s.counter != nil {
 		b = s.counter.AppendState(b)
 	}
-	keys := make([]uint32, 0, len(s.offeredAt))
-	for k := range s.offeredAt {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = fmt.Appendf(b, "offeredAt n=%d", len(keys))
-	for _, k := range keys {
-		b = fmt.Appendf(b, " %d@%d", k, s.offeredAt[k])
+	b = fmt.Appendf(b, "offeredAt n=%d", s.pending)
+	for i, at := range s.offeredAt {
+		if at != consumed {
+			b = fmt.Appendf(b, " %d@%d", i+1, at)
+		}
 	}
 	b = append(b, '\n')
 	b = fmt.Appendf(b, "delays n=%d", len(s.delays))

@@ -144,9 +144,11 @@ func (c *CSMA) Enqueue(p *mac.Packet) {
 	}
 }
 
-func (c *CSMA) setTimer(d sim.Duration, fn func()) {
+// setTimer arms the state timer for fn, a method expression: with the
+// receiver riding in the pooled event record, re-arming never allocates.
+func (c *CSMA) setTimer(d sim.Duration, fn func(*CSMA)) {
 	c.timer.Cancel()
-	c.timer = c.env.Sim.After(d, fn)
+	c.timer = c.env.Sim.AtPriorityCall(c.env.Sim.Now()+d, 0, sim.Call[*CSMA], c, fn)
 	if c.env.Obs != nil {
 		c.env.Obs.ObserveTimer(c.timer.When())
 	}
@@ -207,7 +209,7 @@ func (c *CSMA) schedule() {
 	}
 	c.setState(Backoff)
 	k := 1 + c.env.Rand.Intn(c.pol.Backoff(head.Dst))
-	c.setTimer(sim.Duration(k)*c.env.Cfg.Slot(), c.attempt)
+	c.setTimer(sim.Duration(k)*c.env.Cfg.Slot(), (*CSMA).attempt)
 }
 
 // attempt senses the carrier and transmits if the channel appears clear —
@@ -228,7 +230,7 @@ func (c *CSMA) attempt() {
 	air := c.transmit(data)
 	c.setState(Sending)
 	c.sending = head
-	c.setTimer(air, c.onDataAirDone)
+	c.setTimer(air, (*CSMA).onDataAirDone)
 }
 
 // onDataAirDone fires when the DATA frame leaves the air: fire-and-forget
@@ -242,7 +244,7 @@ func (c *CSMA) onDataAirDone() {
 		return
 	}
 	c.setState(WFACK)
-	c.setTimer(c.env.Cfg.Turnaround+c.env.Cfg.CtrlTime()+c.env.Cfg.Margin, c.onACKTimeout)
+	c.setTimer(c.env.Cfg.Turnaround+c.env.Cfg.CtrlTime()+c.env.Cfg.Margin, (*CSMA).onACKTimeout)
 }
 
 // onAckAirDone fires when a returned ACK leaves the air.
@@ -312,7 +314,7 @@ func (c *CSMA) RadioReceive(f *frame.Frame) {
 			air := c.transmit(ack)
 			c.stats.ACKSent++
 			c.setState(Sending)
-			c.setTimer(air, c.onAckAirDone)
+			c.setTimer(air, (*CSMA).onAckAirDone)
 		}
 	case frame.ACK:
 		if c.st != WFACK {

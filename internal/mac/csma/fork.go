@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/backoff"
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -37,23 +38,23 @@ func (c *CSMA) AdoptFrom(peer mac.Engine) error {
 	c.seq = w.seq
 	c.stats = w.stats
 
-	var fn func()
+	var fn func(*CSMA)
 	switch w.st {
 	case Backoff:
-		fn = c.attempt
+		fn = (*CSMA).attempt
 	case Sending:
 		if w.sending != nil {
-			fn = c.onDataAirDone
+			fn = (*CSMA).onDataAirDone
 		} else {
-			fn = c.onAckAirDone
+			fn = (*CSMA).onAckAirDone
 		}
 	case WFACK:
-		fn = c.onACKTimeout
+		fn = (*CSMA).onACKTimeout
 	}
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("csma: adopt: live timer in state %s, which never arms one", w.st)
 	}
-	c.timer = c.env.Sim.Readopt(w.timer, fn)
+	c.timer = c.env.Sim.ReadoptCall(w.timer, sim.Call[*CSMA], c, fn)
 	return nil
 }
 

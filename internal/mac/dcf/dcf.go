@@ -247,26 +247,26 @@ func (d *DCF) Enqueue(p *mac.Packet) {
 }
 
 // timerFn maps a timer kind to its continuation.
-func (d *DCF) timerFn(k tKind) func() {
+func timerFn(k tKind) func(*DCF) {
 	switch k {
 	case tAttempt:
-		return d.attempt
+		return (*DCF).attempt
 	case tCTSTimeout:
-		return d.onCTSTimeout
+		return (*DCF).onCTSTimeout
 	case tSendData:
-		return d.sendData
+		return (*DCF).sendData
 	case tACKTimeout:
-		return d.onACKTimeout
+		return (*DCF).onACKTimeout
 	case tSendCTS:
-		return d.sendCTS
+		return (*DCF).sendCTS
 	case tDataTimeout:
-		return d.onDataTimeout
+		return (*DCF).onDataTimeout
 	case tSendACK:
-		return d.sendACK
+		return (*DCF).sendACK
 	case tAckAir:
-		return d.onAckAirDone
+		return (*DCF).onAckAirDone
 	case tBcastAir:
-		return d.onBcastAirDone
+		return (*DCF).onBcastAirDone
 	}
 	return nil
 }
@@ -274,7 +274,7 @@ func (d *DCF) timerFn(k tKind) func() {
 func (d *DCF) setTimer(dur sim.Duration, k tKind) {
 	d.timer.Cancel()
 	d.tk = k
-	d.timer = d.env.Sim.After(dur, d.timerFn(k))
+	d.timer = d.env.Sim.AtPriorityCall(d.env.Sim.Now()+dur, 0, sim.Call[*DCF], d, timerFn(k))
 	if d.env.Obs != nil {
 		d.env.Obs.ObserveTimer(d.timer.When())
 	}

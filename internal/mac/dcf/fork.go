@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/frame"
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -45,14 +46,14 @@ func (d *DCF) AdoptFrom(peer mac.Engine) error {
 	d.stats = w.stats
 
 	d.tk = w.tk
-	var fn func()
+	var fn func(*DCF)
 	if w.tk != tNone {
-		fn = d.timerFn(w.tk)
+		fn = timerFn(w.tk)
 	}
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("dcf: adopt: live timer with kind %d, which has no continuation", w.tk)
 	}
-	d.timer = d.env.Sim.Readopt(w.timer, fn)
+	d.timer = d.env.Sim.ReadoptCall(w.timer, sim.Call[*DCF], d, fn)
 	return nil
 }
 

@@ -11,7 +11,11 @@ import "macaw/internal/frame"
 
 // AdoptFrom replaces q's contents with w's, sharing the packets.
 func (q *Queue) AdoptFrom(w *Queue) {
-	q.items = append(q.items[:0], w.items...)
+	clear(q.buf)
+	q.head, q.n = 0, 0
+	for i := 0; i < w.n; i++ {
+		q.Push(w.at(i))
+	}
 }
 
 // AdoptFrom rebuilds s as a copy of w: the same first-seen destination order

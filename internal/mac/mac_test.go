@@ -57,7 +57,7 @@ func TestStreamQueues(t *testing.T) {
 		t.Fatal("unknown destination returned a queue")
 	}
 	s.Queue(3).Pop()
-	if got := s.NonEmpty(); len(got) != 1 || got[0] != 5 {
+	if got := s.NonEmpty(nil); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("NonEmpty = %v", got)
 	}
 	// An emptied stream remains a known destination.
@@ -93,5 +93,75 @@ func TestCallbacksNilSafe(t *testing.T) {
 	c.NotifyDropped(pkt, DropRetries)
 	if delivered != 7 || sentP != pkt || droppedP != pkt {
 		t.Fatal("callbacks not invoked")
+	}
+}
+
+// TestQueueRingOrder drives the ring through wrap-around, growth while
+// wrapped, and PushFront across the buffer start, checking FIFO order
+// against a plain slice model after every operation.
+func TestQueueRingOrder(t *testing.T) {
+	var q Queue
+	var model []*Packet
+	check := func(step int) {
+		t.Helper()
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(model))
+		}
+		for i, p := range model {
+			if q.at(i) != p {
+				t.Fatalf("step %d: element %d out of order", step, i)
+			}
+		}
+	}
+	for step := 0; step < 200; step++ {
+		p := &Packet{Dst: frame.NodeID(step)}
+		switch step % 5 {
+		case 0, 1, 2:
+			q.Push(p)
+			model = append(model, p)
+		case 3:
+			q.PushFront(p)
+			model = append([]*Packet{p}, model...)
+		case 4:
+			if got := q.Pop(); got != model[0] {
+				t.Fatalf("step %d: Pop returned the wrong packet", step)
+			}
+			model = model[1:]
+		}
+		check(step)
+	}
+	for len(model) > 0 {
+		if q.Pop() != model[0] {
+			t.Fatal("drain out of order")
+		}
+		model = model[1:]
+	}
+	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 {
+		t.Fatal("drained queue not empty")
+	}
+}
+
+// TestQueueAllocationFree pins the ring's point: once the buffer has grown
+// to a queue's high-water mark, Push, Pop and PushFront reuse it.
+func TestQueueAllocationFree(t *testing.T) {
+	var q Queue
+	a, b, c := &Packet{Dst: 1}, &Packet{Dst: 2}, &Packet{Dst: 3}
+	q.Push(a)
+	if n := testing.AllocsPerRun(100, func() {
+		q.Push(b)
+		q.Push(c)
+		p := q.Pop()
+		q.PushFront(p)
+		q.Pop()
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("steady-state queue operations allocated %.1f times, want 0", n)
+	}
+	s := NewStreamQueues()
+	s.Push(&Packet{Dst: 5})
+	s.Push(&Packet{Dst: 3})
+	scratch := make([]frame.NodeID, 0, 2)
+	if n := testing.AllocsPerRun(100, func() { scratch = s.NonEmpty(scratch[:0]) }); n != 0 {
+		t.Fatalf("NonEmpty into scratch allocated %.1f times, want 0", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/backoff"
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -38,17 +39,17 @@ func (m *MACA) AdoptFrom(peer mac.Engine) error {
 	m.seq = w.seq
 	m.stats = w.stats
 
-	fn := map[State]func(){
-		Contend:  m.onContendTimeout,
-		WFCTS:    m.onCTSTimeout,
-		WFData:   m.onTimeoutToIdle,
-		Quiet:    m.onQuietEnd,
-		SendData: m.onDataSent,
+	fn := map[State]func(*MACA){
+		Contend:  (*MACA).onContendTimeout,
+		WFCTS:    (*MACA).onCTSTimeout,
+		WFData:   (*MACA).onTimeoutToIdle,
+		Quiet:    (*MACA).onQuietEnd,
+		SendData: (*MACA).onDataSent,
 	}[w.st]
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("maca: adopt: live timer in state %s, which never arms one", w.st)
 	}
-	m.timer = m.env.Sim.Readopt(w.timer, fn)
+	m.timer = m.env.Sim.ReadoptCall(w.timer, sim.Call[*MACA], m, fn)
 	return nil
 }
 

@@ -149,13 +149,15 @@ func (m *MACA) Enqueue(p *mac.Packet) {
 	}
 }
 
-func (m *MACA) setTimer(d sim.Duration, fn func()) {
+func (m *MACA) setTimer(d sim.Duration, fn func(*MACA)) {
 	m.setTimerAt(m.env.Sim.Now()+d, fn)
 }
 
-func (m *MACA) setTimerAt(t sim.Time, fn func()) {
+// setTimerAt arms the state timer for fn, a method expression: with the
+// receiver riding in the pooled event record, re-arming never allocates.
+func (m *MACA) setTimerAt(t sim.Time, fn func(*MACA)) {
 	m.timer.Cancel()
-	m.timer = m.env.Sim.At(t, fn)
+	m.timer = m.env.Sim.AtPriorityCall(t, 0, sim.Call[*MACA], m, fn)
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(t)
 	}
@@ -231,7 +233,7 @@ func (m *MACA) enterContend() {
 	}
 	bo := m.pol.Backoff(head.Dst)
 	k := 1 + m.env.Rand.Intn(bo)
-	m.setTimerAt(base+sim.Duration(k)*m.env.Cfg.Slot(), m.onContendTimeout)
+	m.setTimerAt(base+sim.Duration(k)*m.env.Cfg.Slot(), (*MACA).onContendTimeout)
 }
 
 // onContendTimeout is Timeout rule 1: transmit the RTS and wait for the CTS.
@@ -255,7 +257,7 @@ func (m *MACA) onContendTimeout() {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), (*MACA).onCTSTimeout)
 }
 
 // onCTSTimeout handles a lost RTS-CTS exchange: back off and retry, or give
@@ -307,9 +309,9 @@ func (m *MACA) enterQuiet(d sim.Duration) {
 	switch m.st {
 	case Idle, Contend:
 		m.setState(Quiet)
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), (*MACA).onQuietEnd)
 	case Quiet:
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), (*MACA).onQuietEnd)
 	case WFCTS, WFData, SendData:
 		// Keep the exchange; deferUntil constrains future contention.
 	}
@@ -321,7 +323,7 @@ func (m *MACA) onQuietEnd() {
 	}
 	m.timer = sim.Event{}
 	if m.deferUntil > m.env.Sim.Now() {
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), (*MACA).onQuietEnd)
 		return
 	}
 	m.next()
@@ -372,7 +374,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		m.stats.CTSSent++
 		m.expectFrom = f.Src
 		m.setState(WFData)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onTimeoutToIdle)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, (*MACA).onTimeoutToIdle)
 	case frame.CTS:
 		// Control rule 3: send the data.
 		if m.st != WFCTS || f.Src != m.curDst {
@@ -388,7 +390,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		air := m.transmit(data)
 		m.setState(SendData)
 		m.sending = head
-		m.setTimer(air, m.onDataSent)
+		m.setTimer(air, (*MACA).onDataSent)
 	case frame.DATA:
 		// Control rule 4.
 		if m.st == WFData && f.Src == m.expectFrom {

@@ -6,6 +6,7 @@ import (
 	"macaw/internal/backoff"
 	"macaw/internal/frame"
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -57,30 +58,30 @@ func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	m.pendingRetries = copyMap(w.pendingRetries)
 	m.stats = w.stats
 
-	var fn func()
+	var fn func(*MACAW)
 	switch w.st {
 	case Contend:
-		fn = m.onContendTimeout
+		fn = (*MACAW).onContendTimeout
 	case WFCTS:
-		fn = m.onCTSTimeout
+		fn = (*MACAW).onCTSTimeout
 	case WFACK:
-		fn = m.onACKTimeout
+		fn = (*MACAW).onACKTimeout
 	case WFDS, WFData, WFRTS:
-		fn = m.onExpectTimeout
+		fn = (*MACAW).onExpectTimeout
 	case Quiet:
-		fn = m.onQuietEnd
+		fn = (*MACAW).onQuietEnd
 	case SendData:
 		switch w.tx {
 		case txMcastRTS:
-			fn = m.onMcastRTSSent
+			fn = (*MACAW).onMcastRTSSent
 		case txMcastData:
-			fn = m.onMcastDataSent
+			fn = (*MACAW).onMcastDataSent
 		case txDS:
-			fn = m.onDSSent
+			fn = (*MACAW).onDSSent
 		case txData:
-			fn = m.onDataAirDone
+			fn = (*MACAW).onDataAirDone
 		case txCtrl:
-			fn = m.onCtrlSent
+			fn = (*MACAW).onCtrlSent
 		default:
 			return fmt.Errorf("macaw: adopt: SendData with tx kind %d has no timer owner", w.tx)
 		}
@@ -88,7 +89,7 @@ func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("macaw: adopt: live timer in state %s, which never arms one", w.st)
 	}
-	m.timer = m.env.Sim.Readopt(w.timer, fn)
+	m.timer = m.env.Sim.ReadoptCall(w.timer, sim.Call[*MACAW], m, fn)
 	return nil
 }
 

@@ -163,6 +163,8 @@ type MACAW struct {
 	// Queueing: streams when PerStream, fifo otherwise.
 	streams *mac.StreamQueues
 	fifo    mac.Queue
+	// targets is contendTargets' scratch buffer, not protocol state.
+	targets []frame.NodeID
 
 	attempts map[frame.NodeID]int // RTS attempts for the head packet per destination
 	seq      uint32
@@ -394,17 +396,19 @@ func (m *MACAW) considerContender(c contender) {
 	at := base + sim.Duration(k)*m.env.Cfg.Slot()
 	if m.timer.IsZero() || m.timer.Cancelled() || at < m.timer.When() {
 		m.cur = c
-		m.setTimerAt(at, m.onContendTimeout)
+		m.setTimerAt(at, (*MACAW).onContendTimeout)
 	}
 }
 
-func (m *MACAW) setTimer(d sim.Duration, fn func()) {
+func (m *MACAW) setTimer(d sim.Duration, fn func(*MACAW)) {
 	m.setTimerAt(m.env.Sim.Now()+d, fn)
 }
 
-func (m *MACAW) setTimerAt(t sim.Time, fn func()) {
+// setTimerAt arms the state timer for fn, a method expression: with the
+// receiver riding in the pooled event record, re-arming never allocates.
+func (m *MACAW) setTimerAt(t sim.Time, fn func(*MACAW)) {
 	m.timer.Cancel()
-	m.timer = m.env.Sim.At(t, fn)
+	m.timer = m.env.Sim.AtPriorityCall(t, 0, sim.Call[*MACAW], m, fn)
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(t)
 	}
@@ -469,15 +473,16 @@ func (m *MACAW) noteDrop(dst frame.NodeID, reason mac.DropReason) {
 	}
 }
 
-// contendTargets lists the destinations with pending work.
+// contendTargets lists the destinations with pending work. The result
+// aliases a scratch buffer reused by the next call.
 func (m *MACAW) contendTargets() []frame.NodeID {
+	m.targets = m.targets[:0]
 	if m.opt.PerStream {
-		return m.streams.NonEmpty()
+		m.targets = m.streams.NonEmpty(m.targets)
+	} else if p := m.fifo.Peek(); p != nil {
+		m.targets = append(m.targets, p.Dst)
 	}
-	if p := m.fifo.Peek(); p != nil {
-		return []frame.NodeID{p.Dst}
-	}
-	return nil
+	return m.targets
 }
 
 // enterContend draws a retry slot for every pending stream (and a pending
@@ -492,7 +497,7 @@ func (m *MACAW) enterContend() {
 			// stay QUIET so arriving RTSes are answered with an
 			// RRTS later rather than a mid-exchange CTS.
 			m.setState(Quiet)
-			m.setTimerAt(m.deferUntil, m.onQuietEnd)
+			m.setTimerAt(m.deferUntil, (*MACAW).onQuietEnd)
 			return
 		}
 		m.setState(Idle)
@@ -535,7 +540,7 @@ func (m *MACAW) enterContend() {
 		draw(contender{dst: d})
 	}
 	m.cur = pick
-	m.setTimerAt(best, m.onContendTimeout)
+	m.setTimerAt(best, (*MACAW).onContendTimeout)
 }
 
 // onContendTimeout transmits the RTS (or RRTS) the station contended for
@@ -561,7 +566,7 @@ func (m *MACAW) onContendTimeout() {
 			// The carrier is busy: wait for it to clear, then
 			// redraw from the cleared instant.
 			m.setState(Quiet)
-			m.setTimer(m.env.Cfg.Slot(), m.onQuietEnd)
+			m.setTimer(m.env.Cfg.Slot(), (*MACAW).onQuietEnd)
 			return
 		}
 		m.enterContend()
@@ -589,7 +594,7 @@ func (m *MACAW) onContendTimeout() {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
 }
 
 // sendRRTS contends on behalf of a blocked sender (§3.3.3).
@@ -603,7 +608,7 @@ func (m *MACAW) sendRRTS() {
 	m.expectSrc = dst
 	m.setState(WFRTS)
 	// Long enough for the answering RTS to arrive.
-	m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, m.onExpectTimeout)
+	m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
 }
 
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
@@ -615,7 +620,7 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 	m.stats.RTSSent++
 	m.setState(SendData)
 	m.tx, m.txHead = txMcastRTS, head
-	m.setTimer(air, m.onMcastRTSSent)
+	m.setTimer(air, (*MACAW).onMcastRTSSent)
 }
 
 // onMcastRTSSent follows the multicast RTS with the DATA packet itself.
@@ -626,7 +631,7 @@ func (m *MACAW) onMcastRTSSent() {
 	m.pol.StampSend(data)
 	dair := m.transmit(data)
 	m.tx = txMcastData
-	m.setTimer(dair, m.onMcastDataSent)
+	m.setTimer(dair, (*MACAW).onMcastDataSent)
 }
 
 // onMcastDataSent completes the multicast exchange.
@@ -714,7 +719,7 @@ func (m *MACAW) enterQuiet(d sim.Duration) {
 	switch m.st {
 	case Idle, Contend, Quiet:
 		m.setState(Quiet)
-		m.setTimerAt(m.deferUntil, m.onQuietEnd)
+		m.setTimerAt(m.deferUntil, (*MACAW).onQuietEnd)
 	default:
 		// Mid-exchange states keep their timers; the advanced horizon
 		// constrains the next contention.
@@ -727,13 +732,13 @@ func (m *MACAW) onQuietEnd() {
 	}
 	m.timer = sim.Event{}
 	if m.deferUntil > m.env.Sim.Now() {
-		m.setTimerAt(m.deferUntil, m.onQuietEnd)
+		m.setTimerAt(m.deferUntil, (*MACAW).onQuietEnd)
 		return
 	}
 	if hold := m.carrierHold(); hold == maxTime {
 		// Still carrier-busy: poll again a slot later (the carrier
 		// callback cannot restart a cancelled timer for us).
-		m.setTimer(m.env.Cfg.Slot(), m.onQuietEnd)
+		m.setTimer(m.env.Cfg.Slot(), (*MACAW).onQuietEnd)
 		return
 	}
 	m.next()
@@ -752,7 +757,7 @@ func (m *MACAW) onExpectTimeout() {
 		m.expectSrc = 0
 		m.setState(SendData)
 		m.tx = txCtrl
-		m.setTimer(air, m.onCtrlSent)
+		m.setTimer(air, (*MACAW).onCtrlSent)
 		return
 	}
 	// The expected peer never followed through; forget it so no later
@@ -977,10 +982,10 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 	m.expectSrc = f.Src
 	if m.opt.Exchange.HasDS() {
 		m.setState(WFDS)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, m.onExpectTimeout)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
 	} else {
 		m.setState(WFData)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onExpectTimeout)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
 	}
 }
 
@@ -1041,7 +1046,7 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		m.stats.DSSent++
 		m.setState(SendData)
 		m.tx, m.txHead = txDS, head
-		m.setTimer(air, m.onDSSent)
+		m.setTimer(air, (*MACAW).onDSSent)
 	} else {
 		m.setState(SendData)
 		m.sendData(head)
@@ -1063,7 +1068,7 @@ func (m *MACAW) sendData(head *mac.Packet) {
 	m.pol.StampSend(data)
 	air := m.transmit(data)
 	m.tx, m.txHead, m.txWantAck = txData, head, wantAck
-	m.setTimer(air, m.onDataAirDone)
+	m.setTimer(air, (*MACAW).onDataAirDone)
 }
 
 // onDSSent transmits the announced data once the DS frame leaves the air.
@@ -1082,7 +1087,7 @@ func (m *MACAW) onDataAirDone() {
 	m.tx, m.txHead, m.txWantAck = txNone, nil, false
 	if wantAck {
 		m.setState(WFACK)
-		m.setTimer(m.env.Cfg.CTSWait(), m.onACKTimeout)
+		m.setTimer(m.env.Cfg.CTSWait(), (*MACAW).onACKTimeout)
 		return
 	}
 	if m.opt.Exchange.HasACK() {
@@ -1186,7 +1191,7 @@ func (m *MACAW) onDS(f *frame.Frame) {
 	}
 	m.clearTimer()
 	m.setState(WFData)
-	m.setTimer(m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onExpectTimeout)
+	m.setTimer(m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
 }
 
 // onData delivers the payload and returns the ACK (control rule 5). A
@@ -1236,7 +1241,7 @@ func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
 	m.stats.ACKSent++
 	m.setState(SendData)
 	m.tx = txCtrl
-	m.setTimer(air, m.onCtrlSent)
+	m.setTimer(air, (*MACAW).onCtrlSent)
 }
 
 // onRRTS answers a Request-for-RTS (control rule 13): transmit the RTS
@@ -1259,7 +1264,7 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
 }
 
 // onNACK (§4 alternative): the receiver's CTS went unanswered by data; the

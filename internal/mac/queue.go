@@ -2,39 +2,68 @@ package mac
 
 import "macaw/internal/frame"
 
-// Queue is a FIFO packet queue.
+// Queue is a FIFO packet queue. It is a head-indexed ring over a
+// power-of-two buffer, so Pop and PushFront reuse its storage: once the
+// buffer has grown to a queue's high-water mark, steady-state traffic
+// allocates nothing here.
 type Queue struct {
-	items []*Packet
+	buf  []*Packet // len(buf) is zero or a power of two
+	head int       // index of the head packet in buf
+	n    int       // number of queued packets
 }
 
 // Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.n }
+
+// at returns the i-th packet from the head (0 ≤ i < Len).
+func (q *Queue) at(i int) *Packet { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// grow doubles the buffer (minimum 4), unrolling the ring to start at 0.
+func (q *Queue) grow() {
+	nb := make([]*Packet, max(4, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		nb[i] = q.at(i)
+	}
+	q.buf, q.head = nb, 0
+}
 
 // Push appends p.
-func (q *Queue) Push(p *Packet) { q.items = append(q.items, p) }
+func (q *Queue) Push(p *Packet) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
+}
 
 // PushFront reinstates p at the head of the queue (used when a tentatively
 // completed packet turns out to need retransmission).
 func (q *Queue) PushFront(p *Packet) {
-	q.items = append([]*Packet{p}, q.items...)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = p
+	q.n++
 }
 
 // Peek returns the head without removing it, or nil when empty.
 func (q *Queue) Peek() *Packet {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.items[0]
+	return q.buf[q.head]
 }
 
 // Pop removes and returns the head, or nil when empty.
 func (q *Queue) Pop() *Packet {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return p
 }
 
@@ -70,16 +99,16 @@ func (s *StreamQueues) Queue(dst frame.NodeID) *Queue { return s.qs[dst] }
 // including those whose queues are currently empty.
 func (s *StreamQueues) Destinations() []frame.NodeID { return s.order }
 
-// NonEmpty returns the destinations with at least one queued packet, in
-// first-seen order.
-func (s *StreamQueues) NonEmpty() []frame.NodeID {
-	var out []frame.NodeID
+// NonEmpty appends the destinations with at least one queued packet to dst,
+// in first-seen order, and returns the extended slice. Callers pass a
+// reused scratch slice (dst[:0]) so contention rounds do not allocate.
+func (s *StreamQueues) NonEmpty(dst []frame.NodeID) []frame.NodeID {
 	for _, d := range s.order {
 		if s.qs[d].Len() > 0 {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	return out
+	return dst
 }
 
 // TotalLen returns the total number of queued packets across streams.

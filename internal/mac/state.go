@@ -9,8 +9,9 @@ import "fmt"
 
 // AppendState appends the queue's packets in FIFO order.
 func (q *Queue) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "queue n=%d", len(q.items))
-	for _, p := range q.items {
+	b = fmt.Appendf(b, "queue n=%d", q.n)
+	for i := 0; i < q.n; i++ {
+		p := q.at(i)
 		b = fmt.Appendf(b, " {dst=%d size=%d seq=%d enq=%d pay=%d}", p.Dst, p.Size, p.seq, p.Enqueued, len(p.Payload))
 	}
 	return append(b, '\n')

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -42,21 +43,21 @@ func (t *Token) AdoptFrom(peer mac.Engine) error {
 	t.Regenerations = w.Regenerations
 	t.Skips = w.Skips
 
-	var fn func()
+	var fn func(*Token)
 	switch w.st {
 	case Holding:
 		if w.sending != nil {
-			fn = t.onDataSent
+			fn = (*Token).onDataSent
 		} else {
-			fn = t.onHoldPause
+			fn = (*Token).onHoldPause
 		}
 	case Passing:
-		fn = t.onWatchTimeout
+		fn = (*Token).onWatchTimeout
 	}
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("token: adopt: live timer in state %s, which never arms one", w.st)
 	}
-	t.timer = t.env.Sim.Readopt(w.timer, fn)
-	t.watchdog = t.env.Sim.Readopt(w.watchdog, t.onSilence)
+	t.timer = t.env.Sim.ReadoptCall(w.timer, sim.Call[*Token], t, fn)
+	t.watchdog = t.env.Sim.ReadoptCall(w.watchdog, sim.Call[*Token], t, (*Token).onSilence)
 	return nil
 }

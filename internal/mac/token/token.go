@@ -127,7 +127,7 @@ func New(env *mac.Env, opt Options) *Token {
 	t.armWatchdog()
 	if t.ringPos == 0 {
 		// The first member bootstraps the token once the ring settles.
-		t.env.Sim.After(t.env.Cfg.Slot(), t.acquire)
+		t.env.Sim.AtPriorityCall(t.env.Sim.Now()+t.env.Cfg.Slot(), 0, sim.Call[*Token], t, (*Token).acquire)
 	}
 	return t
 }
@@ -213,9 +213,11 @@ func (t *Token) Enqueue(p *mac.Packet) {
 	t.noteQueue("push", p.Dst)
 }
 
-func (t *Token) setTimer(d sim.Duration, fn func()) {
+// setTimer arms the state timer for fn, a method expression: with the
+// receiver riding in the pooled event record, re-arming never allocates.
+func (t *Token) setTimer(d sim.Duration, fn func(*Token)) {
 	t.timer.Cancel()
-	t.timer = t.env.Sim.After(d, fn)
+	t.timer = t.env.Sim.AtPriorityCall(t.env.Sim.Now()+d, 0, sim.Call[*Token], t, fn)
 	if t.env.Obs != nil {
 		t.env.Obs.ObserveTimer(t.timer.When())
 	}
@@ -265,7 +267,8 @@ func (t *Token) noteDrop(dst frame.NodeID, reason mac.DropReason) {
 // armWatchdog (re)starts the silence watchdog that triggers token recovery.
 func (t *Token) armWatchdog() {
 	t.watchdog.Cancel()
-	t.watchdog = t.env.Sim.After(sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.env.Cfg.Slot(), t.onSilence)
+	at := t.env.Sim.Now() + sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.env.Cfg.Slot()
+	t.watchdog = t.env.Sim.AtPriorityCall(at, 0, sim.Call[*Token], t, (*Token).onSilence)
 }
 
 // onSilence fires when nothing has been heard for the recovery window. The
@@ -306,7 +309,7 @@ func (t *Token) serve() {
 	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := t.transmit(data)
 	t.sending = head
-	t.setTimer(air, t.onDataSent)
+	t.setTimer(air, (*Token).onDataSent)
 }
 
 // onDataSent completes the data frame on the air and keeps serving.
@@ -343,7 +346,7 @@ func (t *Token) pass(skip int) {
 		// Everyone else looks dead; keep the token and try again after
 		// a recovery pause.
 		t.setState(Holding)
-		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.env.Cfg.Slot(), t.onHoldPause)
+		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.env.Cfg.Slot(), (*Token).onHoldPause)
 		return
 	}
 	t.passTo = (t.ringPos + skip) % len(t.opt.Ring)
@@ -351,14 +354,14 @@ func (t *Token) pass(skip int) {
 	if succ == t.env.ID() {
 		// Ring of one: keep serving after a slot's pause.
 		t.sentThis = 0
-		t.setTimer(t.env.Cfg.Slot(), t.onHoldPause)
+		t.setTimer(t.env.Cfg.Slot(), (*Token).onHoldPause)
 		return
 	}
 	tok := &frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
 	air := t.transmit(tok)
 	t.setState(Passing)
 	t.skipNext = skip + 1
-	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), t.onWatchTimeout)
+	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), (*Token).onWatchTimeout)
 }
 
 // RadioCarrier implements phy.Handler; token access needs no carrier sense.

@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/frame"
 	"macaw/internal/mac"
+	"macaw/internal/sim"
 )
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
@@ -43,14 +44,14 @@ func (t *Tournament) AdoptFrom(peer mac.Engine) error {
 	t.stats = w.stats
 
 	t.tk = w.tk
-	var fn func()
+	var fn func(*Tournament)
 	if w.tk != tNone {
-		fn = t.timerFn(w.tk)
+		fn = timerFn(w.tk)
 	}
 	if fn == nil && w.timer.Live() {
 		return fmt.Errorf("tournament: adopt: live timer with kind %d, which has no continuation", w.tk)
 	}
-	t.timer = t.env.Sim.Readopt(w.timer, fn)
+	t.timer = t.env.Sim.ReadoptCall(w.timer, sim.Call[*Tournament], t, fn)
 	return nil
 }
 

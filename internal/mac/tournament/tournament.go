@@ -219,16 +219,16 @@ func (t *Tournament) Enqueue(p *mac.Packet) {
 }
 
 // timerFn maps a timer kind to its continuation.
-func (t *Tournament) timerFn(k tKind) func() {
+func timerFn(k tKind) func(*Tournament) {
 	switch k {
 	case tBoundary:
-		return t.onBoundary
+		return (*Tournament).onBoundary
 	case tRound:
-		return t.onRoundEnd
+		return (*Tournament).onRoundEnd
 	case tDataAir:
-		return t.onDataAirDone
+		return (*Tournament).onDataAirDone
 	case tACKTimeout:
-		return t.onACKTimeout
+		return (*Tournament).onACKTimeout
 	}
 	return nil
 }
@@ -236,7 +236,7 @@ func (t *Tournament) timerFn(k tKind) func() {
 func (t *Tournament) setTimer(dur sim.Duration, k tKind) {
 	t.timer.Cancel()
 	t.tk = k
-	t.timer = t.env.Sim.After(dur, t.timerFn(k))
+	t.timer = t.env.Sim.AtPriorityCall(t.env.Sim.Now()+dur, 0, sim.Call[*Tournament], t, timerFn(k))
 	if t.env.Obs != nil {
 		t.env.Obs.ObserveTimer(t.timer.When())
 	}

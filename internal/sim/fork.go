@@ -83,29 +83,14 @@ func SyntheticHandle(when Time, cancelled bool) Event {
 // state that should not have one.
 func (r Event) Live() bool { return r.live() }
 
-// Readopt re-creates src — an event pending in a warmed twin simulator — in s
-// at its exact (when, prio, seq) ordering key, without advancing s's own
-// sequence counter. fn is the adopting side's callback (typically the same
-// named method on the fork's own instance). When src is not live (already
-// fired or cancelled-and-reclaimed in its owner), Readopt returns a synthetic
+// ReadoptCall re-creates src — an event pending in a warmed twin simulator —
+// in s at its exact (when, prio, seq) ordering key, without advancing s's own
+// sequence counter. callFn(a, b) is the adopting side's callback, scheduled
+// as by AtPriorityCall; a and b reference the fork's own structures, never
+// the warm twin's (typically Call with the fork's own receiver and the same
+// method expression). When src is not live (already fired or
+// cancelled-and-reclaimed in its owner), ReadoptCall returns a synthetic
 // handle reproducing its observable When/Cancelled values instead.
-func (s *Simulator) Readopt(src Event, fn func()) Event {
-	if !src.live() {
-		return SyntheticHandle(src.when, src.cancelled)
-	}
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.fn, e.cancelled = src.e.when, src.e.prio, src.e.seq, fn, src.e.cancelled
-	s.heapPush(e)
-	if e.cancelled {
-		s.ncancelled++
-	}
-	return Event{e: e, seq: e.seq, when: e.when}
-}
-
-// ReadoptCall is Readopt for closure-free events scheduled with
-// AtPriorityCall: callFn(a, b) rides in the pooled record, with a and b
-// supplied by the adopting side (they reference the fork's own structures,
-// never the warm twin's).
 func (s *Simulator) ReadoptCall(src Event, callFn func(a, b any), a, b any) Event {
 	if !src.live() {
 		return SyntheticHandle(src.when, src.cancelled)

@@ -350,6 +350,18 @@ func (s *Simulator) AtPriorityCall(t Time, prio int, fn func(a, b any), a, b any
 	return Event{e: e, seq: e.seq, when: t}
 }
 
+// Call is the AtPriorityCall trampoline for methods: a is the receiver and b
+// a method expression of type func(T), such as (*MACAW).onCTSTimeout. A
+// method expression is a static function value and a pointer receiver is
+// pointer-shaped, so boxing either into the event record does not allocate —
+//
+//	s.AtPriorityCall(t, 0, sim.Call[*MACAW], m, (*MACAW).onCTSTimeout)
+//
+// arms a protocol timer without the closure that At(t, m.onCTSTimeout)
+// allocates for its method value. At priority 0 it consumes the same seq as
+// At, so the firing order is identical.
+func Call[T any](a, b any) { b.(func(T))(a.(T)) }
+
 // After schedules fn to run d nanoseconds from now.
 func (s *Simulator) After(d Duration, fn func()) Event {
 	if d < 0 {

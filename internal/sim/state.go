@@ -77,17 +77,24 @@ type StreamCursor struct {
 
 // funcName resolves an event's callback to its symbol name. Closure and
 // method-value names are assigned by the compiler and are stable within a
-// build, which is the scope a snapshot verify-replay runs in.
+// build, which is the scope a snapshot verify-replay runs in. A call-style
+// event whose argB is itself a function (a Call trampoline carrying a method
+// expression) is named after that function, so a dump names the protocol
+// timer — onCTSTimeout, not the trampoline every timer shares.
 func funcName(e *event) string {
-	var pc uintptr
-	if e.fn != nil {
-		pc = reflect.ValueOf(e.fn).Pointer()
-	} else if e.callFn != nil {
-		pc = reflect.ValueOf(e.callFn).Pointer()
-	} else {
+	var fn reflect.Value
+	switch {
+	case e.fn != nil:
+		fn = reflect.ValueOf(e.fn)
+	case e.callFn == nil:
 		return "<nil>"
+	default:
+		fn = reflect.ValueOf(e.callFn)
+		if b := reflect.ValueOf(e.argB); b.Kind() == reflect.Func && !b.IsNil() {
+			fn = b
+		}
 	}
-	if f := runtime.FuncForPC(pc); f != nil {
+	if f := runtime.FuncForPC(fn.Pointer()); f != nil {
 		return f.Name()
 	}
 	return "<unknown>"

@@ -61,13 +61,20 @@ func Total(xs []float64) float64 {
 }
 
 // Percentile returns the p-quantile (0..1) of xs by nearest-rank (0 for
-// empty input).
+// empty input). xs is left untouched: it sorts a copy.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// PercentileSorted is Percentile for input already sorted ascending; it
+// neither copies nor sorts, so a caller that owns its slice can sort it in
+// place and skip Percentile's copy.
+func PercentileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return s[0]
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,29 @@ func TestPercentile(t *testing.T) {
 	// The input must not be reordered.
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated its input")
+	}
+}
+
+// Property: Percentile leaves every element of its caller's slice in place,
+// and agrees with PercentileSorted over a sorted copy — the pair
+// Network.Collect relies on when it sorts its own copy instead.
+func TestQuickPercentileKeepsInput(t *testing.T) {
+	f := func(raw []int16, a uint8) bool {
+		xs := make([]float64, len(raw))
+		for i, v := range raw {
+			xs[i] = float64(v)
+		}
+		before := append([]float64(nil), xs...)
+		p := float64(a) / 255
+		got := Percentile(xs, p)
+		if !slices.Equal(xs, before) {
+			return false
+		}
+		slices.Sort(before)
+		return got == PercentileSorted(before, p)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

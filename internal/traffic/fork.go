@@ -40,6 +40,6 @@ func (c *CBR) AdoptFrom(w Generator) error {
 	c.running = wc.running
 	c.stopAt = wc.stopAt
 	c.hasStop = wc.hasStop
-	c.ev = c.s.Readopt(wc.ev, c.tick)
+	c.ev = c.s.ReadoptCall(wc.ev, sim.Call[*CBR], c, (*CBR).tick)
 	return nil
 }

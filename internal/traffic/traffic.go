@@ -63,7 +63,7 @@ func (c *CBR) Start(t sim.Time) {
 		return
 	}
 	c.running = true
-	c.ev = c.s.At(t+c.phase, c.tick)
+	c.ev = c.s.AtPriorityCall(t+c.phase, 0, sim.Call[*CBR], c, (*CBR).tick)
 }
 
 // Stop implements Generator.
@@ -83,7 +83,7 @@ func (c *CBR) tick() {
 	}
 	c.count++
 	c.offer()
-	c.ev = c.s.After(c.interval, c.tick)
+	c.ev = c.s.AtPriorityCall(c.s.Now()+c.interval, 0, sim.Call[*CBR], c, (*CBR).tick)
 }
 
 // Poisson emits packets with exponentially distributed gaps at the given
@@ -120,7 +120,7 @@ func (p *Poisson) Start(t sim.Time) {
 		return
 	}
 	p.running = true
-	p.ev = p.s.At(t+p.gap(), p.tick)
+	p.ev = p.s.AtPriorityCall(t+p.gap(), 0, sim.Call[*Poisson], p, (*Poisson).tick)
 }
 
 // Stop implements Generator.
@@ -144,7 +144,7 @@ func (p *Poisson) tick() {
 	}
 	p.count++
 	p.offer()
-	p.ev = p.s.After(p.gap(), p.tick)
+	p.ev = p.s.AtPriorityCall(p.s.Now()+p.gap(), 0, sim.Call[*Poisson], p, (*Poisson).tick)
 }
 
 // AppendState appends the source's full state for the snapshot inventory

@@ -125,3 +125,25 @@ func TestGeneratorInterfaces(t *testing.T) {
 	var _ Generator = NewCBR(s, 1, nil, func() {})
 	var _ Generator = NewPoisson(s, 1, s.NewRand(), func() {})
 }
+
+// TestTicksAllocationFree pins DESIGN.md §8's no-per-event-allocation rule
+// for the traffic layer: each tick re-arms the next with the receiver and a
+// method expression riding in a pooled event record, so a running source
+// allocates nothing per packet beyond what its offer callback does.
+func TestTicksAllocationFree(t *testing.T) {
+	for name, build := range map[string]func(*sim.Simulator, func()) Generator{
+		"cbr":     func(s *sim.Simulator, offer func()) Generator { return NewCBR(s, 64, nil, offer) },
+		"poisson": func(s *sim.Simulator, offer func()) Generator { return NewPoisson(s, 64, s.NewRand(), offer) },
+	} {
+		s := sim.New(1)
+		n := 0
+		g := build(s, func() { n++ })
+		g.Start(0)
+		if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs != 0 {
+			t.Errorf("%s: a tick allocated %.1f times, want 0", name, allocs)
+		}
+		if n != 101 || g.Generated() != n {
+			t.Fatalf("%s: %d offers, Generated %d, want 101", name, n, g.Generated())
+		}
+	}
+}

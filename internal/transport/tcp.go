@@ -125,7 +125,8 @@ func (t *TCPSender) armTimer() {
 	if !t.timer.IsZero() && !t.timer.Cancelled() {
 		return
 	}
-	t.timer = t.ep.Clock().After(t.currentRTO(), t.onTimeout)
+	clk := t.ep.Clock()
+	t.timer = clk.AtPriorityCall(clk.Now()+t.currentRTO(), 0, sim.Call[*TCPSender], t, (*TCPSender).onTimeout)
 }
 
 func (t *TCPSender) currentRTO() sim.Duration {

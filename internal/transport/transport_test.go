@@ -304,3 +304,25 @@ func TestTCPZeroWindowClamped(t *testing.T) {
 		t.Fatal("zero window not clamped to 1")
 	}
 }
+
+// lossyEnd is an Endpoint whose every segment is lost.
+type lossyEnd struct{ s *sim.Simulator }
+
+func (e lossyEnd) SendSegment(frame.NodeID, Segment, int) {}
+func (e lossyEnd) Clock() *sim.Simulator                  { return e.s }
+
+// TestRTOTimerAllocationFree pins DESIGN.md §8's no-per-event-allocation
+// rule for TCP: the retransmission timer is armed with the receiver and a
+// method expression riding in a pooled event record, so a timeout that
+// retransmits and re-arms allocates nothing.
+func TestRTOTimerAllocationFree(t *testing.T) {
+	s := sim.New(1)
+	snd := NewTCPSender(lossyEnd{s}, 2, 1, DefaultTCPConfig())
+	snd.Offer()
+	if n := testing.AllocsPerRun(20, func() { s.Step() }); n != 0 {
+		t.Fatalf("an RTO firing allocated %.1f times, want 0", n)
+	}
+	if got := snd.Stats().Timeouts; got != 21 {
+		t.Fatalf("%d timeouts, want 21", got)
+	}
+}
