@@ -13,12 +13,17 @@
 // byte-identical to the equivalent macawsim invocation.
 //
 // Every completed job is recorded in a content-addressed cache under
-// -state, keyed on (canonical config hash, seed) and flushed atomically
-// per job. The cache is also the campaign ledger: a daemon killed
-// mid-campaign — SIGKILL included — re-schedules the persisted campaign on
-// restart and serves every job that finished from the cache, re-simulating
-// only the rest; resubmitting an identical campaign (or an overlapping one)
-// is served from cache hits instead of re-simulation. SIGTERM/SIGINT drain
+// -state (-state/cache.bin), keyed on (canonical config hash, seed): an
+// append-only log to which each job adds one CRC-framed record, its JSONL
+// result line, fsynced before the job is reported done. A cache hit
+// streams the recorded line as it is. The cache is also the campaign
+// ledger: a daemon killed mid-campaign — SIGKILL included — re-schedules
+// the persisted campaign on restart and serves every job that finished
+// from the cache, re-simulating only the rest; a record torn by the kill
+// is cut off on restart and its job re-run. Resubmitting an identical
+// campaign (or an overlapping one) is served from cache hits instead of
+// re-simulation. A cache file that fails its checks (a corrupt or
+// older-format file) is replaced by an empty one. SIGTERM/SIGINT drain
 // gracefully: in-flight runs finish and flush their ledger entries, queued
 // runs are left for the next start, and the readiness probe flips to 503
 // while /healthz keeps answering.

@@ -259,18 +259,18 @@ func (e *Engine) start(m *Manifest, persist bool) (*Campaign, bool, error) {
 func (e *Engine) runJob(ctx context.Context, c *Campaign, i int) {
 	j := c.Jobs[i]
 	key := c.Man.jobKey(j)
-	// The cache is consulted before taking a worker slot: a hit costs a
-	// decode, not a simulation, so resubmitted campaigns finish without
+	// The cache is consulted before taking a worker slot: a hit serves the
+	// recorded line as it is, so resubmitted campaigns finish without
 	// queueing behind fresh work.
 	if payload, ok := e.cache.Get(key); ok {
-		if res, err := decodeResult(payload); err == nil {
+		if res, ok := cachedResult(j, payload); ok {
 			c.mu.Lock()
 			c.states[i], c.results[i] = jobDone, res
 			c.cacheHits++
 			c.mu.Unlock()
 			return
 		}
-		// A corrupt entry is re-run, never trusted.
+		// An entry that is not this job's line is re-run, never trusted.
 	}
 	c.mu.Lock()
 	c.states[i] = jobRunning
@@ -282,7 +282,7 @@ func (e *Engine) runJob(ctx context.Context, c *Campaign, i int) {
 	case err == nil:
 		// Flush the ledger before exposing the result: once a client has
 		// seen a job settle, a crash must not un-complete it.
-		if perr := e.cache.Put(key, res.encode()); perr != nil {
+		if perr := e.cache.Put(key, res.line); perr != nil {
 			fmt.Fprintf(os.Stderr, "macawd: ledger flush for %s: %v\n", key, perr)
 		}
 		c.mu.Lock()
@@ -291,7 +291,7 @@ func (e *Engine) runJob(ctx context.Context, c *Campaign, i int) {
 	case ctx.Err() != nil:
 		c.mu.Lock()
 		c.states[i] = jobCancelled
-		c.results[i] = &Result{Spec: j.Spec, Seed: j.Seed, Err: "cancelled"}
+		c.results[i] = failedResult(j, "cancelled")
 		c.mu.Unlock()
 	default:
 		// A deterministic abort (oracle violation, watchdog panic): record
@@ -299,7 +299,7 @@ func (e *Engine) runJob(ctx context.Context, c *Campaign, i int) {
 		// retries it.
 		c.mu.Lock()
 		c.states[i] = jobFailed
-		c.results[i] = &Result{Spec: j.Spec, Seed: j.Seed, Err: err.Error()}
+		c.results[i] = failedResult(j, err.Error())
 		c.mu.Unlock()
 	}
 }
@@ -346,7 +346,7 @@ func (e *Engine) Drain() {
 // error: the document must be complete or absent, never partial.
 func (c *Campaign) MetricsDoc(spec string, seed int64, haveSeed bool, w io.Writer) error {
 	c.mu.Lock()
-	merged := make(map[string]json.RawMessage)
+	var matched []*Result
 	for i, j := range c.Jobs {
 		if spec != "" && j.Spec != spec {
 			continue
@@ -359,11 +359,19 @@ func (c *Campaign) MetricsDoc(spec string, seed int64, haveSeed bool, w io.Write
 			c.mu.Unlock()
 			return fmt.Errorf("campaign: job %s seed %d has not settled yet", j.Spec, j.Seed)
 		}
-		for _, lm := range res.Metrics {
-			merged[lm.Label] = json.RawMessage(lm.JSON)
-		}
+		matched = append(matched, res)
 	}
 	c.mu.Unlock()
+	merged := make(map[string]json.RawMessage)
+	for _, res := range matched {
+		l, err := res.decode()
+		if err != nil {
+			return err
+		}
+		for label, doc := range l.Metrics {
+			merged[label] = doc
+		}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(struct {

@@ -2,13 +2,14 @@
 // cmd/macawd (DESIGN.md §17): a submitted manifest expands into a fixed,
 // ordered list of jobs — one (spec, seed) simulation each — that fan out
 // through the experiments.Runner worker pool, with every completed job's
-// result recorded in a content-addressed cache keyed on (canonical config
-// hash, seed). The cache doubles as the campaign ledger: it is flushed
-// atomically per job, so however the daemon dies, a restart re-schedules the
-// campaign and every job that finished is served from the cache instead of
-// re-simulated. Results are pure functions of their job's configuration —
-// no timestamps, no cache provenance — so a resumed campaign's result
-// stream is byte-identical to an uninterrupted one.
+// result line recorded in a content-addressed cache keyed on (canonical
+// config hash, seed). The cache doubles as the campaign ledger: each job's
+// line is appended and fsynced before the job is reported done, so however
+// the daemon dies, a restart re-schedules the campaign and every job that
+// finished is served from the cache instead of re-simulated. Results are
+// pure functions of their job's configuration — no timestamps, no cache
+// provenance — so a resumed campaign's result stream is byte-identical to
+// an uninterrupted one.
 package campaign
 
 import (
@@ -77,8 +78,8 @@ const MaxManifestBytes = 1 << 20
 // DecodeManifest decodes and validates a campaign manifest, failing closed
 // with a *ManifestError on any defect: unknown fields, trailing garbage, a
 // spec naming zero or several generator families, an unknown table id, a
-// malformed sweep spec, missing seeds, or a warmup that does not fit inside
-// the total.
+// malformed sweep spec, a sweep at warmup 0, missing seeds, or a warmup
+// that does not fit inside the total.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	dec := json.NewDecoder(io.LimitReader(r, MaxManifestBytes))
 	dec.DisallowUnknownFields()
@@ -135,6 +136,11 @@ func (m *Manifest) validate() error {
 		if rs.Sweep != "" {
 			if _, err := experiments.ParseSweepSpec(rs.Sweep); err != nil {
 				return &ManifestError{Field: field + ".sweep", Reason: err.Error()}
+			}
+			// A warm sweep forks its variants at the end of the warmup;
+			// at t=0 there is no warmed state to fork.
+			if m.Warmup() == 0 {
+				return &ManifestError{Field: field + ".sweep", Reason: "a warm sweep needs warmup_s > 0"}
 			}
 		}
 		if len(rs.Seeds) == 0 {

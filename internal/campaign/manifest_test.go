@@ -56,6 +56,7 @@ func TestDecodeManifestFailsClosed(t *testing.T) {
 		{"spec names two families", `{"total_s": 2, "warmup_s": 0.5, "runs": [{"table": "table9", "chaos": true, "seeds": [1]}]}`, "runs[0]"},
 		{"unknown table", `{"total_s": 2, "warmup_s": 0.5, "runs": [{"table": "table99", "seeds": [1]}]}`, "runs[0].table"},
 		{"bad sweep spec", `{"total_s": 2, "warmup_s": 0.5, "runs": [{"sweep": "nope=1", "seeds": [1]}]}`, "runs[0].sweep"},
+		{"warm sweep at warmup 0", `{"total_s": 2, "warmup_s": 0, "runs": [{"table": "table9", "seeds": [1]}, {"sweep": "backoff.max=16,32", "seeds": [1]}]}`, "runs[1].sweep"},
 		{"no seeds", `{"total_s": 2, "warmup_s": 0.5, "runs": [{"table": "table9", "seeds": []}]}`, "runs[0].seeds"},
 		{"duplicate seed", `{"total_s": 2, "warmup_s": 0.5, "runs": [{"table": "table9", "seeds": [4, 4]}]}`, "runs[0].seeds"},
 	}

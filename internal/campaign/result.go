@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,25 +10,17 @@ import (
 	"macaw/internal/metrics"
 )
 
-// Result is one completed job's output: the rendered tables and, for
-// generator runs, every per-run metrics snapshot (the PR 5 RunMetrics
-// schema) keyed by its deterministic sink label. A Result is a pure function
-// of the job's configuration — it carries no timestamps, host names, or
-// cache provenance — which is what lets a cached replay stream
+// Result is one settled job's output, held as its rendered JSONL line: the
+// job's spec and seed, its failure message or its rendered tables and, for
+// generator runs, every per-run RunMetrics snapshot (DESIGN.md §12) keyed
+// by its deterministic sink label. The line is encoded once,
+// when the job settles; a completed job's line is also its ledger payload,
+// so a cache hit serves the recorded bytes as they are. A Result is a pure
+// function of the job's configuration — it carries no timestamps, host
+// names, or cache provenance — which is what lets a cached replay stream
 // byte-identically to a fresh simulation.
 type Result struct {
-	// Spec and Seed identify the job ("table:table6", 3).
-	Spec string `json:"spec"`
-	Seed int64  `json:"seed"`
-	// Err is the deterministic failure message of a job that aborted (an
-	// oracle violation, a watchdog panic); empty on success. Failed jobs
-	// are never cached, so a resubmission retries them.
-	Err string `json:"error,omitempty"`
-	// Tables are the job's rendered tables in generator order.
-	Tables []RenderedTable `json:"tables,omitempty"`
-	// Metrics holds one compact-JSON RunMetrics document per run label,
-	// sorted by label (the metrics.Sink order).
-	Metrics []LabeledMetrics `json:"-"`
+	line []byte
 }
 
 // RenderedTable is one table of a result: the generator's table id and its
@@ -39,18 +30,11 @@ type RenderedTable struct {
 	Text string `json:"text"`
 }
 
-// LabeledMetrics pairs a sink label with its RunMetrics snapshot as compact
-// JSON. Raw bytes, not decoded structs: metrics documents are re-emitted
-// verbatim (or re-indented), never interpreted, and a slice of pairs —
-// unlike a map — gob-encodes deterministically.
-type LabeledMetrics struct {
-	Label string
-	JSON  []byte
-}
-
-// resultLine is the JSONL wire form of a Result: Metrics becomes a
-// label-keyed object (encoding/json sorts map keys, keeping the line
-// canonical).
+// resultLine is the JSONL wire form of a Result. Metrics is a label-keyed
+// object of compact RunMetrics documents (encoding/json sorts map keys,
+// keeping the line canonical). Err is the deterministic failure message of
+// a job that aborted (an oracle violation, a watchdog panic) or was
+// cancelled; failed jobs are never cached, so a resubmission retries them.
 type resultLine struct {
 	Spec    string                     `json:"spec"`
 	Seed    int64                      `json:"seed"`
@@ -59,55 +43,71 @@ type resultLine struct {
 	Metrics map[string]json.RawMessage `json:"metrics,omitempty"`
 }
 
+// encodeLine renders v as one JSON line, HTML characters unescaped.
+func encodeLine(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		panic(fmt.Sprintf("campaign: encoding result: %v", err)) // concrete types cannot fail
+	}
+	return buf.Bytes()
+}
+
+// failedResult is the line of a job that aborted or was cancelled.
+func failedResult(j Job, msg string) *Result {
+	return &Result{line: encodeLine(resultLine{Spec: j.Spec, Seed: j.Seed, Err: msg})}
+}
+
+// cachedResult serves a ledger payload as job j's result without decoding
+// it. The payload must read as j's line — its spec and seed up front, a
+// complete object at the end — or the entry is refused and the job re-runs.
+func cachedResult(j Job, payload []byte) (*Result, bool) {
+	head := encodeLine(struct {
+		Spec string `json:"spec"`
+		Seed int64  `json:"seed"`
+	}{j.Spec, j.Seed})
+	head = head[:len(head)-len("}\n")]
+	// The byte after the seed must end it: seed 1's head prefixes seed 12's.
+	if !bytes.HasPrefix(payload, head) || !bytes.HasSuffix(payload, []byte("}\n")) ||
+		(payload[len(head)] != ',' && payload[len(head)] != '}') {
+		return nil, false
+	}
+	return &Result{line: payload}, true
+}
+
 // WriteJSONL writes the result as one JSON line.
 func (r *Result) WriteJSONL(w io.Writer) error {
-	line := resultLine{Spec: r.Spec, Seed: r.Seed, Err: r.Err, Tables: r.Tables}
-	if len(r.Metrics) > 0 {
-		line.Metrics = make(map[string]json.RawMessage, len(r.Metrics))
-		for _, lm := range r.Metrics {
-			line.Metrics[lm.Label] = json.RawMessage(lm.JSON)
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(line)
+	_, err := w.Write(r.line)
+	return err
+}
+
+// decode parses the line back into its fields, for the rare endpoints that
+// render a result rather than stream it.
+func (r *Result) decode() (resultLine, error) {
+	var l resultLine
+	err := json.Unmarshal(r.line, &l)
+	return l, err
 }
 
 // WriteText writes the result's tables exactly as macawsim renders them —
 // each table followed by a blank line — so a campaign's text stream
 // byte-matches the equivalent CLI run below its header.
 func (r *Result) WriteText(w io.Writer) error {
-	if r.Err != "" {
-		_, err := fmt.Fprintf(w, "FAILED %s seed %d: %s\n\n", r.Spec, r.Seed, r.Err)
+	l, err := r.decode()
+	if err != nil {
 		return err
 	}
-	for _, t := range r.Tables {
+	if l.Err != "" {
+		_, err := fmt.Fprintf(w, "FAILED %s seed %d: %s\n\n", l.Spec, l.Seed, l.Err)
+		return err
+	}
+	for _, t := range l.Tables {
 		if _, err := io.WriteString(w, t.Text+"\n"); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// encode renders the result for the ledger. gob round-trips every field
-// bit-exactly, so a cache-served result streams byte-identically to the
-// simulation that produced it.
-func (r *Result) encode() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		panic(fmt.Sprintf("campaign: encoding result: %v", err)) // concrete types cannot fail
-	}
-	return buf.Bytes()
-}
-
-// decodeResult parses a ledger payload. A corrupt payload returns an error
-// and the job is re-run, never trusted.
-func decodeResult(payload []byte) (*Result, error) {
-	var r Result
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // execute runs one job to completion and returns its Result. It runs on the
@@ -116,7 +116,7 @@ func decodeResult(payload []byte) (*Result, error) {
 // deterministic failure message.
 func (m *Manifest) execute(j Job) *Result {
 	cfg := experiments.RunConfig{Total: m.Total(), Warmup: m.Warmup(), Seed: j.Seed, Audit: m.Audit}
-	res := &Result{Spec: j.Spec, Seed: j.Seed}
+	res := resultLine{Spec: j.Spec, Seed: j.Seed}
 	switch kind, arg, _ := splitSpec(j.Spec); kind {
 	case "sweep":
 		// Sweeps refuse metrics sinks (a warm fork only observes the
@@ -144,17 +144,18 @@ func (m *Manifest) execute(j Job) *Result {
 		cfg.Metrics = sink
 		t := g.Run(cfg.ForTable(g.ID))
 		res.Tables = []RenderedTable{{ID: t.ID, Text: t.Render()}}
+		res.Metrics = make(map[string]json.RawMessage)
 		for _, label := range sink.Labels() {
 			doc, err := json.Marshal(sink.Run(label))
 			if err != nil {
 				panic(fmt.Sprintf("campaign: encoding metrics for %s: %v", label, err))
 			}
-			res.Metrics = append(res.Metrics, LabeledMetrics{Label: label, JSON: doc})
+			res.Metrics[label] = doc
 		}
 	default:
 		panic(fmt.Sprintf("campaign: malformed job spec %q", j.Spec))
 	}
-	return res
+	return &Result{line: encodeLine(res)}
 }
 
 // splitSpec cuts a canonical job spec into its kind and argument.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -290,6 +291,61 @@ func TestEngineRestartResumesFromLedger(t *testing.T) {
 	}
 	if !bytes.Equal(stream1.Bytes(), stream2.Bytes()) {
 		t.Error("resumed result stream differs from the original")
+	}
+}
+
+// A cache hit serves the ledger's payload as it is: the result's line is the
+// very slice the ledger holds, byte-equal to the fresh result, and streaming
+// it allocates nothing.
+func TestCachedResultServesStoredBytes(t *testing.T) {
+	eng, err := NewEngine(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Drain()
+	submit := func(body string) *Campaign {
+		t.Helper()
+		m, err := DecodeManifest(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _, err := eng.Submit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-c.Done()
+		return c
+	}
+	fresh := submit(tinyManifest)
+	hit := submit(strings.Replace(tinyManifest, `"tiny"`, `"tiny-rerun"`, 1))
+	if st := hit.Status(); st.CacheHits != 1 {
+		t.Fatalf("renamed campaign status = %+v, want one cache hit", st)
+	}
+	res := hit.settledPrefix()[0]
+	payload, ok := eng.cache.Get(hit.Man.jobKey(hit.Jobs[0]))
+	if !ok || len(payload) == 0 || &res.line[0] != &payload[0] || len(res.line) != len(payload) {
+		t.Fatal("the cache hit's line does not alias the ledger payload")
+	}
+	if !bytes.Equal(res.line, fresh.settledPrefix()[0].line) {
+		t.Error("the cache hit's line differs from the fresh result's")
+	}
+	if n := testing.AllocsPerRun(100, func() { res.WriteJSONL(io.Discard) }); n != 0 {
+		t.Errorf("WriteJSONL of a cached result allocates %.0f times, want 0", n)
+	}
+
+	// A payload that is not this job's line is refused.
+	j := hit.Jobs[0]
+	for _, other := range []Job{{j.Spec, j.Seed * 10}, {"table:table1", j.Seed}} {
+		if _, ok := cachedResult(other, payload); ok {
+			t.Errorf("job %+v accepted the line of job %+v", other, j)
+		}
+	}
+	if _, ok := cachedResult(j, payload[:len(payload)-1]); ok {
+		t.Error("a line cut short was accepted")
+	}
+	longer := fmt.Sprintf(`{"spec":%q,"seed":%d0,"tables":[]}`+"\n", j.Spec, j.Seed)
+	if _, ok := cachedResult(j, []byte(longer)); ok {
+		t.Errorf("job %+v accepted the line %q", j, longer)
 	}
 }
 

@@ -6,10 +6,14 @@
 // its configuration, so serving a recorded result is indistinguishable from
 // rerunning it.
 //
-// The ledger file is magic-tagged, versioned and CRC-trailed. Every decode
-// failure is a typed error (ErrBadMagic, ErrVersion, ErrTruncated,
-// ErrChecksum); decoding never panics, whatever the input — FuzzOpenManifest
-// holds that line.
+// The ledger file is an append-only log (format version 2): a magic-tagged,
+// versioned, CRC-checked header followed by one CRC-framed record per Put,
+// appended and fsynced on its own, so recording a run costs the bytes of
+// that run and not of the ledger. A short tail after the last complete
+// record is a torn append, dropped on open. Every other decode failure is a
+// typed error (ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum) and
+// resets the file to an empty ledger; decoding never panics, whatever the
+// input — FuzzOpenManifest holds that line.
 package snapshot
 
 import (
@@ -28,10 +32,10 @@ var (
 	// ErrVersion means the file was written by an incompatible format
 	// version.
 	ErrVersion = errors.New("snapshot: unsupported format version")
-	// ErrTruncated means the file ends before the encoded structure does,
-	// or its payload is malformed.
+	// ErrTruncated means the file ends inside its header, or a record's
+	// body is malformed.
 	ErrTruncated = errors.New("snapshot: truncated or malformed")
-	// ErrChecksum means the payload does not match its CRC trailer.
+	// ErrChecksum means the header or a record does not match its CRC.
 	ErrChecksum = errors.New("snapshot: checksum mismatch")
 )
 

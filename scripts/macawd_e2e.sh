@@ -7,11 +7,14 @@
 #      completed job from the content-addressed cache (cache_hits > 0)
 #   3. the resumed result stream is byte-identical to an uninterrupted
 #      daemon's stream of the same campaign
-#   4. resubmitting the campaign under a new name is a new campaign served
+#   4. a torn append is cut off: with bytes chopped off the ledger inside
+#      its last record, a restart serves every other job from the cache,
+#      re-runs that one, and streams byte-identical results
+#   5. resubmitting the campaign under a new name is a new campaign served
 #      entirely from cache (the >= 90% cache-hit acceptance bar, at 100%)
-#   5. a single-table campaign's text stream byte-matches macawsim below
+#   6. a single-table campaign's text stream byte-matches macawsim below
 #      its header, and its metrics document byte-matches macawsim -metrics
-#   6. SIGTERM drains: readiness flips 503, new submissions are refused,
+#   7. SIGTERM drains: readiness flips 503, new submissions are refused,
 #      the in-flight run finishes and flushes its ledger entry, exit 0
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,7 +123,23 @@ cmp "$dir/resumed.jsonl" "$dir/fresh.jsonl"
 kill "$pid_c" && wait "$pid_c" 2>/dev/null || true
 echo "resumed and uninterrupted streams match ($(wc -c < "$dir/fresh.jsonl") bytes)"
 
-echo "== 4. a renamed resubmission is served entirely from cache =="
+echo "== 4. a torn append is cut off and only its job re-runs =="
+# Every record ends in an 8-byte CRC and holds a result line of hundreds of
+# bytes, so a 20-byte chop lands inside the last record.
+size="$(stat -c %s "$dir/state-fresh/cache.bin")"
+truncate -s $((size - 20)) "$dir/state-fresh/cache.bin"
+start_daemon "$dir/t.log" "$dir/state-fresh"
+pid_t=$pid base_t=$base
+wait_completed "$base_t" "$id" 120
+hits_t="$(field "$base_t/campaigns/$id" .cache_hits)"
+[ "$hits_t" = $((jobs_total - 1)) ] ||
+  { echo "after a torn append cache_hits=$hits_t, want $((jobs_total - 1))" >&2; exit 1; }
+curl -sf "$base_t/campaigns/$id/results?wait=1" > "$dir/torn.jsonl"
+cmp "$dir/torn.jsonl" "$dir/fresh.jsonl"
+kill "$pid_t" && wait "$pid_t" 2>/dev/null || true
+echo "torn append dropped: $hits_t/$jobs_total served from cache, stream unchanged"
+
+echo "== 5. a renamed resubmission is served entirely from cache =="
 jq '.name = "e2e-again"' "$dir/campaign.json" > "$dir/renamed.json"
 id2="$(curl -sf -X POST --data-binary @"$dir/renamed.json" "$base_b/campaigns" | jq -r .id)"
 [ "$id2" != "$id" ] || { echo "renamed campaign kept the old ID" >&2; exit 1; }
@@ -130,7 +149,7 @@ hits2="$(field "$base_b/campaigns/$id2" .cache_hits)"
   { echo "renamed campaign cache_hits=$hits2, want $jobs_total" >&2; exit 1; }
 echo "renamed campaign: $hits2/$jobs_total cache hits (100%)"
 
-echo "== 5. text stream and metrics byte-match macawsim =="
+echo "== 6. text stream and metrics byte-match macawsim =="
 cat > "$dir/single.json" <<'EOF'
 {"total_s": 30, "warmup_s": 5, "runs": [{"table": "table6", "seeds": [1]}]}
 EOF
@@ -145,7 +164,7 @@ cmp "$dir/got_metrics.json" "$dir/want_metrics.json"
 kill "$pid_b" && wait "$pid_b" 2>/dev/null || true
 echo "text and metrics documents byte-match macawsim"
 
-echo "== 6. SIGTERM drains: in-flight run finishes and flushes =="
+echo "== 7. SIGTERM drains: in-flight run finishes and flushes =="
 cat > "$dir/slow.json" <<'EOF'
 {"total_s": 500, "warmup_s": 50, "runs": [{"table": "ext-loadsweep", "seeds": [9]}]}
 EOF
