@@ -22,6 +22,7 @@ import (
 
 func benchTable(b *testing.B, run func(experiments.RunConfig) experiments.Table, col int) {
 	b.Helper()
+	b.ReportAllocs()
 	cfg := experiments.Bench()
 	var last experiments.Table
 	for i := 0; i < b.N; i++ {
@@ -49,6 +50,7 @@ func BenchmarkTable11(b *testing.B) { benchTable(b, experiments.Table11, 1) }
 // results themselves are identical by construction (TestParallelMatchesSerial).
 func benchAllTables(b *testing.B, jobs int) {
 	b.Helper()
+	b.ReportAllocs()
 	cfg := experiments.Bench()
 	gens := experiments.All()
 	var last experiments.Table

@@ -167,15 +167,6 @@ func (f *Frame) String() string {
 	return s
 }
 
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	g := *f
-	if f.Payload != nil {
-		g.Payload = append([]byte(nil), f.Payload...)
-	}
-	return &g
-}
-
 // Wire encoding
 //
 // The simulator passes *Frame values around directly, but the codec below

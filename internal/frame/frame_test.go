@@ -89,16 +89,6 @@ func TestFrameString(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	f := &Frame{Type: DATA, Src: 1, Dst: 2, Payload: []byte{1, 2, 3}}
-	g := f.Clone()
-	g.Payload[0] = 99
-	g.Src = 5
-	if f.Payload[0] != 1 || f.Src != 1 {
-		t.Fatal("Clone aliased the original")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	f := &Frame{
 		Type: DATA, Src: 10, Dst: 20, DataBytes: 512,

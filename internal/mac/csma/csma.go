@@ -53,6 +53,9 @@ type CSMA struct {
 	opt  Options
 	pol  backoff.Policy
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st      State
 	q       mac.Queue
@@ -225,9 +228,9 @@ func (c *CSMA) attempt() {
 		c.schedule()
 		return
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: c.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	c.pol.StampSend(data)
-	air := c.transmit(data)
+	c.out = frame.Frame{Type: frame.DATA, Src: c.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	c.pol.StampSend(&c.out)
+	air := c.transmit(&c.out)
 	c.setState(Sending)
 	c.sending = head
 	c.setTimer(air, (*CSMA).onDataAirDone)
@@ -308,10 +311,10 @@ func (c *CSMA) RadioReceive(f *frame.Frame) {
 		}
 		c.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
 		if c.opt.ACK && !c.env.Radio.Transmitting() {
-			ack := &frame.Frame{Type: frame.ACK, Src: c.env.ID(), Dst: f.Src, Seq: f.Seq}
-			c.pol.StampSend(ack)
+			c.out = frame.Frame{Type: frame.ACK, Src: c.env.ID(), Dst: f.Src, Seq: f.Seq}
+			c.pol.StampSend(&c.out)
 			// The ACK may itself collide; CSMA has no protection.
-			air := c.transmit(ack)
+			air := c.transmit(&c.out)
 			c.stats.ACKSent++
 			c.setState(Sending)
 			c.setTimer(air, (*CSMA).onAckAirDone)

@@ -126,6 +126,9 @@ type DCF struct {
 	env  *mac.Env
 	opt  Options
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st State
 	q  mac.Queue
@@ -391,15 +394,15 @@ func (d *DCF) attempt() {
 		return
 	}
 	if head.Dst == frame.Broadcast {
-		data := &frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-		air := d.transmit(data)
+		d.out = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		air := d.transmit(&d.out)
 		d.sending = head
 		d.setState(WFACK)
 		d.setTimer(air, tBcastAir)
 		return
 	}
-	rts := &frame.Frame{Type: frame.RTS, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	air := d.transmit(rts)
+	d.out = frame.Frame{Type: frame.RTS, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	air := d.transmit(&d.out)
 	d.stats.RTSSent++
 	d.setState(WFCTS)
 	d.setTimer(air+d.opt.SIFS+d.env.Cfg.CtrlTime()+d.env.Cfg.Margin, tCTSTimeout)
@@ -466,8 +469,8 @@ func (d *DCF) dropHead(head *mac.Packet) {
 func (d *DCF) sendData() {
 	d.fired()
 	head := d.sending
-	data := &frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := d.transmit(data)
+	d.out = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := d.transmit(&d.out)
 	d.setState(WFACK)
 	d.setTimer(air+d.opt.SIFS+d.env.Cfg.CtrlTime()+d.env.Cfg.Margin, tACKTimeout)
 }
@@ -475,8 +478,8 @@ func (d *DCF) sendData() {
 // sendCTS radiates the CTS a SIFS after the granted RTS.
 func (d *DCF) sendCTS() {
 	d.fired()
-	cts := &frame.Frame{Type: frame.CTS, Src: d.env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
-	air := d.transmit(cts)
+	d.out = frame.Frame{Type: frame.CTS, Src: d.env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
+	air := d.transmit(&d.out)
 	d.stats.CTSSent++
 	d.setState(WFData)
 	d.setTimer(air+d.opt.SIFS+d.env.Cfg.DataTime(int(d.peerBytes))+d.env.Cfg.Margin, tDataTimeout)
@@ -491,8 +494,8 @@ func (d *DCF) onDataTimeout() {
 // sendACK radiates the ACK a SIFS after the DATA frame.
 func (d *DCF) sendACK() {
 	d.fired()
-	ack := &frame.Frame{Type: frame.ACK, Src: d.env.ID(), Dst: d.peer, Seq: d.peerSeq}
-	air := d.transmit(ack)
+	d.out = frame.Frame{Type: frame.ACK, Src: d.env.ID(), Dst: d.peer, Seq: d.peerSeq}
+	air := d.transmit(&d.out)
 	d.stats.ACKSent++
 	d.setTimer(air, tAckAir)
 }

@@ -115,7 +115,10 @@ type Inspector interface {
 // not transmit, enqueue packets, schedule simulator events, or consume
 // randomness — attaching an observer must leave every simulation result
 // bit-identical. Every protocol engine (csma, maca, macaw, token, dcf,
-// tournament) invokes the hooks when Env.Obs is non-nil.
+// tournament) invokes the hooks when Env.Obs is non-nil. A frame pointer
+// passed to a hook is valid only for that call (the engine's reused send
+// buffer, or the medium's copy of a received frame): an observer must not
+// keep or mutate it.
 type Observer interface {
 	// ObserveTx is invoked immediately before the MAC radiates f.
 	ObserveTx(f *frame.Frame)
@@ -216,7 +219,9 @@ type Radio interface {
 	// ID returns the station identifier.
 	ID() frame.NodeID
 	// Transmit radiates f and returns its airtime; the MAC schedules its
-	// own end-of-transmission continuation.
+	// own end-of-transmission continuation. The radio copies *f (or
+	// encodes it) before returning, so the MAC may reuse its frame for
+	// the next transmission.
 	Transmit(f *frame.Frame) sim.Duration
 	// Transmitting reports whether a transmission is in flight.
 	Transmitting() bool

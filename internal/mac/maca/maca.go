@@ -52,6 +52,9 @@ type MACA struct {
 	env  *mac.Env
 	pol  backoff.Policy
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st         State
 	q          mac.Queue
@@ -251,9 +254,9 @@ func (m *MACA) onContendTimeout() {
 		m.enterContend()
 		return
 	}
-	f := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	m.pol.StampSend(f)
-	air := m.transmit(f)
+	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
@@ -368,9 +371,9 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 			return
 		}
 		m.clearTimer()
-		cts := &frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
-		m.pol.StampSend(cts)
-		air := m.transmit(cts)
+		m.out = frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
+		m.pol.StampSend(&m.out)
+		air := m.transmit(&m.out)
 		m.stats.CTSSent++
 		m.expectFrom = f.Src
 		m.setState(WFData)
@@ -385,9 +388,9 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		m.retries = 0
 		head := m.q.Pop()
 		m.noteQueue("pop", head.Dst)
-		data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-		m.pol.StampSend(data)
-		air := m.transmit(data)
+		m.out = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		m.pol.StampSend(&m.out)
+		air := m.transmit(&m.out)
 		m.setState(SendData)
 		m.sending = head
 		m.setTimer(air, (*MACA).onDataSent)

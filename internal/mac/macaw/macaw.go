@@ -151,6 +151,9 @@ type MACAW struct {
 	opt  Options
 	pol  backoff.Policy
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st         State
 	timer      sim.Event
@@ -588,9 +591,9 @@ func (m *MACAW) onContendTimeout() {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	f := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	m.pol.StampSend(f)
-	air := m.transmit(f)
+	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
@@ -601,9 +604,9 @@ func (m *MACAW) onContendTimeout() {
 func (m *MACAW) sendRRTS() {
 	dst, n := m.rrtsFor, m.rrtsLen
 	m.hasRRTS = false
-	f := &frame.Frame{Type: frame.RRTS, Src: m.env.ID(), Dst: dst, DataBytes: uint16(n)}
-	m.pol.StampSend(f)
-	air := m.transmit(f)
+	m.out = frame.Frame{Type: frame.RRTS, Src: m.env.ID(), Dst: dst, DataBytes: uint16(n)}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.RRTSSent++
 	m.expectSrc = dst
 	m.setState(WFRTS)
@@ -614,9 +617,9 @@ func (m *MACAW) sendRRTS() {
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
 // followed by the DATA packet, with no CTS.
 func (m *MACAW) sendMulticast(head *mac.Packet) {
-	rts := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
-	m.pol.StampSend(rts)
-	air := m.transmit(rts)
+	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.RTSSent++
 	m.setState(SendData)
 	m.tx, m.txHead = txMcastRTS, head
@@ -627,9 +630,9 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 func (m *MACAW) onMcastRTSSent() {
 	m.timer = sim.Event{}
 	head := m.txHead
-	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
-	m.pol.StampSend(data)
-	dair := m.transmit(data)
+	m.out = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
+	m.pol.StampSend(&m.out)
+	dair := m.transmit(&m.out)
 	m.tx = txMcastData
 	m.setTimer(dair, (*MACAW).onMcastDataSent)
 }
@@ -751,9 +754,9 @@ func (m *MACAW) onExpectTimeout() {
 	m.timer = sim.Event{}
 	if m.opt.NACK && m.st == WFData {
 		// §4: tell the sender its data never arrived.
-		nack := &frame.Frame{Type: frame.NACK, Src: m.env.ID(), Dst: m.expectSrc}
-		m.pol.StampSend(nack)
-		air := m.transmit(nack)
+		m.out = frame.Frame{Type: frame.NACK, Src: m.env.ID(), Dst: m.expectSrc}
+		m.pol.StampSend(&m.out)
+		air := m.transmit(&m.out)
 		m.expectSrc = 0
 		m.setState(SendData)
 		m.tx = txCtrl
@@ -971,13 +974,13 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 		return
 	}
 	m.clearTimer()
-	cts := &frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
+	m.out = frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
 	if m.opt.PiggybackACK && m.everAcked[f.Src] {
-		cts.HasAck = true
-		cts.Ack = m.lastAcked[f.Src]
+		m.out.HasAck = true
+		m.out.Ack = m.lastAcked[f.Src]
 	}
-	m.pol.StampSend(cts)
-	air := m.transmit(cts)
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.CTSSent++
 	m.expectSrc = f.Src
 	if m.opt.Exchange.HasDS() {
@@ -1040,9 +1043,9 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		m.pol.OnSuccess(m.curDst)
 	}
 	if m.opt.Exchange.HasDS() {
-		ds := &frame.Frame{Type: frame.DS, Src: m.env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-		m.pol.StampSend(ds)
-		air := m.transmit(ds)
+		m.out = frame.Frame{Type: frame.DS, Src: m.env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+		m.pol.StampSend(&m.out)
+		air := m.transmit(&m.out)
 		m.stats.DSSent++
 		m.setState(SendData)
 		m.tx, m.txHead = txDS, head
@@ -1064,9 +1067,9 @@ func (m *MACAW) sendData(head *mac.Packet) {
 			wantAck = false
 		}
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
-	m.pol.StampSend(data)
-	air := m.transmit(data)
+	m.out = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.tx, m.txHead, m.txWantAck = txData, head, wantAck
 	m.setTimer(air, (*MACAW).onDataAirDone)
 }
@@ -1235,9 +1238,9 @@ func (m *MACAW) onData(f *frame.Frame) {
 
 // sendAck transmits a link-level ACK and resumes.
 func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
-	ack := &frame.Frame{Type: frame.ACK, Src: m.env.ID(), Dst: dst, Seq: seq}
-	m.pol.StampSend(ack)
-	air := m.transmit(ack)
+	m.out = frame.Frame{Type: frame.ACK, Src: m.env.ID(), Dst: dst, Seq: seq}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.ACKSent++
 	m.setState(SendData)
 	m.tx = txCtrl
@@ -1258,9 +1261,9 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	rts := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	m.pol.StampSend(rts)
-	air := m.transmit(rts)
+	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.pol.StampSend(&m.out)
+	air := m.transmit(&m.out)
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)

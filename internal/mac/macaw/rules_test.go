@@ -101,7 +101,7 @@ func TestControlRule7RepeatedRTSGetsACK(t *testing.T) {
 	w.s.Run(1900 * sim.Microsecond)
 	air := probe.Transmit(ds)
 	w.s.Run(w.s.Now() + air)
-	probe.Transmit(data.Clone())
+	probe.Transmit(data)
 	w.s.Run(40 * sim.Millisecond)
 	acks := b.m.Stats().ACKSent
 	if acks != 1 {
@@ -109,7 +109,7 @@ func TestControlRule7RepeatedRTSGetsACK(t *testing.T) {
 	}
 	// The retransmitted RTS for the same seq gets the ACK again, not a CTS.
 	ctsBefore := b.m.Stats().CTSSent
-	probe.Transmit(rts.Clone())
+	probe.Transmit(rts)
 	w.s.Run(80 * sim.Millisecond)
 	if b.m.Stats().ACKSent != 2 {
 		t.Fatalf("ACKSent = %d, want 2 (rule 7)", b.m.Stats().ACKSent)

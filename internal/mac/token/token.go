@@ -86,6 +86,9 @@ type Token struct {
 	env  *mac.Env
 	opt  Options
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st       State
 	q        mac.Queue
@@ -306,8 +309,8 @@ func (t *Token) serve() {
 	t.q.Pop()
 	t.noteQueue("pop", head.Dst)
 	t.sentThis++
-	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := t.transmit(data)
+	t.out = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := t.transmit(&t.out)
 	t.sending = head
 	t.setTimer(air, (*Token).onDataSent)
 }
@@ -357,8 +360,8 @@ func (t *Token) pass(skip int) {
 		t.setTimer(t.env.Cfg.Slot(), (*Token).onHoldPause)
 		return
 	}
-	tok := &frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
-	air := t.transmit(tok)
+	t.out = frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
+	air := t.transmit(&t.out)
 	t.setState(Passing)
 	t.skipNext = skip + 1
 	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), (*Token).onWatchTimeout)

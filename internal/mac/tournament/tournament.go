@@ -92,6 +92,9 @@ type Tournament struct {
 	env  *mac.Env
 	opt  Options
 	lobs mac.LossObserver // optional retry/drop extension of env.Obs
+	// out is the frame being sent. The radio copies it at Transmit, so
+	// this one scratch value serves every transmission.
+	out frame.Frame
 
 	st State
 	q  mac.Queue
@@ -346,8 +349,8 @@ func (t *Tournament) stepRound() {
 	t.round--
 	t.roundStart = t.env.Sim.Now()
 	if (t.draw>>t.round)&1 == 1 {
-		sig := &frame.Frame{Type: frame.SIG, Src: t.env.ID(), Dst: frame.Broadcast}
-		t.transmit(sig)
+		t.out = frame.Frame{Type: frame.SIG, Src: t.env.ID(), Dst: frame.Broadcast}
+		t.transmit(&t.out)
 		t.sigs++
 		t.sentSig = true
 	} else {
@@ -374,8 +377,8 @@ func (t *Tournament) sendHead() {
 		t.setState(Idle)
 		return
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := t.transmit(data)
+	t.out = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := t.transmit(&t.out)
 	t.sending = head
 	if head.Dst == frame.Broadcast {
 		t.setState(SendData)
@@ -467,8 +470,8 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		// the data's carrier rose). No state change: an armed boundary
 		// timer simply finds the medium busy and re-polls.
 		if !t.env.Radio.Transmitting() {
-			ack := &frame.Frame{Type: frame.ACK, Src: t.env.ID(), Dst: f.Src, Seq: f.Seq}
-			t.transmit(ack)
+			t.out = frame.Frame{Type: frame.ACK, Src: t.env.ID(), Dst: f.Src, Seq: f.Seq}
+			t.transmit(&t.out)
 			t.stats.ACKSent++
 		}
 	case frame.ACK:

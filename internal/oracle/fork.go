@@ -34,7 +34,7 @@ func (o *Oracle) AdoptFrom(w *Oracle) error {
 		m := o.mons[id]
 		m.kind = wm.kind
 		m.opts = wm.opts
-		m.ring = append(m.ring[:0], wm.ring...)
+		m.ring, m.next, m.n = wm.ring, wm.next, wm.n
 		m.horizon = wm.horizon
 		m.pendingRTS = copyOracleMap(wm.pendingRTS)
 		m.solicited = copyOracleMap(wm.solicited)

@@ -210,7 +210,11 @@ type monitor struct {
 	kind  protoKind
 	opts  macaw.Options
 
-	ring []trace.Event
+	// ring holds the last ringSize internal events, oldest at
+	// (next-n) mod ringSize. Entries stay typed; they are rendered to
+	// trace events only when a violation copies the ring.
+	ring    [ringSize]entry
+	next, n int
 
 	// horizon mirrors the protocol's defer rules over overheard traffic.
 	horizon sim.Time
@@ -296,17 +300,78 @@ func (m *monitor) ensureKind() {
 
 func (m *monitor) now() sim.Time { return m.clock() }
 
-func (m *monitor) push(e trace.Event) {
-	if len(m.ring) == ringSize {
-		copy(m.ring, m.ring[1:])
-		m.ring = m.ring[:ringSize-1]
-	}
-	m.ring = append(m.ring, e)
+// entryKind tells what a ring entry recorded.
+type entryKind uint8
+
+const (
+	entryRx entryKind = iota
+	entryTx
+	entryDeliver
+	entryState
+	entryTimerArmed
+	entryTimerCancelled
+	entryQueue
+)
+
+// entry is one ring record: the hook's arguments, unformatted. Every MAC
+// event pushes one, and the ring is read only when a violation is recorded,
+// so formatting waits for render.
+type entry struct {
+	at       sim.Time
+	kind     entryKind
+	typ      frame.Type
+	src, dst frame.NodeID // frame events; dst is also the queue's destination
+	seq      uint32
+	n        int      // queue length after a queue operation
+	op       string   // queue operation
+	deadline sim.Time // firing time of an armed timer
+	from, to string   // FSM transition
 }
 
-func (m *monitor) mark(format string, args ...any) {
-	m.push(trace.Event{At: m.now(), Station: m.name, Kind: trace.Mark,
-		Note: fmt.Sprintf(format, args...)})
+func (m *monitor) push(e entry) {
+	e.at = m.now()
+	m.ring[m.next] = e
+	m.next = (m.next + 1) % ringSize
+	if m.n < ringSize {
+		m.n++
+	}
+}
+
+// render turns a ring entry into the trace event a report carries.
+func (m *monitor) render(e entry) trace.Event {
+	ev := trace.Event{At: e.at, Station: m.name, Kind: trace.Mark}
+	switch e.kind {
+	case entryRx, entryTx:
+		ev.Kind = trace.Receive
+		if e.kind == entryTx {
+			ev.Kind = trace.Transmit
+		}
+		ev.Type, ev.Src, ev.Dst, ev.Seq = e.typ, e.src, e.dst, e.seq
+	case entryDeliver:
+		ev.Note = fmt.Sprintf("deliver src=%v seq=%d", e.src, e.seq)
+	case entryState:
+		ev.Note = fmt.Sprintf("state %s -> %s", e.from, e.to)
+	case entryTimerArmed:
+		ev.Note = fmt.Sprintf("timer armed for %.6fs", e.deadline.Seconds())
+	case entryTimerCancelled:
+		ev.Note = "timer cancelled"
+	case entryQueue:
+		ev.Note = fmt.Sprintf("queue %s dst=%v len=%d", e.op, e.dst, e.n)
+	}
+	return ev
+}
+
+// events renders the ring, oldest first (nil when empty).
+func (m *monitor) events() []trace.Event {
+	if m.n == 0 {
+		return nil
+	}
+	out := make([]trace.Event, m.n)
+	start := m.next - m.n + ringSize
+	for i := range out {
+		out[i] = m.render(m.ring[(start+i)%ringSize])
+	}
+	return out
 }
 
 func (m *monitor) violate(rule, paper, format string, args ...any) {
@@ -321,7 +386,7 @@ func (m *monitor) violate(rule, paper, format string, args ...any) {
 		At:      m.now(),
 		Seed:    m.o.seed,
 		Detail:  fmt.Sprintf(format, args...),
-		Events:  append([]trace.Event(nil), m.ring...),
+		Events:  m.events(),
 	})
 }
 
@@ -340,8 +405,7 @@ func (m *monitor) dataPlusAck(dataBytes int) sim.Duration {
 // the protocol's defer rules over overheard traffic.
 func (m *monitor) ObserveRx(f *frame.Frame) {
 	m.ensureKind()
-	m.push(trace.Event{At: m.now(), Station: m.name, Kind: trace.Receive,
-		Type: f.Type, Src: f.Src, Dst: f.Dst, Seq: f.Seq})
+	m.push(entry{kind: entryRx, typ: f.Type, src: f.Src, dst: f.Dst, seq: f.Seq})
 	if m.kind == kindOther {
 		return
 	}
@@ -406,8 +470,7 @@ func (m *monitor) ObserveRx(f *frame.Frame) {
 // the ordering, deferral, and header rules before it radiates.
 func (m *monitor) ObserveTx(f *frame.Frame) {
 	m.ensureKind()
-	m.push(trace.Event{At: m.now(), Station: m.name, Kind: trace.Transmit,
-		Type: f.Type, Src: f.Src, Dst: f.Dst, Seq: f.Seq})
+	m.push(entry{kind: entryTx, typ: f.Type, src: f.Src, dst: f.Dst, seq: f.Seq})
 	if m.kind == kindOther {
 		return
 	}
@@ -547,7 +610,7 @@ func (m *monitor) checkACK(f *frame.Frame) {
 // is strictly monotone within one sender lifetime, with no duplicates.
 func (m *monitor) ObserveDeliver(f *frame.Frame) {
 	m.ensureKind()
-	m.mark("deliver src=%v seq=%d", f.Src, f.Seq)
+	m.push(entry{kind: entryDeliver, src: f.Src, seq: f.Seq})
 	if m.kind != kindMACA && m.kind != kindMACAW {
 		// CSMA re-delivers on lost ACKs by design; unmodeled protocols
 		// are unchecked.
@@ -569,19 +632,19 @@ func (m *monitor) ObserveDeliver(f *frame.Frame) {
 
 // ObserveState implements mac.Observer (report context only).
 func (m *monitor) ObserveState(from, to string) {
-	m.mark("state %s -> %s", from, to)
+	m.push(entry{kind: entryState, from: from, to: to})
 }
 
 // ObserveTimer implements mac.Observer (report context only).
 func (m *monitor) ObserveTimer(at sim.Time) {
 	if at < 0 {
-		m.mark("timer cancelled")
+		m.push(entry{kind: entryTimerCancelled})
 		return
 	}
-	m.mark("timer armed for %.6fs", at.Seconds())
+	m.push(entry{kind: entryTimerArmed, deadline: at})
 }
 
 // ObserveQueue implements mac.Observer (report context only).
 func (m *monitor) ObserveQueue(op string, dst frame.NodeID, n int) {
-	m.mark("queue %s dst=%v len=%d", op, dst, n)
+	m.push(entry{kind: entryQueue, op: op, dst: dst, n: n})
 }

@@ -291,11 +291,12 @@ func TestRingBounded(t *testing.T) {
 	for i := 0; i < 10*ringSize; i++ {
 		m.ObserveQueue("push", 2, i)
 	}
-	if len(m.ring) != ringSize {
-		t.Fatalf("ring length = %d, want %d", len(m.ring), ringSize)
+	ev := m.events()
+	if len(ev) != ringSize {
+		t.Fatalf("ring length = %d, want %d", len(ev), ringSize)
 	}
-	if !strings.Contains(m.ring[ringSize-1].Note, "len=239") {
-		t.Fatalf("ring did not keep the newest events: %v", m.ring[ringSize-1])
+	if !strings.Contains(ev[0].Note, "len=216") || !strings.Contains(ev[ringSize-1].Note, "len=239") {
+		t.Fatalf("ring did not keep the newest events in order: first %v, last %v", ev[0], ev[ringSize-1])
 	}
 }
 

@@ -17,12 +17,13 @@ import (
 // order.
 
 // AdoptFrom copies w's mutable state into m, which must have been built
-// identically (same topology, same attach order, same parameters). Frames in
-// flight are shared — they are immutable once transmitted — but transmission
-// and reception records are cloned so the twins never alias each other's
-// bookkeeping. It fails closed when the two media are observably different
-// shapes or when w carries state this fork path does not reproduce (a
-// stateful noise model).
+// identically (same topology, same attach order, same parameters). Each
+// transmission record owns its frame by value, so cloning the records copies
+// the frames in flight too: the twins share neither bookkeeping nor frames.
+// It fails closed when the two media are observably different shapes or
+// when w carries state this fork path does not reproduce (a stateful noise
+// model, or an ended transmission whose notifications have not all fired —
+// the fork re-arms only completion events, never notifications).
 func (m *Medium) AdoptFrom(w *Medium) error {
 	if len(m.radios) != len(w.radios) {
 		return fmt.Errorf("phy: adopt: %d radios here vs %d in warm medium", len(m.radios), len(w.radios))
@@ -38,6 +39,9 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	}
 	if len(m.active) != 0 {
 		return fmt.Errorf("phy: adopt: medium already has %d active transmissions", len(m.active))
+	}
+	if w.draining != 0 {
+		return fmt.Errorf("phy: adopt: warm medium has %d ended transmissions with notifications pending", w.draining)
 	}
 	for i, r := range m.radios {
 		wr := w.radios[i]
@@ -61,7 +65,7 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	}
 
 	// Clone the active transmissions in active-list (summation) order,
-	// sharing the immutable frames and re-arming each completion event at
+	// copying each frame by value and re-arming each completion event at
 	// its exact (when, prio, seq) key.
 	m.active = m.active[:0]
 	for _, wt := range w.active {
@@ -92,7 +96,7 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	// fresh records carry no other state.
 	m.txFree = m.txFree[:0]
 	for i := 0; i < len(w.txFree); i++ {
-		m.txFree = append(m.txFree, &transmission{})
+		m.txFree = append(m.txFree, &transmission{m: m})
 	}
 	m.recFree = m.recFree[:0]
 	for i := 0; i < len(w.recFree); i++ {

@@ -305,7 +305,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		radios = append(radios, m.Attach(frame.NodeID(i+1), geom.V(float64(i)*3, 0, 6), nopHandler{}))
 	}
-	f := &frame.Frame{Type: frame.DATA, Src: 1, Dst: 2, DataBytes: 256}
+	f := &frame.Frame{Type: frame.DATA, Src: 1, Dst: 2, DataBytes: 256, Payload: make([]byte, 16)}
 	cycle := func() {
 		radios[0].Transmit(f)
 		s.RunAll()

@@ -13,10 +13,14 @@ import (
 // Handler receives physical-layer indications for one radio. Callbacks are
 // always delivered from the simulator event loop, never synchronously from
 // inside a Transmit call, so handlers may freely call back into the radio.
+//
+// A frame pointer handed to a handler is the medium's own copy, shared by
+// every receiver of the transmission. It is valid only for the duration of
+// the call: the handler must neither keep it nor mutate it, and must copy
+// any field (or the whole frame by value) it needs afterwards.
 type Handler interface {
 	// RadioReceive delivers a cleanly received frame, including overheard
-	// frames addressed to other stations. The frame is shared among all
-	// receivers and must not be mutated.
+	// frames addressed to other stations.
 	RadioReceive(f *frame.Frame)
 	// RadioCarrier signals transitions of the carrier-sense indication.
 	RadioCarrier(busy bool)
@@ -24,7 +28,8 @@ type Handler interface {
 
 // CorruptionObserver is an optional extension of Handler: if implemented,
 // the radio reports receptions destroyed by collision or noise. Only the
-// intended destination is notified.
+// intended destination is notified. The frame pointer follows the Handler
+// contract: valid for the call only, never kept or mutated.
 type CorruptionObserver interface {
 	RadioCorrupted(f *frame.Frame)
 }
@@ -57,10 +62,14 @@ type reception struct {
 }
 
 type transmission struct {
+	m     *Medium
 	radio *Radio
-	f     *frame.Frame
-	end   sim.Time
-	rx    []*reception
+	// f is the medium's own copy of the radiated frame, taken at Transmit.
+	// Receive and corruption notifications hand out &f, so the record
+	// outlives endTx until the last of them has fired.
+	f   frame.Frame
+	end sim.Time
+	rx  []*reception
 	// idx is the transmission's position in Medium.active, kept current by
 	// startTx/endTx so completion does not scan the active list.
 	idx int
@@ -70,6 +79,10 @@ type transmission struct {
 	// endEv is the scheduled end-of-transmission event, retained so a
 	// warm-started fork can re-arm the completion at its exact ordering key.
 	endEv sim.Event
+	// pending counts the receive and corruption notifications endTx
+	// scheduled that have not fired yet; the record is recycled when it
+	// drops to zero.
+	pending int
 }
 
 // NoiseSource is a positional energy emitter (e.g. the Figure 11 electronic
@@ -195,11 +208,14 @@ type Medium struct {
 	unionNbr []*Radio
 	single   [1]*Radio
 
-	// txFree and recFree recycle transmission and reception records: both
-	// are dead once endTx finishes (nothing outside the medium retains
-	// them), so steady-state traffic allocates neither.
-	txFree  []*transmission
-	recFree []*reception
+	// txFree and recFree recycle transmission and reception records, so
+	// steady-state traffic allocates neither. A reception is dead once
+	// endTx finishes; a transmission once its last notification has fired
+	// (it owns the frame the notifications deliver). draining counts the
+	// ended transmissions still waiting for notifications.
+	txFree   []*transmission
+	recFree  []*reception
+	draining int
 }
 
 // Closure-free event adapters for Simulator.AtPriorityCall: package-level
@@ -208,8 +224,30 @@ type Medium struct {
 func endTxCall(a, b any)      { a.(*Medium).endTx(b.(*transmission)) }
 func carrierOnCall(a, _ any)  { a.(Handler).RadioCarrier(true) }
 func carrierOffCall(a, _ any) { a.(Handler).RadioCarrier(false) }
-func receiveCall(a, b any)    { a.(Handler).RadioReceive(b.(*frame.Frame)) }
-func corruptedCall(a, b any)  { a.(CorruptionObserver).RadioCorrupted(b.(*frame.Frame)) }
+
+func receiveCall(a, b any) {
+	tx := b.(*transmission)
+	a.(Handler).RadioReceive(&tx.f)
+	tx.notified()
+}
+
+func corruptedCall(a, b any) {
+	tx := b.(*transmission)
+	a.(CorruptionObserver).RadioCorrupted(&tx.f)
+	tx.notified()
+}
+
+// notified retires one fired notification, recycling the record after the
+// last. It runs after the handler returns, so a handler that transmits
+// again allocates a different record and later receivers of this one still
+// see its frame.
+func (tx *transmission) notified() {
+	tx.pending--
+	if tx.pending == 0 {
+		tx.m.draining--
+		tx.m.freeTx(tx)
+	}
+}
 
 // allocTx takes a transmission record off the free list, or makes one.
 func (m *Medium) allocTx() *transmission {
@@ -219,7 +257,14 @@ func (m *Medium) allocTx() *transmission {
 		m.txFree = m.txFree[:n-1]
 		return t
 	}
-	return &transmission{}
+	return &transmission{m: m}
+}
+
+// freeTx clears a dead transmission record, dropping its frame (and the
+// payload it references), and returns it to the free list.
+func (m *Medium) freeTx(tx *transmission) {
+	tx.f = frame.Frame{}
+	m.txFree = append(m.txFree, tx)
 }
 
 // allocRec takes a reception record off the free list, or makes one.
@@ -608,7 +653,7 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	}
 	tx := m.allocTx()
 	m.txSeq++
-	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, f, m.s.Now()+air, len(m.active), m.txSeq
+	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, *f, m.s.Now()+air, len(m.active), m.txSeq
 	r.tx = tx
 	m.active = append(m.active, tx)
 	m.counters.Transmissions++
@@ -703,21 +748,23 @@ func (m *Medium) endTx(tx *transmission) {
 		switch {
 		case rec.corrupted:
 			m.counters.Corrupted++
-			m.notifyCorrupted(rec.radio, tx.f)
+			m.notifyCorrupted(rec.radio, tx)
 		case !rec.radio.enabled:
 			m.counters.Aborted++
-		case m.noise.Corrupts(m.rng, rec.radio, tx.f):
+		case m.noise.Corrupts(m.rng, rec.radio, &tx.f):
 			m.counters.NoiseDropped++
-			m.notifyCorrupted(rec.radio, tx.f)
+			m.notifyCorrupted(rec.radio, tx)
 		default:
 			m.counters.Delivered++
 			if rec.radio.h != nil {
-				m.s.AtPriorityCall(m.s.Now(), -1, receiveCall, rec.radio.h, tx.f)
+				m.s.AtPriorityCall(m.s.Now(), -1, receiveCall, rec.radio.h, tx)
+				tx.pending++
 			}
 		}
 	}
-	// The scheduled notifications captured handler and frame, never the
-	// records themselves, so both can be recycled immediately.
+	// The scheduled notifications captured handler and transmission, never
+	// the receptions, so those are recycled immediately; the transmission
+	// waits for its notifications (see notified).
 	for i, rec := range tx.rx {
 		m.unlinkRec(rec)
 		rec.radio, rec.tx = nil, nil
@@ -725,9 +772,13 @@ func (m *Medium) endTx(tx *transmission) {
 		m.recFree = append(m.recFree, rec)
 	}
 	tx.rx = tx.rx[:0]
-	tx.radio, tx.f = nil, nil
+	tx.radio = nil
 	tx.endEv = sim.Event{}
-	m.txFree = append(m.txFree, tx)
+	if tx.pending == 0 {
+		m.freeTx(tx)
+	} else {
+		m.draining++
+	}
 	if m.useIndex() {
 		m.updateCarrierFor(src.nbr)
 	} else {
@@ -735,12 +786,13 @@ func (m *Medium) endTx(tx *transmission) {
 	}
 }
 
-func (m *Medium) notifyCorrupted(q *Radio, f *frame.Frame) {
-	if q.h == nil || f.Dst != q.id {
+func (m *Medium) notifyCorrupted(q *Radio, tx *transmission) {
+	if q.h == nil || tx.f.Dst != q.id {
 		return
 	}
 	if obs, ok := q.h.(CorruptionObserver); ok {
-		m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, obs, f)
+		m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, obs, tx)
+		tx.pending++
 	}
 }
 
@@ -1018,10 +1070,11 @@ func (r *Radio) Transmitting() bool { return r.tx != nil }
 // CarrierBusy reports the current carrier-sense indication.
 func (r *Radio) CarrierBusy() bool { return r.carrierBusy }
 
-// Transmit radiates f and returns its airtime. The caller is responsible
-// for scheduling its own end-of-transmission continuation (typically
-// sim.After(airtime, ...)). Transmitting while already transmitting panics:
-// it is a MAC-layer bug.
+// Transmit radiates f and returns its airtime. The medium copies *f, so the
+// caller may reuse its frame as soon as Transmit returns. The caller is
+// responsible for scheduling its own end-of-transmission continuation
+// (typically sim.After(airtime, ...)). Transmitting while already
+// transmitting panics: it is a MAC-layer bug.
 func (r *Radio) Transmit(f *frame.Frame) sim.Duration {
 	if f.Src != r.id {
 		panic(fmt.Sprintf("phy: frame src %v transmitted by %v", f.Src, r.id))
