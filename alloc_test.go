@@ -13,13 +13,15 @@ import (
 
 // maxMallocsPerEvent pins the heap-allocation rate of a short Table 1 run
 // (the Figure 2 cell, RTS-CTS-DATA under BEB+copy). Timers, traffic ticks,
-// queues, offer bookkeeping and frames allocate nothing per event (DESIGN.md
-// §8; the medium copies each frame into its pooled transmission record);
-// what remains is one packet plus payload per offer: measured at 0.139
-// mallocs per fired event on go1.24 linux/amd64, against 0.245 when every
-// transmission allocated its frame and 0.552 when every timer arm allocated
-// a method-value closure. The pin leaves 15% headroom.
-const maxMallocsPerEvent = 0.16
+// queues, offer bookkeeping and frames allocate nothing per event, and a
+// station reuses completed packets, cutting payloads from an append-only
+// arena (DESIGN.md §8); what remains is a packet per new backlog high and a
+// payload chunk per 85 offers: measured at 0.047 mallocs per fired event on
+// go1.24 linux/amd64, against 0.139 when every offer allocated its packet and
+// payload, 0.245 when every transmission allocated its frame and 0.552 when
+// every timer arm allocated a method-value closure. The pin leaves 15%
+// headroom.
+const maxMallocsPerEvent = 0.055
 
 // TestMallocsPerFiredEvent fails when a change reintroduces a per-event
 // allocation on the simulation's hot path.

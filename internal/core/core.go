@@ -106,6 +106,9 @@ type Station struct {
 	factory MACFactory
 
 	handlers []func(src frame.NodeID, seg transport.Segment)
+	// free holds completed packets, zeroed, for SendSegment to reuse: a
+	// station allocates a packet only when its backlog sets a new high.
+	free []*mac.Packet
 	// dropped accumulates MAC-level packet drops surfaced via callbacks.
 	dropped int
 	// crashes and restarts count fault-injection events at this station.
@@ -144,7 +147,8 @@ func (st *Station) newEnv() *mac.Env {
 		Cfg:   st.net.Cfg,
 		Callbacks: mac.Callbacks{
 			Deliver: st.onDeliver,
-			Dropped: func(*mac.Packet, mac.DropReason) { st.dropped++ },
+			Sent:    st.recycle,
+			Dropped: st.onDropped,
 		},
 	}
 	switch len(st.net.obsFactories) {
@@ -197,12 +201,44 @@ func (st *Station) Restart() bool {
 }
 
 // SendSegment implements transport.Endpoint: wrap the segment into a MAC
-// packet of the requested on-air size. A powered-off station sends nothing.
+// packet of the requested on-air size, reusing a completed packet when the
+// station has one. A powered-off station sends nothing.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
 	if !st.radio.Enabled() {
 		return
 	}
-	st.mac.Enqueue(&mac.Packet{Dst: dst, Size: size, Payload: seg.Marshal()})
+	var p *mac.Packet
+	if k := len(st.free); k > 0 {
+		p = st.free[k-1]
+		st.free = st.free[:k-1]
+	} else {
+		p = new(mac.Packet)
+	}
+	p.Dst, p.Size, p.Payload = dst, size, st.net.payload(seg)
+	st.mac.Enqueue(p)
+}
+
+// onDropped counts an abandoned packet and recycles it.
+func (st *Station) onDropped(p *mac.Packet, _ mac.DropReason) {
+	st.dropped++
+	st.recycle(p)
+}
+
+// recycle takes back a packet at its terminal callback (Sent or Dropped):
+// the MAC SPI's lifetime rule makes it dead to the engine once the callback
+// returns. Packets enqueued at or before the network's share barrier are
+// left to the garbage collector instead, since a warm twin and its forks
+// hold them by pointer (see AdoptFrom). A zeroed packet has Size 0, which no
+// offer carries, so completing one packet twice fails closed.
+func (st *Station) recycle(p *mac.Packet) {
+	if p.Size == 0 {
+		panic(fmt.Sprintf("core: station %s: packet completed twice", st.name))
+	}
+	if p.Enqueued <= st.net.shared {
+		return
+	}
+	*p = mac.Packet{}
+	st.free = append(st.free, p)
 }
 
 // Clock implements transport.Endpoint.
@@ -301,6 +337,13 @@ type Network struct {
 	// obsFactories build the per-MAC-lifetime passive observers; see
 	// SetMACObserver and AddMACObserver.
 	obsFactories []MACObserverFactory
+	// arena is the unused tail of the chunk that packet payloads are cut
+	// from (see payload).
+	arena []byte
+	// shared is the share barrier: packets enqueued at or before it may be
+	// held by a warm twin and its forks alike, so no station recycles them.
+	// It is -1 until ForceCompactEvents or AdoptFrom sets it.
+	shared sim.Time
 
 	// TCPCfg configures new TCP streams. The default matches the
 	// paper-era TCP §3.3.1 describes: a 0.5 s minimum retransmission
@@ -320,8 +363,26 @@ func NewNetwork(seed int64) *Network {
 		Cfg:    mac.DefaultConfig(),
 		byName: make(map[string]*Station),
 		nextID: 1,
+		shared: -1,
 		TCPCfg: tcpCfg,
 	}
+}
+
+// arenaChunk is the size of one payload arena chunk: 85 transport headers
+// in the 1 KiB size class.
+const arenaChunk = 85 * transport.HeaderLen
+
+// payload encodes seg into the next HeaderLen bytes of the network's
+// append-only arena. Arena bytes are never reused, so a DATA frame still on
+// the air keeps its payload after the packet that carried it is recycled.
+func (n *Network) payload(seg transport.Segment) []byte {
+	if len(n.arena) < transport.HeaderLen {
+		n.arena = make([]byte, arenaChunk)
+	}
+	b := n.arena[:transport.HeaderLen:transport.HeaderLen]
+	n.arena = n.arena[transport.HeaderLen:]
+	seg.Put(b)
+	return b
 }
 
 // MACObserverFactory builds a mac.Observer for one MAC instance of st. It is

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"macaw/internal/backoff"
 	"macaw/internal/geom"
+	"macaw/internal/mac"
 	"macaw/internal/mac/csma"
 	"macaw/internal/mac/macaw"
 	"macaw/internal/sim"
+	"macaw/internal/transport"
 )
 
 func TestAddStationAssignsIDsAndNames(t *testing.T) {
@@ -244,4 +247,73 @@ func TestDelayGrowsUnderSaturation(t *testing.T) {
 	if saturated < 10*idle {
 		t.Fatalf("saturation delay %v not far above idle %v", saturated, idle)
 	}
+}
+
+// captureMAC is a MAC engine that keeps the packets enqueued on it and
+// exposes the host callbacks, so a test can complete packets by hand.
+type captureMAC struct {
+	mac.Engine
+	cb  mac.Callbacks
+	got []*mac.Packet
+}
+
+func (c *captureMAC) Enqueue(p *mac.Packet) { c.got = append(c.got, p) }
+
+// captureStation adds a station whose MAC is a captureMAC.
+func captureStation(n *Network, name string) (*Station, *captureMAC) {
+	c := &captureMAC{}
+	st := n.AddStation(name, geom.V(0, 0, 6), func(env *mac.Env) mac.Engine {
+		c.cb = env.Callbacks
+		c.Engine = csma.New(env, csma.Options{})
+		return c
+	})
+	return st, c
+}
+
+// TestPacketRecycling pins the station's packet free list: a completed
+// packet comes back zeroed and is reused by the next offer, its payload
+// bytes are never reused, a packet enqueued at or before the share barrier
+// is left alone, and completing a packet twice panics.
+func TestPacketRecycling(t *testing.T) {
+	n := NewNetwork(1)
+	st, c := captureStation(n, "P")
+	seg := transport.Segment{Proto: transport.ProtoUDP, Stream: 1, Kind: transport.KindData, Seq: 1}
+	st.SendSegment(2, seg, 512)
+	first := c.got[0]
+	payload := first.Payload
+	c.cb.NotifySent(first)
+	if !reflect.DeepEqual(*first, mac.Packet{}) {
+		t.Fatalf("completed packet not zeroed: %+v", *first)
+	}
+
+	seg.Seq = 2
+	st.SendSegment(3, seg, 40)
+	if c.got[1] != first {
+		t.Fatal("the next offer did not reuse the completed packet")
+	}
+	if got, err := transport.UnmarshalSegment(payload); err != nil || got.Seq != 1 {
+		t.Fatalf("recycling rewrote the first payload: %+v %v", got, err)
+	}
+	if p := c.got[1]; p.Dst != 3 || p.Size != 40 {
+		t.Fatalf("reused packet carries dst=%d size=%d", p.Dst, p.Size)
+	}
+
+	// A packet enqueued at or before the share barrier stays shared.
+	n.shared = 5
+	c.got[1].Enqueued = 5
+	c.cb.NotifyDropped(c.got[1], mac.DropRetries)
+	if c.got[1].Size != 40 || len(st.free) != 0 {
+		t.Fatal("a packet enqueued at the share barrier was recycled")
+	}
+
+	st.SendSegment(2, seg, 512)
+	twice := c.got[2]
+	twice.Enqueued = 6
+	c.cb.NotifySent(twice)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("completing a packet twice did not panic")
+		}
+	}()
+	c.cb.NotifyDropped(twice, mac.DropDisabled)
 }

@@ -90,7 +90,7 @@ type windowRetuner interface{ SetWindow(v int) error }
 // here on), then dispatches on the kind. Every error is typed and fails the
 // whole application before any station was touched.
 func (n *Network) ApplyDelta(kind string, value float64) error {
-	n.ForceCompactEvents()
+	n.Sim.ForceCompact()
 	switch kind {
 	case "backoff.min", "backoff.max":
 		v := int(value)

@@ -36,8 +36,9 @@ var ErrForkDiverged = errors.New("core: forked state diverged from warm twin")
 // byte-identical state inventory (verified; ErrForkDiverged names the first
 // differing line otherwise). The warm twin must be quiescent between events
 // — in practice, parked at a barrier by RunTo — and must have a compacted
-// event queue (ForceCompactEvents) so both heaps hold exactly the same
-// records.
+// event queue and a share barrier at its current time (ForceCompactEvents),
+// so both heaps hold exactly the same records and neither side recycles a
+// packet the other still queues.
 func (n *Network) AdoptFrom(w *Network) error {
 	// Build-time events (token's ring bootstrap and watchdogs) may already
 	// be pending — DropAllEvents clears them below — but no event may have
@@ -55,6 +56,9 @@ func (n *Network) AdoptFrom(w *Network) error {
 	if _, _, cancelled, _ := w.Sim.SchedCounters(); cancelled != 0 {
 		return fmt.Errorf("%w: warm twin holds %d cancelled events; ForceCompactEvents it at the barrier first", ErrAdopt, cancelled)
 	}
+	if w.shared != w.Sim.Now() {
+		return fmt.Errorf("%w: warm twin has no share barrier at %d; ForceCompactEvents it at the barrier first", ErrAdopt, w.Sim.Now())
+	}
 
 	// Arm the same run window the warm twin is in. Start draws no
 	// randomness (CBR phases were drawn at build) and runs no events; it
@@ -65,6 +69,9 @@ func (n *Network) AdoptFrom(w *Network) error {
 		return fmt.Errorf("%w: run started at %d here vs %d in warm twin", ErrAdopt, n.runStart, w.runStart)
 	}
 	n.Sim.DropAllEvents()
+	// The queues adopted below share the twin's packets, all enqueued at or
+	// before the barrier; neither side may recycle them.
+	n.shared = w.shared
 
 	if err := n.Medium.AdoptFrom(w.Medium); err != nil {
 		return fmt.Errorf("%w: %v", ErrAdopt, err)
@@ -104,9 +111,15 @@ func (n *Network) AdoptFrom(w *Network) error {
 }
 
 // ForceCompactEvents removes cancelled events from the network's queue
-// immediately (see sim.ForceCompact). Warm templates run it once at the
-// barrier so every fork adopts an identical, compaction-free heap.
-func (n *Network) ForceCompactEvents() { n.Sim.ForceCompact() }
+// immediately (see sim.ForceCompact) and records the share barrier at the
+// current time. Warm templates run it once at the barrier, single-threaded
+// and before any fork adopts, so every fork adopts an identical,
+// compaction-free heap, and the twin stops recycling the packets its forks
+// will share.
+func (n *Network) ForceCompactEvents() {
+	n.Sim.ForceCompact()
+	n.shared = n.Sim.Now()
+}
 
 // firstDiffLine locates the first line where two state inventories differ.
 func firstDiffLine(want, got []byte) string {

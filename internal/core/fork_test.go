@@ -113,6 +113,71 @@ func TestAdoptFromManyForksShareOneTwin(t *testing.T) {
 	}
 }
 
+// TestShareBarrierTwinAndForkRunOn pins the share barrier: a fork shares
+// the twin's queued packets by pointer, so neither side may recycle one
+// enqueued at or before the barrier. For every protocol, the twin and its
+// fork run on in lockstep after adoption, and both must end with the Results
+// and final state inventory of an unforked control run.
+func TestShareBarrierTwinAndForkRunOn(t *testing.T) {
+	const total, warmup = 4 * sim.Second, 1 * sim.Second
+	const barrier = sim.Time(total / 2)
+	render := func(n *Network) string { return fmt.Sprintf("%+v\n%s", n.Collect(), n.AppendState(nil)) }
+	for name, f := range forkFactories() {
+		t.Run(name, func(t *testing.T) {
+			ctl := buildForkNet(2, f)
+			ctl.Start(total, warmup)
+			ctl.RunTo(ctl.End())
+			want := render(ctl)
+
+			w := buildForkNet(2, f)
+			w.Start(total, warmup)
+			w.RunTo(barrier)
+			w.ForceCompactEvents()
+			fk := buildForkNet(2, f)
+			if err := fk.AdoptFrom(w); err != nil {
+				t.Fatalf("AdoptFrom: %v", err)
+			}
+			for at := barrier + sim.Second/4; at <= w.End(); at += sim.Second / 4 {
+				w.RunTo(at)
+				fk.RunTo(at)
+			}
+			if got := render(w); got != want {
+				t.Error("twin diverged from the control after its fork adopted")
+			}
+			if got := render(fk); got != want {
+				t.Error("fork diverged from the control while its twin ran on")
+			}
+		})
+	}
+}
+
+// TestAdoptFromRequiresShareBarrier pins the fail-closed path for a twin
+// whose heap is compacted but that carries no share barrier at its current
+// time: without one, the twin would recycle packets its fork still queues.
+func TestAdoptFromRequiresShareBarrier(t *testing.T) {
+	const total, warmup = 2 * sim.Second, 1 * sim.Second
+	f := forkFactories()["MACAW"]
+	w := buildForkNet(3, f)
+	w.Start(total, warmup)
+	w.RunTo(sim.Time(warmup) / 2)
+	w.Sim.ForceCompact() // compacted, but no barrier recorded
+	if err := buildForkNet(3, f).AdoptFrom(w); !errors.Is(err, ErrAdopt) {
+		t.Fatalf("adopting from a twin without a share barrier: got %v, want ErrAdopt", err)
+	}
+
+	w.ForceCompactEvents()
+	w.RunTo(sim.Time(warmup))
+	w.Sim.ForceCompact() // the barrier is stale
+	if err := buildForkNet(3, f).AdoptFrom(w); !errors.Is(err, ErrAdopt) {
+		t.Fatalf("adopting from a twin with a stale share barrier: got %v, want ErrAdopt", err)
+	}
+
+	w.ForceCompactEvents()
+	if err := buildForkNet(3, f).AdoptFrom(w); err != nil {
+		t.Fatalf("adopting at the share barrier: %v", err)
+	}
+}
+
 // TestAdoptFromRefusesMismatchedShapes pins the fail-closed paths.
 func TestAdoptFromRefusesMismatchedShapes(t *testing.T) {
 	const total, warmup = 2 * sim.Second, 1 * sim.Second

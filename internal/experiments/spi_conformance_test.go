@@ -20,6 +20,7 @@ import (
 	"macaw/internal/core"
 	"macaw/internal/fault"
 	"macaw/internal/geom"
+	"macaw/internal/mac"
 	"macaw/internal/mac/csma"
 	"macaw/internal/mac/dcf"
 	"macaw/internal/mac/macaw"
@@ -331,6 +332,88 @@ func TestSPIForkByteIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSPIPacketDeadAfterCompletion pins the SPI's packet lifetime rule: once
+// Sent or Dropped returns, the engine keeps no reference to the packet and
+// reads none of its fields, so the host may recycle it (core does). Every
+// backend runs a lossy cell with a crash and a restart twice: once with envs
+// whose terminal callbacks overwrite the packet with garbage as they return,
+// once with the same callbacks leaving it alone. Both runs must end with the
+// same Results and final state inventory. The cell drives every completion
+// path: retry-limit drops (all but token, which never retries), the Halt
+// drain of the crashed station's queue, and the sends of the instance its
+// restart builds.
+func TestSPIPacketDeadAfterCompletion(t *testing.T) {
+	const total, warmup = 6 * sim.Second, 1 * sim.Second
+	type tally struct {
+		sent  int
+		drops map[mac.DropReason]int
+	}
+	for _, p := range spiProtocols {
+		t.Run(p.name, func(t *testing.T) {
+			run := func(poison bool) (string, tally) {
+				tl := tally{drops: map[mac.DropReason]int{}}
+				f := p.f()
+				n := core.NewNetwork(13)
+				n.Cfg.MaxRetries = 2
+				addConformCell(n, func(env *mac.Env) mac.Engine {
+					host := env.Callbacks
+					env.Callbacks.Sent = func(pk *mac.Packet) {
+						tl.sent++
+						host.NotifySent(pk)
+						if poison {
+							poisonPacket(pk)
+						}
+					}
+					env.Callbacks.Dropped = func(pk *mac.Packet, r mac.DropReason) {
+						tl.drops[r]++
+						host.NotifyDropped(pk, r)
+						if poison {
+							poisonPacket(pk)
+						}
+					}
+					return f(env)
+				})
+				// DCF keeps its own 802.11 retry limits; the deltas
+				// are no-ops for the other backends.
+				for _, kind := range []string{"retry.short", "retry.long"} {
+					if err := n.ApplyDelta(kind, 2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				in := fault.NewInjector(n)
+				in.AsymmetricLoss("P2", "B", 0.9)
+				in.CrashRestart("P2", 3*sim.Second, 4*sim.Second)
+				res := n.Run(total, warmup)
+				if st := n.Station("P2"); st.Restarts() != 1 {
+					t.Fatalf("P2 restarted %d times, want 1", st.Restarts())
+				}
+				return fmt.Sprintf("%+v\n%s", res, n.AppendState(nil)), tl
+			}
+			want, clean := run(false)
+			got, poisoned := run(true)
+			if got != want {
+				t.Fatal("poisoning completed packets changed the run: the engine touched a dead packet")
+			}
+			if !reflect.DeepEqual(poisoned, clean) {
+				t.Fatalf("completions differ: poisoned %+v, clean %+v", poisoned, clean)
+			}
+			if clean.sent == 0 || clean.drops[mac.DropDisabled] == 0 {
+				t.Fatalf("cell does not exercise sends and Halt drains: %+v", clean)
+			}
+			if p.name != "token" && clean.drops[mac.DropRetries] == 0 {
+				t.Fatalf("cell does not exercise retry-limit drops: %+v", clean)
+			}
+		})
+	}
+}
+
+// poisonPacket overwrites a completed packet with values no live packet
+// carries.
+func poisonPacket(p *mac.Packet) {
+	*p = mac.Packet{Payload: []byte("dead packet!"), Size: -1, Enqueued: -1 << 40, Dst: 0x7ffe}
+	p.SetSeq(0xdeadbeef)
 }
 
 // TestSPIAuditCleanOnSeedTraffic: the conformance oracle attached to every

@@ -189,8 +189,10 @@ func (s *sweeper) warm(col sweepCol) *WarmSource {
 
 // WarmSource is a warmed twin parked at its barrier, ready to be forked.
 // Net must be stopped exactly at the warmup barrier with its event queue
-// compacted (core.Network.ForceCompactEvents); Aud is the oracle that
-// observed the warmup when the runs are audited, nil otherwise. Adoption
+// compacted and its share barrier recorded there
+// (core.Network.ForceCompactEvents), so no side recycles a queued packet its
+// forks share. Aud is the oracle that observed the warmup when the runs are
+// audited, nil otherwise. Adoption
 // only reads the twin, so one WarmSource serves any number of sequential
 // forks; the sweep engine serializes access per source.
 type WarmSource struct {
@@ -199,8 +201,9 @@ type WarmSource struct {
 }
 
 // doWarm builds the protocol's network, simulates exactly the warmup, and
-// parks it at the barrier with a compacted event queue — the state every
-// variant forks from.
+// parks it at the barrier with a compacted event queue and a share barrier
+// — the state every variant forks from. It runs once per protocol, before
+// any variant adopts, so the barrier is recorded single-threaded.
 func (s *sweeper) doWarm(col sweepCol) *WarmSource {
 	cfg := s.cfg
 	n := core.NewNetwork(cfg.Seed)

@@ -10,8 +10,9 @@ import (
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into d, which must be a freshly built twin bound to an identically
-// built environment (DESIGN.md §15). Queued packets are shared — a mac.Packet
-// is immutable once enqueued — and the pending state timer is re-armed at its
+// built environment (DESIGN.md §15). Queued packets are shared: a mac.Packet
+// is immutable while queued, and the host's share barrier keeps it from being
+// recycled (internal/mac/fork.go). The pending state timer is re-armed at its
 // exact (when, prio, seq) ordering key. The timer kind, not the FSM state,
 // discriminates the callback: WFACK chains a broadcast-airtime timer and an
 // ACK timeout, and SendACK chains a SIFS gap and an ACK airtime, so state

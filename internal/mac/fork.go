@@ -4,10 +4,13 @@ import "macaw/internal/frame"
 
 // This file provides the queue side of warm-started forking (DESIGN.md §15).
 // Queued packets are shared between the warm twin and the fork rather than
-// cloned: a Packet is immutable once enqueued — the engines write only SetSeq
+// cloned: a Packet is immutable while queued — the engines write only SetSeq
 // and Enqueued inside Enqueue, and every later stage reads — so sharing
 // preserves pointer identity (MACAW's piggyback path compares queue head and
-// pending entry by identity) and is safe under concurrent forks.
+// pending entry by identity) and is safe under concurrent forks. Sharing
+// holds only because the host never recycles a packet enqueued at or before
+// the adoption barrier (core's share barrier): on either side, its terminal
+// callback hands it to the garbage collector instead of the free list.
 
 // AdoptFrom replaces q's contents with w's, sharing the packets.
 func (q *Queue) AdoptFrom(w *Queue) {

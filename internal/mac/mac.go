@@ -13,18 +13,22 @@ import (
 )
 
 // Packet is one transport-layer packet handed to a MAC for transmission.
+// The fields are ordered widest first so the record packs into 48 bytes.
+// A packet is dead once its Sent or Dropped callback returns (see
+// Callbacks): the host may then zero and reuse it for a later offer.
 type Packet struct {
-	// Dst is the destination station (frame.Broadcast for multicast).
-	Dst frame.NodeID
+	// Payload is the transport payload carried to the receiver.
+	Payload []byte
 	// Size is the on-air size in bytes (the paper's data packets are 512
 	// bytes regardless of payload).
 	Size int
-	// Payload is the transport payload carried to the receiver.
-	Payload []byte
 	// Enqueued is when the packet entered the MAC queue.
 	Enqueued sim.Time
 
 	seq uint32 // link-layer sequence number, assigned by the MAC
+
+	// Dst is the destination station (frame.Broadcast for multicast).
+	Dst frame.NodeID
 }
 
 // Seq returns the link-layer sequence number the MAC assigned.
@@ -43,6 +47,13 @@ const (
 )
 
 // Callbacks are the MAC-to-host upcalls. Any of them may be nil.
+//
+// Sent and Dropped are a packet's terminal callbacks: each enqueued packet
+// gets at most one of them, once. When it returns the packet is dead to
+// the engine, which keeps no reference to it and reads none of its fields
+// afterwards; the host may recycle the record at once. A frame already on
+// the air may still alias Payload, so a host that recycles packets must not
+// reuse the payload bytes.
 type Callbacks struct {
 	// Deliver hands a received data packet to the host.
 	Deliver func(src frame.NodeID, payload []byte)

@@ -2,10 +2,23 @@ package mac
 
 import (
 	"testing"
+	"unsafe"
 
 	"macaw/internal/frame"
 	"macaw/internal/sim"
 )
+
+// TestPacketLayout pins the packet record's 48 bytes on 64-bit platforms:
+// a field order that reintroduces padding moves it into the 64-byte size
+// class.
+func TestPacketLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Packet{}); got != 48 {
+		t.Fatalf("mac.Packet is %d bytes, want 48", got)
+	}
+}
 
 func TestConfigTimes(t *testing.T) {
 	c := DefaultConfig()

@@ -12,9 +12,11 @@ import (
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into m, which must be a freshly built twin bound to an identically
 // built environment (DESIGN.md §15).
-// Queued and pending packets are shared — a mac.Packet is immutable once
-// enqueued, and sharing preserves the pointer identity the piggyback path
-// compares (queue head vs pending entry). The pending state timer is re-armed
+// Queued and pending packets are shared — a mac.Packet is immutable while
+// queued, and sharing preserves the pointer identity the piggyback path
+// compares (queue head vs pending entry). The host's share barrier keeps
+// either side from recycling a shared packet when it completes
+// (internal/mac/fork.go). The pending state timer is re-armed
 // at its exact (when, prio, seq) ordering key; the FSM state names its
 // callback, except in SendData where five different frames can be on the air
 // and the tx kind is the discriminator. It fails closed on anything this

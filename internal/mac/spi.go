@@ -27,6 +27,10 @@ package mac
 //   - Liveness invariant (the fault watchdog's wedge rule): whenever the
 //     engine is quiescent in a non-idle FSM state, or idle with a non-empty
 //     queue, a timer must be pending.
+//   - Packet lifetime: a packet is dead once its Sent or Dropped callback
+//     returns. The engine keeps no reference to it (queue, pending entry,
+//     in-flight slot) and reads none of its fields afterwards, so the host
+//     may zero and reuse the record for a later offer (see Callbacks).
 //   - AppendState completeness: every field that can affect future behavior
 //     appears in the dump; fork byte-verification diffs the dumps.
 type Engine interface {

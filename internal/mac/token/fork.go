@@ -10,8 +10,9 @@ import (
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into t, which must be a freshly built twin bound to an identically
 // built environment (DESIGN.md §15).
-// Queued packets are shared — a mac.Packet is immutable once enqueued — and
-// both pending events (the state timer and the silence watchdog) are re-armed
+// Queued packets are shared: a mac.Packet is immutable while queued, and the
+// host's share barrier keeps it from being recycled (internal/mac/fork.go).
+// Both pending events (the state timer and the silence watchdog) are re-armed
 // at their exact (when, prio, seq) ordering keys. The state timer's callback
 // is discriminated by FSM state: Holding completes a DATA frame when sending
 // is set and resumes after a hold pause when it is nil; Passing watches the

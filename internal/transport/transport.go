@@ -61,15 +61,15 @@ func (s Segment) String() string {
 	return fmt.Sprintf("%s stream=%d seq=%d ack=%d", k, s.Stream, s.Seq, s.Ack)
 }
 
-// Marshal encodes the segment header.
-func (s Segment) Marshal() []byte {
-	b := make([]byte, HeaderLen)
+// Put encodes the segment header into b[:HeaderLen]. It panics if b is
+// shorter than HeaderLen.
+func (s Segment) Put(b []byte) {
+	_ = b[HeaderLen-1] // one bounds check for the writes below
 	b[0] = byte(s.Proto)
 	binary.BigEndian.PutUint16(b[1:], s.Stream)
 	b[3] = byte(s.Kind)
 	binary.BigEndian.PutUint32(b[4:], s.Seq)
 	binary.BigEndian.PutUint32(b[8:], s.Ack)
-	return b
 }
 
 // ErrShortSegment reports an undecodable segment buffer.

@@ -48,13 +48,34 @@ func (p *pipeEnd) on(h func(src frame.NodeID, seg Segment)) { p.handlers = appen
 
 func TestSegmentRoundTrip(t *testing.T) {
 	s := Segment{Proto: ProtoTCP, Stream: 7, Kind: KindAck, Seq: 100, Ack: 99}
-	got, err := UnmarshalSegment(s.Marshal())
+	got, err := UnmarshalSegment(encode(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != s {
 		t.Fatalf("round trip: %+v != %+v", got, s)
 	}
+}
+
+// encode returns s's header in a buffer of its own.
+func encode(s Segment) []byte {
+	b := make([]byte, HeaderLen)
+	s.Put(b)
+	return b
+}
+
+func TestSegmentPutWritesOnlyTheHeader(t *testing.T) {
+	b := []byte("0123456789abcdef")
+	Segment{Proto: ProtoUDP, Stream: 2, Kind: KindData, Seq: 5}.Put(b)
+	if string(b[HeaderLen:]) != "cdef" {
+		t.Fatalf("Put wrote past the header: %q", b[HeaderLen:])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put into a short buffer did not panic")
+		}
+	}()
+	Segment{}.Put(make([]byte, HeaderLen-1))
 }
 
 func TestSegmentShortBuffer(t *testing.T) {
@@ -75,7 +96,7 @@ func TestSegmentString(t *testing.T) {
 func TestQuickSegmentRoundTrip(t *testing.T) {
 	f := func(proto, kind uint8, stream uint16, seq, ack uint32) bool {
 		s := Segment{Proto: Proto(proto), Stream: stream, Kind: Kind(kind), Seq: seq, Ack: ack}
-		got, err := UnmarshalSegment(s.Marshal())
+		got, err := UnmarshalSegment(encode(s))
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
