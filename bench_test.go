@@ -268,12 +268,13 @@ func cityBlueprint(b *testing.B, stations int) core.Blueprint {
 // BenchmarkScaleN10000 measures the sharded engine at the ROADMAP's
 // city-scale regime: 10000 stations, serial vs 2/4/8 shards. Every mode
 // simulates the identical event history (the sharded engine is bit-exact),
-// so ns/op ratios are pure parallel speedup; the pps metric must agree
-// across modes — the benchmark fails if it does not.
+// so ns/op ratios are pure parallel speedup; the rendered Results, every
+// stream's row, must agree across modes — the benchmark fails if they do
+// not.
 func BenchmarkScaleN10000(b *testing.B) {
 	const stations = 10000
 	const total, warmup = 2 * sim.Second, 500 * sim.Millisecond
-	serialPPS := map[int64]float64{} // seed -> serial result, cross-checked by the sharded modes
+	serialTable := map[int64]string{} // seed -> serial result, cross-checked by the sharded modes
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		name := "serial"
@@ -291,15 +292,15 @@ func BenchmarkScaleN10000(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				got := res.TotalPPS()
 				if i == 0 {
-					pps, comps = got, info.Components
+					pps, comps = res.TotalPPS(), info.Components
 				}
+				got := res.String()
 				if shards == 1 {
-					serialPPS[seed] = got
-				} else if want, ok := serialPPS[seed]; ok && got != want {
-					b.Fatalf("shards=%d seed=%d pps %.6f != serial pps %.6f: determinism broken",
-						shards, seed, got, want)
+					serialTable[seed] = got
+				} else if want, ok := serialTable[seed]; ok && got != want {
+					b.Fatalf("shards=%d seed=%d: rendered results differ from serial: determinism broken",
+						shards, seed)
 				}
 			}
 			b.ReportMetric(pps, "pps")

@@ -92,7 +92,10 @@ type Blueprint struct {
 	// the bit-identity contract outright; per-heap observers (metrics,
 	// traces) keep it per component — their output is canonical for a
 	// fixed partition, i.e. identical at every shard count >= 2, but
-	// keyed by component rather than matching the monolithic run.
+	// keyed by component rather than matching the monolithic run. When
+	// sharded, a component network is dead once its finish hook returns
+	// (see Run): neither the hook nor anything it keeps may draw from the
+	// network's random streams afterwards.
 	Instrument func(n *Network, comp int) func(Results)
 
 	// Verify, when non-nil, checks each materialized network after
@@ -186,8 +189,13 @@ func (bp Blueprint) Partition() (labels []int, count int, cutoff float64, ok boo
 // monolithic run would assign — node id, stream id, simulator random
 // stream — is positioned explicitly before each entity is added, so the
 // subset network deals out exactly the values the full building would.
-func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int) (*Network, func(Results), error) {
+// prev, when non-nil, is a finished network's simulator whose RNG
+// generators the new one takes over before any station is added.
+func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, prev *sim.Simulator) (*Network, func(Results), error) {
 	n := NewNetwork(bp.Seed)
+	if prev != nil {
+		n.Sim.Recycle(prev)
+	}
 	var finish func(Results)
 	if bp.Instrument != nil {
 		finish = bp.Instrument(n, comp)
@@ -234,6 +242,15 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int) (*Ne
 // the serial engine's. shards <= 1, an uncertified physics, or a building
 // that is one connected component all fall back to the serial path — the
 // exact construction sequence a monolithic Build performs.
+//
+// On the sharded path each worker runs its components one after another,
+// and a component network lives until its Run and its Instrument finish
+// hook have both returned. The worker then hands that network's simulator
+// to sim.Simulator.Recycle on the next component it materializes, before
+// any station is added: the next component seeds its random streams into
+// the finished one's generators instead of allocating its own, and every
+// stream of the finished network panics on a later draw. The serial path
+// builds one network and recycles nothing.
 func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardInfo, error) {
 	labels, count, cutoff, certified := bp.Partition()
 	info := ShardInfo{Cutoff: cutoff, Components: count, Workers: 1}
@@ -246,7 +263,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 		for j := range allStreams {
 			allStreams[j] = j
 		}
-		n, finish, err := bp.materialize(all, allStreams, false, -1)
+		n, finish, err := bp.materialize(all, allStreams, false, -1, nil)
 		if err != nil {
 			return Results{}, info, err
 		}
@@ -294,6 +311,10 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 		wg.Add(1)
 		go func(list []int) {
 			defer wg.Done()
+			// prev is the worker's last finished simulator: its run and
+			// finish hook have returned, so the next component takes over
+			// its RNG generators.
+			var prev *sim.Simulator
 			for _, c := range list {
 				out[c] = func() (r compResult) {
 					defer func() {
@@ -301,7 +322,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 							r.pan = p
 						}
 					}()
-					n, finish, err := bp.materialize(comps[c], compStreams[c], true, c)
+					n, finish, err := bp.materialize(comps[c], compStreams[c], true, c, prev)
 					if err != nil {
 						r.err = err
 						return
@@ -310,6 +331,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 					if finish != nil {
 						finish(r.res)
 					}
+					prev = n.Sim
 					return
 				}()
 			}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -243,5 +244,136 @@ func TestShardedRunSeedSensitivity(t *testing.T) {
 	}
 	if reflect.DeepEqual(ra, rb) {
 		t.Fatal("different seeds produced identical sharded results")
+	}
+}
+
+// workerLoads counts the components the sharded engine assigns to each of
+// workers shard workers: by the grid cell of each component's first
+// station at cell size = cutoff.
+func workerLoads(t *testing.T, bp core.Blueprint, workers int) []int {
+	t.Helper()
+	labels, _, cutoff, ok := bp.Partition()
+	if !ok {
+		t.Fatal("default physics must certify a cutoff")
+	}
+	loads := make([]int, workers)
+	seen := make(map[int]bool)
+	for i, l := range labels {
+		if !seen[l] {
+			seen[l] = true
+			loads[geom.ShardOfCell(geom.CellOf(bp.Stations[i].Pos, cutoff), workers)]++
+		}
+	}
+	return loads
+}
+
+// TestShardedRecyclingBitIdentical runs enough components per worker that
+// every worker hands its random generators on at least twice: at shards 2,
+// bare and with the audited Instrument hook, Results must stay deeply equal
+// to serial.
+func TestShardedRecyclingBitIdentical(t *testing.T) {
+	const total, warmup = 4 * sim.Second, 1 * sim.Second
+	bp := cityBlueprint(t, 16, 23)
+	for w, load := range workerLoads(t, bp, 2) {
+		if load < 3 {
+			t.Fatalf("worker %d runs %d components, want at least 3", w, load)
+		}
+	}
+	serial, _, err := bp.Run(total, warmup, 1)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	bare, _, err := bp.Run(total, warmup, 2)
+	if err != nil {
+		t.Fatalf("sharded run: %v", err)
+	}
+	if !reflect.DeepEqual(serial, bare) {
+		t.Fatalf("sharded results differ from serial\nserial:\n%v\nsharded:\n%v", serial, bare)
+	}
+
+	audited := bp
+	audited.Instrument = func(n *core.Network, comp int) func(core.Results) {
+		o := oracle.New(audited.Seed)
+		o.Attach(n)
+		return func(core.Results) {
+			if err := o.Err(); err != nil {
+				t.Errorf("oracle violation on component %d: %v", comp, err)
+			}
+		}
+	}
+	got, _, err := audited.Run(total, warmup, 2)
+	if err != nil {
+		t.Fatalf("audited sharded run: %v", err)
+	}
+	if !reflect.DeepEqual(serial, got) {
+		t.Fatalf("audited sharded results differ from serial\nserial:\n%v\naudited:\n%v", serial, got)
+	}
+}
+
+// generatorAllocs reports what run allocates in math/rand sources, from a
+// memory profile sampling every allocation.
+func generatorAllocs(run func()) (bytes, objects int64) {
+	sum := func() (b, o int64) {
+		runtime.GC()
+		runtime.GC()
+		recs := make([]runtime.MemProfileRecord, 256)
+		for {
+			n, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:n]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, n+64)
+		}
+		for _, r := range recs {
+			frames := runtime.CallersFrames(r.Stack())
+			for {
+				f, more := frames.Next()
+				if f.Function == "math/rand.newSource" || f.Function == "math/rand.NewSource" {
+					b, o = b+r.AllocBytes, o+r.AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return b, o
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	b0, o0 := sum()
+	run()
+	b1, o1 := sum()
+	return b1 - b0, o1 - o0
+}
+
+// TestShardedGeneratorBytesPerComponent pins what the sharded engine
+// spends on random generators: each worker's components seed their streams
+// into the generators of the component before, so over 24 components on 2
+// workers the generators come to less than one source (about 5 KB) per
+// component. Seeding every stream of every component into a new source
+// cost nine per component.
+func TestShardedGeneratorBytesPerComponent(t *testing.T) {
+	const total, warmup = 2 * sim.Second, 500 * sim.Millisecond
+	bp := cityBlueprint(t, 24, 5)
+	var info core.ShardInfo
+	bytes, objects := generatorAllocs(func() {
+		var err error
+		if _, info, err = bp.Run(total, warmup, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if info.Components != 24 || info.Workers != 2 {
+		t.Fatalf("ran %d components on %d workers, want 24 on 2", info.Components, info.Workers)
+	}
+	if objects == 0 {
+		t.Fatal("no generator was built: the run drew no random number")
+	}
+	perComp := float64(bytes) / float64(info.Components)
+	perSource := float64(bytes) / float64(objects)
+	t.Logf("%d generators, %d bytes: %.0f bytes per component, %.0f per source", objects, bytes, perComp, perSource)
+	if perComp > perSource {
+		t.Fatalf("%.0f generator bytes per component, want at most one source (%.0f bytes)", perComp, perSource)
 	}
 }

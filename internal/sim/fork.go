@@ -109,6 +109,8 @@ func (s *Simulator) ReadoptCall(src Event, callFn func(a, b any), a, b any) Even
 // and discarding. It fails closed when a stream is missing or already past
 // its target — both mean the adopting simulator was not built identically to
 // the warm twin, so its streams cannot be positioned onto the same sequence.
+// It draws through each stream's own source, so a lazily seeded stream is
+// built on its first advance and a recycled simulator's streams panic.
 func (s *Simulator) AdvanceRNG(target []StreamCursor) error {
 	if len(s.sources) != len(target) {
 		return fmt.Errorf("sim: adopt: %d RNG streams here vs %d in warm state", len(s.sources), len(target))
@@ -126,8 +128,7 @@ func (s *Simulator) AdvanceRNG(target []StreamCursor) error {
 			return fmt.Errorf("sim: adopt: stream %d already at %d draws, past warm cursor %d", t.Stream, c.draws, t.Draws)
 		}
 		for c.draws < t.Draws {
-			c.src.Uint64()
-			c.draws++
+			c.Uint64()
 		}
 	}
 	return nil

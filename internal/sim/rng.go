@@ -1,0 +1,116 @@
+package sim
+
+import "math/rand"
+
+// This file implements the simulator's RNG streams: lazily seeded, counted
+// wrappers around math/rand sources whose generators can be handed from a
+// finished simulator to the next one (DESIGN.md §8, "Recycled RNG streams").
+//
+// A math/rand source is a 607-word lagged-Fibonacci state, about 4.9 KB,
+// and seeding it is a 607-step pass. A stream keeps only its derived seed
+// until its first draw, so a stream nobody draws from — a simulator's
+// primary generator, a medium without a noise model — costs a few dozen
+// bytes. Seeding overwrites a source's whole state, so a generator taken
+// over from a dead simulator and re-seeded deals exactly the values a fresh
+// rand.NewSource would.
+
+// countingSource wraps a rand.Source64 and counts draws. Both Int63 and
+// Uint64 advance the underlying generator by exactly one internal step, so
+// the count is a complete cursor into the stream. Wrapping preserves the
+// exact output sequence: rand.Rand routes every draw through Int63/Uint64,
+// and the wrapper forwards them 1:1.
+//
+// The stream keeps its derived seed and builds its generator on the first
+// Int63, Uint64 or Seed call, from its simulator's spares when it has any
+// (see Simulator.Recycle). Once its simulator has been recycled the stream
+// is poisoned: it holds no generator, and building one panics.
+type countingSource struct {
+	src      rand64 // nil until the first draw, and again once recycled
+	draws    uint64
+	streamNo int64 // 0 = the simulator's primary generator
+	seed     int64
+	s        *Simulator
+}
+
+// rand64 is the interface math/rand's rngSource satisfies.
+type rand64 interface {
+	Int63() int64
+	Uint64() uint64
+	Seed(int64)
+}
+
+// newSource registers a lazily seeded stream with the simulator.
+func (s *Simulator) newSource(streamNo, seed int64) *countingSource {
+	c := &countingSource{streamNo: streamNo, seed: seed, s: s}
+	s.sources = append(s.sources, c)
+	return c
+}
+
+// gen returns the stream's generator, building it on first use.
+func (c *countingSource) gen() rand64 {
+	if c.src == nil {
+		c.src = c.s.generator(c.seed)
+	}
+	return c.src
+}
+
+func (c *countingSource) Int63() int64 {
+	g := c.gen()
+	c.draws++
+	return g.Int63()
+}
+
+func (c *countingSource) Uint64() uint64 {
+	g := c.gen()
+	c.draws++
+	return g.Uint64()
+}
+
+func (c *countingSource) Seed(seed int64) {
+	c.seed, c.draws = seed, 0
+	if c.src == nil {
+		c.src = c.s.generator(seed)
+	} else {
+		c.src.Seed(seed)
+	}
+}
+
+// generator returns a source seeded with seed: a re-seeded spare when one
+// is left, a new one otherwise.
+func (s *Simulator) generator(seed int64) rand64 {
+	if s.recycled {
+		panic("sim: RNG draw on a recycled simulator")
+	}
+	n := len(s.spares)
+	if n == 0 {
+		return rand.NewSource(seed).(rand64)
+	}
+	g := s.spares[n-1]
+	s.spares[n-1] = nil
+	s.spares = s.spares[:n-1]
+	g.Seed(seed)
+	return g
+}
+
+// Recycle takes over every generator dead has built, and every spare it
+// did not use, as spares for s's streams. dead must be finished for good:
+// its streams are poisoned, so any later draw from them — directly, through
+// a *rand.Rand it handed out, or through AdvanceRNG — panics. Sharded
+// runners call it on each worker, so a component network seeds its streams
+// into the generators of the component before it instead of allocating
+// fresh ones. Which generator a stream receives cannot matter: seeding
+// overwrites a source's whole state.
+func (s *Simulator) Recycle(dead *Simulator) {
+	if dead == s {
+		panic("sim: a simulator cannot recycle itself")
+	}
+	spares := append(dead.spares, s.spares...)
+	for _, c := range dead.sources {
+		if c.src != nil {
+			spares = append(spares, c.src)
+			c.src = nil
+		}
+	}
+	s.spares, dead.spares = spares, nil
+	dead.recycled = true
+}

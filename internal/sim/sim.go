@@ -229,14 +229,14 @@ type Simulator struct {
 	nfired     uint64            // events fired by Step over the simulator's lifetime
 	maxQueue   int               // high-water mark of the event queue length
 	sources    []*countingSource // every RNG source handed out, in creation order
+	spares     []rand64          // unused generators taken over by Recycle
+	recycled   bool              // Recycle handed this simulator's generators on
 }
 
 // New returns a Simulator whose randomness derives from seed.
 func New(seed int64) *Simulator {
 	s := &Simulator{seed: seed}
-	src := &countingSource{src: rand.NewSource(seed).(rand64), streamNo: 0}
-	s.sources = append(s.sources, src)
-	s.rng = rand.New(src)
+	s.rng = rand.New(s.newSource(0, seed))
 	return s
 }
 
@@ -253,7 +253,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // NewRand returns a fresh generator whose seed is derived deterministically
 // from the simulator seed and the number of streams created so far. Giving
 // each station its own stream keeps per-station behaviour stable when
-// unrelated parts of the configuration change.
+// unrelated parts of the configuration change. The stream is seeded lazily,
+// on its first draw, into a generator recycled from a finished simulator
+// when s has one (Recycle); neither changes the values it deals.
 func (s *Simulator) NewRand() *rand.Rand {
 	s.streams++
 	// SplitMix-style scramble so consecutive stream indices land far apart.
@@ -261,9 +263,7 @@ func (s *Simulator) NewRand() *rand.Rand {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	src := &countingSource{src: rand.NewSource(int64(z)).(rand64), streamNo: s.streams}
-	s.sources = append(s.sources, src)
-	return rand.New(src)
+	return rand.New(s.newSource(s.streams, int64(z)))
 }
 
 // SetNextStream positions the stream counter so the next NewRand call

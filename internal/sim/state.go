@@ -32,30 +32,6 @@ import (
 // but capturing them makes replay divergence visible at the first layer
 // where histories differ instead of much later in the run.
 
-// countingSource wraps a rand.Source64 and counts draws. Both Int63 and
-// Uint64 advance the underlying generator by exactly one internal step, so
-// the count is a complete cursor into the stream. Wrapping preserves the
-// exact output sequence: rand.Rand routes every draw through Int63/Uint64,
-// and the wrapper forwards them 1:1.
-type countingSource struct {
-	src      rand64
-	draws    uint64
-	streamNo int64 // 0 = the simulator's primary generator
-}
-
-// rand64 is the interface math/rand's rngSource satisfies.
-type rand64 interface {
-	Int63() int64
-	Uint64() uint64
-	Seed(int64)
-}
-
-func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
-
-func (c *countingSource) Uint64() uint64 { c.draws++; return c.src.Uint64() }
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.draws = 0 }
-
 // StreamCursors reports the draw count of every RNG stream the simulator has
 // created, keyed by stream number (0 is the primary generator, 1.. are
 // NewRand streams in creation order). The result is sorted by stream number.
