@@ -190,7 +190,8 @@ func (bp Blueprint) Partition() (labels []int, count int, cutoff float64, ok boo
 // stream — is positioned explicitly before each entity is added, so the
 // subset network deals out exactly the values the full building would.
 // prev, when non-nil, is a finished network's simulator whose RNG
-// generators the new one takes over before any station is added.
+// generators and event storage the new one takes over before any station
+// is added.
 func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, prev *sim.Simulator) (*Network, func(Results), error) {
 	n := NewNetwork(bp.Seed)
 	if prev != nil {
@@ -248,9 +249,10 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, prev
 // hook have both returned. The worker then hands that network's simulator
 // to sim.Simulator.Recycle on the next component it materializes, before
 // any station is added: the next component seeds its random streams into
-// the finished one's generators instead of allocating its own, and every
-// stream of the finished network panics on a later draw. The serial path
-// builds one network and recycles nothing.
+// the finished one's generators instead of allocating its own and
+// schedules into its event slab and heap, and every stream of the finished
+// network panics on a later draw, as does scheduling on it. The serial
+// path builds one network and recycles nothing.
 func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardInfo, error) {
 	labels, count, cutoff, certified := bp.Partition()
 	info := ShardInfo{Cutoff: cutoff, Components: count, Workers: 1}
@@ -313,7 +315,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 			defer wg.Done()
 			// prev is the worker's last finished simulator: its run and
 			// finish hook have returned, so the next component takes over
-			// its RNG generators.
+			// its RNG generators and event storage.
 			var prev *sim.Simulator
 			for _, c := range list {
 				out[c] = func() (r compResult) {

@@ -48,9 +48,8 @@ func (s *Simulator) QueueLen() int { return len(s.queue) }
 // records. Fork adoption drops the freshly built queue before re-arming the
 // warm twin's events at their exact ordering keys.
 func (s *Simulator) DropAllEvents() {
-	for _, e := range s.queue {
-		e.index = -1
-		s.recycle(e)
+	for _, x := range s.queue {
+		s.recycle(x.rec)
 	}
 	s.queue = s.queue[:0]
 	s.ncancelled = 0
@@ -58,14 +57,16 @@ func (s *Simulator) DropAllEvents() {
 
 // SetFreeList resizes the pool of recycled event records to exactly n. Only
 // the length is observable (the state inventory captures it so pooling drift
-// surfaces as divergence); the records themselves carry no state.
+// surfaces as divergence); the records themselves carry no state. Shrinking
+// leaves the dropped records' slab slots unused; growing appends new ones.
 func (s *Simulator) SetFreeList(n int) {
-	for i := range s.free {
-		s.free[i] = nil
+	if n <= len(s.free) {
+		s.free = s.free[:n]
+		return
 	}
-	s.free = s.free[:0]
-	for i := 0; i < n; i++ {
-		s.free = append(s.free, &event{s: s})
+	for len(s.free) < n {
+		s.slab = append(s.slab, record{})
+		s.free = append(s.free, int32(len(s.slab)-1))
 	}
 }
 
@@ -81,7 +82,7 @@ func SyntheticHandle(when Time, cancelled bool) Event {
 // owning simulator (not fired, not cancelled-and-reclaimed). Fork adoption
 // uses it to fail closed when a warmed twin holds a pending timer in an FSM
 // state that should not have one.
-func (r Event) Live() bool { return r.live() }
+func (r Event) Live() bool { return r.rec() != nil }
 
 // ReadoptCall re-creates src — an event pending in a warmed twin simulator —
 // in s at its exact (when, prio, seq) ordering key, without advancing s's own
@@ -92,17 +93,21 @@ func (r Event) Live() bool { return r.live() }
 // cancelled-and-reclaimed in its owner), ReadoptCall returns a synthetic
 // handle reproducing its observable When/Cancelled values instead.
 func (s *Simulator) ReadoptCall(src Event, callFn func(a, b any), a, b any) Event {
-	if !src.live() {
+	from := src.rec()
+	if from == nil {
 		return SyntheticHandle(src.when, src.cancelled)
 	}
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.cancelled = src.e.when, src.e.prio, src.e.seq, src.e.cancelled
-	e.callFn, e.argA, e.argB = callFn, a, b
-	s.heapPush(e)
-	if e.cancelled {
+	if s.recycled {
+		panic("sim: scheduling on a recycled simulator")
+	}
+	i := s.alloc()
+	x := &s.slab[i]
+	*x = record{callFn: callFn, argA: a, argB: b, seq: src.seq, prio: from.prio, cancelled: from.cancelled}
+	s.heapPush(entry{when: src.when, key: packKey(from.prio, src.seq), rec: i})
+	if x.cancelled {
 		s.ncancelled++
 	}
-	return Event{e: e, seq: e.seq, when: e.when}
+	return Event{s: s, seq: src.seq, when: src.when, e: i}
 }
 
 // AdvanceRNG fast-forwards every RNG stream to the given cursors by drawing

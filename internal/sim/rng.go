@@ -92,14 +92,20 @@ func (s *Simulator) generator(seed int64) rand64 {
 	return g
 }
 
-// Recycle takes over every generator dead has built, and every spare it
-// did not use, as spares for s's streams. dead must be finished for good:
-// its streams are poisoned, so any later draw from them — directly, through
-// a *rand.Rand it handed out, or through AdvanceRNG — panics. Sharded
-// runners call it on each worker, so a component network seeds its streams
-// into the generators of the component before it instead of allocating
-// fresh ones. Which generator a stream receives cannot matter: seeding
-// overwrites a source's whole state.
+// Recycle takes over dead's storage: every generator dead has built, and
+// every spare it did not use, as spares for s's streams, and dead's event
+// slab, heap array and free-index array wherever they are larger than s's.
+// dead's pending events are dropped. dead must be finished for good: its
+// streams are poisoned, so any later draw from them — directly, through a
+// *rand.Rand it handed out, or through AdvanceRNG — panics, and so does
+// scheduling on it. Its handles stop being Live and keep answering When and
+// Cancelled from their own snapshots. Sharded runners call it on each
+// worker, so a component network seeds its streams into the generators of
+// the component before it instead of allocating fresh ones, and a worker
+// holds event storage for its largest component only. Neither hand-off is
+// observable: seeding overwrites a source's whole state, and the taken-over
+// capacity holds no record until s schedules one, so s's Pending, FreeLen
+// and MaxQueued read as for a fresh simulator.
 func (s *Simulator) Recycle(dead *Simulator) {
 	if dead == s {
 		panic("sim: a simulator cannot recycle itself")
@@ -112,5 +118,21 @@ func (s *Simulator) Recycle(dead *Simulator) {
 		}
 	}
 	s.spares, dead.spares = spares, nil
+
+	clear(dead.slab) // drop the pending callbacks and zero every seq
+	s.slab = reuse(s.slab, dead.slab)
+	s.queue = reuse(s.queue, dead.queue)
+	s.free = reuse(s.free, dead.free)
+	dead.slab, dead.queue, dead.free = nil, nil, nil
+	dead.ncancelled = 0
 	dead.recycled = true
+}
+
+// reuse returns own's elements in whichever of own and spare has the larger
+// capacity. Elements keep their positions, so slab indices stay valid.
+func reuse[T any](own, spare []T) []T {
+	if cap(spare) <= cap(own) {
+		return own
+	}
+	return append(spare[:0], own...)
 }

@@ -6,15 +6,17 @@
 // randomness flows through seeded generators obtained from the Simulator so
 // that a run is a pure function of its configuration and seed.
 //
-// Scheduled callbacks are held in pooled event records: a fired or discarded
-// record goes onto a per-simulator free list and is reused by the next
-// At/After call, so steady-state simulation does not allocate one object per
-// event. The Event values handed to callers are seq-validated handles that
-// keep behaving exactly like a reference to their original event (When,
-// Cancel, Cancelled) even after the underlying record has been recycled.
-// The free list is per-simulator rather than a sync.Pool: a Simulator is
-// single-threaded by contract, and keeping reuse local preserves determinism
-// and avoids cross-run contention when many simulators run in parallel.
+// Scheduled callbacks are held in a slab of pooled records under a heap of
+// pointer-free entries (queue.go): a fired or discarded record goes onto a
+// per-simulator free list and is reused by the next At/After call, so
+// steady-state simulation does not allocate per event. The Event values
+// handed to callers are seq-validated handles that keep behaving exactly
+// like a reference to their original event (When, Cancel, Cancelled) even
+// after the underlying record has been recycled. The free list is
+// per-simulator rather than a sync.Pool: a Simulator is single-threaded by
+// contract, and keeping reuse local preserves determinism and avoids
+// cross-run contention when many simulators run in parallel. A finished
+// simulator's storage moves only by an explicit Recycle.
 package sim
 
 import (
@@ -49,188 +51,23 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a simulation Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is a pooled scheduled-callback record. seq doubles as the record's
-// incarnation: it is unique per scheduling and zeroed when the record is
-// recycled, so stale handles can tell that their event is gone.
-type event struct {
-	when Time
-	prio int
-	seq  uint64
-	fn   func()
-	// callFn/argA/argB are the closure-free alternative to fn (see
-	// AtPriorityCall): the function value and its arguments ride in the
-	// pooled record, so scheduling does not allocate a closure.
-	callFn     func(a, b any)
-	argA, argB any
-	cancelled  bool
-	index      int // position in the heap, -1 once popped
-	s          *Simulator
-}
-
-// Event is a handle to a scheduled callback. The zero Event refers to no
-// event; non-zero handles are created exclusively through Simulator.At,
-// After and AtPriority. Handles stay safe to use after their event has
-// fired: When keeps reporting the scheduled time, Cancel becomes a no-op on
-// the simulator (but is still remembered by the handle), and Cancelled
-// keeps answering for this event even if the underlying record has been
-// recycled for a later one.
-type Event struct {
-	e   *event
-	seq uint64
-	// when is snapshotted at scheduling time so the handle can answer
-	// When() after the record is recycled.
-	when Time
-	// cancelled records Cancel calls issued through this handle, so
-	// Cancelled() stays truthful once the record's own flag is gone.
-	cancelled bool
-}
-
-// IsZero reports whether the handle is the zero Event (never scheduled, or
-// explicitly cleared by assigning Event{}).
-func (r *Event) IsZero() bool { return r == nil || r.e == nil }
-
-// live reports whether the handle still refers to the record's current
-// incarnation (scheduled and not yet fired or discarded).
-func (r *Event) live() bool { return r != nil && r.e != nil && r.e.seq == r.seq }
-
-// When reports the time at which the event fires (or fired). The zero Event
-// reports 0.
-func (r *Event) When() Time {
-	if r == nil {
-		return 0
-	}
-	return r.when
-}
-
-// Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op; cancelling the zero Event is
-// a no-op too.
-func (r *Event) Cancel() {
-	if r == nil || r.e == nil {
-		return
-	}
-	r.cancelled = true
-	if r.e.seq == r.seq && !r.e.cancelled {
-		r.e.cancelled = true
-		r.e.s.ncancelled++
-	}
-}
-
-// Cancelled reports whether Cancel has been called on the event through
-// this handle (or, while the event is still pending, through any handle).
-func (r *Event) Cancelled() bool {
-	if r == nil {
-		return false
-	}
-	if r.e == nil {
-		return r.cancelled
-	}
-	if r.e.seq == r.seq {
-		return r.e.cancelled
-	}
-	return r.cancelled
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by eventLess. It
-// replaces container/heap to keep comparisons and sifts free of interface
-// dispatch — the queue is the simulator's innermost loop. Because eventLess
-// is a total order (seq is unique), the pop sequence is independent of the
-// heap's internal layout, so this substitution cannot change a run.
-type eventHeap []*event
-
-// eventLess orders events by (time, priority, insertion).
-func eventLess(a, b *event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
-}
-
-// heapPush inserts e and sifts it up to its place.
-func (s *Simulator) heapPush(e *event) {
-	h := append(s.queue, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = i
-		i = p
-	}
-	h[i] = e
-	e.index = i
-	s.queue = h
-	if len(h) > s.maxQueue {
-		s.maxQueue = len(h)
-	}
-}
-
-// siftDown restores the heap property below i, assuming s.queue[i] is the
-// only possibly-misplaced element.
-func (s *Simulator) siftDown(i int) {
-	h := s.queue
-	n := len(h)
-	e := h[i]
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && eventLess(h[r], h[c]) {
-			c = r
-		}
-		if !eventLess(h[c], e) {
-			break
-		}
-		h[i] = h[c]
-		h[i].index = i
-		i = c
-	}
-	h[i] = e
-	e.index = i
-}
-
-// heapPop removes and returns the earliest event.
-func (s *Simulator) heapPop() *event {
-	h := s.queue
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.queue = h[:n]
-	if n > 0 {
-		s.queue[0] = last
-		s.siftDown(0)
-	}
-	top.index = -1
-	return top
-}
-
-// compactMin is the queue length below which purge never bothers to compact:
-// small heaps are cheap to carry and the rebuild would dominate.
-const compactMin = 64
-
 // Simulator owns the event queue and the simulation clock.
 type Simulator struct {
 	now        Time
-	queue      eventHeap
+	queue      []entry  // binary min-heap of pending events, cancelled included
+	slab       []record // event records; heap entries index into it
+	free       []int32  // slab indices of recycled records
 	seq        uint64
 	seed       int64
 	streams    int64
 	rng        *rand.Rand
 	stopped    bool
-	free       []*event          // recycled event records
 	ncancelled int               // cancelled events still sitting in the queue
 	nfired     uint64            // events fired by Step over the simulator's lifetime
 	maxQueue   int               // high-water mark of the event queue length
 	sources    []*countingSource // every RNG source handed out, in creation order
 	spares     []rand64          // unused generators taken over by Recycle
-	recycled   bool              // Recycle handed this simulator's generators on
+	recycled   bool              // Recycle handed this simulator's storage on
 }
 
 // New returns a Simulator whose randomness derives from seed.
@@ -280,30 +117,10 @@ func (s *Simulator) SetNextStream(k int64) {
 	s.streams = k - 1
 }
 
-// alloc takes an event record off the free list, or makes one.
-func (s *Simulator) alloc() *event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
-	}
-	return &event{s: s}
-}
-
-// recycle marks a popped or discarded record dead (stale handles see a seq
-// mismatch), drops its closure, and returns it to the free list.
-func (s *Simulator) recycle(e *event) {
-	e.seq = 0
-	e.fn = nil
-	e.callFn = nil
-	e.argA, e.argB = nil, nil
-	s.free = append(s.free, e)
-}
-
 // At schedules fn to run at time t with default (zero) priority.
 // Scheduling in the past panics: such an event would silently corrupt
-// causality.
+// causality. So does scheduling on a simulator whose storage Recycle has
+// handed on.
 func (s *Simulator) At(t Time, fn func()) Event {
 	return s.AtPriority(t, 0, fn)
 }
@@ -313,19 +130,15 @@ func (s *Simulator) At(t Time, fn func()) Event {
 // completions use negative priorities so that a station's same-instant
 // protocol timers always observe frames that finished "now" — exactly the
 // ordering a real receiver sees, where decoding completes before any local
-// decision taken at the same moment.
+// decision taken at the same moment. prio must fit in an int16: the queue
+// packs it into one word with the event's sequence number.
 func (s *Simulator) AtPriority(t Time, prio int, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	s.seq++
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.fn, e.cancelled = t, prio, s.seq, fn, false
-	s.heapPush(e)
-	return Event{e: e, seq: e.seq, when: t}
+	i, x := s.push(t, prio)
+	x.fn = fn
+	return Event{s: s, seq: s.seq, when: t, e: i}
 }
 
 // AtPriorityCall schedules fn(a, b) at time t with the given priority — the
@@ -336,18 +149,12 @@ func (s *Simulator) AtPriority(t Time, prio int, fn func()) Event {
 // should be a package-level function or another long-lived value; a and b
 // carry whatever it needs (either may be nil).
 func (s *Simulator) AtPriorityCall(t Time, prio int, fn func(a, b any), a, b any) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	s.seq++
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.cancelled = t, prio, s.seq, false
-	e.callFn, e.argA, e.argB = fn, a, b
-	s.heapPush(e)
-	return Event{e: e, seq: e.seq, when: t}
+	i, x := s.push(t, prio)
+	x.callFn, x.argA, x.argB = fn, a, b
+	return Event{s: s, seq: s.seq, when: t, e: i}
 }
 
 // Call is the AtPriorityCall trampoline for methods: a is the receiver and b
@@ -396,48 +203,6 @@ func (s *Simulator) NextEventTime() (t Time, ok bool) {
 	return s.queue[0].when, true
 }
 
-// purge discards cancelled events from the head of the queue so that
-// queue[0], when present, is always a live event; when cancelled events
-// outnumber live ones it compacts the whole heap, so long runs with many
-// cancelled timers do not bloat Pending() or per-operation heap costs.
-func (s *Simulator) purge() {
-	for len(s.queue) > 0 && s.queue[0].cancelled {
-		e := s.heapPop()
-		s.ncancelled--
-		s.recycle(e)
-	}
-	if s.ncancelled > len(s.queue)/2 && len(s.queue) >= compactMin {
-		s.compact()
-	}
-}
-
-// compact removes every cancelled event from the queue and re-establishes
-// the heap invariant. Because (when, prio, seq) is a total order, the pop
-// sequence of the surviving events is unchanged: compaction is invisible to
-// the simulation.
-func (s *Simulator) compact() {
-	kept := s.queue[:0]
-	for _, e := range s.queue {
-		if e.cancelled {
-			s.ncancelled--
-			s.recycle(e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = kept
-	for i, e := range s.queue {
-		e.index = i
-	}
-	// Floyd heapify: O(n) rebuild of the heap property.
-	for i := len(s.queue)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
 // Step fires the single earliest pending event, skipping cancelled ones.
 // It reports false when the queue is empty.
 func (s *Simulator) Step() bool {
@@ -445,11 +210,12 @@ func (s *Simulator) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.heapPop()
-	s.now = e.when
+	top := s.heapPop()
+	s.now = top.when
 	s.nfired++
-	fn, callFn, a, b := e.fn, e.callFn, e.argA, e.argB
-	s.recycle(e)
+	x := &s.slab[top.rec]
+	fn, callFn, a, b := x.fn, x.callFn, x.argA, x.argB
+	s.recycle(top.rec)
 	if fn != nil {
 		fn()
 	} else {
@@ -460,6 +226,8 @@ func (s *Simulator) Step() bool {
 
 // Run processes events in order until the queue is empty, the clock passes
 // until, or Stop is called. Events scheduled exactly at until still fire.
+// A run that Stop ends leaves the clock at the last fired event, so the
+// events still pending before until fire on the next Run.
 func (s *Simulator) Run(until Time) {
 	s.stopped = false
 	for !s.stopped {
@@ -473,7 +241,7 @@ func (s *Simulator) Run(until Time) {
 		}
 		s.Step()
 	}
-	if s.now < until {
+	if !s.stopped && s.now < until {
 		s.now = until
 	}
 }

@@ -57,16 +57,16 @@ type StreamCursor struct {
 // event whose argB is itself a function (a Call trampoline carrying a method
 // expression) is named after that function, so a dump names the protocol
 // timer — onCTSTimeout, not the trampoline every timer shares.
-func funcName(e *event) string {
+func funcName(x *record) string {
 	var fn reflect.Value
 	switch {
-	case e.fn != nil:
-		fn = reflect.ValueOf(e.fn)
-	case e.callFn == nil:
+	case x.fn != nil:
+		fn = reflect.ValueOf(x.fn)
+	case x.callFn == nil:
 		return "<nil>"
 	default:
-		fn = reflect.ValueOf(e.callFn)
-		if b := reflect.ValueOf(e.argB); b.Kind() == reflect.Func && !b.IsNil() {
+		fn = reflect.ValueOf(x.callFn)
+		if b := reflect.ValueOf(x.argB); b.Kind() == reflect.Func && !b.IsNil() {
 			fn = b
 		}
 	}
@@ -88,13 +88,14 @@ func (s *Simulator) AppendState(b []byte) []byte {
 	for _, c := range s.StreamCursors() {
 		b = fmt.Appendf(b, "rng stream=%d draws=%d\n", c.Stream, c.Draws)
 	}
-	evs := make([]*event, len(s.queue))
+	evs := make([]entry, len(s.queue))
 	copy(evs, s.queue)
-	sort.Slice(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
+	sort.Slice(evs, func(i, j int) bool { return evs[i].less(evs[j]) })
 	b = fmt.Appendf(b, "heap n=%d\n", len(evs))
 	for _, e := range evs {
+		x := &s.slab[e.rec]
 		b = fmt.Appendf(b, "ev when=%d prio=%d seq=%d cancelled=%t fn=%s argA=%T argB=%T\n",
-			e.when, e.prio, e.seq, e.cancelled, funcName(e), e.argA, e.argB)
+			e.when, e.prio(), e.seq(), x.cancelled, funcName(x), x.argA, x.argB)
 	}
 	return b
 }

@@ -112,12 +112,7 @@ func Random(spec RandomSpec) Layout {
 		// One upstream stream per pad toward the nearest base. Start
 		// times are staggered over the first second so the whole
 		// building does not contend in lockstep.
-		best, bestD := 0, math.Inf(1)
-		for bi, bp := range basePos {
-			if d := bp.Dist(p); d < bestD {
-				best, bestD = bi, d
-			}
-		}
+		best := nearestBase(basePos, side, pitch, p)
 		l.Streams = append(l.Streams, StreamSpec{
 			From: name, To: fmt.Sprintf("B%d", best+1),
 			Kind: core.UDP, Rate: spec.Rate,
@@ -125,4 +120,37 @@ func Random(spec RandomSpec) Layout {
 		})
 	}
 	return l
+}
+
+// nearestBase returns the index of the base nearest p: exactly what a scan
+// over all bases in index order picks, the least Vec3.Dist and the lowest
+// index on a tie. It needs base i to lie inside grid cell (i%side, i/side)
+// of the given pitch, as Random's jitter (under half a pitch) guarantees.
+// A base in a cell r rings out from p's cell is then more than r-1 pitches
+// from p, so the search visits rings outward and stops at the first one
+// that cannot match the best distance found.
+func nearestBase(bases []geom.Vec3, side int, pitch float64, p geom.Vec3) int {
+	px, py := int(math.Floor(p.X/pitch)), int(math.Floor(p.Y/pitch))
+	best, bestD := -1, math.Inf(1)
+	visit := func(cx, cy int) {
+		bi := cy*side + cx
+		if cx < 0 || cx >= side || cy < 0 || bi >= len(bases) {
+			return
+		}
+		if d := bases[bi].Dist(p); d < bestD || d == bestD && bi < best {
+			best, bestD = bi, d
+		}
+	}
+	visit(px, py)
+	for r := 1; best < 0 || float64(r-1)*pitch < bestD; r++ {
+		for cx := px - r; cx <= px+r; cx++ {
+			visit(cx, py-r)
+			visit(cx, py+r)
+		}
+		for cy := py - r + 1; cy < py+r; cy++ {
+			visit(px-r, cy)
+			visit(px+r, cy)
+		}
+	}
+	return best
 }

@@ -1,10 +1,14 @@
 package topo
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"macaw/internal/core"
+	"macaw/internal/geom"
 	"macaw/internal/mac/macaw"
 	"macaw/internal/sim"
 )
@@ -63,4 +67,76 @@ func TestRandomBuilds(t *testing.T) {
 		t.Fatal("index disabled under default params")
 	}
 	n.Sim.Run(sim.FromSeconds(2))
+}
+
+// bruteNearest is the reference search: every base in index order, the
+// first of the least distances.
+func bruteNearest(bases []geom.Vec3, p geom.Vec3) int {
+	best, bestD := 0, math.Inf(1)
+	for bi, bp := range bases {
+		if d := bp.Dist(p); d < bestD {
+			best, bestD = bi, d
+		}
+	}
+	return best
+}
+
+// TestRandomNearestBaseMatchesBruteForce checks every pad's stream target
+// in generated layouts against a scan over all bases, for clustered and
+// uniform layouts, several seeds, and N from 2 (a single base) to 20 000.
+func TestRandomNearestBaseMatchesBruteForce(t *testing.T) {
+	for _, n := range []int{2, 3, 8, 9, 17, 100, 1000, 20000} {
+		for _, clustered := range []bool{true, false} {
+			seeds := []int64{1, 2, 3}
+			if n == 20000 {
+				seeds = seeds[:1]
+			}
+			for _, seed := range seeds {
+				l := Random(RandomSpec{N: n, Seed: seed, Clustered: clustered})
+				var bases []geom.Vec3
+				pos := make(map[string]geom.Vec3)
+				for _, s := range l.Stations {
+					pos[s.Name] = s.Pos
+					if s.Base {
+						bases = append(bases, s.Pos)
+					}
+				}
+				if n < 9 && len(bases) != 1 {
+					t.Fatalf("N=%d: %d bases, want 1", n, len(bases))
+				}
+				for _, s := range l.Streams {
+					if want := fmt.Sprintf("B%d", bruteNearest(bases, pos[s.From])+1); s.To != want {
+						t.Fatalf("N=%d clustered=%t seed=%d: %s streams to %s, brute force picks %s",
+							n, clustered, seed, s.From, s.To, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNearestBaseTies puts bases at the centres of a lattice of cells and
+// probes points equidistant from two or four of them, on cell edges, and
+// outside the lattice: the lowest index must win every tie.
+func TestNearestBaseTies(t *testing.T) {
+	const side, pitch = 10, 10.0
+	var bases []geom.Vec3
+	for i := 0; i < 95; i++ { // the last row is partly filled
+		bases = append(bases, geom.V((float64(i%side)+0.5)*pitch, (float64(i/side)+0.5)*pitch, 12))
+	}
+	var probes []geom.Vec3
+	for x := -40; x <= 140; x += 5 {
+		for y := -40; y <= 140; y += 5 {
+			probes = append(probes, geom.V(float64(x), float64(y), 6))
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, geom.V(r.Float64()*2000-1000, r.Float64()*2000-1000, 6))
+	}
+	for _, p := range probes {
+		if got, want := nearestBase(bases, side, pitch, p), bruteNearest(bases, p); got != want {
+			t.Fatalf("nearestBase(%v) = %d, brute force %d", p, got, want)
+		}
+	}
 }
