@@ -12,7 +12,8 @@ import (
 // silently ignore — -sweep-cold without a sweep, -chaos under -sweep (the
 // sweep branch runs first), -tracefrom with no trace to trim — fails closed
 // with a FlagConflictError naming both flags, so the caller learns which
-// half of the contradiction to drop.
+// half of the contradiction to drop. An unknown -format value fails closed
+// too, rather than falling back to text.
 
 // FlagConflictError reports two flags that cannot be combined (or a flag
 // whose prerequisite flag is missing). Flag is the flag being rejected;
@@ -34,11 +35,13 @@ type flagSet struct {
 	chaos     bool
 	traceJSON string
 	traceFrom float64
+	format    string
 }
 
 // validateFlags rejects contradictory flag combinations with a typed error
-// naming both flags. It runs before any flag takes effect, so a rejected
-// invocation leaves no partial output behind.
+// naming both flags, and a -format other than text or csv. It runs before
+// any flag takes effect, so a rejected invocation leaves no partial output
+// behind.
 func validateFlags(f flagSet) error {
 	if f.sweepCold && f.sweep == "" {
 		return &FlagConflictError{Flag: "-sweep-cold", Other: "-sweep",
@@ -51,6 +54,9 @@ func validateFlags(f flagSet) error {
 	if f.traceFrom != 0 && f.traceJSON == "" {
 		return &FlagConflictError{Flag: "-tracefrom", Other: "-tracejson",
 			Reason: "-tracefrom only trims what -tracejson records"}
+	}
+	if f.format != "text" && f.format != "csv" {
+		return fmt.Errorf("-format %q: want text or csv", f.format)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,11 +50,13 @@ func TestFlagCombinationsAllowed(t *testing.T) {
 		name string
 		fs   flagSet
 	}{
-		{"defaults", flagSet{}},
-		{"sweep alone", flagSet{sweep: "mild.dec=2"}},
-		{"sweep with cold", flagSet{sweep: "cw.min=7", sweepCold: true}},
-		{"chaos alone", flagSet{chaos: true}},
-		{"tracefrom with tracejson", flagSet{traceJSON: "t.jsonl", traceFrom: 5}},
+		{"defaults", flagSet{format: "text"}},
+		{"sweep alone", flagSet{sweep: "mild.dec=2", format: "text"}},
+		{"sweep with cold", flagSet{sweep: "cw.min=7", sweepCold: true, format: "text"}},
+		{"chaos alone", flagSet{chaos: true, format: "text"}},
+		{"tracefrom with tracejson", flagSet{traceJSON: "t.jsonl", traceFrom: 5, format: "text"}},
+		{"csv", flagSet{format: "csv"}},
+		{"sweep as csv", flagSet{sweep: "mild.dec=2", format: "csv"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,6 +64,21 @@ func TestFlagCombinationsAllowed(t *testing.T) {
 				t.Fatalf("validateFlags(%+v) = %v, want nil", tc.fs, err)
 			}
 		})
+	}
+}
+
+// TestUnknownFormatFailsClosed: -format accepts exactly text and csv. Any
+// other value is an error naming the flag and the value, not a silent
+// fallback to text.
+func TestUnknownFormatFailsClosed(t *testing.T) {
+	for _, format := range []string{"xml", "", "CSV", "json"} {
+		err := validateFlags(flagSet{format: format})
+		if err == nil {
+			t.Fatalf("validateFlags(-format %q) = nil, want an error", format)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "-format") || !strings.Contains(msg, fmt.Sprintf("%q", format)) {
+			t.Fatalf("error %q does not name -format and %q", msg, format)
+		}
 	}
 }
 

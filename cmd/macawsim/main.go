@@ -84,7 +84,7 @@ func main() {
 
 	if err := validateFlags(flagSet{
 		sweep: *sweepSpec, sweepCold: *sweepCold, chaos: *chaos,
-		traceJSON: *traceOut, traceFrom: *traceFrom,
+		traceJSON: *traceOut, traceFrom: *traceFrom, format: *format,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "macawsim: %v\n", err)
 		os.Exit(2)
@@ -184,17 +184,7 @@ func main() {
 		}
 	}
 
-	if *format == "csv" {
-		for _, tab := range tabs {
-			fmt.Printf("# %s\n%s\n", tab.ID, tab.CSV())
-		}
-		return
-	}
-	fmt.Printf("MACAW reproduction — %gs runs, %gs warmup, seed %d\n\n",
-		cfg.Total.Seconds(), cfg.Warmup.Seconds(), cfg.Seed)
-	for _, tab := range tabs {
-		fmt.Println(tab.Render())
-	}
+	render(cfg, tabs, *format)
 }
 
 // runSweep implements -sweep: parse the variant spec, execute the sweep
@@ -214,6 +204,12 @@ func runSweep(cfg experiments.RunConfig, spec string, opts experiments.SweepOpti
 	}
 	fmt.Fprintf(os.Stderr, "macawsim: sweep: %d variants x %d protocols (%d warmups, %d forks, %d cold runs)\n",
 		info.Variants, info.Protocols, info.Warmups, info.Forks, info.ColdRuns)
+	render(cfg, tabs, format)
+}
+
+// render prints tabs to stdout: one "# id" CSV block per table for -format
+// csv, otherwise the rendered tables under a run-length header.
+func render(cfg experiments.RunConfig, tabs []experiments.Table, format string) {
 	if format == "csv" {
 		for _, tab := range tabs {
 			fmt.Printf("# %s\n%s\n", tab.ID, tab.CSV())

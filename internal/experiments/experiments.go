@@ -291,40 +291,8 @@ func (cfg RunConfig) shardInstrument(label string) func(*core.Network, int) func
 		if comp >= 0 {
 			sub = fmt.Sprintf("%s#c%04d", label, comp)
 		}
-		var fins []func(core.Results)
-		if cfg.Audit {
-			o := oracle.New(cfg.Seed)
-			o.Attach(n)
-			fins = append(fins, func(core.Results) {
-				if err := o.Err(); err != nil {
-					panic(fmt.Sprintf("experiments: %v", err))
-				}
-			})
-		}
-		if cfg.Metrics != nil {
-			col := metrics.NewCollector()
-			n.AddMACObserver(col.Observer)
-			fins = append(fins, func(res core.Results) {
-				cfg.Metrics.Add(sub, col.Snapshot(n, res, cfg.Seed))
-			})
-		}
-		if cfg.Trace != nil {
-			rec := trace.NewRecorder(n.Sim)
-			rec.Max = cfg.TraceMax
-			if rec.Max == 0 {
-				rec.Max = DefaultTraceMax
-			}
-			rec.From = cfg.TraceFrom
-			n.AddMACObserver(rec.MACObserver)
-			fins = append(fins, func(core.Results) {
-				cfg.Trace.Add(sub, rec.Events(), rec.Dropped())
-			})
-		}
-		return func(res core.Results) {
-			for _, fin := range fins {
-				fin(res)
-			}
-		}
+		_, finish := cfg.attach(n, sub)
+		return finish
 	}
 }
 
@@ -350,6 +318,16 @@ type runCtl struct {
 // observation-only, so an instrumented run's results are byte-identical to
 // a bare one.
 func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
+	label := cfg.runLabel(name)
+	a, finish := cfg.attach(n, label)
+	return runCtl{cfg: cfg, label: label, finish: finish, aud: a}
+}
+
+// attach is the one observer-attach path: it attaches the oracle, then the
+// metrics collector, then the trace recorder (each only when configured) to
+// n, and returns the audit handle and the finish hook. The hook checks the
+// audit, then files the run's metrics and trace under label.
+func (cfg RunConfig) attach(n *core.Network, label string) (audit, func(core.Results)) {
 	a := cfg.newAudit(n)
 	var col *metrics.Collector
 	if cfg.Metrics != nil {
@@ -366,17 +344,15 @@ func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
 		rec.From = cfg.TraceFrom
 		n.AddMACObserver(rec.MACObserver)
 	}
-	rc := runCtl{cfg: cfg, label: cfg.runLabel(name), aud: a}
-	rc.finish = func(res core.Results) {
+	return a, func(res core.Results) {
 		a.check()
 		if col != nil {
-			cfg.Metrics.Add(rc.label, col.Snapshot(n, res, cfg.Seed))
+			cfg.Metrics.Add(label, col.Snapshot(n, res, cfg.Seed))
 		}
 		if rec != nil {
-			cfg.Trace.Add(rc.label, rec.Events(), rec.Dropped())
+			cfg.Trace.Add(label, rec.Events(), rec.Dropped())
 		}
 	}
-	return rc
 }
 
 // run executes the built network and invokes the finish hook. It is the

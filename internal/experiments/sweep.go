@@ -79,7 +79,7 @@ func ParseSweepSpec(spec string) ([]SweepVariant, error) {
 	return out, nil
 }
 
-// SweepOptions selects how RunSweep executes.
+// SweepOptions selects how RunSweepTables executes.
 type SweepOptions struct {
 	// Cold runs every variant from scratch — build, warm up, apply the
 	// delta at the barrier, run the tail — with no forking. It exists to
@@ -146,7 +146,7 @@ func SweepLayout() topo.Layout {
 	return l
 }
 
-// sweeper coordinates one RunSweep: the per-protocol warmed twins (each
+// sweeper coordinates one RunSweepTables call: the per-protocol warmed twins (each
 // built at most once, then shared read-only by every fork) and the
 // execution counters.
 type sweeper struct {
@@ -235,18 +235,6 @@ func (s *sweeper) runCell(cfg RunConfig, v SweepVariant, col sweepCol) core.Resu
 	res := rc.run(n)
 	s.note(func(i *SweepInfo) { i.Forks++ })
 	return res
-}
-
-// RunSweep executes the sweep grid — every variant against every protocol
-// column — and renders it as a Table whose rows are variants and whose cell
-// values are each run's aggregate throughput. It is RunSweepTables keeping
-// only the throughput table, for callers that predate the fairness table.
-func RunSweep(cfg RunConfig, variants []SweepVariant, opts SweepOptions) (Table, SweepInfo, error) {
-	tabs, info, err := RunSweepTables(cfg, variants, opts)
-	if len(tabs) == 0 {
-		return Table{}, info, err
-	}
-	return tabs[0], info, err
 }
 
 // RunSweepTables executes the sweep grid — every variant against every

@@ -37,14 +37,15 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 	r := NewRunner(4)
 	for seed := int64(1); seed <= 20; seed++ {
 		cfg := sweepCfg(seed).WithRunner(r)
-		warm, warmInfo, err := RunSweep(cfg, sweepTestVariants, SweepOptions{})
+		warmTabs, warmInfo, err := RunSweepTables(cfg, sweepTestVariants, SweepOptions{})
 		if err != nil {
 			t.Fatalf("seed %d warm sweep: %v", seed, err)
 		}
-		cold, coldInfo, err := RunSweep(cfg, sweepTestVariants, SweepOptions{Cold: true})
+		coldTabs, coldInfo, err := RunSweepTables(cfg, sweepTestVariants, SweepOptions{Cold: true})
 		if err != nil {
 			t.Fatalf("seed %d cold sweep: %v", seed, err)
 		}
+		warm, cold := warmTabs[0], coldTabs[0]
 		// The titles name their mode; everything measured must agree.
 		cold.Title = warm.Title
 		if got, want := fmt.Sprintf("%+v", warm), fmt.Sprintf("%+v", cold); got != want {
@@ -95,11 +96,11 @@ func TestRunSweepRefusesIncompatibleConfigs(t *testing.T) {
 		"trace":   func() RunConfig { c := base; c.Trace = trace.NewJSONLSink(); return c }(),
 		"delta":   func() RunConfig { c := base; c.Delta = &SweepVariant{Kind: "load.rate", Value: 40}; return c }(),
 	} {
-		if _, _, err := RunSweep(cfg, sweepTestVariants[:1], SweepOptions{}); err == nil {
-			t.Errorf("RunSweep with %s configured did not error", name)
+		if _, _, err := RunSweepTables(cfg, sweepTestVariants[:1], SweepOptions{}); err == nil {
+			t.Errorf("RunSweepTables with %s configured did not error", name)
 		}
 	}
-	if _, _, err := RunSweep(base, nil, SweepOptions{}); err == nil {
-		t.Error("RunSweep with no variants did not error")
+	if _, _, err := RunSweepTables(base, nil, SweepOptions{}); err == nil {
+		t.Error("RunSweepTables with no variants did not error")
 	}
 }

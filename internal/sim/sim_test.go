@@ -296,19 +296,50 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
+// BenchmarkScheduleAndRun schedules a batch of events at random delays and
+// runs them all, on a shallow queue (1024 events) and a deep one (65536).
+// A heap pays O(log n) per event, so the deep queue's per-event cost stays
+// within a small factor of the shallow one's (1.1-2.6x on a 2-vCPU
+// linux/amd64 host); the benchmark fails when it exceeds
+// maxDeepOverShallow, which a linear or quadratic queue scan blows through
+// by orders of magnitude. Both sides run in this process, so the ceiling
+// does not depend on host speed.
 func BenchmarkScheduleAndRun(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	delays := make([]Duration, 1024)
-	for i := range delays {
-		delays[i] = Duration(r.Int63n(int64(Second)))
+	const maxDeepOverShallow = 8
+	perEvent := map[string]float64{}
+	for _, q := range []struct {
+		name  string
+		depth int
+	}{{"shallow", 1 << 10}, {"deep", 1 << 16}} {
+		q := q
+		b.Run(q.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			delays := make([]Duration, q.depth)
+			for i := range delays {
+				delays[i] = Duration(r.Int63n(int64(Second)))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := New(1)
+				for _, d := range delays {
+					s.After(d, func() {})
+				}
+				s.RunAll()
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*q.depth)
+			b.ReportMetric(ns, "ns/event")
+			perEvent[q.name] = ns
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(1)
-		for _, d := range delays {
-			s.After(d, func() {})
-		}
-		s.RunAll()
+	deep, okDeep := perEvent["deep"]
+	shallow, okShallow := perEvent["shallow"]
+	if !okDeep || !okShallow {
+		return
+	}
+	b.Logf("deep/shallow per-event cost %.2fx (ceiling %dx)", deep/shallow, maxDeepOverShallow)
+	if deep > maxDeepOverShallow*shallow {
+		b.Fatalf("deep/shallow per-event cost %.2fx exceeds its %dx ceiling: queue cost grows faster than log n",
+			deep/shallow, maxDeepOverShallow)
 	}
 }
 
