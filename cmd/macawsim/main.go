@@ -3,7 +3,7 @@
 // Usage:
 //
 //	macawsim [-table table1..table11|ext-*|ext|all] [-chaos] [-audit] [-total SECONDS] [-warmup SECONDS] [-seed N] [-paper]
-//	         [-jobs N] [-shards N] [-metrics FILE] [-tracejson FILE [-tracefrom SECONDS]] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-jobs N] [-metrics FILE] [-tracejson FILE [-tracefrom SECONDS]] [-cpuprofile FILE] [-memprofile FILE]
 //	macawsim -sweep "kind=v1,v2[;kind2=v3,…]" [-sweep-cold] [run-length, seed, -audit and -jobs flags]
 //
 // Each table prints the paper's reported packets-per-second next to this
@@ -11,13 +11,7 @@
 // the default is a faster 120 s run that exhibits the same shapes. -jobs N
 // runs the independent simulations on N workers (capped at the core count);
 // every run is seeded before dispatch, so the output is byte-identical to
-// the serial (-jobs 1) path. -shards N parallelizes *within* each eligible
-// simulation: the building's causally independent radio components — proved
-// disconnected by the medium's negligibility-range certificate — execute on
-// separate event heaps across up to N goroutines and merge canonically, so
-// output is byte-identical to -shards 1. Runs the sharded engine cannot
-// reproduce exactly (scenario mods, -metrics, -tracejson) stay serial
-// automatically.
+// the serial (-jobs 1) path. Each simulation runs on one event heap.
 // -chaos replaces the table set with the robustness table: MACA vs MACAW
 // under injected faults (burst loss, asymmetric links, crash/restart,
 // mobility), each run swept by the FSM liveness watchdog.
@@ -69,7 +63,6 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper's 500s/50s run length")
 	format := flag.String("format", "text", "output format: text or csv")
 	jobs := flag.Int("jobs", 1, "number of simulations to run concurrently (output is identical for any value)")
-	shards := flag.Int("shards", 1, "max parallel event heaps per simulation: spatially independent radio components run concurrently (output is identical for any value)")
 	chaos := flag.Bool("chaos", false, "emit the fault-injection robustness table instead of the paper tables")
 	auditFlag := flag.Bool("audit", false, "check every run against the paper's protocol rules; violations abort with a replayable report")
 	metricsOut := flag.String("metrics", "", "write per-station/per-stream metrics for every run as JSON to this file")
@@ -131,7 +124,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Audit = *auditFlag
-	cfg.Shards = *shards
 	if *metricsOut != "" {
 		cfg.Metrics = metrics.NewSink()
 	}

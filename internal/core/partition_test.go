@@ -1,0 +1,88 @@
+package core_test
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"macaw/internal/core"
+	"macaw/internal/geom"
+	"macaw/internal/phy"
+)
+
+// TestPartitionMatchesBruteForce checks Blueprint.Partition label for label
+// against a reference built the slow way: every station pair within the
+// certified cutoff joined, every stream's endpoints joined, and labels
+// numbered in first-occurrence order. The blueprints are random buildings
+// spread wide enough to fall into many radio components, with random
+// streams that couple some of them.
+func TestPartitionMatchesBruteForce(t *testing.T) {
+	cutoff, ok := phy.DefaultParams().IndexCutoff()
+	if !ok {
+		t.Fatal("default physics must certify a cutoff")
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		var bp core.Blueprint
+		n := 1 + rng.Intn(80)
+		side := 200 + rng.Float64()*1500
+		for i := 0; i < n; i++ {
+			pos := geom.V(rng.Float64()*side, rng.Float64()*side, rng.Float64()*30)
+			if i > 0 && rng.Intn(8) == 0 {
+				// A station at the cutoff from an earlier one: the hop
+				// test is inclusive, so this pair must join.
+				pos = bp.Stations[rng.Intn(i)].Pos.Add(geom.V(cutoff, 0, 0))
+			}
+			bp.Stations = append(bp.Stations, core.BlueprintStation{Pos: pos})
+		}
+		for j := rng.Intn(n/4 + 1); j > 0; j-- {
+			bp.Streams = append(bp.Streams, core.BlueprintStream{From: rng.Intn(n), To: rng.Intn(n)})
+		}
+
+		labels, count, got, ok := bp.Partition()
+		if !ok || got != cutoff {
+			t.Fatalf("trial %d: cutoff = %v, %v; want %v, true", trial, got, ok, cutoff)
+		}
+		want, wantCount := bruteForcePartition(bp, cutoff)
+		if count != wantCount || !reflect.DeepEqual(labels, want) {
+			t.Fatalf("trial %d (%d stations, %d streams): partition %v (%d components), reference %v (%d)",
+				trial, n, len(bp.Streams), labels, count, want, wantCount)
+		}
+	}
+}
+
+// bruteForcePartition is the O(n²) reference for Blueprint.Partition.
+func bruteForcePartition(bp core.Blueprint, cutoff float64) ([]int, int) {
+	n := len(bp.Stations)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	join := func(a, b int) { parent[find(a)] = find(b) }
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if bp.Stations[i].Pos.Dist(bp.Stations[j].Pos) <= cutoff {
+				join(i, j)
+			}
+		}
+	}
+	for _, s := range bp.Streams {
+		join(s.From, s.To)
+	}
+	labels := make([]int, n)
+	first := make(map[int]int)
+	for i := range labels {
+		r := find(i)
+		if _, seen := first[r]; !seen {
+			first[r] = len(first)
+		}
+		labels[i] = first[r]
+	}
+	return labels, len(first)
+}

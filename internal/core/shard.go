@@ -10,8 +10,10 @@ import (
 	"macaw/internal/sim"
 )
 
-// This file implements the spatially-sharded parallel runner. The paper's
-// north-star regime — city-scale buildings of nanocells — produces radio
+// This file implements the spatially-sharded parallel runner. Its users are
+// city-scale buildings (the bench city workload and BenchmarkScaleN10000);
+// the paper's tables never reach it, since each of their layouts is one
+// radio component. City-scale buildings of nanocells produce radio
 // topologies that fall apart into many components under the medium's
 // negligibility certificate (phy.Params.IndexCutoff): two stations farther
 // apart than the cutoff have a stored gain of exactly 0.0, in both
@@ -41,10 +43,10 @@ import (
 //
 // Mergeability follows: per-stream results are placed back by global stream
 // index, medium counters are integer sums over disjoint event sets, and the
-// observers the runner supports (the conformance oracle) are per-station
-// and passive. Observers whose output depends on global event interleaving
-// (trace emission order, the metrics high-water queue depth) are not
-// mergeable; callers keep those runs on the monolithic path.
+// observer that keeps bit-identity outright (the conformance oracle) is
+// per-station and passive. Observers whose output depends on global event
+// interleaving (trace emission order, the metrics high-water queue depth)
+// cannot be merged into the monolithic run's document.
 
 // BlueprintStation declares one station of a Blueprint.
 type BlueprintStation struct {
@@ -89,13 +91,12 @@ type Blueprint struct {
 	// goroutines, concurrently with other components' hooks — shared
 	// state inside them must be synchronized. Per-station,
 	// interleaving-independent observers (the conformance oracle) keep
-	// the bit-identity contract outright; per-heap observers (metrics,
-	// traces) keep it per component — their output is canonical for a
-	// fixed partition, i.e. identical at every shard count >= 2, but
-	// keyed by component rather than matching the monolithic run. When
-	// sharded, a component network is dead once its finish hook returns
-	// (see Run): neither the hook nor anything it keeps may draw from the
-	// network's random streams afterwards.
+	// the bit-identity contract outright; a per-heap observer (metrics
+	// queue depths, trace order) sees only its component's heap, so its
+	// output does not match the monolithic run's. When sharded, a
+	// component network is dead once its finish hook returns (see Run):
+	// neither the hook nor anything it keeps may draw from the network's
+	// random streams afterwards.
 	Instrument func(n *Network, comp int) func(Results)
 
 	// Verify, when non-nil, checks each materialized network after
@@ -125,63 +126,23 @@ type ShardInfo struct {
 // be assumed coupled and the labels are all zero.
 func (bp Blueprint) Partition() (labels []int, count int, cutoff float64, ok bool) {
 	n := len(bp.Stations)
-	labels = make([]int, n)
 	if n == 0 {
-		return labels, 0, 0, false
+		return []int{}, 0, 0, false
 	}
 	cutoff, ok = phy.DefaultParams().IndexCutoff()
 	if !ok {
-		return labels, 1, 0, false
+		return make([]int, n), 1, 0, false
 	}
 	pts := make([]geom.Vec3, n)
 	for i, s := range bp.Stations {
 		pts[i] = s.Pos
 	}
-	radio, _ := geom.Components(pts, cutoff)
-
-	// Fold radio components and stream-endpoint couplings in one
-	// union-find, then renormalize to first-occurrence labels so the
-	// partition is a pure function of the blueprint.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	links := make([][2]int, len(bp.Streams))
+	for j, s := range bp.Streams {
+		links[j] = [2]int{s.From, s.To}
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	firstOf := make(map[int]int)
-	for i, l := range radio {
-		if f, seen := firstOf[l]; seen {
-			union(i, f)
-		} else {
-			firstOf[l] = i
-		}
-	}
-	for _, s := range bp.Streams {
-		union(s.From, s.To)
-	}
-	rep := make(map[int]int)
-	for i := range labels {
-		r := find(i)
-		l, seen := rep[r]
-		if !seen {
-			l = len(rep)
-			rep[r] = l
-		}
-		labels[i] = l
-	}
-	return labels, len(rep), cutoff, true
+	labels, count = geom.Components(pts, cutoff, links)
+	return labels, count, cutoff, true
 }
 
 // materialize builds a network holding the given station and stream subsets

@@ -52,25 +52,6 @@ type RunConfig struct {
 	// function of its configuration, so the rerun is the original run.
 	TraceFrom sim.Time
 
-	// Shards, when > 1, executes eligible runs on the spatially-sharded
-	// parallel engine (core.Blueprint.Run): the building's causally
-	// independent radio components run on separate event heaps across up
-	// to Shards goroutines, with results merged back into canonical
-	// order. Output is byte-identical to the serial engine at any shard
-	// count. Runs that the sharded engine cannot reproduce exactly stay
-	// on the monolithic path automatically: runs with scenario mods
-	// (noise, mobility, power events — their hooks close over the
-	// monolithic network) and sweep delta runs (the delta barrier pauses
-	// the one big heap). The audit oracle is per-station and passive, so
-	// audited runs shard fine. Metrics- and trace-instrumented runs shard
-	// too: each component records under a "<label>#c0000"-style
-	// sub-label, and because a component's event interleaving is
-	// identical on its own heap at every shard count, the label-sorted
-	// sink output is byte-identical across shard counts >= 2 (it differs
-	// from the serial run's single-label document, whose queue high-water
-	// marks and emission order are properties of the one big heap).
-	Shards int
-
 	// Delta, when non-nil, applies one typed sweep parameter delta
 	// (DESIGN.md §15) to the run at the delta barrier — virtual time
 	// start+Warmup — through core.ApplyDelta. RunSweepTables sets it per
@@ -239,9 +220,6 @@ func (t Table) MeasuredTotal(i int) float64 {
 // mobility, power events), and runs it. name labels the run in the metrics
 // and trace sinks.
 func runLayout(cfg RunConfig, name string, l topo.Layout, f core.MACFactory, mods ...func(*core.Network)) core.Results {
-	if res, ok := cfg.runSharded(cfg.runLabel(name), l, f, len(mods) == 0); ok {
-		return res
-	}
 	n := core.NewNetwork(cfg.Seed)
 	rc := cfg.instrument(name, n)
 	if err := l.Build(n, f); err != nil {
@@ -251,49 +229,6 @@ func runLayout(cfg RunConfig, name string, l topo.Layout, f core.MACFactory, mod
 		mod(n)
 	}
 	return rc.run(n)
-}
-
-// runSharded dispatches an eligible run to the sharded engine. plain is
-// false when the run carries scenario mods, which pins it to the monolithic
-// path (see RunConfig.Shards); so does a sweep delta. ok is false when the
-// monolithic path must run instead. label keys the metrics and trace sinks;
-// component networks record under "label#c<comp>" sub-labels, merged
-// canonically by the label-sorted writers.
-func (cfg RunConfig) runSharded(label string, l topo.Layout, f core.MACFactory, plain bool) (core.Results, bool) {
-	if cfg.Shards <= 1 || !plain || cfg.Delta != nil {
-		return core.Results{}, false
-	}
-	bp, err := l.Blueprint(f)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	bp.Seed = cfg.Seed
-	if cfg.Audit || cfg.Metrics != nil || cfg.Trace != nil {
-		bp.Instrument = cfg.shardInstrument(label)
-	}
-	res, _, err := bp.Run(cfg.Total, cfg.Warmup, cfg.Shards)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res, true
-}
-
-// shardInstrument builds the blueprint Instrument hook attaching every
-// configured passive observer to each materialized network. The oracle is
-// interleaving-independent, so audited sharded output is byte-identical to
-// serial; the metrics collector and trace recorder are per-heap, so each
-// component stores under its own deterministic sub-label ("label#c0003" for
-// component 3, the plain label on the serial fallback) and the sink
-// documents are byte-identical across shard counts >= 2.
-func (cfg RunConfig) shardInstrument(label string) func(*core.Network, int) func(core.Results) {
-	return func(n *core.Network, comp int) func(core.Results) {
-		sub := label
-		if comp >= 0 {
-			sub = fmt.Sprintf("%s#c%04d", label, comp)
-		}
-		_, finish := cfg.attach(n, sub)
-		return finish
-	}
 }
 
 // runCtl is the per-run control handle instrument returns: the run's sink
@@ -311,23 +246,16 @@ type runCtl struct {
 	warm *WarmSource
 }
 
-// instrument attaches every configured passive observer (oracle, metrics
-// collector, trace recorder) to a freshly built network and returns the
-// run's control handle; call rc.run(n) once the layout is built. It must be
-// called before the layout adds stations. All attachments are
-// observation-only, so an instrumented run's results are byte-identical to
-// a bare one.
+// instrument attaches every configured passive observer to a freshly built
+// network — the oracle, then the metrics collector, then the trace
+// recorder, each only when configured — and returns the run's control
+// handle; call rc.run(n) once the layout is built. It must be called before
+// the layout adds stations. All attachments are observation-only, so an
+// instrumented run's results are byte-identical to a bare one. The finish
+// hook checks the audit, then files the run's metrics and trace under the
+// run label.
 func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
 	label := cfg.runLabel(name)
-	a, finish := cfg.attach(n, label)
-	return runCtl{cfg: cfg, label: label, finish: finish, aud: a}
-}
-
-// attach is the one observer-attach path: it attaches the oracle, then the
-// metrics collector, then the trace recorder (each only when configured) to
-// n, and returns the audit handle and the finish hook. The hook checks the
-// audit, then files the run's metrics and trace under label.
-func (cfg RunConfig) attach(n *core.Network, label string) (audit, func(core.Results)) {
 	a := cfg.newAudit(n)
 	var col *metrics.Collector
 	if cfg.Metrics != nil {
@@ -344,7 +272,7 @@ func (cfg RunConfig) attach(n *core.Network, label string) (audit, func(core.Res
 		rec.From = cfg.TraceFrom
 		n.AddMACObserver(rec.MACObserver)
 	}
-	return a, func(res core.Results) {
+	finish := func(res core.Results) {
 		a.check()
 		if col != nil {
 			cfg.Metrics.Add(label, col.Snapshot(n, res, cfg.Seed))
@@ -353,6 +281,7 @@ func (cfg RunConfig) attach(n *core.Network, label string) (audit, func(core.Res
 			cfg.Trace.Add(label, rec.Events(), rec.Dropped())
 		}
 	}
+	return runCtl{cfg: cfg, label: label, finish: finish, aud: a}
 }
 
 // run executes the built network and invokes the finish hook. It is the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,4 +76,17 @@ func mustGen(t *testing.T, id string) Generator {
 		t.Fatalf("generator %q missing", id)
 	}
 	return g
+}
+
+// TestRunnerCapsJobsAtNumCPU pins the -jobs regression fix: the effective
+// worker count never exceeds the machine's cores, and a cap of 1 means the
+// pool is skipped (Tables runs generators inline).
+func TestRunnerCapsJobsAtNumCPU(t *testing.T) {
+	if got := NewRunner(0).Jobs(); got != 1 {
+		t.Fatalf("NewRunner(0).Jobs() = %d, want 1", got)
+	}
+	huge := NewRunner(1 << 20)
+	if huge.Jobs() > runtime.NumCPU() {
+		t.Fatalf("Jobs() = %d exceeds NumCPU = %d", huge.Jobs(), runtime.NumCPU())
+	}
 }

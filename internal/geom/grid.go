@@ -28,9 +28,6 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{cell: cellSize, cells: make(map[Cube][]int32)}
 }
 
-// CellSize reports the grid's cell edge length.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // cellOf maps a position to its containing cell.
 func (g *Grid) cellOf(p Vec3) Cube {
 	return Cube{

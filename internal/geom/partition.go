@@ -3,24 +3,28 @@ package geom
 import "math"
 
 // Components labels points by spatial connectivity: two points share a label
-// iff they are linked by a chain of hops of length at most r. With r the
-// medium's certified interaction cutoff (phy.Params.IndexCutoff), the labels
-// are exactly the radio-interaction components of a static topology — every
-// pair of points in different components is provably beyond the cutoff, so
-// the gain between them is stored as exactly zero and no event in one
-// component can ever influence the other.
+// iff they are linked by a chain of hops, each either of length at most r or
+// one of the given links (pairs of point indices). With r the medium's
+// certified interaction cutoff (phy.Params.IndexCutoff), the labels without
+// links are exactly the radio-interaction components of a static topology —
+// every pair of points in different components is provably beyond the
+// cutoff, so the gain between them is stored as exactly zero and no event in
+// one component can ever influence the other. Links fold non-radio coupling
+// into that partition: a traffic stream's endpoints must execute together
+// even if their radios never hear each other.
 //
 // Labels are normalized to first-occurrence order: the component of pts[0]
 // is 0, the next distinct component encountered while scanning pts in order
-// is 1, and so on. The labeling is therefore a pure function of (pts, r) —
-// independent of the union order, the grid's map iteration order, and any
-// shard count — which is what lets shard planners built on top of it promise
-// deterministic partitions.
+// is 1, and so on. The labeling is therefore a pure function of
+// (pts, r, links) — independent of the union order, the grid's map
+// iteration order, and any shard count — which is what lets shard planners
+// built on top of it promise deterministic partitions.
 //
 // The hop test is inclusive (dist == r connects): the medium treats a pair
 // at exactly the cutoff as potentially audible, so the partition must too.
-// Cost is O(len(pts) · neighbors) via a spatial hash of cell edge r.
-func Components(pts []Vec3, r float64) (labels []int, count int) {
+// Cost is O(len(pts) · neighbors + len(links)) via a spatial hash of cell
+// edge r.
+func Components(pts []Vec3, r float64, links [][2]int) (labels []int, count int) {
 	labels = make([]int, len(pts))
 	if len(pts) == 0 {
 		return labels, 0
@@ -59,6 +63,9 @@ func Components(pts []Vec3, r float64) (labels []int, count int) {
 			}
 		})
 	}
+	for _, l := range links {
+		union(l[0], l[1])
+	}
 	// Normalize representative ids to first-occurrence labels.
 	rep := make(map[int]int)
 	for i := range pts {
@@ -71,29 +78,6 @@ func Components(pts []Vec3, r float64) (labels []int, count int) {
 		labels[i] = l
 	}
 	return labels, len(rep)
-}
-
-// Union merges the components of points a and b in a label slice produced by
-// Components, renormalizing to first-occurrence order. Shard planners use it
-// to fold non-radio coupling — a traffic stream, a scheduled move — into the
-// radio partition: the endpoints must then execute in the same shard even if
-// their radios never hear each other.
-func Union(labels []int, a, b int) (out []int, count int) {
-	la, lb := labels[a], labels[b]
-	out = make([]int, len(labels))
-	rep := make(map[int]int)
-	for i, l := range labels {
-		if l == la || l == lb {
-			l = la
-		}
-		n, ok := rep[l]
-		if !ok {
-			n = len(rep)
-			rep[l] = n
-		}
-		out[i] = n
-	}
-	return out, len(rep)
 }
 
 // ShardOfCell maps one grid cell to a shard in [0, shards). The mapping is a

@@ -12,7 +12,7 @@ func TestComponentsBasic(t *testing.T) {
 		V(0, 0, 0), V(5, 0, 0), V(9, 3, 0), // chain: 0-1-2
 		V(100, 0, 0), V(104, 0, 0), // pair: 3-4
 	}
-	labels, n := Components(pts, 10)
+	labels, n := Components(pts, 10, nil)
 	if n != 2 {
 		t.Fatalf("count = %d, want 2", n)
 	}
@@ -27,12 +27,12 @@ func TestComponentsBasic(t *testing.T) {
 func TestComponentsHopIsInclusiveAtExactRadius(t *testing.T) {
 	// Two points at exactly r must connect: the medium treats a pair at the
 	// certified cutoff as potentially audible.
-	labels, n := Components([]Vec3{V(0, 0, 0), V(10, 0, 0)}, 10)
+	labels, n := Components([]Vec3{V(0, 0, 0), V(10, 0, 0)}, 10, nil)
 	if n != 1 || labels[0] != labels[1] {
 		t.Fatalf("points at exactly r not connected: labels=%v count=%d", labels, n)
 	}
 	// Just beyond r must not.
-	labels, n = Components([]Vec3{V(0, 0, 0), V(10.001, 0, 0)}, 10)
+	labels, n = Components([]Vec3{V(0, 0, 0), V(10.001, 0, 0)}, 10, nil)
 	if n != 2 || labels[0] == labels[1] {
 		t.Fatalf("points beyond r connected: labels=%v count=%d", labels, n)
 	}
@@ -44,21 +44,21 @@ func TestComponentsTransitiveChain(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pts = append(pts, V(float64(i)*9, 0, 0))
 	}
-	_, n := Components(pts, 10)
+	_, n := Components(pts, 10, nil)
 	if n != 1 {
 		t.Fatalf("chain split into %d components, want 1", n)
 	}
 }
 
 func TestComponentsDegenerateInputs(t *testing.T) {
-	if labels, n := Components(nil, 10); n != 0 || len(labels) != 0 {
+	if labels, n := Components(nil, 10, nil); n != 0 || len(labels) != 0 {
 		t.Fatalf("empty input: labels=%v count=%d", labels, n)
 	}
 	// Non-positive or infinite radius: no certificate, everything is one
 	// component.
 	pts := []Vec3{V(0, 0, 0), V(1e6, 0, 0)}
 	for _, r := range []float64{0, -1} {
-		labels, n := Components(pts, r)
+		labels, n := Components(pts, r, nil)
 		if n != 1 || labels[0] != 0 || labels[1] != 0 {
 			t.Fatalf("r=%v: labels=%v count=%d, want one component", r, labels, n)
 		}
@@ -74,7 +74,7 @@ func TestComponentsMatchesBruteForce(t *testing.T) {
 		for i := range pts {
 			pts[i] = V(rng.Float64()*300-150, rng.Float64()*300-150, rng.Float64()*20)
 		}
-		labels, count := Components(pts, r)
+		labels, count := Components(pts, r, nil)
 		if len(labels) != n {
 			t.Fatalf("trial %d: %d labels for %d points", trial, len(labels), n)
 		}
@@ -127,31 +127,6 @@ func TestComponentsMatchesBruteForce(t *testing.T) {
 			if l > max {
 				max = l
 			}
-		}
-	}
-}
-
-func TestUnionMergesAndRenormalizes(t *testing.T) {
-	labels := []int{0, 0, 1, 2, 2, 3}
-	out, n := Union(labels, 1, 3) // merge components 0 and 2
-	if n != 3 {
-		t.Fatalf("count = %d, want 3", n)
-	}
-	// 0 and 2 collapse; renormalized first-occurrence: {0,0}, {1}, {0,0}, {2}
-	want := []int{0, 0, 1, 0, 0, 2}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-	// Union within one component is a no-op partition-wise.
-	out2, n2 := Union(labels, 3, 4)
-	if n2 != 4 {
-		t.Fatalf("self-union count = %d, want 4", n2)
-	}
-	for i := range labels {
-		if out2[i] != labels[i] {
-			t.Fatalf("self-union changed labels: %v -> %v", labels, out2)
 		}
 	}
 }

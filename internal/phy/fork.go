@@ -1,10 +1,6 @@
 package phy
 
-import (
-	"fmt"
-
-	"macaw/internal/sim"
-)
+import "fmt"
 
 // This file is the radio medium's side of warm-started forking (DESIGN.md
 // §15). A freshly built medium adopts the authoritative state of a warmed
@@ -114,13 +110,4 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	m.invalidateNoise()
 	m.recomputeCarrier()
 	return nil
-}
-
-// EndEventFor is a test hook reporting the scheduled completion handle of
-// the radio's in-flight transmission (zero when idle).
-func (r *Radio) EndEventFor() sim.Event {
-	if r.tx == nil {
-		return sim.Event{}
-	}
-	return r.tx.endEv
 }

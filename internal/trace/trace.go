@@ -124,14 +124,9 @@ type Recorder struct {
 	events  []Event
 	// Sink, if non-nil, receives each event line as it is recorded.
 	Sink io.Writer
-	// Tap, if non-nil, receives every event as it happens, before the
-	// From/To window filter — an online subscription for consumers (such
-	// as the conformance oracle's tests) that need the full stream rather
-	// than the recorded slice.
-	Tap func(Event)
 	// Max, when positive, bounds the recorded slice: events beyond it are
 	// counted in dropped instead of retained, so a long instrumented run
-	// cannot grow an unbounded trace. The Tap still sees everything.
+	// cannot grow an unbounded trace.
 	Max int
 	// OmitBridgeRx suppresses Receive events from MAC-observer bridges
 	// (MACObserver); set it when the recorder is also attached as a radio
@@ -177,13 +172,10 @@ func (r *Recorder) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Record appends e to the trace, honouring the Tap, the From/To window, and
-// the Max cap. It is the single entry point for both the radio wrappers and
+// Record appends e to the trace, honouring the From/To window and the Max
+// cap. It is the single entry point for both the radio wrappers and
 // the MAC-observer bridges.
 func (r *Recorder) Record(e Event) {
-	if r.Tap != nil {
-		r.Tap(e)
-	}
 	if r.s.Now() < r.From || (r.To > 0 && r.s.Now() >= r.To) {
 		return
 	}
