@@ -219,16 +219,25 @@ func (m *Manifest) ID() string {
 	return fmt.Sprintf("%016x", snapshot.ConfigHash(m.canonical()))
 }
 
+// resultsVersion numbers the output a job's result line renders: its
+// tables and metrics documents. It is part of jobDesc, so a ledger written
+// by a build whose output differs is never served as this build's results.
+// Bump it with any change to rendered output; TestResultsVersionPinsOutput
+// pins each version to a digest of one job's line and fails until the bump
+// is made.
+const resultsVersion = 1
+
 // jobDesc is the canonical description of one job's run configuration —
 // everything that shapes its event history and nothing that doesn't (the
-// campaign name deliberately absent). It is the repository's one run
-// identity: its hash content-addresses the job's result, so overlapping
-// campaigns, or one campaign resubmitted, share ledger entries for every
-// identically configured job. The string is part of the cache.bin format —
-// changing it orphans every recorded result.
+// campaign name deliberately absent) — and of the results version that
+// rendered it. It is the repository's one run identity: its hash
+// content-addresses the job's result, so overlapping campaigns, or one
+// campaign resubmitted, share ledger entries for every identically
+// configured job. The string is part of the cache.bin format — changing
+// it, a results version bump included, orphans every recorded result.
 func (m *Manifest) jobDesc(j Job) string {
-	return fmt.Sprintf("macawd-job-v1|spec=%s|total=%d|warmup=%d|audit=%t|seed=%d",
-		j.Spec, m.Total(), m.Warmup(), m.Audit, j.Seed)
+	return fmt.Sprintf("macawd-job-v1|results=%d|spec=%s|total=%d|warmup=%d|audit=%t|seed=%d",
+		resultsVersion, j.Spec, m.Total(), m.Warmup(), m.Audit, j.Seed)
 }
 
 // jobKey is the job's ledger key: spec, config hash, seed (snapshot.Key).

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -129,5 +131,38 @@ func TestManifestEncodeRoundTrip(t *testing.T) {
 	}
 	if string(back.Encode()) != string(m.Encode()) {
 		t.Error("Encode is not a fixed point across one round trip")
+	}
+}
+
+// resultDigests pins every results version to the SHA-256 of one short
+// job's result line — table1, seed 1, total_s 2, warmup_s 0.5 — which
+// holds the table's rendered text and its metrics documents.
+var resultDigests = map[int]string{
+	1: "4e81fa6af388576aad16ff51ced9e092a19afe36ca968d5fa52c77202161ffaa",
+}
+
+// TestResultsVersionPinsOutput fails when a job's rendered output changes
+// while resultsVersion stays put, which would let macawd serve results
+// cached by an older build as this build's. On a deliberate output change,
+// bump resultsVersion and pin the new digest under the new version.
+func TestResultsVersionPinsOutput(t *testing.T) {
+	probeManifest := &Manifest{TotalS: 2, WarmupS: 0.5}
+	probeJob := Job{Spec: "table:table1", Seed: 1}
+	res := probeManifest.execute(probeJob)
+	l, err := res.decode()
+	if err != nil || len(l.Tables) != 1 || len(l.Metrics) == 0 {
+		t.Fatalf("probe job rendered %d tables and %d metrics documents (err %v), want one table and its metrics", len(l.Tables), len(l.Metrics), err)
+	}
+	for v := 1; v <= resultsVersion; v++ {
+		if resultDigests[v] == "" {
+			t.Errorf("results version %d has no pinned digest", v)
+		}
+	}
+	sum := sha256.Sum256(res.line)
+	got := hex.EncodeToString(sum[:])
+	if want := resultDigests[resultsVersion]; got != want {
+		t.Fatalf("%s seed %d renders digest %s, but results version %d is pinned to %s: "+
+			"output changed, so bump resultsVersion and pin the new digest under it",
+			probeJob.Spec, probeJob.Seed, got, resultsVersion, want)
 	}
 }

@@ -311,13 +311,14 @@ func TestShardedRecyclingBitIdentical(t *testing.T) {
 	}
 }
 
-// generatorAllocs reports what run allocates in math/rand sources, from a
-// memory profile sampling every allocation.
+// generatorAllocs reports what run allocates in random generators — the
+// sim.Source objects sim.NewSource builds — from a memory profile sampling
+// every allocation.
 func generatorAllocs(run func()) (bytes, objects int64) {
 	return profiledAllocs(run, func(frames *runtime.Frames) bool {
 		for {
 			f, more := frames.Next()
-			if f.Function == "math/rand.newSource" || f.Function == "math/rand.NewSource" {
+			if f.Function == "macaw/internal/sim.NewSource" {
 				return true
 			}
 			if !more {

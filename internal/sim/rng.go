@@ -1,20 +1,19 @@
 package sim
 
-import "math/rand"
-
 // This file implements the simulator's RNG streams: lazily seeded, counted
-// wrappers around math/rand sources whose generators can be handed from a
+// wrappers around Sources (source.go) whose generators can be handed from a
 // finished simulator to the next one (DESIGN.md §8, "Recycled RNG streams").
 //
-// A math/rand source is a 607-word lagged-Fibonacci state, about 4.9 KB,
-// and seeding it is a 607-step pass. A stream keeps only its derived seed
-// until its first draw, so a stream nobody draws from — a simulator's
-// primary generator, a medium without a noise model — costs a few dozen
-// bytes. Seeding overwrites a source's whole state, so a generator taken
-// over from a dead simulator and re-seeded deals exactly the values a fresh
-// rand.NewSource would.
+// A Source is math/rand's generator: a 607-word lagged-Fibonacci state,
+// about 4.9 KB, whose seeding is 1841 Lehmer steps, computed in four
+// overlapping chains. A stream keeps only its derived seed until its first
+// draw, so a stream nobody draws from — a simulator's primary generator, a
+// medium without a noise model — costs a few dozen bytes. Seeding
+// overwrites a source's whole state, so a generator taken over from a dead
+// simulator and re-seeded deals exactly the values a fresh rand.NewSource
+// would.
 
-// countingSource wraps a rand.Source64 and counts draws. Both Int63 and
+// countingSource wraps a Source and counts draws. Both Int63 and
 // Uint64 advance the underlying generator by exactly one internal step, so
 // the count is a complete cursor into the stream. Wrapping preserves the
 // exact output sequence: rand.Rand routes every draw through Int63/Uint64,
@@ -25,18 +24,11 @@ import "math/rand"
 // (see Simulator.Recycle). Once its simulator has been recycled the stream
 // is poisoned: it holds no generator, and building one panics.
 type countingSource struct {
-	src      rand64 // nil until the first draw, and again once recycled
+	src      *Source // nil until the first draw, and again once recycled
 	draws    uint64
 	streamNo int64 // 0 = the simulator's primary generator
 	seed     int64
 	s        *Simulator
-}
-
-// rand64 is the interface math/rand's rngSource satisfies.
-type rand64 interface {
-	Int63() int64
-	Uint64() uint64
-	Seed(int64)
 }
 
 // newSource registers a lazily seeded stream with the simulator.
@@ -47,7 +39,7 @@ func (s *Simulator) newSource(streamNo, seed int64) *countingSource {
 }
 
 // gen returns the stream's generator, building it on first use.
-func (c *countingSource) gen() rand64 {
+func (c *countingSource) gen() *Source {
 	if c.src == nil {
 		c.src = c.s.generator(c.seed)
 	}
@@ -77,13 +69,13 @@ func (c *countingSource) Seed(seed int64) {
 
 // generator returns a source seeded with seed: a re-seeded spare when one
 // is left, a new one otherwise.
-func (s *Simulator) generator(seed int64) rand64 {
+func (s *Simulator) generator(seed int64) *Source {
 	if s.recycled {
 		panic("sim: RNG draw on a recycled simulator")
 	}
 	n := len(s.spares)
 	if n == 0 {
-		return rand.NewSource(seed).(rand64)
+		return NewSource(seed)
 	}
 	g := s.spares[n-1]
 	s.spares[n-1] = nil

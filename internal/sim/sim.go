@@ -66,7 +66,7 @@ type Simulator struct {
 	nfired     uint64            // events fired by Step over the simulator's lifetime
 	maxQueue   int               // high-water mark of the event queue length
 	sources    []*countingSource // every RNG source handed out, in creation order
-	spares     []rand64          // unused generators taken over by Recycle
+	spares     []*Source         // unused generators taken over by Recycle
 	recycled   bool              // Recycle handed this simulator's storage on
 }
 

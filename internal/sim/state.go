@@ -22,7 +22,7 @@ import (
 //     make the dump self-describing for triage.
 //
 //   - RNG streams are cursors into deterministic sequences. Rather than
-//     reaching into math/rand internals, every source the simulator hands
+//     reaching into the generator's state, every source the simulator hands
 //     out is wrapped in a countingSource that tallies draws; the (seed,
 //     stream number, draw count) triple is the complete cursor, because the
 //     underlying sequence is a pure function of the seed.

@@ -7,6 +7,7 @@ import (
 
 	"macaw/internal/core"
 	"macaw/internal/geom"
+	"macaw/internal/sim"
 )
 
 // RandomSpec parameterizes a seeded synthetic large-topology generator,
@@ -63,7 +64,7 @@ func Random(spec RandomSpec) Layout {
 	if spec.N < 2 {
 		panic("topo: Random needs at least 2 stations")
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := rand.New(sim.NewSource(spec.Seed))
 	nBases := spec.N / (spec.PadsPerBase + 1)
 	if nBases < 1 {
 		nBases = 1
