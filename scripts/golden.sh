@@ -13,8 +13,10 @@
 #   scripts/golden.sh check    regenerate into a temp dir and diff against golden
 #
 # check also verifies that -jobs 4 and a fully instrumented run (-audit
-# -metrics -tracejson) reproduce the same table bytes, and that the metrics
-# and trace documents themselves are identical across -jobs values.
+# -metrics -tracejson) reproduce the same table bytes, that the metrics
+# and trace documents themselves are identical across -jobs values, and that
+# the audited parameter sweep (two values of every delta kind) renders the
+# same bytes at -jobs 1 and -jobs 4.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +24,10 @@ golden="testdata/golden"
 TABLES_ARGS="-total 12 -warmup 2 -seed 1"
 CHAOS_ARGS="-chaos -total 8 -warmup 2 -seed 1"
 CSV_ARGS="-table table2 -format csv -total 12 -warmup 2 -seed 1"
+# Two values of every core.DeltaKinds() kind, each applied at the warmup
+# barrier of a network warmed under the base configuration (DESIGN.md §15).
+SWEEP_SPEC="backoff.min=2,4;backoff.max=32,64;mild.inc=1.5,2;mild.dec=1,2;load.rate=40,56;retry.limit=4,8;cw.min=7,15;cw.max=255,1023;retry.short=2,4;retry.long=2,4;tournament.window=16,32"
+SWEEP_ARGS="-total 12 -warmup 4 -seed 1 -audit"
 
 gen() {
     local dir="$1" sim="$2"
@@ -29,6 +35,7 @@ gen() {
     "$sim" $TABLES_ARGS > "$dir/tables.txt"
     "$sim" $CHAOS_ARGS > "$dir/chaos.txt"
     "$sim" $CSV_ARGS > "$dir/table2.csv"
+    "$sim" -sweep "$SWEEP_SPEC" $SWEEP_ARGS > "$dir/sweep.txt" 2> /dev/null
 }
 
 tmp="$(mktemp -d)"
@@ -42,7 +49,7 @@ gen)
     ;;
 check)
     gen "$tmp/fresh" "$tmp/macawsim"
-    for f in tables.txt chaos.txt table2.csv; do
+    for f in tables.txt chaos.txt table2.csv sweep.txt; do
         diff -u "$golden/$f" "$tmp/fresh/$f" ||
             { echo "FATAL: $f drifted from golden output" >&2; exit 1; }
     done
@@ -51,6 +58,9 @@ check)
     "$tmp/macawsim" $TABLES_ARGS -jobs 4 > "$tmp/tables.jobs4.txt"
     diff -u "$golden/tables.txt" "$tmp/tables.jobs4.txt" ||
         { echo "FATAL: -jobs 4 output differs from golden" >&2; exit 1; }
+    "$tmp/macawsim" -sweep "$SWEEP_SPEC" $SWEEP_ARGS -jobs 4 > "$tmp/sweep.jobs4.txt" 2> /dev/null
+    diff -u "$golden/sweep.txt" "$tmp/sweep.jobs4.txt" ||
+        { echo "FATAL: -jobs 4 sweep output differs from golden" >&2; exit 1; }
 
     # Passive observers must not change a byte, and their own documents must
     # be identical at any parallelism.
@@ -74,7 +84,7 @@ check)
     "$tmp/macawtrace" -summarize "$tmp/t1.jsonl" > /dev/null ||
         { echo "FATAL: macawtrace -summarize failed on -tracejson output" >&2; exit 1; }
 
-    echo "golden outputs verified (serial, -jobs 4, instrumented)"
+    echo "golden outputs verified (serial, -jobs 4, instrumented, sweep)"
     ;;
 *)
     echo "usage: scripts/golden.sh gen|check" >&2
