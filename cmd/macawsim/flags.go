@@ -9,8 +9,8 @@ import (
 
 // This file validates flag combinations immediately after flag.Parse, before
 // any work (or file creation) happens. A flag that another flag would
-// silently ignore — -sweep-cold without a sweep, -chaos under -sweep (the
-// sweep branch runs first), -tracefrom with no trace to trim — fails closed
+// silently ignore — -chaos under -sweep (the sweep branch runs first),
+// -tracefrom with no trace to trim — fails closed
 // with a FlagConflictError naming both flags, so the caller learns which
 // half of the contradiction to drop. An unknown -format value fails closed
 // too, rather than falling back to text.
@@ -31,7 +31,6 @@ func (e *FlagConflictError) Error() string {
 // flagSet is the subset of parsed flag state the validator inspects.
 type flagSet struct {
 	sweep     string
-	sweepCold bool
 	chaos     bool
 	traceJSON string
 	traceFrom float64
@@ -43,10 +42,6 @@ type flagSet struct {
 // any flag takes effect, so a rejected invocation leaves no partial output
 // behind.
 func validateFlags(f flagSet) error {
-	if f.sweepCold && f.sweep == "" {
-		return &FlagConflictError{Flag: "-sweep-cold", Other: "-sweep",
-			Reason: "cold execution is a mode of the sweep grid"}
-	}
 	if f.chaos && f.sweep != "" {
 		return &FlagConflictError{Flag: "-chaos", Other: "-sweep",
 			Reason: "a sweep builds its own grid; the robustness table is a separate run"}
@@ -64,6 +59,6 @@ func validateFlags(f flagSet) error {
 // sweepUsage is the -sweep help text. It lists the delta kinds from
 // core.DeltaKinds, so the help cannot fall behind the taxonomy.
 func sweepUsage() string {
-	return fmt.Sprintf("run a warm-started parameter sweep instead of the tables: \"kind=v1,v2[;kind2=v3,…]\" over typed deltas (%s); one warmup per protocol is forked into every variant (ignores -table)",
+	return fmt.Sprintf("run a warm-started parameter sweep instead of the tables: \"kind=v1,v2[;kind2=v3,…]\" over typed deltas (%s); each variant's delta applies at the warmup barrier of a network warmed up under the base configuration (ignores -table)",
 		strings.Join(core.DeltaKinds(), ", "))
 }

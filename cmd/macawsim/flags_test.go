@@ -18,7 +18,6 @@ func TestFlagConflictsFailClosed(t *testing.T) {
 		fs         flagSet
 		flag, with string
 	}{
-		{"sweep-cold without sweep", flagSet{sweepCold: true}, "-sweep-cold", "-sweep"},
 		{"chaos+sweep", flagSet{sweep: "mild.dec=2", chaos: true}, "-chaos", "-sweep"},
 		{"tracefrom without tracejson", flagSet{traceFrom: 5}, "-tracefrom", "-tracejson"},
 	}
@@ -52,7 +51,6 @@ func TestFlagCombinationsAllowed(t *testing.T) {
 	}{
 		{"defaults", flagSet{format: "text"}},
 		{"sweep alone", flagSet{sweep: "mild.dec=2", format: "text"}},
-		{"sweep with cold", flagSet{sweep: "cw.min=7", sweepCold: true, format: "text"}},
 		{"chaos alone", flagSet{chaos: true, format: "text"}},
 		{"tracefrom with tracejson", flagSet{traceJSON: "t.jsonl", traceFrom: 5, format: "text"}},
 		{"csv", flagSet{format: "csv"}},

@@ -4,7 +4,7 @@
 //
 //	macawsim [-table table1..table11|ext-*|ext|all] [-chaos] [-audit] [-total SECONDS] [-warmup SECONDS] [-seed N] [-paper]
 //	         [-jobs N] [-metrics FILE] [-tracejson FILE [-tracefrom SECONDS]] [-cpuprofile FILE] [-memprofile FILE]
-//	macawsim -sweep "kind=v1,v2[;kind2=v3,…]" [-sweep-cold] [run-length, seed, -audit and -jobs flags]
+//	macawsim -sweep "kind=v1,v2[;kind2=v3,…]" [run-length, seed, -audit and -jobs flags]
 //
 // Each table prints the paper's reported packets-per-second next to this
 // reproduction's measurements. -paper selects the paper's 500 s run length;
@@ -30,11 +30,9 @@
 // -tracejson and -tracefrom just before the moment of interest (an oracle
 // violation, a wedge) records exactly the tail that led to it.
 // -sweep "kind=v1,v2;…" replaces the table set with a warm-started parameter
-// sweep: each protocol simulates its warmup once, and that warmed network is
-// forked — state adopted and byte-verified — into one variant per typed
-// delta, which applies its parameter change at the warmup barrier and runs
-// only the tail. The rendered table is byte-identical to -sweep-cold, which
-// simulates every variant from scratch.
+// sweep: every (variant, protocol) cell warms its network up under the base
+// configuration, applies the variant's typed delta at the warmup barrier,
+// and runs the measured tail.
 //
 // Crash-safe resume of long campaigns is cmd/macawd's job: its ledger serves
 // every completed run after a restart.
@@ -72,11 +70,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	sweepSpec := flag.String("sweep", "", sweepUsage())
-	sweepCold := flag.Bool("sweep-cold", false, "with -sweep, run every variant from scratch instead of forking a warmed network (same table, no speedup; for measuring the warm-start win)")
 	flag.Parse()
 
 	if err := validateFlags(flagSet{
-		sweep: *sweepSpec, sweepCold: *sweepCold, chaos: *chaos,
+		sweep: *sweepSpec, chaos: *chaos,
 		traceJSON: *traceOut, traceFrom: *traceFrom, format: *format,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "macawsim: %v\n", err)
@@ -138,7 +135,7 @@ func main() {
 	}
 
 	if *sweepSpec != "" {
-		runSweep(cfg.WithRunner(experiments.NewRunner(*jobs)), *sweepSpec, experiments.SweepOptions{Cold: *sweepCold}, *format)
+		runSweep(cfg.WithRunner(experiments.NewRunner(*jobs)), *sweepSpec, *format)
 		return
 	}
 
@@ -180,22 +177,21 @@ func main() {
 }
 
 // runSweep implements -sweep: parse the variant spec, execute the sweep
-// grid (warm-started unless -sweep-cold), and render the variants-by-
-// protocol throughput and fairness tables with a one-line execution summary
-// on stderr.
-func runSweep(cfg experiments.RunConfig, spec string, opts experiments.SweepOptions, format string) {
+// grid, and render the variants-by-protocol throughput and fairness tables
+// with a one-line execution summary on stderr.
+func runSweep(cfg experiments.RunConfig, spec string, format string) {
 	variants, err := experiments.ParseSweepSpec(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "macawsim: -sweep: %v\n", err)
 		os.Exit(2)
 	}
-	tabs, info, err := experiments.RunSweepTables(cfg, variants, opts)
+	tabs, info, err := experiments.RunSweepTables(cfg, variants, experiments.SweepOptions{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "macawsim: -sweep: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "macawsim: sweep: %d variants x %d protocols (%d warmups, %d forks, %d cold runs)\n",
-		info.Variants, info.Protocols, info.Warmups, info.Forks, info.ColdRuns)
+	fmt.Fprintf(os.Stderr, "macawsim: sweep: %d variants x %d protocols (%d warmups)\n",
+		info.Variants, info.Protocols, info.Warmups)
 	render(cfg, tabs, format)
 }
 

@@ -6,8 +6,7 @@ import "fmt"
 // sweeps (DESIGN.md §15): a delta applied at a barrier rewrites strategy
 // constants — bounds, the MILD increase factor and decrease step — inside
 // the policies of a running network. Counters are left untouched; the new
-// constants take effect from the next adjustment, identically on a cold run
-// and a warm fork applying the same delta at the same barrier.
+// constants take effect from the next adjustment.
 
 // retuneStrategy rewrites p's strategy in place via fn.
 func retuneStrategy(p Policy, fn func(Strategy) (Strategy, error)) error {

@@ -137,10 +137,10 @@ func (m *Manifest) validate() error {
 			if _, err := experiments.ParseSweepSpec(rs.Sweep); err != nil {
 				return &ManifestError{Field: field + ".sweep", Reason: err.Error()}
 			}
-			// A warm sweep forks its variants at the end of the warmup;
-			// at t=0 there is no warmed state to fork.
+			// A sweep applies each variant's delta at the delta barrier,
+			// start+warmup; at warmup 0 there is no warmed network.
 			if m.Warmup() == 0 {
-				return &ManifestError{Field: field + ".sweep", Reason: "a warm sweep needs warmup_s > 0"}
+				return &ManifestError{Field: field + ".sweep", Reason: "the delta barrier is start+warmup, so a sweep needs warmup_s > 0"}
 			}
 		}
 		if len(rs.Seeds) == 0 {

@@ -119,8 +119,9 @@ func (m *Manifest) execute(j Job) *Result {
 	res := resultLine{Spec: j.Spec, Seed: j.Seed}
 	switch kind, arg, _ := splitSpec(j.Spec); kind {
 	case "sweep":
-		// Sweeps refuse metrics sinks (a warm fork only observes the
-		// tail), so a sweep job's result is its rendered tables.
+		// Sweeps refuse metrics sinks (a variant's run spans the base
+		// warmup and the variant's tail), so a sweep job's result is its
+		// rendered tables.
 		variants, err := experiments.ParseSweepSpec(arg)
 		if err != nil {
 			panic(fmt.Sprintf("campaign: %v", err)) // validated at submission; unreachable

@@ -31,8 +31,8 @@ import (
 
 // MACFactory builds a protocol engine over the prepared environment. The
 // return type is the explicit MAC SPI (mac.Engine): a backend that misses any
-// part of the contract — lifecycle, introspection, state inventory, forking —
-// does not compile as a factory.
+// part of the contract — lifecycle, introspection, state inventory — does
+// not compile as a factory.
 type MACFactory func(env *mac.Env) mac.Engine
 
 // MACAFactory returns the original MACA protocol (Appendix A).
@@ -227,16 +227,11 @@ func (st *Station) onDropped(p *mac.Packet, _ mac.DropReason) {
 
 // recycle takes back a packet at its terminal callback (Sent or Dropped):
 // the MAC SPI's lifetime rule makes it dead to the engine once the callback
-// returns. Packets enqueued at or before the network's share barrier are
-// left to the garbage collector instead, since a warm twin and its forks
-// hold them by pointer (see AdoptFrom). A zeroed packet has Size 0, which no
-// offer carries, so completing one packet twice fails closed.
+// returns. A zeroed packet has Size 0, which no offer carries, so completing
+// one packet twice fails closed.
 func (st *Station) recycle(p *mac.Packet) {
 	if p.Size == 0 {
 		panic(fmt.Sprintf("core: station %s: packet completed twice", st.name))
-	}
-	if p.Enqueued <= st.net.shared {
-		return
 	}
 	*p = mac.Packet{}
 	st.free = append(st.free, p)
@@ -341,10 +336,6 @@ type Network struct {
 	// arena is the unused tail of the chunk that packet payloads are cut
 	// from (see payload).
 	arena []byte
-	// shared is the share barrier: packets enqueued at or before it may be
-	// held by a warm twin and its forks alike, so no station recycles them.
-	// It is -1 until ForceCompactEvents or AdoptFrom sets it.
-	shared sim.Time
 
 	// TCPCfg configures new TCP streams. The default matches the
 	// paper-era TCP §3.3.1 describes: a 0.5 s minimum retransmission
@@ -364,7 +355,6 @@ func NewNetwork(seed int64) *Network {
 		Cfg:    mac.DefaultConfig(),
 		byName: make(map[string]*Station),
 		nextID: 1,
-		shared: -1,
 		TCPCfg: tcpCfg,
 	}
 }

@@ -313,8 +313,7 @@ func captureStation(n *Network, name string) (*Station, *captureMAC) {
 
 // TestPacketRecycling pins the station's packet free list: a completed
 // packet comes back zeroed and is reused by the next offer, its payload
-// bytes are never reused, a packet enqueued at or before the share barrier
-// is left alone, and completing a packet twice panics.
+// bytes are never reused, and completing a packet twice panics.
 func TestPacketRecycling(t *testing.T) {
 	n := NewNetwork(1)
 	st, c := captureStation(n, "P")
@@ -339,17 +338,8 @@ func TestPacketRecycling(t *testing.T) {
 		t.Fatalf("reused packet carries dst=%d size=%d", p.Dst, p.Size)
 	}
 
-	// A packet enqueued at or before the share barrier stays shared.
-	n.shared = 5
-	c.got[1].Enqueued = 5
-	c.cb.NotifyDropped(c.got[1], mac.DropRetries)
-	if c.got[1].Size != 40 || len(st.free) != 0 {
-		t.Fatal("a packet enqueued at the share barrier was recycled")
-	}
-
 	st.SendSegment(2, seg, 512)
 	twice := c.got[2]
-	twice.Enqueued = 6
 	c.cb.NotifySent(twice)
 	defer func() {
 		if recover() == nil {

@@ -11,12 +11,10 @@ import (
 )
 
 // This file applies typed parameter deltas at a run barrier (DESIGN.md §15).
-// A delta is the thing a warm-started sweep varies: one warmed network is
-// forked into many variants, each applying a different delta at the same
-// virtual time. Correctness rests on the delta being applied through this
-// single code path on both the cold and the warm side — the continuation is
-// then a pure function of (state at barrier, delta), and the warm fork's
-// byte-verified state makes the two sides identical.
+// A delta is the thing a warm-started sweep varies: every variant warms its
+// network up under the base configuration, then applies its delta at the
+// same virtual time, so the continuation is a pure function of (state at
+// barrier, delta).
 //
 // Delta kinds:
 //
@@ -35,8 +33,8 @@ import (
 // Kinds inapplicable to a protocol (mild.* over BEB, any backoff kind over
 // the token scheme, cw.* at a non-DCF station, retry.limit at a station
 // with no retry counter) are deterministic no-ops — deterministically
-// nothing on both sides — never silent partial applications. Unknown kinds
-// and kinds that would invalidate captured state (fault.*) fail closed with
+// nothing at every station — never silent partial applications. Unknown kinds
+// and kinds that would invalidate warmed state (fault.*) fail closed with
 // typed errors. Values that would silently clamp — a mild.dec step wider
 // than the backoff window span, a cw.min above a station's live cw.max —
 // fail at validation time, before any station is touched (the cw.* kinds
@@ -48,8 +46,8 @@ var (
 	ErrDeltaUnknown = errors.New("core: unknown delta kind")
 	// ErrDeltaInvalid means the delta value is out of the kind's domain.
 	ErrDeltaInvalid = errors.New("core: invalid delta value")
-	// ErrDeltaInvalidates means the delta kind would invalidate captured
-	// state (fault trajectories) and cannot be applied to a warm fork.
+	// ErrDeltaInvalidates means the delta kind would rewrite state fixed at
+	// build time (fault trajectories), so it cannot take effect at a barrier.
 	ErrDeltaInvalidates = errors.New("core: delta invalidates warm state")
 )
 
@@ -86,9 +84,9 @@ type windowRetuner interface{ SetWindow(v int) error }
 
 // ApplyDelta applies one typed parameter delta to the running network. It
 // must be invoked with the network parked at a barrier; it first compacts
-// the event queue (so a cold run and a warm fork see identical heaps from
-// here on), then dispatches on the kind. Every error is typed and fails the
-// whole application before any station was touched.
+// the event queue (invisible to the run), then dispatches on the kind. Every
+// error is typed and fails the whole application before any station was
+// touched.
 func (n *Network) ApplyDelta(kind string, value float64) error {
 	n.Sim.ForceCompact()
 	switch kind {
@@ -214,8 +212,8 @@ func (n *Network) ApplyDelta(kind string, value float64) error {
 	default:
 		if strings.HasPrefix(kind, "fault.") {
 			// Fault knobs shape the injector's trajectory from time zero;
-			// a warm capture has already committed to one, so no delta can
-			// rewrite it at a barrier.
+			// a warmed network has already committed to one, so no delta
+			// can rewrite it at a barrier.
 			return fmt.Errorf("%w: %s (fault trajectories are fixed at build)", ErrDeltaInvalidates, kind)
 		}
 		return fmt.Errorf("%w: %q", ErrDeltaUnknown, kind)

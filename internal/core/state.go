@@ -5,9 +5,10 @@ import "fmt"
 // This file is the network's contribution to the state inventory (DESIGN.md
 // §14): a canonical, deterministic dump of every piece of mutable state the
 // network owns, delegating to each layer's own AppendState. Byte-equality of
-// two dumps taken at the same virtual time is the fork verifier's divergence
-// test, so every field that can affect future behavior — and every field
-// that can reveal a diverged past, such as counters — belongs here.
+// two dumps taken at the same virtual time is the passivity and replay
+// tests' divergence check, so every field that can affect future behavior —
+// and every field that can reveal a diverged past, such as counters —
+// belongs here.
 
 // stateAppender is the cross-layer state-dump hook. It is an anonymous
 // structural interface rather than a named one in a shared package so that

@@ -55,7 +55,7 @@ type RunConfig struct {
 	// Delta, when non-nil, applies one typed sweep parameter delta
 	// (DESIGN.md §15) to the run at the delta barrier — virtual time
 	// start+Warmup — through core.ApplyDelta. RunSweepTables sets it per
-	// variant; a cold variant pauses there, a warm fork starts there.
+	// variant.
 	Delta *SweepVariant
 
 	// runner, when set via WithRunner, executes the independent runs
@@ -232,18 +232,12 @@ func runLayout(cfg RunConfig, name string, l topo.Layout, f core.MACFactory, mod
 }
 
 // runCtl is the per-run control handle instrument returns: the run's sink
-// label, the finish hook for its passive observers, and the audit oracle.
-// Its run method is the chokepoint that executes the network.
+// label and the finish hook for its passive observers (the audit oracle
+// among them). Its run method is the chokepoint that executes the network.
 type runCtl struct {
 	cfg    RunConfig
 	label  string
 	finish func(core.Results)
-	aud    audit
-	// warm, when non-nil, makes run fork the warmed twin instead of
-	// simulating the warmup itself: the built network adopts the twin's
-	// state at the barrier, applies the config's delta, and runs only the
-	// measured tail. See WarmSource.
-	warm *WarmSource
 }
 
 // instrument attaches every configured passive observer to a freshly built
@@ -281,20 +275,17 @@ func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
 			cfg.Trace.Add(label, rec.Events(), rec.Dropped())
 		}
 	}
-	return runCtl{cfg: cfg, label: label, finish: finish, aud: a}
+	return runCtl{cfg: cfg, label: label, finish: finish}
 }
 
 // run executes the built network and invokes the finish hook. It is the
-// single chokepoint every generator's run goes through, in one of three
-// shapes: a warm fork (runTail), a plain run, or a cold sweep variant that
-// pauses at the delta barrier — start+Warmup, the instant a warm fork
-// adopts — to apply its delta. RunTo pauses are not events, so the cold
-// variant fires exactly the events a plain run would up to the barrier.
+// single chokepoint every generator's run goes through, in one of two
+// shapes: a plain run, or a sweep variant that pauses at the delta barrier
+// (start+Warmup) to apply its delta to the network warmed up under the base
+// configuration. RunTo pauses are not events, so the variant fires exactly
+// the events a plain run would up to the barrier.
 func (rc runCtl) run(n *core.Network) core.Results {
 	cfg := rc.cfg
-	if rc.warm != nil {
-		return rc.runTail(n)
-	}
 	if cfg.Delta == nil {
 		res := n.Run(cfg.Total, cfg.Warmup)
 		rc.finish(res)
@@ -302,34 +293,8 @@ func (rc runCtl) run(n *core.Network) core.Results {
 	}
 	n.Start(cfg.Total, cfg.Warmup)
 	n.RunTo(n.Sim.Now() + sim.Time(cfg.Warmup))
-	return rc.runDelta(n)
-}
-
-// runTail executes a warm-started run: the freshly built network adopts the
-// twin's state at the barrier (byte-verified inside AdoptFrom — divergence
-// fails closed), the oracle adopts the warmup's expectations, the variant's
-// delta is applied, and only the tail simulates. The produced Results and
-// final state inventory are byte-identical to a cold run applying the same
-// delta at the same barrier — TestSweepWarmMatchesCold holds the line.
-func (rc runCtl) runTail(n *core.Network) core.Results {
-	if err := n.AdoptFrom(rc.warm.Net); err != nil {
-		panic(fmt.Sprintf("experiments: forking %s: %v", rc.label, err))
-	}
-	if rc.aud.o != nil {
-		if err := rc.aud.o.AdoptFrom(rc.warm.Aud); err != nil {
-			panic(fmt.Sprintf("experiments: forking %s: %v", rc.label, err))
-		}
-	}
-	return rc.runDelta(n)
-}
-
-// runDelta applies the config's delta (if any) to a network paused at the
-// delta barrier and runs it to the end.
-func (rc runCtl) runDelta(n *core.Network) core.Results {
-	if d := rc.cfg.Delta; d != nil {
-		if err := n.ApplyDelta(d.Kind, d.Value); err != nil {
-			panic(fmt.Sprintf("experiments: delta for %s: %v", rc.label, err))
-		}
+	if err := n.ApplyDelta(cfg.Delta.Kind, cfg.Delta.Value); err != nil {
+		panic(fmt.Sprintf("experiments: delta for %s: %v", rc.label, err))
 	}
 	n.RunTo(n.End())
 	res := n.Collect()

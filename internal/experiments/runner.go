@@ -19,8 +19,8 @@ import (
 // Parallel execution therefore changes only wall-clock order: the results,
 // and any output rendered from them, are byte-identical to a serial run.
 //
-// A run that panics (an oracle violation, a watchdog abort, a fork
-// divergence) does not take the process down from a worker goroutine: the
+// A run that panics (an oracle violation, a watchdog abort, a rejected
+// delta) does not take the process down from a worker goroutine: the
 // failure is captured as a RunFailure naming the (table, seed) that died,
 // runs already executing drain normally, queued runs are cancelled, and
 // Tables returns the failure as an error.

@@ -175,7 +175,6 @@ func (s *stubEngine) Halt()                       { s.halted = true }
 func (s *stubEngine) Halted() bool                { return s.halted }
 func (s *stubEngine) Protocol() string            { return "stub" }
 func (s *stubEngine) AppendState(b []byte) []byte { return b }
-func (s *stubEngine) AdoptFrom(mac.Engine) error  { return nil }
 
 // wedgedMAC is a stub engine stuck outside IDLE with no timer — the exact
 // pathology the watchdog exists to catch.

@@ -332,3 +332,11 @@ func (c *CSMA) RadioReceive(f *frame.Frame) {
 		c.finish(head)
 	}
 }
+
+// BackoffPolicy exposes the live policy for barrier-time retuning (sweep
+// deltas).
+func (c *CSMA) BackoffPolicy() backoff.Policy { return c.pol }
+
+// SetMaxRetries rewrites the per-packet retry limit, effective from the next
+// failed attempt.
+func (c *CSMA) SetMaxRetries(n int) { c.env.Cfg.MaxRetries = n }

@@ -17,8 +17,8 @@
 //     exhausting drops the head packet and resets the window.
 //
 // The engine keeps the repository's one-state-timer discipline: every
-// non-idle state has exactly one pending timer, discriminated for forking by
-// a timer kind rather than by state alone. Backoff freezing is conservative:
+// non-idle state has exactly one pending timer, discriminated by a timer
+// kind rather than by state alone. Backoff freezing is conservative:
 // when the attempt timer finds the medium busy (carrier or NAV), the drawn
 // countdown is kept and re-waited in full after the medium clears, which
 // over-defers slightly but never under-defers.
@@ -66,8 +66,8 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// tKind discriminates which continuation the single state timer carries; the
-// fork path re-arms by kind (several states chain two timers).
+// tKind discriminates which continuation the single state timer carries
+// (several states chain two timers).
 type tKind int
 
 const (
@@ -642,4 +642,59 @@ func (d *DCF) onACK(f *frame.Frame) {
 	d.stats.DataSent++
 	d.env.Callbacks.NotifySent(head)
 	d.startContention()
+}
+
+// CWBounds returns the live CWmin/CWmax pair — the sweep delta layer reads
+// them to validate a cw.* delta against every station before applying it to
+// any.
+func (d *DCF) CWBounds() (min, max int) { return d.opt.CWMin, d.opt.CWMax }
+
+// SetCWMin rewrites the minimum contention window at a sweep barrier. It
+// fails closed when v would invert the window bounds — the sweep delta layer
+// surfaces this as a validation error rather than clamping silently.
+func (d *DCF) SetCWMin(v int) error {
+	if v < 1 {
+		return fmt.Errorf("dcf: cw.min %d below floor 1", v)
+	}
+	if v > d.opt.CWMax {
+		return fmt.Errorf("dcf: cw.min %d above cw.max %d", v, d.opt.CWMax)
+	}
+	d.opt.CWMin = v
+	if d.cw < v {
+		d.cw = v
+	}
+	return nil
+}
+
+// SetCWMax rewrites the maximum contention window at a sweep barrier, failing
+// closed when v would fall below the configured minimum.
+func (d *DCF) SetCWMax(v int) error {
+	if v < d.opt.CWMin {
+		return fmt.Errorf("dcf: cw.max %d below cw.min %d", v, d.opt.CWMin)
+	}
+	d.opt.CWMax = v
+	if d.cw > v {
+		d.cw = v
+	}
+	return nil
+}
+
+// SetShortRetry rewrites dot11ShortRetryLimit, effective from the next failed
+// RTS attempt.
+func (d *DCF) SetShortRetry(n int) error {
+	if n < 1 {
+		return fmt.Errorf("dcf: retry.short %d below floor 1", n)
+	}
+	d.opt.ShortRetry = n
+	return nil
+}
+
+// SetLongRetry rewrites dot11LongRetryLimit, effective from the next failed
+// data attempt.
+func (d *DCF) SetLongRetry(n int) error {
+	if n < 1 {
+		return fmt.Errorf("dcf: retry.long %d below floor 1", n)
+	}
+	d.opt.LongRetry = n
+	return nil
 }

@@ -408,9 +408,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 }
 
 // onDataSent completes the DATA transmission started by the CTS: the packet
-// held in sending is reported sent and the station moves on. A named method
-// (rather than a closure over the popped head) keeps the pending-timer
-// callback symbol stable, which warm-started forks rely on.
+// held in sending is reported sent and the station moves on.
 func (m *MACA) onDataSent() {
 	m.timer = sim.Event{}
 	head := m.sending
@@ -426,3 +424,11 @@ func (m *MACA) onTimeoutToIdle() {
 	m.timer = sim.Event{}
 	m.next()
 }
+
+// BackoffPolicy exposes the live policy for barrier-time retuning (sweep
+// deltas).
+func (m *MACA) BackoffPolicy() backoff.Policy { return m.pol }
+
+// SetMaxRetries rewrites the per-packet retry limit, effective from the next
+// failed attempt.
+func (m *MACA) SetMaxRetries(n int) { m.env.Cfg.MaxRetries = n }

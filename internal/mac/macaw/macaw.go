@@ -132,8 +132,7 @@ type contender struct {
 // txKind discriminates which transmission the SendData-state timer is
 // completing. Five different frames can be on the air in SendData; the kind
 // (with txHead/txWantAck) is the full continuation state, so the timer
-// callbacks can be named methods instead of capturing closures — which keeps
-// their symbols stable for warm-started forks.
+// callbacks can be named methods instead of capturing closures.
 type txKind int
 
 const (
@@ -1283,3 +1282,11 @@ func (m *MACAW) onNACK(f *frame.Frame) {
 	m.bumpAttempts(m.curDst)
 	m.next()
 }
+
+// BackoffPolicy exposes the live policy for barrier-time retuning (sweep
+// deltas).
+func (m *MACAW) BackoffPolicy() backoff.Policy { return m.pol }
+
+// SetMaxRetries rewrites the per-packet retry limit, effective from the next
+// failed attempt.
+func (m *MACAW) SetMaxRetries(n int) { m.env.Cfg.MaxRetries = n }

@@ -2,7 +2,7 @@ package mac
 
 // This file defines the explicit MAC service-provider interface (SPI). The
 // protocol engines (csma, maca, macaw, token, dcf, tournament) used to agree
-// on lifecycle, introspection, snapshotting, and forking only by convention —
+// on lifecycle, introspection and snapshotting only by convention —
 // each capability was an optional interface probed with a type assertion, so
 // an engine could silently miss one (the token scheme shipped without Halt,
 // observer hooks, or queue-drop accounting for exactly that reason). Engine
@@ -32,7 +32,7 @@ package mac
 //     in-flight slot) and reads none of its fields afterwards, so the host
 //     may zero and reuse the record for a later offer (see Callbacks).
 //   - AppendState completeness: every field that can affect future behavior
-//     appears in the dump; fork byte-verification diffs the dumps.
+//     appears in the dump; the passivity and replay tests diff the dumps.
 type Engine interface {
 	MAC
 	Halter
@@ -49,11 +49,4 @@ type Engine interface {
 	// AppendState appends the engine's canonical FSM dump for the snapshot
 	// state inventory (DESIGN.md §14).
 	AppendState(b []byte) []byte
-
-	// AdoptFrom copies peer's mutable protocol state into the receiver,
-	// which must be a freshly built twin of the same concrete type bound to
-	// an identically built environment (DESIGN.md §15). It fails closed on
-	// a type mismatch, a halted instance on either side, differing options,
-	// or a live timer it cannot re-arm.
-	AdoptFrom(peer Engine) error
 }

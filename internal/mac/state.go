@@ -30,7 +30,7 @@ func (s *StreamQueues) AppendState(b []byte) []byte {
 
 // AppendPacketRef appends a named reference to an in-flight packet (or nil)
 // using the same identity fields as the queue dump — the engines' sending /
-// txHead continuation fields are inventory: a fork that lost track of the
+// txHead continuation fields are inventory: a run that lost track of the
 // packet its pending air-time timer completes must diverge visibly here.
 func AppendPacketRef(b []byte, name string, p *Packet) []byte {
 	if p == nil {

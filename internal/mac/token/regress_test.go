@@ -156,9 +156,8 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 }
 
 // TestAppendStateCarriesCancellationAndHalt pins the AppendState field-order
-// fix: the inventory must carry the timer Cancelled flags (a cancelled but
-// uncompacted event is an ordering-key difference a fork must reproduce) and
-// the halted bit, in the SPI's conventional positions.
+// fix: the inventory must carry the timer Cancelled flags and the halted
+// bit, in the SPI's conventional positions.
 func TestAppendStateCarriesCancellationAndHalt(t *testing.T) {
 	w := newRing(14, 2, Options{})
 	line := string(w.nodes[0].m.AppendState(nil))

@@ -61,7 +61,7 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// tKind discriminates the single state timer's continuation for forking.
+// tKind discriminates the single state timer's continuation.
 type tKind int
 
 const (
@@ -492,3 +492,19 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		t.startWait()
 	}
 }
+
+// SetWindow rewrites the constant contention window at a sweep barrier. It
+// fails closed below the floor of 2 (a 1-wide window has zero rounds and
+// every contention would collide) — the sweep delta layer surfaces this as a
+// validation error rather than clamping silently.
+func (t *Tournament) SetWindow(v int) error {
+	if v < 2 {
+		return fmt.Errorf("tournament: window %d below floor 2", v)
+	}
+	t.opt.Window = v
+	return nil
+}
+
+// SetMaxRetries rewrites the per-packet retry limit, effective from the next
+// unacknowledged data frame.
+func (t *Tournament) SetMaxRetries(n int) { t.env.Cfg.MaxRetries = n }

@@ -76,9 +76,6 @@ type transmission struct {
 	// seq is the global start-order stamp. Per-radio audible lists stay
 	// sorted by it, which is exactly the active-list (summation) order.
 	seq uint64
-	// endEv is the scheduled end-of-transmission event, retained so a
-	// warm-started fork can re-arm the completion at its exact ordering key.
-	endEv sim.Event
 	// pending counts the receive and corruption notifications endTx
 	// scheduled that have not fired yet; the record is recycled when it
 	// drops to zero.
@@ -211,11 +208,9 @@ type Medium struct {
 	// txFree and recFree recycle transmission and reception records, so
 	// steady-state traffic allocates neither. A reception is dead once
 	// endTx finishes; a transmission once its last notification has fired
-	// (it owns the frame the notifications deliver). draining counts the
-	// ended transmissions still waiting for notifications.
-	txFree   []*transmission
-	recFree  []*reception
-	draining int
+	// (it owns the frame the notifications deliver).
+	txFree  []*transmission
+	recFree []*reception
 }
 
 // Closure-free event adapters for Simulator.AtPriorityCall: package-level
@@ -244,7 +239,6 @@ func corruptedCall(a, b any) {
 func (tx *transmission) notified() {
 	tx.pending--
 	if tx.pending == 0 {
-		tx.m.draining--
 		tx.m.freeTx(tx)
 	}
 }
@@ -713,7 +707,7 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	// spawns at priority -1) must precede any same-instant MAC timer, or
 	// a station whose contention slot lands exactly at a frame boundary
 	// would transmit without having "heard" the frame that just ended.
-	tx.endEv = m.s.AtPriorityCall(tx.end, -2, endTxCall, m, tx)
+	m.s.AtPriorityCall(tx.end, -2, endTxCall, m, tx)
 	return air
 }
 
@@ -773,11 +767,8 @@ func (m *Medium) endTx(tx *transmission) {
 	}
 	tx.rx = tx.rx[:0]
 	tx.radio = nil
-	tx.endEv = sim.Event{}
 	if tx.pending == 0 {
 		m.freeTx(tx)
-	} else {
-		m.draining++
 	}
 	if m.useIndex() {
 		m.updateCarrierFor(src.nbr)

@@ -27,7 +27,6 @@ type record struct {
 	callFn     func(a, b any)
 	argA, argB any
 	seq        uint64
-	prio       int32 // kept for ReadoptCall, which copies a pending event's key
 	cancelled  bool
 }
 
@@ -148,7 +147,7 @@ func (s *Simulator) push(t Time, prio int) (int32, *record) {
 	}
 	i := s.alloc()
 	x := &s.slab[i]
-	x.seq, x.prio = s.seq, p
+	x.seq = s.seq
 	s.heapPush(entry{when: t, key: packKey(p, s.seq), rec: i})
 	return i, x
 }
@@ -191,6 +190,11 @@ func (s *Simulator) compact() {
 		s.siftDown(i)
 	}
 }
+
+// ForceCompact removes every cancelled event from the queue immediately,
+// regardless of the purge heuristics. Like compact, it is invisible to the
+// simulation.
+func (s *Simulator) ForceCompact() { s.compact() }
 
 // Event is a handle to a scheduled callback. The zero Event refers to no
 // event; non-zero handles are created exclusively through Simulator.At,

@@ -84,9 +84,6 @@ func (m *refSim) push(ev *refEvent) {
 	if m.free > 0 {
 		m.free--
 	}
-	if ev.cancelled { // re-armed by ReadoptCall
-		m.ncancelled++
-	}
 }
 
 // purge restates the queue's policy: drop cancelled events at the head,
@@ -137,6 +134,22 @@ func (m *refSim) run(until Time, log *[]int) {
 		m.now = until
 	}
 }
+
+// freeLen reports the recycled-record pool size.
+func (s *Simulator) freeLen() int { return len(s.free) }
+
+// dropAll discards every pending event, fired or not, recycling the records.
+func (s *Simulator) dropAll() {
+	for _, x := range s.queue {
+		s.recycle(x.rec)
+	}
+	s.queue = s.queue[:0]
+	s.ncancelled = 0
+}
+
+// live reports whether the handle still refers to a pending event in its
+// owning simulator (not fired, not cancelled-and-reclaimed).
+func (r Event) live() bool { return r.rec() != nil }
 
 // queueHarness drives a real simulator and the model with the same
 // operations and compares them after each one.
@@ -199,46 +212,6 @@ func (q *queueHarness) cancel(k int) {
 	}
 }
 
-// fork re-arms every event pending on the current simulator in a fresh
-// one through ReadoptCall, as warm-fork adoption does, and makes the fresh
-// one current. The old simulator stays alive as the twin, never stepped
-// again. ReadoptCall on a handle that is no longer live must return a
-// synthetic handle answering like the source.
-func (q *queueHarness) fork() {
-	old := q.cur
-	n := &refSim{s: New(1)}
-	n.s.DropAllEvents()
-	var adopted []*refHandle
-	for _, rh := range q.handles {
-		if rh.ev.sim != old || !rh.ev.pending {
-			if rh.ev.pending { // pending in an older twin: not this fork's
-				continue
-			}
-			syn := n.s.ReadoptCall(rh.h, fireCall, q, rh.ev)
-			if syn.Live() || !syn.IsZero() || syn.When() != rh.h.When() || syn.Cancelled() != rh.h.Cancelled() {
-				q.t.Fatalf("ReadoptCall of a dead handle: live=%t zero=%t when=%v cancelled=%t, want dead, zero, %v, %t",
-					syn.Live(), syn.IsZero(), syn.When(), syn.Cancelled(), rh.h.When(), rh.h.Cancelled())
-			}
-			continue
-		}
-		ev := q.newEvent(rh.ev.when, rh.ev.prio, rh.ev.stop)
-		ev.seq, ev.cancelled = rh.ev.seq, rh.ev.cancelled
-		h := n.s.ReadoptCall(rh.h, fireCall, q, ev)
-		n.push(ev)
-		adopted = append(adopted, &refHandle{h: h, ev: ev})
-	}
-	if _, _, cancelled, maxq := n.s.SchedCounters(); cancelled != n.ncancelled || maxq != n.maxq {
-		q.t.Fatalf("fork re-armed %d cancelled events at peak %d, model %d at %d", cancelled, maxq, n.ncancelled, n.maxq)
-	}
-	n.s.SetFreeList(old.s.FreeLen())
-	seq, fired, cancelled, maxq := old.s.SchedCounters()
-	n.s.SetCounters(seq, fired, cancelled, maxq)
-	n.s.SetClock(old.s.Now())
-	n.free, n.seq, n.fired, n.ncancelled, n.maxq, n.now = old.free, old.seq, old.fired, old.ncancelled, old.maxq, old.now
-	q.handles = append(q.handles, adopted...)
-	q.cur = n
-}
-
 // recycle hands the current simulator's storage to a fresh one, which
 // becomes current. The dead simulator's events are dropped, and
 // scheduling on it must panic.
@@ -269,9 +242,9 @@ func (q *queueHarness) check(op string) {
 		q.t.Fatalf("after %s: fired %v, model fired %v", op, q.got, q.want)
 	}
 	if s.Now() != m.now || s.Pending() != len(m.queue) || s.Fired() != m.fired ||
-		s.MaxQueued() != m.maxq || s.FreeLen() != m.free {
+		s.MaxQueued() != m.maxq || s.freeLen() != m.free {
 		q.t.Fatalf("after %s: now=%v pending=%d fired=%d maxq=%d free=%d, model now=%v pending=%d fired=%d maxq=%d free=%d",
-			op, s.Now(), s.Pending(), s.Fired(), s.MaxQueued(), s.FreeLen(),
+			op, s.Now(), s.Pending(), s.Fired(), s.MaxQueued(), s.freeLen(),
 			m.now, len(m.queue), m.fired, m.maxq, m.free)
 	}
 	for i, rh := range q.handles {
@@ -280,16 +253,16 @@ func (q *queueHarness) check(op string) {
 		if live {
 			cancelled = rh.ev.cancelled
 		}
-		if rh.h.Live() != live || rh.h.When() != rh.ev.when || rh.h.Cancelled() != cancelled || rh.h.IsZero() {
+		if rh.h.live() != live || rh.h.When() != rh.ev.when || rh.h.Cancelled() != cancelled || rh.h.IsZero() {
 			q.t.Fatalf("after %s: handle %d (event %d) live=%t when=%v cancelled=%t zero=%t, model live=%t when=%v cancelled=%t",
-				op, i, rh.ev.id, rh.h.Live(), rh.h.When(), rh.h.Cancelled(), rh.h.IsZero(), live, rh.ev.when, cancelled)
+				op, i, rh.ev.id, rh.h.live(), rh.h.When(), rh.h.Cancelled(), rh.h.IsZero(), live, rh.ev.when, cancelled)
 		}
 	}
 }
 
 // runQueueOps interprets data as a sequence of queue operations. Each
 // operation is an opcode byte and two argument bytes; scheduling is the
-// most common, resets (DropAllEvents, Recycle) the rarest, so queues grow
+// most common, resets (dropAll, Recycle) the rarest, so queues grow
 // long enough to compact.
 func runQueueOps(t *testing.T, data []byte) {
 	q := &queueHarness{t: t, cur: &refSim{s: New(1)}}
@@ -327,14 +300,15 @@ func runQueueOps(t *testing.T, data []byte) {
 			q.cur.s.ForceCompact()
 			q.cur.remove(func(ev *refEvent) bool { return ev.cancelled })
 		case op < 242:
-			name = "fork"
-			q.fork()
+			// Reserved: a no-op, so the checked-in corpus keeps decoding
+			// every other opcode as before.
+			name = "nop"
 		case op < 248:
 			name = "Recycle"
 			q.recycle()
 		default:
-			name = "DropAllEvents"
-			q.cur.s.DropAllEvents()
+			name = "dropAll"
+			q.cur.s.dropAll()
 			q.cur.remove(func(*refEvent) bool { return true })
 		}
 		q.check(name)
@@ -343,7 +317,7 @@ func runQueueOps(t *testing.T, data []byte) {
 
 // FuzzQueueMatchesReference runs random operation sequences against the
 // queue and the reference model. The seed corpus in testdata/fuzz covers
-// long queues that compact, Stop inside Run, forks and recycling.
+// long queues that compact, Stop inside Run, and recycling.
 func FuzzQueueMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 3, 1, 2, 3, 2, 170, 0, 0, 200, 31, 0})
 	f.Fuzz(runQueueOps)
@@ -384,13 +358,13 @@ func TestRecycledEventStorage(t *testing.T) {
 
 	s := New(2)
 	s.Recycle(dead)
-	if dead.Pending() != 0 || s.Pending() != 0 || s.FreeLen() != 0 || s.MaxQueued() != 0 {
+	if dead.Pending() != 0 || s.Pending() != 0 || s.freeLen() != 0 || s.MaxQueued() != 0 {
 		t.Fatalf("after Recycle: dead pending=%d (was %d), recipient pending=%d free=%d maxq=%d; want all 0",
-			dead.Pending(), pendingBefore, s.Pending(), s.FreeLen(), s.MaxQueued())
+			dead.Pending(), pendingBefore, s.Pending(), s.freeLen(), s.MaxQueued())
 	}
 	for i, h := range hs {
-		if h.Live() || h.When() != Time(i+1) || h.Cancelled() != (i == n-1) {
-			t.Fatalf("dead handle %d: live=%t when=%v cancelled=%t", i, h.Live(), h.When(), h.Cancelled())
+		if h.live() || h.When() != Time(i+1) || h.Cancelled() != (i == n-1) {
+			t.Fatalf("dead handle %d: live=%t when=%v cancelled=%t", i, h.live(), h.When(), h.Cancelled())
 		}
 	}
 	hs[n-2].Cancel() // a no-op on the dead simulator, remembered by the handle
@@ -412,8 +386,8 @@ func TestRecycledEventStorage(t *testing.T) {
 	if &s.slab[0] != slab || &s.queue[:1][0] != queue {
 		t.Fatalf("recipient reallocated its slab or heap scheduling %d events into recycled storage", n)
 	}
-	if s.Fired() != n || s.MaxQueued() != n || s.FreeLen() != n {
-		t.Fatalf("recipient fired=%d maxq=%d free=%d, want %d, %d, %d", s.Fired(), s.MaxQueued(), s.FreeLen(), n, n, n)
+	if s.Fired() != n || s.MaxQueued() != n || s.freeLen() != n {
+		t.Fatalf("recipient fired=%d maxq=%d free=%d, want %d, %d, %d", s.Fired(), s.MaxQueued(), s.freeLen(), n, n, n)
 	}
 	for _, c := range []struct {
 		name     string
@@ -421,7 +395,6 @@ func TestRecycledEventStorage(t *testing.T) {
 	}{
 		{"At", func() { dead.At(n, func() {}) }},
 		{"AtPriorityCall", func() { dead.AtPriorityCall(n, 0, fire, nil, nil) }},
-		{"ReadoptCall", func() { dead.ReadoptCall(s.At(s.Now(), func() {}), fire, nil, nil) }},
 	} {
 		func() {
 			defer func() {

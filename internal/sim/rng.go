@@ -89,14 +89,14 @@ func (s *Simulator) generator(seed int64) *Source {
 // slab, heap array and free-index array wherever they are larger than s's.
 // dead's pending events are dropped. dead must be finished for good: its
 // streams are poisoned, so any later draw from them — directly, through a
-// *rand.Rand it handed out, or through AdvanceRNG — panics, and so does
-// scheduling on it. Its handles stop being Live and keep answering When and
+// *rand.Rand it handed out — panics, and so does scheduling on it. Its
+// handles stop referring to pending events and keep answering When and
 // Cancelled from their own snapshots. Sharded runners call it on each
 // worker, so a component network seeds its streams into the generators of
 // the component before it instead of allocating fresh ones, and a worker
 // holds event storage for its largest component only. Neither hand-off is
 // observable: seeding overwrites a source's whole state, and the taken-over
-// capacity holds no record until s schedules one, so s's Pending, FreeLen
+// capacity holds no record until s schedules one, so s's Pending, free list
 // and MaxQueued read as for a fresh simulator.
 func (s *Simulator) Recycle(dead *Simulator) {
 	if dead == s {

@@ -77,8 +77,8 @@ func TestRecycledStreamMatchesFresh(t *testing.T) {
 
 // TestRecycledSimulatorPanics pins the poison rule: once a simulator's
 // generators have been handed on, every way of drawing from its streams
-// panics — built or never drawn, primary or derived, directly, by
-// re-seeding, or through AdvanceRNG.
+// panics — built or never drawn, primary or derived, directly or by
+// re-seeding.
 func TestRecycledSimulatorPanics(t *testing.T) {
 	dead := New(5)
 	built, lazy := dead.NewRand(), dead.NewRand()
@@ -88,8 +88,6 @@ func TestRecycledSimulatorPanics(t *testing.T) {
 	if len(next.spares) != 1 {
 		t.Fatalf("recycling handed on %d generators, want the 1 built", len(next.spares))
 	}
-	// "new stream" goes last: it adds a stream, which AdvanceRNG's target
-	// lists would then miss.
 	for _, c := range []struct {
 		name string
 		draw func()
@@ -99,8 +97,6 @@ func TestRecycledSimulatorPanics(t *testing.T) {
 		{"lazy stream", func() { lazy.Float64() }},
 		{"primary", func() { dead.Rand().Intn(3) }},
 		{"reseed", func() { built.Seed(1) }},
-		{"AdvanceRNG", func() { _ = dead.AdvanceRNG([]StreamCursor{{0, 0}, {1, 2}, {2, 0}}) }},
-		{"lazy AdvanceRNG", func() { _ = dead.AdvanceRNG([]StreamCursor{{0, 1}, {1, 1}, {2, 0}}) }},
 		{"self recycle", func() { next.Recycle(next) }},
 		{"new stream", func() { dead.NewRand().Int63() }},
 	} {

@@ -53,7 +53,7 @@ type StreamCursor struct {
 
 // funcName resolves an event's callback to its symbol name. Closure and
 // method-value names are assigned by the compiler and are stable within a
-// build, which is the scope a fork verification runs in. A call-style
+// build, which is the scope a state comparison runs in. A call-style
 // event whose argB is itself a function (a Call trampoline carrying a method
 // expression) is named after that function, so a dump names the protocol
 // timer — onCTSTimeout, not the trampoline every timer shares.

@@ -15,7 +15,7 @@ func pkgCall(a, b any) {}
 // TestAppendStateNamesCallTarget keeps the heap dump self-describing for
 // events armed through the Call trampoline: the dump names the method
 // expression riding in argB, not the trampoline every such timer shares,
-// so a fork or replay divergence still points at the timer that differs.
+// so a replay divergence still points at the timer that differs.
 // Package-level call adapters keep their own names.
 func TestAppendStateNamesCallTarget(t *testing.T) {
 	s := New(1)

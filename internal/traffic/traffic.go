@@ -57,6 +57,17 @@ func (c *CBR) Interval() sim.Duration { return c.interval }
 // Generated implements Generator.
 func (c *CBR) Generated() int { return c.count }
 
+// SetRate rewrites the source's rate to rate packets/second, effective from
+// the next tick: the pending tick keeps its scheduled time, and every gap
+// after it uses the new interval. Barrier-time sweep deltas use this.
+func (c *CBR) SetRate(rate float64) error {
+	if rate <= 0 {
+		return fmt.Errorf("traffic: non-positive CBR rate %g", rate)
+	}
+	c.interval = sim.Duration(math.Round(float64(sim.Second) / rate))
+	return nil
+}
+
 // Start implements Generator.
 func (c *CBR) Start(t sim.Time) {
 	if c.running {
