@@ -12,11 +12,14 @@
 #   scripts/golden.sh gen      regenerate testdata/golden/ from the current tree
 #   scripts/golden.sh check    regenerate into a temp dir and diff against golden
 #
-# check also verifies that -jobs 4 and a fully instrumented run (-audit
-# -metrics -tracejson) reproduce the same table bytes, that the metrics
-# and trace documents themselves are identical across -jobs values, and that
-# the audited parameter sweep (two values of every delta kind) renders the
-# same bytes at -jobs 1 and -jobs 4.
+# observers.sha256 pins the SHA-256 of the -metrics JSON and -tracejson JSONL
+# of the fully instrumented tables run (-audit -metrics -tracejson), so the
+# observer streams are held byte-exact too, not only consistent.
+#
+# check also verifies that -jobs 4 and the instrumented run reproduce the
+# same table bytes, that the metrics and trace documents themselves are
+# identical across -jobs values, and that the audited parameter sweep (two
+# values of every delta kind) renders the same bytes at -jobs 1 and -jobs 4.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,6 +39,10 @@ gen() {
     "$sim" $CHAOS_ARGS > "$dir/chaos.txt"
     "$sim" $CSV_ARGS > "$dir/table2.csv"
     "$sim" -sweep "$SWEEP_SPEC" $SWEEP_ARGS > "$dir/sweep.txt" 2> /dev/null
+    # The instrumented run: its tables stay in $tmp for check, its observer
+    # documents are pinned by digest.
+    "$sim" $TABLES_ARGS -audit -metrics "$tmp/metrics.json" -tracejson "$tmp/trace.jsonl" > "$tmp/tables.instr1.txt"
+    (cd "$tmp" && sha256sum metrics.json trace.jsonl) > "$dir/observers.sha256"
 }
 
 tmp="$(mktemp -d)"
@@ -49,7 +56,7 @@ gen)
     ;;
 check)
     gen "$tmp/fresh" "$tmp/macawsim"
-    for f in tables.txt chaos.txt table2.csv sweep.txt; do
+    for f in tables.txt chaos.txt table2.csv sweep.txt observers.sha256; do
         diff -u "$golden/$f" "$tmp/fresh/$f" ||
             { echo "FATAL: $f drifted from golden output" >&2; exit 1; }
     done
@@ -64,27 +71,26 @@ check)
 
     # Passive observers must not change a byte, and their own documents must
     # be identical at any parallelism.
-    "$tmp/macawsim" $TABLES_ARGS -audit -metrics "$tmp/m1.json" -tracejson "$tmp/t1.jsonl" > "$tmp/tables.instr1.txt"
     "$tmp/macawsim" $TABLES_ARGS -audit -metrics "$tmp/m4.json" -tracejson "$tmp/t4.jsonl" -jobs 4 > "$tmp/tables.instr4.txt"
     for f in tables.instr1.txt tables.instr4.txt; do
         diff -u "$golden/tables.txt" "$tmp/$f" ||
             { echo "FATAL: instrumented output ($f) differs from golden" >&2; exit 1; }
     done
-    cmp "$tmp/m1.json" "$tmp/m4.json" ||
+    cmp "$tmp/metrics.json" "$tmp/m4.json" ||
         { echo "FATAL: -metrics JSON differs between -jobs 1 and 4" >&2; exit 1; }
-    cmp "$tmp/t1.jsonl" "$tmp/t4.jsonl" ||
+    cmp "$tmp/trace.jsonl" "$tmp/t4.jsonl" ||
         { echo "FATAL: -tracejson JSONL differs between -jobs 1 and 4" >&2; exit 1; }
 
     # The metrics document must be valid JSON; the trace must summarize.
     if command -v python3 >/dev/null 2>&1; then
-        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$tmp/m1.json" ||
+        python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$tmp/metrics.json" ||
             { echo "FATAL: -metrics output is not valid JSON" >&2; exit 1; }
     fi
     go build -o "$tmp/macawtrace" ./cmd/macawtrace
-    "$tmp/macawtrace" -summarize "$tmp/t1.jsonl" > /dev/null ||
+    "$tmp/macawtrace" -summarize "$tmp/trace.jsonl" > /dev/null ||
         { echo "FATAL: macawtrace -summarize failed on -tracejson output" >&2; exit 1; }
 
-    echo "golden outputs verified (serial, -jobs 4, instrumented, sweep)"
+    echo "golden outputs verified (serial, -jobs 4, instrumented, observer digests, sweep)"
     ;;
 *)
     echo "usage: scripts/golden.sh gen|check" >&2
