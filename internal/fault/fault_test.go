@@ -64,8 +64,7 @@ func TestReceiverKilledBetweenCTSAndData(t *testing.T) {
 
 			var crashedAt sim.Time
 			crashWhen(n, b, func() bool {
-				insp, ok := b.MAC().(mac.Inspector)
-				return ok && insp.FSMState() == tc.ctsState
+				return b.MAC().FSMState() == tc.ctsState
 			}, &crashedAt)
 			// Restart well after the sender has exhausted its retries.
 			restartAt := sim.Time(0)

@@ -30,11 +30,13 @@ func (o rrtsTxObs) ObserveTx(f *frame.Frame) {
 		o.l.times = append(o.l.times, o.l.s.Now())
 	}
 }
-func (o rrtsTxObs) ObserveRx(*frame.Frame)                 {}
-func (o rrtsTxObs) ObserveState(string, string)            {}
-func (o rrtsTxObs) ObserveTimer(sim.Time)                  {}
-func (o rrtsTxObs) ObserveQueue(string, frame.NodeID, int) {}
-func (o rrtsTxObs) ObserveDeliver(*frame.Frame)            {}
+func (o rrtsTxObs) ObserveRx(*frame.Frame)                   {}
+func (o rrtsTxObs) ObserveState(string, string)              {}
+func (o rrtsTxObs) ObserveTimer(sim.Time)                    {}
+func (o rrtsTxObs) ObserveQueue(string, frame.NodeID, int)   {}
+func (o rrtsTxObs) ObserveDeliver(*frame.Frame)              {}
+func (o rrtsTxObs) ObserveRetry(frame.NodeID)                {}
+func (o rrtsTxObs) ObserveDrop(frame.NodeID, mac.DropReason) {}
 
 // TestNoRRTSToCrashedSender: a MACAW receiver holding a pending-RRTS note
 // for a sender that crashes must drop the note once the sender has been

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"macaw/internal/backoff"
-	"macaw/internal/mac"
 	"macaw/internal/sim"
 	"macaw/internal/stats"
 
@@ -24,8 +23,7 @@ import (
 // Checks run at scheduling priority +1, after every same-instant protocol
 // event (phy deliveries at negative priority, timers at 0) has settled, so
 // the sweep observes quiescent state, never a mid-callback transient.
-// Stations that are crashed (radio disabled / MAC halted) or whose MAC does
-// not implement mac.Inspector are skipped.
+// Stations that are crashed (radio disabled / MAC halted) are skipped.
 //
 // Violations panic with a full FSM/timer dump of every station; tests set
 // OnViolation to capture the report instead.
@@ -118,18 +116,13 @@ func (w *Watchdog) checkStation(st *core.Station) string {
 	if !st.Radio().Enabled() {
 		return "" // crashed or powered off: exempt until restart
 	}
-	if st.MAC().Halted() {
+	e := st.MAC()
+	if e.Halted() {
 		return ""
 	}
-	insp, ok := st.MAC().(mac.Inspector)
-	if !ok {
-		// All six in-repo engines implement mac.Inspector; this guards
-		// external engines that opt out of FSM introspection.
-		return ""
-	}
-	qlen := st.MAC().QueueLen()
-	state := insp.FSMState()
-	if !insp.TimerPending() {
+	qlen := e.QueueLen()
+	state := e.FSMState()
+	if !e.TimerPending() {
 		if state != "IDLE" {
 			return fmt.Sprintf("%s wedged: state %s with no timer armed", st.Name(), state)
 		}
@@ -224,18 +217,14 @@ func (w *Watchdog) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "station dump at t=%v (sweep %d):\n", w.n.Sim.Now(), w.checks)
 	for _, st := range w.n.Stations() {
-		state, timer := "?", "?"
-		if insp, ok := st.MAC().(mac.Inspector); ok {
-			state = insp.FSMState()
-			if insp.TimerPending() {
-				timer = fmt.Sprint(insp.TimerWhen())
-			} else {
-				timer = "none"
-			}
+		e := st.MAC()
+		timer := "none"
+		if e.TimerPending() {
+			timer = fmt.Sprint(e.TimerWhen())
 		}
-		ms := st.MAC().Stats()
+		ms := e.Stats()
 		fmt.Fprintf(&b, "  %-4s id=%d enabled=%v state=%-8s timer=%-12s queue=%-3d sent=%d recv=%d retries=%d drops=%d crashes=%d restarts=%d\n",
-			st.Name(), st.ID(), st.Radio().Enabled(), state, timer, st.MAC().QueueLen(),
+			st.Name(), st.ID(), st.Radio().Enabled(), e.FSMState(), timer, e.QueueLen(),
 			ms.DataSent, ms.DataReceived, ms.Retries, ms.Drops, st.Crashes(), st.Restarts())
 	}
 	if next, ok := w.n.Sim.NextEventTime(); ok {

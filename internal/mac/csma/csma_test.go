@@ -180,7 +180,7 @@ func TestNeverWedgesUnderArbitraryFrames(t *testing.T) {
 				DataBytes: uint16(r.Intn(600)),
 				Seq:       uint32(r.Intn(6)),
 			}
-			if !a.m.env.Radio.Transmitting() {
+			if !a.m.Env.Radio.Transmitting() {
 				a.m.RadioReceive(f)
 			}
 			w.s.Run(w.s.Now() + sim.Duration(r.Intn(3))*sim.Millisecond)

@@ -17,12 +17,14 @@ import (
 // timerObs records every ObserveTimer report.
 type timerObs struct{ timers []sim.Time }
 
-func (o *timerObs) ObserveTx(*frame.Frame)                 {}
-func (o *timerObs) ObserveRx(*frame.Frame)                 {}
-func (o *timerObs) ObserveState(string, string)            {}
-func (o *timerObs) ObserveTimer(at sim.Time)               { o.timers = append(o.timers, at) }
-func (o *timerObs) ObserveQueue(string, frame.NodeID, int) {}
-func (o *timerObs) ObserveDeliver(*frame.Frame)            {}
+func (o *timerObs) ObserveTx(*frame.Frame)                   {}
+func (o *timerObs) ObserveRx(*frame.Frame)                   {}
+func (o *timerObs) ObserveState(string, string)              {}
+func (o *timerObs) ObserveTimer(at sim.Time)                 { o.timers = append(o.timers, at) }
+func (o *timerObs) ObserveQueue(string, frame.NodeID, int)   {}
+func (o *timerObs) ObserveDeliver(*frame.Frame)              {}
+func (o *timerObs) ObserveRetry(frame.NodeID)                {}
+func (o *timerObs) ObserveDrop(frame.NodeID, mac.DropReason) {}
 
 // TestHaltReportsTimerCancellation pins the fix: Halt on a station with an
 // armed backoff timer must report the cancellation, so its last timer
@@ -31,7 +33,7 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 	w := newWorld(21)
 	a := w.add(1, geom.V(0, 0, 6), Options{ACK: true})
 	obs := &timerObs{}
-	a.m.env.Obs = obs
+	a.m.Env.Obs = obs
 	a.m.Enqueue(pkt(9)) // arms the attempt timer toward an absent peer
 	w.s.Run(5 * sim.Millisecond)
 	if n := len(obs.timers); n == 0 || obs.timers[n-1] < 0 {
@@ -44,5 +46,4 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 	if a.m.TimerPending() {
 		t.Fatal("timer still pending after Halt")
 	}
-	_ = mac.DropDisabled // the drain reason is pinned by the fault-injection suite
 }

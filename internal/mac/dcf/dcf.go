@@ -123,12 +123,8 @@ func (o Options) withDefaults() Options {
 
 // DCF is one station's protocol instance.
 type DCF struct {
-	env  *mac.Env
-	opt  Options
-	lobs mac.LossObserver // optional retry/drop extension of env.Obs
-	// out is the frame being sent. The radio copies it at Transmit, so
-	// this one scratch value serves every transmission.
-	out frame.Frame
+	mac.Base
+	opt Options
 
 	st State
 	q  mac.Queue
@@ -141,9 +137,9 @@ type DCF struct {
 	src, lrc int
 	// nav is the virtual-carrier reservation: the medium is considered
 	// busy until this time regardless of physical carrier.
-	nav   sim.Time
-	timer sim.Event
-	tk    tKind
+	nav sim.Time
+	// tk names the armed state timer's continuation (tNone when unarmed).
+	tk tKind
 	// sending references the head packet from CTS receipt until its
 	// exchange completes (still queued; success or drop pops it).
 	sending *mac.Packet
@@ -156,9 +152,6 @@ type DCF struct {
 	// lastSeq records the last delivered sequence number per source so a
 	// retransmission after a lost ACK is re-acknowledged, not re-delivered.
 	lastSeq map[frame.NodeID]uint32
-	seq     uint32
-	halted  bool // crashed instance: every entry point is a no-op
-	stats   mac.Stats
 }
 
 // New returns a DCF instance bound to env's radio. The link-layer sequence
@@ -167,10 +160,10 @@ type DCF struct {
 func New(env *mac.Env, opt Options) *DCF {
 	opt = opt.withDefaults()
 	d := &DCF{
-		env: env, opt: opt, lobs: mac.AsLossObserver(env.Obs),
+		Base:    mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
+		opt:     opt,
 		cw:      opt.CWMin,
 		lastSeq: make(map[frame.NodeID]uint32),
-		seq:     env.Rand.Uint32() & 0x3fffffff,
 	}
 	env.Radio.SetHandler(d)
 	return d
@@ -185,65 +178,33 @@ func (d *DCF) CW() int { return d.cw }
 // Options returns the configured options (post-default).
 func (d *DCF) Options() Options { return d.opt }
 
-// TimerAt returns the firing time of the pending state timer, or -1 when no
-// timer is armed.
-func (d *DCF) TimerAt() sim.Time {
-	if d.timer.IsZero() || d.timer.Cancelled() {
-		return -1
-	}
-	return d.timer.When()
-}
-
-// FSMState implements mac.Inspector.
+// FSMState implements mac.Engine.
 func (d *DCF) FSMState() string { return d.st.String() }
 
-// TimerPending implements mac.Inspector.
-func (d *DCF) TimerPending() bool { return d.TimerAt() >= 0 }
-
-// TimerWhen implements mac.Inspector.
-func (d *DCF) TimerWhen() sim.Time { return d.TimerAt() }
-
-// Halt implements mac.Halter: cancel the state timer, drop the queue
-// (reported with DropDisabled), and turn every subsequent entry point into a
-// no-op so a restarted MAC can own the radio without interference.
+// Halt implements mac.Engine.
 func (d *DCF) Halt() {
-	if d.halted {
+	if !d.BeginHalt() {
 		return
 	}
-	d.halted = true
-	d.clearTimer()
+	d.tk = tNone
 	d.st = Idle
 	d.sending = nil
-	for p := d.q.Pop(); p != nil; p = d.q.Pop() {
-		d.stats.Drops++
-		d.noteDrop(p.Dst, mac.DropDisabled)
-		d.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
-	}
+	d.DrainQueue(&d.q)
 }
-
-// Halted reports whether Halt has been called.
-func (d *DCF) Halted() bool { return d.halted }
 
 // Protocol implements mac.Engine.
 func (d *DCF) Protocol() string { return "dcf" }
-
-// Stats implements mac.MAC.
-func (d *DCF) Stats() mac.Stats { return d.stats }
 
 // QueueLen implements mac.MAC.
 func (d *DCF) QueueLen() int { return d.q.Len() }
 
 // Enqueue implements mac.MAC.
 func (d *DCF) Enqueue(p *mac.Packet) {
-	if d.halted {
-		d.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
+	if !d.Admit(p) {
 		return
 	}
-	d.seq++
-	p.SetSeq(d.seq)
-	p.Enqueued = d.env.Sim.Now()
 	d.q.Push(p)
-	d.noteQueue("push", p.Dst)
+	d.NoteQueue("push", p.Dst, &d.q)
 	if d.st == Idle {
 		d.startContention()
 	}
@@ -274,69 +235,34 @@ func timerFn(k tKind) func(*DCF) {
 	return nil
 }
 
+// setTimer arms the state timer for kind k, dur from now.
 func (d *DCF) setTimer(dur sim.Duration, k tKind) {
-	d.timer.Cancel()
 	d.tk = k
-	d.timer = d.env.Sim.AtPriorityCall(d.env.Sim.Now()+dur, 0, sim.Call[*DCF], d, timerFn(k))
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveTimer(d.timer.When())
-	}
+	d.ArmAt(d.Env.Sim.Now()+dur, sim.Call[*DCF], d, timerFn(k))
 }
 
-func (d *DCF) clearTimer() {
-	d.timer.Cancel()
-	d.timer = sim.Event{}
+// disarm cancels the state timer and forgets its kind.
+func (d *DCF) disarm() {
+	d.ClearTimer()
 	d.tk = tNone
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveTimer(-1)
-	}
 }
 
 // fired marks the state timer consumed at the top of every timer callback.
 func (d *DCF) fired() {
-	d.timer = sim.Event{}
+	d.Fired()
 	d.tk = tNone
 }
 
-// transmit radiates f, notifying the conformance observer first.
-func (d *DCF) transmit(f *frame.Frame) sim.Duration {
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveTx(f)
-	}
-	return d.env.Radio.Transmit(f)
-}
-
-// setState moves the FSM to s, notifying the conformance observer.
+// setState moves the FSM to s.
 func (d *DCF) setState(s State) {
-	if d.env.Obs != nil && s != d.st {
-		d.env.Obs.ObserveState(d.st.String(), s.String())
+	if s != d.st {
+		d.NoteState(d.st.String(), s.String())
 	}
 	d.st = s
 }
 
-// noteQueue reports a queue operation to the observer.
-func (d *DCF) noteQueue(op string, dst frame.NodeID) {
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveQueue(op, dst, d.q.Len())
-	}
-}
-
-// noteRetry reports a retried attempt to the loss observer.
-func (d *DCF) noteRetry(dst frame.NodeID) {
-	if d.lobs != nil {
-		d.lobs.ObserveRetry(dst)
-	}
-}
-
-// noteDrop reports an abandoned packet to the loss observer.
-func (d *DCF) noteDrop(dst frame.NodeID, reason mac.DropReason) {
-	if d.lobs != nil {
-		d.lobs.ObserveDrop(dst, reason)
-	}
-}
-
 // slot returns the contention slot time.
-func (d *DCF) slot() sim.Duration { return d.env.Cfg.Slot() }
+func (d *DCF) slot() sim.Duration { return d.Env.Cfg.Slot() }
 
 // difs is the distributed interframe space: SIFS plus two slots.
 func (d *DCF) difs() sim.Duration { return d.opt.SIFS + 2*d.slot() }
@@ -362,7 +288,7 @@ func (d *DCF) startContention() {
 		d.setState(Idle)
 		return
 	}
-	d.bo = d.env.Rand.Intn(d.cw + 1)
+	d.bo = d.Env.Rand.Intn(d.cw + 1)
 	d.armAttempt()
 }
 
@@ -370,7 +296,7 @@ func (d *DCF) startContention() {
 // later of now and the NAV reservation.
 func (d *DCF) armAttempt() {
 	d.setState(Backoff)
-	now := d.env.Sim.Now()
+	now := d.Env.Sim.Now()
 	base := now
 	if d.nav > base {
 		base = d.nav
@@ -389,23 +315,23 @@ func (d *DCF) attempt() {
 		d.setState(Idle)
 		return
 	}
-	if d.env.Radio.CarrierBusy() || d.nav > d.env.Sim.Now() {
+	if d.Env.Radio.CarrierBusy() || d.nav > d.Env.Sim.Now() {
 		d.armAttempt()
 		return
 	}
 	if head.Dst == frame.Broadcast {
-		d.out = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-		air := d.transmit(&d.out)
+		d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		air := d.Transmit(&d.Out)
 		d.sending = head
 		d.setState(WFACK)
 		d.setTimer(air, tBcastAir)
 		return
 	}
-	d.out = frame.Frame{Type: frame.RTS, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	air := d.transmit(&d.out)
-	d.stats.RTSSent++
+	d.Out = frame.Frame{Type: frame.RTS, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	air := d.Transmit(&d.Out)
+	d.Counters.RTSSent++
 	d.setState(WFCTS)
-	d.setTimer(air+d.opt.SIFS+d.env.Cfg.CtrlTime()+d.env.Cfg.Margin, tCTSTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, tCTSTimeout)
 }
 
 // onBcastAirDone completes a broadcast DATA frame (no ACK in 802.11).
@@ -414,10 +340,10 @@ func (d *DCF) onBcastAirDone() {
 	head := d.sending
 	d.sending = nil
 	d.q.Pop()
-	d.noteQueue("pop", head.Dst)
+	d.NoteQueue("pop", head.Dst, &d.q)
 	d.resetCW()
-	d.stats.DataSent++
-	d.env.Callbacks.NotifySent(head)
+	d.Counters.DataSent++
+	d.Env.Callbacks.NotifySent(head)
 	d.startContention()
 }
 
@@ -426,10 +352,9 @@ func (d *DCF) onBcastAirDone() {
 func (d *DCF) onCTSTimeout() {
 	d.fired()
 	d.src++
-	d.stats.Retries++
 	d.growCW()
 	if head := d.q.Peek(); head != nil {
-		d.noteRetry(head.Dst)
+		d.Retry(head.Dst)
 		if d.src > d.opt.ShortRetry {
 			d.dropHead(head)
 		}
@@ -443,10 +368,9 @@ func (d *DCF) onACKTimeout() {
 	d.fired()
 	d.sending = nil
 	d.lrc++
-	d.stats.Retries++
 	d.growCW()
 	if head := d.q.Peek(); head != nil {
-		d.noteRetry(head.Dst)
+		d.Retry(head.Dst)
 		if d.lrc > d.opt.LongRetry {
 			d.dropHead(head)
 		}
@@ -458,31 +382,29 @@ func (d *DCF) onACKTimeout() {
 // (802.11 resets CW after a drop exactly as after a success).
 func (d *DCF) dropHead(head *mac.Packet) {
 	d.q.Pop()
-	d.noteQueue("drop", head.Dst)
+	d.NoteQueue("drop", head.Dst, &d.q)
 	d.resetCW()
-	d.stats.Drops++
-	d.noteDrop(head.Dst, mac.DropRetries)
-	d.env.Callbacks.NotifyDropped(head, mac.DropRetries)
+	d.Drop(head, mac.DropRetries)
 }
 
 // sendData radiates the head DATA frame a SIFS after the CTS arrived.
 func (d *DCF) sendData() {
 	d.fired()
 	head := d.sending
-	d.out = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := d.transmit(&d.out)
+	d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := d.Transmit(&d.Out)
 	d.setState(WFACK)
-	d.setTimer(air+d.opt.SIFS+d.env.Cfg.CtrlTime()+d.env.Cfg.Margin, tACKTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, tACKTimeout)
 }
 
 // sendCTS radiates the CTS a SIFS after the granted RTS.
 func (d *DCF) sendCTS() {
 	d.fired()
-	d.out = frame.Frame{Type: frame.CTS, Src: d.env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
-	air := d.transmit(&d.out)
-	d.stats.CTSSent++
+	d.Out = frame.Frame{Type: frame.CTS, Src: d.Env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
+	air := d.Transmit(&d.Out)
+	d.Counters.CTSSent++
 	d.setState(WFData)
-	d.setTimer(air+d.opt.SIFS+d.env.Cfg.DataTime(int(d.peerBytes))+d.env.Cfg.Margin, tDataTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.DataTime(int(d.peerBytes))+d.Env.Cfg.Margin, tDataTimeout)
 }
 
 // onDataTimeout gives up on a granted exchange whose DATA never arrived.
@@ -494,9 +416,9 @@ func (d *DCF) onDataTimeout() {
 // sendACK radiates the ACK a SIFS after the DATA frame.
 func (d *DCF) sendACK() {
 	d.fired()
-	d.out = frame.Frame{Type: frame.ACK, Src: d.env.ID(), Dst: d.peer, Seq: d.peerSeq}
-	air := d.transmit(&d.out)
-	d.stats.ACKSent++
+	d.Out = frame.Frame{Type: frame.ACK, Src: d.Env.ID(), Dst: d.peer, Seq: d.peerSeq}
+	air := d.Transmit(&d.Out)
+	d.Counters.ACKSent++
 	d.setTimer(air, tAckAir)
 }
 
@@ -519,30 +441,26 @@ func (d *DCF) deliver(f *frame.Frame) {
 		return
 	}
 	d.lastSeq[f.Src] = f.Seq
-	d.stats.DataReceived++
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveDeliver(f)
-	}
-	d.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
+	d.Deliver(f)
 }
 
 // updateNAV extends the virtual-carrier reservation from an overheard frame:
 // the remainder of the exchange the frame announces, measured from its end
 // (receptions complete at frame end, so now is the frame boundary).
 func (d *DCF) updateNAV(f *frame.Frame) {
-	sifs, ctrl := d.opt.SIFS, d.env.Cfg.CtrlTime()
+	sifs, ctrl := d.opt.SIFS, d.Env.Cfg.CtrlTime()
 	var resv sim.Duration
 	switch f.Type {
 	case frame.RTS:
-		resv = 3*sifs + ctrl + d.env.Cfg.DataTime(int(f.DataBytes)) + ctrl
+		resv = 3*sifs + ctrl + d.Env.Cfg.DataTime(int(f.DataBytes)) + ctrl
 	case frame.CTS:
-		resv = 2*sifs + d.env.Cfg.DataTime(int(f.DataBytes)) + ctrl
+		resv = 2*sifs + d.Env.Cfg.DataTime(int(f.DataBytes)) + ctrl
 	case frame.DATA:
 		resv = sifs + ctrl
 	default:
 		return
 	}
-	if until := d.env.Sim.Now() + resv; until > d.nav {
+	if until := d.Env.Sim.Now() + resv; until > d.nav {
 		d.nav = until
 	}
 }
@@ -553,13 +471,10 @@ func (d *DCF) RadioCarrier(bool) {}
 
 // RadioReceive implements phy.Handler.
 func (d *DCF) RadioReceive(f *frame.Frame) {
-	if d.halted {
+	if !d.Receive(f) {
 		return
 	}
-	if d.env.Obs != nil {
-		d.env.Obs.ObserveRx(f)
-	}
-	if f.Dst != d.env.ID() {
+	if f.Dst != d.Env.ID() {
 		if f.Dst == frame.Broadcast && f.Type == frame.DATA {
 			d.deliver(f)
 			return
@@ -584,10 +499,10 @@ func (d *DCF) RadioReceive(f *frame.Frame) {
 // currently being waited on re-grants immediately.
 func (d *DCF) onRTS(f *frame.Frame) {
 	avail := d.st == Idle || d.st == Backoff || (d.st == WFData && f.Src == d.peer)
-	if !avail || d.env.Radio.Transmitting() {
+	if !avail || d.Env.Radio.Transmitting() {
 		return
 	}
-	if d.st != WFData && d.nav > d.env.Sim.Now() {
+	if d.st != WFData && d.nav > d.Env.Sim.Now() {
 		return
 	}
 	d.peer, d.peerBytes, d.peerSeq = f.Src, f.DataBytes, f.Seq
@@ -604,7 +519,7 @@ func (d *DCF) onCTS(f *frame.Frame) {
 	if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 		return
 	}
-	d.clearTimer()
+	d.disarm()
 	d.sending = head
 	d.setState(SendData)
 	d.setTimer(d.opt.SIFS, tSendData)
@@ -615,7 +530,7 @@ func (d *DCF) onCTS(f *frame.Frame) {
 // retries through a proper exchange and the duplicate is suppressed).
 func (d *DCF) onData(f *frame.Frame) {
 	if d.st == WFData && f.Src == d.peer {
-		d.clearTimer()
+		d.disarm()
 		d.peerSeq = f.Seq
 		d.deliver(f)
 		d.setState(SendACK)
@@ -634,13 +549,13 @@ func (d *DCF) onACK(f *frame.Frame) {
 	if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 		return
 	}
-	d.clearTimer()
+	d.disarm()
 	d.sending = nil
 	d.q.Pop()
-	d.noteQueue("pop", head.Dst)
+	d.NoteQueue("pop", head.Dst, &d.q)
 	d.resetCW()
-	d.stats.DataSent++
-	d.env.Callbacks.NotifySent(head)
+	d.Counters.DataSent++
+	d.Env.Callbacks.NotifySent(head)
 	d.startContention()
 }
 

@@ -2,38 +2,20 @@ package dcf
 
 import (
 	"fmt"
-	"sort"
 
-	"macaw/internal/frame"
 	"macaw/internal/mac"
 )
 
 // AppendState appends the engine's full FSM state for the snapshot
 // inventory (DESIGN.md §14). Field order follows the repository convention:
-// FSM scalars, then timer + cancellation flag, then seq/halted, then the
-// in-flight packet reference, then maps (sorted), queue, and counters.
+// FSM scalars, then the in-flight packet reference, then maps (sorted), the
+// queue, and the chassis section.
 func (d *DCF) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "dcf st=%s cw=%d bo=%d src=%d lrc=%d nav=%d peer=%d peerBytes=%d peerSeq=%d timer=%d timerCancelled=%t tk=%d seq=%d halted=%t",
-		d.st, d.cw, d.bo, d.src, d.lrc, d.nav, d.peer, d.peerBytes, d.peerSeq,
-		d.timer.When(), d.timer.Cancelled(), d.tk, d.seq, d.halted)
+	b = fmt.Appendf(b, "dcf st=%s cw=%d bo=%d src=%d lrc=%d nav=%d peer=%d peerBytes=%d peerSeq=%d tk=%d",
+		d.st, d.cw, d.bo, d.src, d.lrc, d.nav, d.peer, d.peerBytes, d.peerSeq, d.tk)
 	b = mac.AppendPacketRef(b, "sending", d.sending)
 	b = append(b, '\n')
-	b = appendSeqMap(b, "dcf.lastSeq", d.lastSeq)
+	b = mac.AppendSeqMap(b, "dcf.lastSeq", d.lastSeq)
 	b = d.q.AppendState(b)
-	b = d.stats.AppendState(b)
-	return b
-}
-
-// appendSeqMap dumps a per-source sequence map in sorted key order.
-func appendSeqMap(b []byte, name string, m map[frame.NodeID]uint32) []byte {
-	keys := make([]frame.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = fmt.Appendf(b, "%s n=%d", name, len(keys))
-	for _, k := range keys {
-		b = fmt.Appendf(b, " %d=%d", k, m[k])
-	}
-	return append(b, '\n')
+	return d.Base.AppendState(b)
 }

@@ -1,7 +1,8 @@
-// Package mac defines the interfaces shared by the media access protocol
-// implementations (CSMA, MACA, MACAW): the transport-facing packet type,
-// the host callbacks, per-stream queueing, and the common timing
-// configuration (slot time, control packet time, timeouts).
+// Package mac defines what the media access protocol engines (csma, maca,
+// macaw, token, dcf, tournament) share: the engine SPI, the engine chassis
+// they embed (Base), the transport-facing packet type, the host callbacks,
+// per-stream queueing, and the common timing configuration (slot time,
+// control packet time, timeouts).
 package mac
 
 import (
@@ -97,36 +98,14 @@ type MAC interface {
 	Stats() Stats
 }
 
-// Halter is an optional MAC capability used by fault injection: Halt
-// silences the instance permanently — the state timer is cancelled, queued
-// packets are dropped (reported via the Dropped callback with DropDisabled),
-// and every subsequent enqueue, radio indication, or stray timer becomes a
-// no-op. A crashed station halts its MAC so a later restart can bind a
-// fresh instance to the same radio without the two fighting over it.
-type Halter interface {
-	Halt()
-}
-
-// Inspector is an optional MAC capability exposing the FSM introspection a
-// liveness watchdog needs: the current state's name, and whether a state
-// timer (or scheduled continuation) is pending. All protocol engines in
-// this repository implement it.
-type Inspector interface {
-	// FSMState names the current protocol state ("IDLE", "WFCTS", ...).
-	FSMState() string
-	// TimerPending reports whether a state timer is armed.
-	TimerPending() bool
-	// TimerWhen reports when the pending timer fires, or -1 when none is
-	// armed.
-	TimerWhen() sim.Time
-}
-
 // Observer receives MAC-internal events for passive protocol auditing (the
 // conformance oracle). Implementations must be strictly passive: they may
 // not transmit, enqueue packets, schedule simulator events, or consume
 // randomness — attaching an observer must leave every simulation result
 // bit-identical. Every protocol engine (csma, maca, macaw, token, dcf,
-// tournament) invokes the hooks when Env.Obs is non-nil. A frame pointer
+// tournament) reaches the hooks through its Base when Env.Obs is non-nil;
+// the metrics collector and the trace bridge record retries and drops, the
+// oracle ignores them. A frame pointer
 // passed to a hook is valid only for that call (the engine's reused send
 // buffer, or the medium's copy of a received frame): an observer must not
 // keep or mutate it.
@@ -147,6 +126,12 @@ type Observer interface {
 	// ObserveDeliver reports a DATA frame whose payload was handed to
 	// transport.
 	ObserveDeliver(f *frame.Frame)
+	// ObserveRetry reports one failed attempt toward dst being retried
+	// (every Stats.Retries increment).
+	ObserveRetry(dst frame.NodeID)
+	// ObserveDrop reports a packet toward dst being abandoned (every
+	// Stats.Drops increment), with the reason.
+	ObserveDrop(dst frame.NodeID, reason DropReason)
 }
 
 // Stats counts MAC-level events.

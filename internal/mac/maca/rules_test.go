@@ -163,7 +163,7 @@ func TestNeverWedgesUnderArbitraryFrames(t *testing.T) {
 				DataBytes: uint16(r.Intn(600)),
 				Seq:       uint32(r.Intn(6)),
 			}
-			if !a.m.env.Radio.Transmitting() {
+			if !a.m.Env.Radio.Transmitting() {
 				a.m.RadioReceive(f)
 				a.m.RadioCarrier(r.Intn(2) == 0)
 			}

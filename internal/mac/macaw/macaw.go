@@ -146,16 +146,11 @@ const (
 
 // MACAW is one station's protocol instance.
 type MACAW struct {
-	env  *mac.Env
-	opt  Options
-	pol  backoff.Policy
-	lobs mac.LossObserver // optional retry/drop extension of env.Obs
-	// out is the frame being sent. The radio copies it at Transmit, so
-	// this one scratch value serves every transmission.
-	out frame.Frame
+	mac.Base
+	opt Options
+	pol backoff.Policy
 
 	st         State
-	timer      sim.Event
 	deferUntil sim.Time
 	// carrierClearAt is the earliest transmission time permitted by the
 	// CarrierSense option: one slot after the carrier last went quiet,
@@ -169,7 +164,6 @@ type MACAW struct {
 	targets []frame.NodeID
 
 	attempts map[frame.NodeID]int // RTS attempts for the head packet per destination
-	seq      uint32
 
 	cur       contender    // what the contend timer is armed for
 	curDst    frame.NodeID // destination of the exchange in flight
@@ -205,22 +199,15 @@ type MACAW struct {
 	// completion) never trips; without this bound a link whose data
 	// direction is dead retries forever.
 	pendingRetries map[frame.NodeID]int
-
-	// halted marks a crashed instance: every entry point is a no-op so a
-	// restarted MAC can own the radio without interference (mac.Halter).
-	halted bool
-
-	stats mac.Stats
 }
 
 // New returns a MACAW instance bound to env's radio, installing itself as
 // the radio handler.
 func New(env *mac.Env, opt Options) *MACAW {
 	m := &MACAW{
-		env:            env,
+		Base:           mac.Base{Env: env},
 		opt:            opt,
 		pol:            opt.Policy,
-		lobs:           mac.AsLossObserver(env.Obs),
 		streams:        mac.NewStreamQueues(),
 		attempts:       make(map[frame.NodeID]int),
 		lastAcked:      make(map[frame.NodeID]uint32),
@@ -238,7 +225,7 @@ func New(env *mac.Env, opt Options) *MACAW {
 	// receiveForMe catches most reboots from the headers alone, but an
 	// exact collision is indistinguishable there; randomizing the origin
 	// makes it vanishingly unlikely.
-	m.seq = env.Rand.Uint32() & 0x3fffffff
+	m.Seq = env.Rand.Uint32() & 0x3fffffff
 	if m.pol == nil {
 		m.pol = backoff.NewPerDest(backoff.NewMILD())
 	}
@@ -253,50 +240,25 @@ func (m *MACAW) State() State { return m.st }
 // traces).
 func (m *MACAW) DeferUntil() sim.Time { return m.deferUntil }
 
-// TimerAt returns the firing time of the pending state timer, or -1 when no
-// timer is armed (introspection for tests and traces).
-func (m *MACAW) TimerAt() sim.Time {
-	if m.timer.IsZero() || m.timer.Cancelled() {
-		return -1
-	}
-	return m.timer.When()
-}
-
-// FSMState implements mac.Inspector.
+// FSMState implements mac.Engine.
 func (m *MACAW) FSMState() string { return m.st.String() }
 
-// TimerPending implements mac.Inspector.
-func (m *MACAW) TimerPending() bool { return m.TimerAt() >= 0 }
-
-// TimerWhen implements mac.Inspector.
-func (m *MACAW) TimerWhen() sim.Time { return m.TimerAt() }
-
-// Halt implements mac.Halter: cancel the state timer, drop all queued and
-// tentatively-completed packets (reported with DropDisabled), and turn every
-// subsequent entry point into a no-op.
+// Halt implements mac.Engine: the tentatively-completed packets awaiting a
+// piggybacked ACK are dropped along with the queues.
 func (m *MACAW) Halt() {
-	if m.halted {
+	if !m.BeginHalt() {
 		return
 	}
-	m.halted = true
-	m.clearTimer()
 	m.st = Idle
 	m.hasRRTS = false
 	m.deferUntil = 0
 	m.tx, m.txHead, m.txWantAck = txNone, nil, false
-	drain := func(q *mac.Queue) {
-		for p := q.Pop(); p != nil; p = q.Pop() {
-			m.stats.Drops++
-			m.noteDrop(p.Dst, mac.DropDisabled)
-			m.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
-		}
-	}
 	if m.opt.PerStream {
 		for _, d := range m.streams.Destinations() {
-			drain(m.streams.Queue(d))
+			m.DrainQueue(m.streams.Queue(d))
 		}
 	} else {
-		drain(&m.fifo)
+		m.DrainQueue(&m.fifo)
 	}
 	// Pending piggyback packets die with the station too; sorted order
 	// keeps the callback sequence deterministic.
@@ -308,14 +270,9 @@ func (m *MACAW) Halt() {
 	for _, d := range dsts {
 		p := m.pending[d]
 		delete(m.pending, d)
-		m.stats.Drops++
-		m.noteDrop(d, mac.DropDisabled)
-		m.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
+		m.Drop(p, mac.DropDisabled)
 	}
 }
-
-// Halted reports whether Halt has been called.
-func (m *MACAW) Halted() bool { return m.halted }
 
 // Protocol implements mac.Engine.
 func (m *MACAW) Protocol() string { return "macaw" }
@@ -325,9 +282,6 @@ func (m *MACAW) Options() Options { return m.opt }
 
 // Policy returns the backoff policy in use.
 func (m *MACAW) Policy() backoff.Policy { return m.pol }
-
-// Stats implements mac.MAC.
-func (m *MACAW) Stats() mac.Stats { return m.stats }
 
 // QueueLen implements mac.MAC.
 func (m *MACAW) QueueLen() int {
@@ -360,19 +314,16 @@ func (m *MACAW) head(dst frame.NodeID) *mac.Packet {
 
 // Enqueue implements mac.MAC.
 func (m *MACAW) Enqueue(p *mac.Packet) {
-	if m.halted {
-		m.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
+	if !m.Admit(p) {
 		return
 	}
-	m.seq++
-	p.SetSeq(m.seq)
-	p.Enqueued = m.env.Sim.Now()
 	if m.opt.PerStream {
 		m.streams.Push(p)
 	} else {
 		m.fifo.Push(p)
 	}
-	m.noteQueue("push", p.Dst)
+	q := m.queueFor(p.Dst)
+	m.NoteQueue("push", p.Dst, q)
 	switch m.st {
 	case Idle:
 		m.enterContend()
@@ -381,7 +332,7 @@ func (m *MACAW) Enqueue(p *mac.Packet) {
 		// redrawing the others (a full redraw on every enqueue would
 		// systematically postpone transmission — the inspection
 		// paradox).
-		if q := m.queueFor(p.Dst); q != nil && q.Len() == 1 {
+		if q.Len() == 1 {
 			m.considerContender(contender{dst: p.Dst})
 		}
 	}
@@ -390,89 +341,31 @@ func (m *MACAW) Enqueue(p *mac.Packet) {
 // considerContender draws a retry slot for c and re-arms the contention
 // timer if c's slot precedes the currently armed one.
 func (m *MACAW) considerContender(c contender) {
-	base := m.env.Sim.Now()
+	base := m.Env.Sim.Now()
 	if m.deferUntil > base {
 		base = m.deferUntil
 	}
-	k := 1 + m.env.Rand.Intn(m.pol.Backoff(c.dst))
-	at := base + sim.Duration(k)*m.env.Cfg.Slot()
-	if m.timer.IsZero() || m.timer.Cancelled() || at < m.timer.When() {
+	k := 1 + m.Env.Rand.Intn(m.pol.Backoff(c.dst))
+	at := base + sim.Duration(k)*m.Env.Cfg.Slot()
+	if w := m.TimerWhen(); w < 0 || at < w {
 		m.cur = c
 		m.setTimerAt(at, (*MACAW).onContendTimeout)
 	}
 }
 
 func (m *MACAW) setTimer(d sim.Duration, fn func(*MACAW)) {
-	m.setTimerAt(m.env.Sim.Now()+d, fn)
+	m.setTimerAt(m.Env.Sim.Now()+d, fn)
 }
 
-// setTimerAt arms the state timer for fn, a method expression: with the
-// receiver riding in the pooled event record, re-arming never allocates.
-func (m *MACAW) setTimerAt(t sim.Time, fn func(*MACAW)) {
-	m.timer.Cancel()
-	m.timer = m.env.Sim.AtPriorityCall(t, 0, sim.Call[*MACAW], m, fn)
-	if m.env.Obs != nil {
-		m.env.Obs.ObserveTimer(t)
-	}
-}
+// setTimerAt arms the state timer for fn, a method expression.
+func (m *MACAW) setTimerAt(t sim.Time, fn func(*MACAW)) { m.ArmAt(t, sim.Call[*MACAW], m, fn) }
 
-func (m *MACAW) clearTimer() {
-	m.timer.Cancel()
-	m.timer = sim.Event{}
-	if m.env.Obs != nil {
-		m.env.Obs.ObserveTimer(-1)
-	}
-}
-
-// transmit radiates f, notifying the conformance observer first.
-func (m *MACAW) transmit(f *frame.Frame) sim.Duration {
-	if m.env.Obs != nil {
-		m.env.Obs.ObserveTx(f)
-	}
-	return m.env.Radio.Transmit(f)
-}
-
-// setState moves the FSM to s, notifying the conformance observer.
+// setState moves the FSM to s.
 func (m *MACAW) setState(s State) {
-	if m.env.Obs != nil && s != m.st {
-		m.env.Obs.ObserveState(m.st.String(), s.String())
+	if s != m.st {
+		m.NoteState(m.st.String(), s.String())
 	}
 	m.st = s
-}
-
-// deliver hands a received DATA frame's payload to transport.
-func (m *MACAW) deliver(f *frame.Frame) {
-	m.stats.DataReceived++
-	if m.env.Obs != nil {
-		m.env.Obs.ObserveDeliver(f)
-	}
-	m.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
-}
-
-// noteQueue reports a queue operation on dst's queue to the observer.
-func (m *MACAW) noteQueue(op string, dst frame.NodeID) {
-	if m.env.Obs == nil {
-		return
-	}
-	n := 0
-	if q := m.queueFor(dst); q != nil {
-		n = q.Len()
-	}
-	m.env.Obs.ObserveQueue(op, dst, n)
-}
-
-// noteRetry reports a retried attempt to the loss observer.
-func (m *MACAW) noteRetry(dst frame.NodeID) {
-	if m.lobs != nil {
-		m.lobs.ObserveRetry(dst)
-	}
-}
-
-// noteDrop reports an abandoned packet to the loss observer.
-func (m *MACAW) noteDrop(dst frame.NodeID, reason mac.DropReason) {
-	if m.lobs != nil {
-		m.lobs.ObserveDrop(dst, reason)
-	}
 }
 
 // contendTargets lists the destinations with pending work. The result
@@ -503,23 +396,23 @@ func (m *MACAW) enterContend() {
 			return
 		}
 		m.setState(Idle)
-		m.clearTimer()
+		m.ClearTimer()
 		return
 	}
 	m.setState(Contend)
-	base := m.env.Sim.Now()
+	base := m.Env.Sim.Now()
 	if m.deferUntil > base {
 		base = m.deferUntil
 	}
 	if hold := m.carrierHold(); hold > base && hold != maxTime {
 		base = hold
 	}
-	slot := m.env.Cfg.Slot()
+	slot := m.Env.Cfg.Slot()
 	var best sim.Time = -1
 	var pick contender
 	ties := 0
 	draw := func(c contender) {
-		k := 1 + m.env.Rand.Intn(m.pol.Backoff(c.dst))
+		k := 1 + m.Env.Rand.Intn(m.pol.Backoff(c.dst))
 		at := base + sim.Duration(k)*slot
 		switch {
 		case best < 0 || at < best:
@@ -530,7 +423,7 @@ func (m *MACAW) enterContend() {
 			// Reservoir-sample among equal draws so stream order
 			// confers no systematic service advantage.
 			ties++
-			if m.env.Rand.Intn(ties) == 0 {
+			if m.Env.Rand.Intn(ties) == 0 {
 				pick = c
 			}
 		}
@@ -551,8 +444,8 @@ func (m *MACAW) onContendTimeout() {
 	if m.st != Contend {
 		return
 	}
-	m.timer = sim.Event{}
-	if m.deferUntil+m.env.Cfg.Slot() > m.env.Sim.Now() {
+	m.Fired()
+	if m.deferUntil+m.Env.Cfg.Slot() > m.Env.Sim.Now() {
 		// §3.2: a transmission must begin an integer number of slot
 		// times — at least one — after the end of the last defer
 		// period. Contention draws always satisfy this (every draw is
@@ -563,12 +456,12 @@ func (m *MACAW) onContendTimeout() {
 		m.enterContend()
 		return
 	}
-	if hold := m.carrierHold(); hold > m.env.Sim.Now() {
+	if hold := m.carrierHold(); hold > m.Env.Sim.Now() {
 		if hold == maxTime {
 			// The carrier is busy: wait for it to clear, then
 			// redraw from the cleared instant.
 			m.setState(Quiet)
-			m.setTimer(m.env.Cfg.Slot(), (*MACAW).onQuietEnd)
+			m.setTimer(m.Env.Cfg.Slot(), (*MACAW).onQuietEnd)
 			return
 		}
 		m.enterContend()
@@ -590,36 +483,36 @@ func (m *MACAW) onContendTimeout() {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.RTSSent++
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
+	m.setTimer(air+m.Env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
 }
 
 // sendRRTS contends on behalf of a blocked sender (§3.3.3).
 func (m *MACAW) sendRRTS() {
 	dst, n := m.rrtsFor, m.rrtsLen
 	m.hasRRTS = false
-	m.out = frame.Frame{Type: frame.RRTS, Src: m.env.ID(), Dst: dst, DataBytes: uint16(n)}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.RRTSSent++
+	m.Out = frame.Frame{Type: frame.RRTS, Src: m.Env.ID(), Dst: dst, DataBytes: uint16(n)}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.RRTSSent++
 	m.expectSrc = dst
 	m.setState(WFRTS)
 	// Long enough for the answering RTS to arrive.
-	m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
+	m.setTimer(air+m.Env.Cfg.Turnaround+m.Env.Cfg.CtrlTime()+m.Env.Cfg.Margin, (*MACAW).onExpectTimeout)
 }
 
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
 // followed by the DATA packet, with no CTS.
 func (m *MACAW) sendMulticast(head *mac.Packet) {
-	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.RTSSent++
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.RTSSent++
 	m.setState(SendData)
 	m.tx, m.txHead = txMcastRTS, head
 	m.setTimer(air, (*MACAW).onMcastRTSSent)
@@ -627,24 +520,25 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 
 // onMcastRTSSent follows the multicast RTS with the DATA packet itself.
 func (m *MACAW) onMcastRTSSent() {
-	m.timer = sim.Event{}
+	m.Fired()
 	head := m.txHead
-	m.out = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
-	m.pol.StampSend(&m.out)
-	dair := m.transmit(&m.out)
+	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
+	m.pol.StampSend(&m.Out)
+	dair := m.Transmit(&m.Out)
 	m.tx = txMcastData
 	m.setTimer(dair, (*MACAW).onMcastDataSent)
 }
 
 // onMcastDataSent completes the multicast exchange.
 func (m *MACAW) onMcastDataSent() {
-	m.timer = sim.Event{}
+	m.Fired()
 	head := m.txHead
 	m.tx, m.txHead = txNone, nil
-	m.queueFor(frame.Broadcast).Pop()
-	m.noteQueue("pop", frame.Broadcast)
-	m.stats.DataSent++
-	m.env.Callbacks.NotifySent(head)
+	q := m.queueFor(frame.Broadcast)
+	q.Pop()
+	m.NoteQueue("pop", frame.Broadcast, q)
+	m.Counters.DataSent++
+	m.Env.Callbacks.NotifySent(head)
 	m.next()
 }
 
@@ -654,10 +548,9 @@ func (m *MACAW) onCTSTimeout() {
 	if m.st != WFCTS {
 		return
 	}
-	m.timer = sim.Event{}
+	m.Fired()
 	m.pol.OnFailure(m.curDst)
-	m.stats.Retries++
-	m.noteRetry(m.curDst)
+	m.Retry(m.curDst)
 	m.bumpAttempts(m.curDst)
 	m.next()
 }
@@ -666,24 +559,22 @@ func (m *MACAW) onCTSTimeout() {
 // head packet once the retry limit is exceeded.
 func (m *MACAW) bumpAttempts(dst frame.NodeID) {
 	m.attempts[dst]++
-	if m.attempts[dst] <= m.env.Cfg.MaxRetries {
+	if m.attempts[dst] <= m.Env.Cfg.MaxRetries {
 		return
 	}
 	if q := m.queueFor(dst); q != nil {
 		if p := q.Peek(); p != nil && p.Dst == dst {
 			q.Pop()
-			m.noteQueue("drop", dst)
-			m.stats.Drops++
-			m.noteDrop(dst, mac.DropRetries)
+			m.NoteQueue("drop", dst, q)
 			m.pol.OnGiveUp(dst)
-			m.env.Callbacks.NotifyDropped(p, mac.DropRetries)
+			m.Drop(p, mac.DropRetries)
 		}
 		if p := m.pending[dst]; p != nil {
 			// An unconfirmed piggyback packet cannot stay in limbo
 			// once its successor is gone; retransmit it normally.
 			delete(m.pending, dst)
 			q.PushFront(p)
-			m.noteQueue("push", dst)
+			m.NoteQueue("push", dst, q)
 		}
 	}
 	m.attempts[dst] = 0
@@ -699,14 +590,14 @@ func (m *MACAW) next() { m.enterContend() }
 // merely slow while letting the invitation for a crashed or departed one die
 // at the next fresh defer window.
 func (m *MACAW) rrtsStale() sim.Duration {
-	return 2 * (m.env.Cfg.CTSWait() + sim.Duration(2*backoff.DefaultMax)*m.env.Cfg.Slot())
+	return 2 * (m.Env.Cfg.CTSWait() + sim.Duration(2*backoff.DefaultMax)*m.Env.Cfg.Slot())
 }
 
 // enterQuiet extends the defer horizon and (when not mid-exchange) moves to
 // QUIET. QUIET absorbs Appendix B's WFCONTEND: when the horizon passes the
 // station contends for pending work.
 func (m *MACAW) enterQuiet(d sim.Duration) {
-	if m.hasRRTS && !m.deferring() && m.env.Sim.Now()-m.rrtsSeen > m.rrtsStale() {
+	if m.hasRRTS && !m.deferring() && m.Env.Sim.Now()-m.rrtsSeen > m.rrtsStale() {
 		// A fresh defer window is opening and the noted sender has been
 		// silent for longer than its worst-case retry period: it either
 		// crashed or went away, so an RRTS would solicit a station with
@@ -714,7 +605,7 @@ func (m *MACAW) enterQuiet(d sim.Duration) {
 		// re-arms it (§3.3.3).
 		m.hasRRTS = false
 	}
-	until := m.env.Sim.Now() + d
+	until := m.Env.Sim.Now() + d
 	if until > m.deferUntil {
 		m.deferUntil = until
 	}
@@ -732,15 +623,15 @@ func (m *MACAW) onQuietEnd() {
 	if m.st != Quiet {
 		return
 	}
-	m.timer = sim.Event{}
-	if m.deferUntil > m.env.Sim.Now() {
+	m.Fired()
+	if m.deferUntil > m.Env.Sim.Now() {
 		m.setTimerAt(m.deferUntil, (*MACAW).onQuietEnd)
 		return
 	}
 	if hold := m.carrierHold(); hold == maxTime {
 		// Still carrier-busy: poll again a slot later (the carrier
 		// callback cannot restart a cancelled timer for us).
-		m.setTimer(m.env.Cfg.Slot(), (*MACAW).onQuietEnd)
+		m.setTimer(m.Env.Cfg.Slot(), (*MACAW).onQuietEnd)
 		return
 	}
 	m.next()
@@ -750,12 +641,12 @@ func (m *MACAW) onQuietEnd() {
 // rule 3 — "From any other state, when a timer expires, a station goes to
 // the IDLE state."
 func (m *MACAW) onExpectTimeout() {
-	m.timer = sim.Event{}
+	m.Fired()
 	if m.opt.NACK && m.st == WFData {
 		// §4: tell the sender its data never arrived.
-		m.out = frame.Frame{Type: frame.NACK, Src: m.env.ID(), Dst: m.expectSrc}
-		m.pol.StampSend(&m.out)
-		air := m.transmit(&m.out)
+		m.Out = frame.Frame{Type: frame.NACK, Src: m.Env.ID(), Dst: m.expectSrc}
+		m.pol.StampSend(&m.Out)
+		air := m.Transmit(&m.Out)
 		m.expectSrc = 0
 		m.setState(SendData)
 		m.tx = txCtrl
@@ -773,14 +664,14 @@ func (m *MACAW) onExpectTimeout() {
 // the station holds its transmissions until one slot after the carrier
 // clears.
 func (m *MACAW) RadioCarrier(busy bool) {
-	if m.halted || !m.opt.CarrierSense {
+	if m.Halted() || !m.opt.CarrierSense {
 		return
 	}
 	if busy {
 		m.carrierClearAt = maxTime
 		return
 	}
-	m.carrierClearAt = m.env.Sim.Now() + m.env.Cfg.Slot()
+	m.carrierClearAt = m.Env.Sim.Now() + m.Env.Cfg.Slot()
 }
 
 // maxTime is far beyond any simulated horizon.
@@ -795,8 +686,8 @@ func (m *MACAW) carrierHold() sim.Time {
 	if !m.opt.CarrierSense {
 		return 0
 	}
-	if m.carrierClearAt == maxTime && !m.env.Radio.CarrierBusy() {
-		m.carrierClearAt = m.env.Sim.Now() + m.env.Cfg.Slot()
+	if m.carrierClearAt == maxTime && !m.Env.Radio.CarrierBusy() {
+		m.carrierClearAt = m.Env.Sim.Now() + m.Env.Cfg.Slot()
 	}
 	return m.carrierClearAt
 }
@@ -808,22 +699,19 @@ func (m *MACAW) carrierHold() sim.Time {
 // ("an integer number of slot times after the end of the last defer
 // period") loses its collision-avoidance property.
 func (m *MACAW) dataPlusAck(dataBytes int) sim.Duration {
-	d := m.env.Cfg.Turnaround + m.env.Cfg.DataTime(dataBytes)
+	d := m.Env.Cfg.Turnaround + m.Env.Cfg.DataTime(dataBytes)
 	if m.opt.Exchange.HasACK() {
-		d += m.env.Cfg.Turnaround + m.env.Cfg.CtrlTime()
+		d += m.Env.Cfg.Turnaround + m.Env.Cfg.CtrlTime()
 	}
 	return d
 }
 
 // RadioReceive implements phy.Handler.
 func (m *MACAW) RadioReceive(f *frame.Frame) {
-	if m.halted {
+	if !m.Receive(f) {
 		return
 	}
-	if m.env.Obs != nil {
-		m.env.Obs.ObserveRx(f)
-	}
-	if f.Dst == m.env.ID() {
+	if f.Dst == m.Env.ID() {
 		m.receiveForMe(f)
 		return
 	}
@@ -835,13 +723,13 @@ func (m *MACAW) RadioReceive(f *frame.Frame) {
 	switch f.Type {
 	case frame.RTS:
 		// Defer rule: long enough for the sender to hear the CTS.
-		m.enterQuiet(m.env.Cfg.Turnaround + m.env.Cfg.CtrlTime())
+		m.enterQuiet(m.Env.Cfg.Turnaround + m.Env.Cfg.CtrlTime())
 	case frame.CTS:
 		// Defer rule 3: long enough for the receiver to hear the data
 		// (plus DS and ACK as configured).
 		d := m.dataPlusAck(int(f.DataBytes))
 		if m.opt.Exchange.HasDS() {
-			d += m.env.Cfg.Turnaround + m.env.Cfg.CtrlTime()
+			d += m.Env.Cfg.Turnaround + m.Env.Cfg.CtrlTime()
 		}
 		m.enterQuiet(d)
 	case frame.DS:
@@ -849,7 +737,7 @@ func (m *MACAW) RadioReceive(f *frame.Frame) {
 		m.enterQuiet(m.dataPlusAck(int(f.DataBytes)))
 	case frame.RRTS:
 		// Defer rule 4: "sufficient for an RTS-CTS exchange".
-		m.enterQuiet(2 * (m.env.Cfg.Turnaround + m.env.Cfg.CtrlTime()))
+		m.enterQuiet(2 * (m.Env.Cfg.Turnaround + m.Env.Cfg.CtrlTime()))
 	}
 }
 
@@ -860,9 +748,9 @@ func (m *MACAW) receiveMulticast(f *frame.Frame) {
 	case frame.RTS:
 		// "All stations defer for the length of the following DATA
 		// transmission" (§3.3.4).
-		m.enterQuiet(m.env.Cfg.Turnaround + m.env.Cfg.DataTime(int(f.DataBytes)))
+		m.enterQuiet(m.Env.Cfg.Turnaround + m.Env.Cfg.DataTime(int(f.DataBytes)))
 	case frame.DATA:
-		m.deliver(f)
+		m.Deliver(f)
 	}
 }
 
@@ -901,7 +789,7 @@ func (m *MACAW) receiveForMe(f *frame.Frame) {
 // deferring reports whether the station's defer horizon is still ahead —
 // MACA/MACAW receivers reply to an RTS only "if [they are] not currently
 // deferring", regardless of which state the FSM happens to occupy.
-func (m *MACAW) deferring() bool { return m.deferUntil > m.env.Sim.Now() }
+func (m *MACAW) deferring() bool { return m.deferUntil > m.Env.Sim.Now() }
 
 // onRTS answers an RTS addressed to this station.
 func (m *MACAW) onRTS(f *frame.Frame) {
@@ -950,7 +838,7 @@ func (m *MACAW) noteRRTS(f *frame.Frame) {
 	if f.Src == m.rrtsFor {
 		// Each retry from the noted sender proves it is still alive and
 		// still blocked; refresh the note's liveness stamp.
-		m.rrtsSeen = m.env.Sim.Now()
+		m.rrtsSeen = m.Env.Sim.Now()
 		m.rrtsLen = int(f.DataBytes)
 	}
 }
@@ -968,26 +856,26 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 	// Control rule 7: an RTS for the packet acknowledged last time gets
 	// the ACK again instead of a CTS.
 	if m.opt.Exchange.HasACK() && m.everAcked[f.Src] && m.lastAcked[f.Src] == f.Seq {
-		m.clearTimer()
+		m.ClearTimer()
 		m.sendAck(f.Src, f.Seq)
 		return
 	}
-	m.clearTimer()
-	m.out = frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
+	m.ClearTimer()
+	m.Out = frame.Frame{Type: frame.CTS, Src: m.Env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
 	if m.opt.PiggybackACK && m.everAcked[f.Src] {
-		m.out.HasAck = true
-		m.out.Ack = m.lastAcked[f.Src]
+		m.Out.HasAck = true
+		m.Out.Ack = m.lastAcked[f.Src]
 	}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.CTSSent++
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.CTSSent++
 	m.expectSrc = f.Src
 	if m.opt.Exchange.HasDS() {
 		m.setState(WFDS)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
+		m.setTimer(air+m.Env.Cfg.Turnaround+m.Env.Cfg.CtrlTime()+m.Env.Cfg.Margin, (*MACAW).onExpectTimeout)
 	} else {
 		m.setState(WFData)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
+		m.setTimer(air+m.Env.Cfg.Turnaround+m.Env.Cfg.DataTime(int(f.DataBytes))+m.Env.Cfg.Margin, (*MACAW).onExpectTimeout)
 	}
 }
 
@@ -996,14 +884,14 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 	if m.st != WFCTS || f.Src != m.curDst {
 		return
 	}
-	m.clearTimer()
+	m.ClearTimer()
 	if p := m.pending[f.Src]; p != nil {
 		if f.HasAck && f.Ack >= p.Seq() {
 			// Piggybacked confirmation of the previous packet.
 			delete(m.pending, f.Src)
 			delete(m.pendingRetries, f.Src)
 			m.pol.OnSuccess(f.Src)
-			m.env.Callbacks.NotifySent(p)
+			m.Env.Callbacks.NotifySent(p)
 		} else {
 			// The previous packet never arrived: abandon this
 			// exchange (the receiver's WFDS will time out) and
@@ -1014,18 +902,15 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 			// completion) can never bound it, and a link whose data
 			// direction is dead would otherwise retry forever.
 			delete(m.pending, f.Src)
-			m.stats.Retries++
-			m.noteRetry(f.Src)
+			m.Retry(f.Src)
 			m.pendingRetries[f.Src]++
-			if m.pendingRetries[f.Src] > m.env.Cfg.MaxRetries {
+			if m.pendingRetries[f.Src] > m.Env.Cfg.MaxRetries {
 				delete(m.pendingRetries, f.Src)
-				m.stats.Drops++
-				m.noteDrop(f.Src, mac.DropRetries)
 				m.pol.OnGiveUp(f.Src)
-				m.env.Callbacks.NotifyDropped(p, mac.DropRetries)
+				m.Drop(p, mac.DropRetries)
 			} else if q := m.queueFor(f.Src); q != nil {
 				q.PushFront(p)
-				m.noteQueue("push", f.Src)
+				m.NoteQueue("push", f.Src, q)
 			}
 			m.next()
 			return
@@ -1042,10 +927,10 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		m.pol.OnSuccess(m.curDst)
 	}
 	if m.opt.Exchange.HasDS() {
-		m.out = frame.Frame{Type: frame.DS, Src: m.env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-		m.pol.StampSend(&m.out)
-		air := m.transmit(&m.out)
-		m.stats.DSSent++
+		m.Out = frame.Frame{Type: frame.DS, Src: m.Env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+		m.pol.StampSend(&m.Out)
+		air := m.Transmit(&m.Out)
+		m.Counters.DSSent++
 		m.setState(SendData)
 		m.tx, m.txHead = txDS, head
 		m.setTimer(air, (*MACAW).onDSSent)
@@ -1066,16 +951,16 @@ func (m *MACAW) sendData(head *mac.Packet) {
 			wantAck = false
 		}
 	}
-	m.out = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
+	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
 	m.tx, m.txHead, m.txWantAck = txData, head, wantAck
 	m.setTimer(air, (*MACAW).onDataAirDone)
 }
 
 // onDSSent transmits the announced data once the DS frame leaves the air.
 func (m *MACAW) onDSSent() {
-	m.timer = sim.Event{}
+	m.Fired()
 	head := m.txHead
 	m.tx, m.txHead = txNone, nil
 	m.sendData(head)
@@ -1084,12 +969,12 @@ func (m *MACAW) onDSSent() {
 // onDataAirDone fires when the DATA frame leaves the air: wait for the ACK,
 // tentatively complete a piggybacked packet, or finish a basic exchange.
 func (m *MACAW) onDataAirDone() {
-	m.timer = sim.Event{}
+	m.Fired()
 	head, wantAck := m.txHead, m.txWantAck
 	m.tx, m.txHead, m.txWantAck = txNone, nil, false
 	if wantAck {
 		m.setState(WFACK)
-		m.setTimer(m.env.Cfg.CTSWait(), (*MACAW).onACKTimeout)
+		m.setTimer(m.Env.Cfg.CTSWait(), (*MACAW).onACKTimeout)
 		return
 	}
 	if m.opt.Exchange.HasACK() {
@@ -1098,11 +983,11 @@ func (m *MACAW) onDataAirDone() {
 		q := m.queueFor(head.Dst)
 		if q != nil && q.Peek() == head {
 			q.Pop()
-			m.noteQueue("pop", head.Dst)
+			m.NoteQueue("pop", head.Dst, q)
 		}
 		m.pending[head.Dst] = head
 		m.attempts[head.Dst] = 0
-		m.stats.DataSent++
+		m.Counters.DataSent++
 		m.next()
 		return
 	}
@@ -1113,7 +998,7 @@ func (m *MACAW) onDataAirDone() {
 // onCtrlSent resumes after a standalone control frame (ACK or NACK) leaves
 // the air.
 func (m *MACAW) onCtrlSent() {
-	m.timer = sim.Event{}
+	m.Fired()
 	m.tx = txNone
 	m.next()
 }
@@ -1124,12 +1009,12 @@ func (m *MACAW) completeSend(dst frame.NodeID) {
 	var p *mac.Packet
 	if q != nil {
 		p = q.Pop()
-		m.noteQueue("pop", dst)
+		m.NoteQueue("pop", dst, q)
 	}
 	m.attempts[dst] = 0
-	m.stats.DataSent++
+	m.Counters.DataSent++
 	if p != nil {
-		m.env.Callbacks.NotifySent(p)
+		m.Env.Callbacks.NotifySent(p)
 	}
 	m.next()
 }
@@ -1145,10 +1030,9 @@ func (m *MACAW) onACKTimeout() {
 	if m.st != WFACK {
 		return
 	}
-	m.timer = sim.Event{}
+	m.Fired()
 	m.pol.OnFailure(m.curDst)
-	m.stats.Retries++
-	m.noteRetry(m.curDst)
+	m.Retry(m.curDst)
 	m.bumpAttempts(m.curDst)
 	m.next()
 }
@@ -1160,7 +1044,7 @@ func (m *MACAW) onACK(f *frame.Frame) {
 		delete(m.pending, f.Src)
 		delete(m.pendingRetries, f.Src)
 		m.pol.OnSuccess(f.Src)
-		m.env.Callbacks.NotifySent(p)
+		m.Env.Callbacks.NotifySent(p)
 		return
 	}
 	head := m.head(f.Src)
@@ -1181,7 +1065,7 @@ func (m *MACAW) onACK(f *frame.Frame) {
 	default:
 		return
 	}
-	m.clearTimer()
+	m.ClearTimer()
 	m.pol.OnSuccess(f.Src)
 	m.completeSend(f.Src)
 }
@@ -1191,9 +1075,9 @@ func (m *MACAW) onDS(f *frame.Frame) {
 	if m.st != WFDS || f.Src != m.expectSrc {
 		return
 	}
-	m.clearTimer()
+	m.ClearTimer()
 	m.setState(WFData)
-	m.setTimer(m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, (*MACAW).onExpectTimeout)
+	m.setTimer(m.Env.Cfg.Turnaround+m.Env.Cfg.DataTime(int(f.DataBytes))+m.Env.Cfg.Margin, (*MACAW).onExpectTimeout)
 }
 
 // onData delivers the payload and returns the ACK (control rule 5). A
@@ -1203,14 +1087,14 @@ func (m *MACAW) onDS(f *frame.Frame) {
 func (m *MACAW) onData(f *frame.Frame) {
 	if m.opt.Exchange.HasACK() && m.everAcked[f.Src] && m.lastAcked[f.Src] == f.Seq {
 		if m.st == WFData && f.Src == m.expectSrc {
-			m.clearTimer()
+			m.ClearTimer()
 			m.sendAck(f.Src, f.Seq)
 		}
 		return
 	}
 	if m.st == WFData && f.Src == m.expectSrc {
-		m.clearTimer()
-		m.deliver(f)
+		m.ClearTimer()
+		m.Deliver(f)
 		if m.opt.Exchange.HasACK() {
 			m.lastAcked[f.Src] = f.Seq
 			m.everAcked[f.Src] = true
@@ -1232,15 +1116,15 @@ func (m *MACAW) onData(f *frame.Frame) {
 		m.lastAcked[f.Src] = f.Seq
 		m.everAcked[f.Src] = true
 	}
-	m.deliver(f)
+	m.Deliver(f)
 }
 
 // sendAck transmits a link-level ACK and resumes.
 func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
-	m.out = frame.Frame{Type: frame.ACK, Src: m.env.ID(), Dst: dst, Seq: seq}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.ACKSent++
+	m.Out = frame.Frame{Type: frame.ACK, Src: m.Env.ID(), Dst: dst, Seq: seq}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.ACKSent++
 	m.setState(SendData)
 	m.tx = txCtrl
 	m.setTimer(air, (*MACAW).onCtrlSent)
@@ -1256,17 +1140,17 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	if head == nil {
 		return
 	}
-	m.clearTimer()
+	m.ClearTimer()
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	m.out = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
-	m.pol.StampSend(&m.out)
-	air := m.transmit(&m.out)
-	m.stats.RTSSent++
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.pol.StampSend(&m.Out)
+	air := m.Transmit(&m.Out)
+	m.Counters.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
+	m.setTimer(air+m.Env.Cfg.CTSWait(), (*MACAW).onCTSTimeout)
 }
 
 // onNACK (§4 alternative): the receiver's CTS went unanswered by data; the
@@ -1276,9 +1160,8 @@ func (m *MACAW) onNACK(f *frame.Frame) {
 	if !m.opt.NACK || m.st != WFACK || f.Src != m.curDst {
 		return
 	}
-	m.clearTimer()
-	m.stats.Retries++
-	m.noteRetry(m.curDst)
+	m.ClearTimer()
+	m.Retry(m.curDst)
 	m.bumpAttempts(m.curDst)
 	m.next()
 }
@@ -1289,4 +1172,4 @@ func (m *MACAW) BackoffPolicy() backoff.Policy { return m.pol }
 
 // SetMaxRetries rewrites the per-packet retry limit, effective from the next
 // failed attempt.
-func (m *MACAW) SetMaxRetries(n int) { m.env.Cfg.MaxRetries = n }
+func (m *MACAW) SetMaxRetries(n int) { m.Env.Cfg.MaxRetries = n }

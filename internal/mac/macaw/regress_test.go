@@ -113,10 +113,10 @@ func TestSeqOriginRandomPerLifetime(t *testing.T) {
 	w := newWorld(9)
 	a := w.add(1, geom.V(0, 0, 6), DefaultOptions())
 	b := w.add(2, geom.V(6, 0, 6), DefaultOptions())
-	if a.m.seq == b.m.seq {
-		t.Fatalf("two instances share seq origin %d", a.m.seq)
+	if a.m.Seq == b.m.Seq {
+		t.Fatalf("two instances share seq origin %d", a.m.Seq)
 	}
-	if a.m.seq == 0 && b.m.seq == 0 {
+	if a.m.Seq == 0 && b.m.Seq == 0 {
 		t.Fatal("seq origins not randomized")
 	}
 }
@@ -140,7 +140,7 @@ func TestContendRedrawWhenDeferHorizonMoves(t *testing.T) {
 		}
 		// Move the horizon to just past the armed fire time: firing as
 		// armed would start a transmission less than one slot after it.
-		horizon = a.m.TimerAt() + slot/2
+		horizon = a.m.TimerWhen() + slot/2
 		a.m.deferUntil = horizon
 	})
 	w.s.Run(2 * sim.Second)

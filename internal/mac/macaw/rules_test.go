@@ -38,7 +38,7 @@ func TestControlRule1ContendOnEnqueue(t *testing.T) {
 	if a.m.State() != Contend {
 		t.Fatalf("state after enqueue = %v, want CONTEND", a.m.State())
 	}
-	if a.m.TimerAt() < 0 {
+	if a.m.TimerWhen() < 0 {
 		t.Fatal("no contention timer set")
 	}
 }

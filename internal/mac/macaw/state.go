@@ -13,8 +13,7 @@ import (
 // ascending destination order so the dump is canonical; the backoff policy
 // appends its own table when it supports the hook.
 func (m *MACAW) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "macaw st=%s timer=%d timerCancelled=%t defer=%d carrierClear=%d seq=%d halted=%t\n",
-		m.st, m.timer.When(), m.timer.Cancelled(), m.deferUntil, m.carrierClearAt, m.seq, m.halted)
+	b = fmt.Appendf(b, "macaw st=%s defer=%d carrierClear=%d\n", m.st, m.deferUntil, m.carrierClearAt)
 	b = fmt.Appendf(b, "macaw.exchange cur={dst=%d rrts=%t} curDst=%d expectSrc=%d rrtsFor=%d rrtsLen=%d hasRRTS=%t rrtsSeen=%d tx=%d wantAck=%t",
 		m.cur.dst, m.cur.rrts, m.curDst, m.expectSrc, m.rrtsFor, m.rrtsLen, m.hasRRTS, m.rrtsSeen, m.tx, m.txWantAck)
 	b = mac.AppendPacketRef(b, "txHead", m.txHead)
@@ -25,16 +24,15 @@ func (m *MACAW) AppendState(b []byte) []byte {
 		b = m.fifo.AppendState(b)
 	}
 	b = appendIntMap(b, "attempts", m.attempts)
-	b = appendU32Map(b, "lastAcked", m.lastAcked)
+	b = mac.AppendSeqMap(b, "macaw.lastAcked", m.lastAcked)
 	b = appendBoolMap(b, "everAcked", m.everAcked)
-	b = appendU32Map(b, "seenESN", m.seenESN)
+	b = mac.AppendSeqMap(b, "macaw.seenESN", m.seenESN)
 	b = appendPendingMap(b, m.pending)
 	b = appendIntMap(b, "pendingRetries", m.pendingRetries)
 	if a, ok := m.pol.(interface{ AppendState([]byte) []byte }); ok {
 		b = a.AppendState(b)
 	}
-	b = m.stats.AppendState(b)
-	return b
+	return m.Base.AppendState(b)
 }
 
 func sortedIDs[V any](m map[frame.NodeID]V) []frame.NodeID {
@@ -47,14 +45,6 @@ func sortedIDs[V any](m map[frame.NodeID]V) []frame.NodeID {
 }
 
 func appendIntMap(b []byte, name string, m map[frame.NodeID]int) []byte {
-	b = fmt.Appendf(b, "macaw.%s n=%d", name, len(m))
-	for _, id := range sortedIDs(m) {
-		b = fmt.Appendf(b, " %d=%d", id, m[id])
-	}
-	return append(b, '\n')
-}
-
-func appendU32Map(b []byte, name string, m map[frame.NodeID]uint32) []byte {
 	b = fmt.Appendf(b, "macaw.%s n=%d", name, len(m))
 	for _, id := range sortedIDs(m) {
 		b = fmt.Appendf(b, " %d=%d", id, m[id])

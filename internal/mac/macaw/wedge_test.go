@@ -56,7 +56,7 @@ func TestNeverWedgesUnderArbitraryFrames(t *testing.T) {
 					}
 					// Deliver directly when the radio isn't mid-transmission,
 					// interleaved with simulated time.
-					if !a.m.env.Radio.Transmitting() {
+					if !a.m.Env.Radio.Transmitting() {
 						a.m.RadioReceive(f)
 						a.m.RadioCarrier(r.Intn(2) == 0)
 					}
@@ -68,7 +68,7 @@ func TestNeverWedgesUnderArbitraryFrames(t *testing.T) {
 				w.s.Run(w.s.Now() + 120*sim.Second)
 				if a.m.QueueLen() > 0 {
 					t.Fatalf("seed %d: %d packets stuck after drain (state %v, timer %v)",
-						seed, a.m.QueueLen(), a.m.State(), a.m.TimerAt())
+						seed, a.m.QueueLen(), a.m.State(), a.m.TimerWhen())
 				}
 			}
 		})
@@ -81,7 +81,7 @@ func checkLive(t *testing.T, w *world, m *MACAW, seed int64, step int) {
 	if m.State() == Idle {
 		return
 	}
-	if m.TimerAt() < 0 && w.s.Pending() == 0 {
+	if m.TimerWhen() < 0 && w.s.Pending() == 0 {
 		t.Fatalf("seed %d step %d: state %v with no timer and no pending events — wedged",
 			seed, step, m.State())
 	}

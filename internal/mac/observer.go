@@ -5,43 +5,15 @@ import (
 	"macaw/internal/sim"
 )
 
-// LossObserver is an optional Observer extension receiving retry and drop
-// accounting. It is separate from Observer so existing observers (the
-// conformance oracle) keep compiling unchanged; engines probe for it once at
-// construction with a type assertion on Env.Obs. The passivity contract of
-// Observer applies: implementations must not transmit, schedule, or consume
-// randomness.
-type LossObserver interface {
-	// ObserveRetry reports one failed attempt toward dst being retried
-	// (every Stats.Retries increment).
-	ObserveRetry(dst frame.NodeID)
-	// ObserveDrop reports a packet toward dst being abandoned (every
-	// Stats.Drops increment), with the reason.
-	ObserveDrop(dst frame.NodeID, reason DropReason)
-}
-
-// AsLossObserver returns obs as a LossObserver, or nil when obs is nil or
-// does not implement the extension. Engines call it once at construction so
-// the per-event hook is a plain nil check, not a type assertion.
-func AsLossObserver(obs Observer) LossObserver {
-	if lo, ok := obs.(LossObserver); ok {
-		return lo
-	}
-	return nil
-}
-
 // multiObserver fans every hook out to several observers in attachment
-// order. The loss slice is pre-split at construction so the LossObserver
-// hooks stay assertion-free.
+// order.
 type multiObserver struct {
-	obs  []Observer
-	loss []LossObserver
+	obs []Observer
 }
 
 // CombineObservers composes observers into one. nil entries are skipped; a
 // single survivor is returned unwrapped, and nil is returned when none
-// remain. The composite forwards LossObserver hooks to every member that
-// implements them.
+// remain.
 func CombineObservers(os ...Observer) Observer {
 	var kept []Observer
 	for _, o := range os {
@@ -55,13 +27,7 @@ func CombineObservers(os ...Observer) Observer {
 	case 1:
 		return kept[0]
 	}
-	m := &multiObserver{obs: kept}
-	for _, o := range kept {
-		if lo := AsLossObserver(o); lo != nil {
-			m.loss = append(m.loss, lo)
-		}
-	}
-	return m
+	return &multiObserver{obs: kept}
 }
 
 func (m *multiObserver) ObserveTx(f *frame.Frame) {
@@ -101,13 +67,13 @@ func (m *multiObserver) ObserveDeliver(f *frame.Frame) {
 }
 
 func (m *multiObserver) ObserveRetry(dst frame.NodeID) {
-	for _, o := range m.loss {
+	for _, o := range m.obs {
 		o.ObserveRetry(dst)
 	}
 }
 
 func (m *multiObserver) ObserveDrop(dst frame.NodeID, reason DropReason) {
-	for _, o := range m.loss {
+	for _, o := range m.obs {
 		o.ObserveDrop(dst, reason)
 	}
 }

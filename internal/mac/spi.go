@@ -1,5 +1,7 @@
 package mac
 
+import "macaw/internal/sim"
+
 // This file defines the explicit MAC service-provider interface (SPI). The
 // protocol engines (csma, maca, macaw, token, dcf, tournament) used to agree
 // on lifecycle, introspection and snapshotting only by convention —
@@ -11,19 +13,25 @@ package mac
 // builds.
 //
 // The SPI's behavioral conventions, enforced by the conformance suite in
-// internal/experiments (DESIGN.md §16):
+// internal/experiments (DESIGN.md §16). Every engine embeds Base (base.go),
+// which implements the plumbing each convention marks with (Base) once for
+// all of them:
 //
-//   - Observer discipline: ObserveTx immediately before Radio.Transmit;
-//     ObserveRx for every clean reception a live engine processes;
-//     ObserveQueue("push"/"pop"/"drop") with the post-op length;
-//     ObserveTimer(when) on arm and ObserveTimer(-1) on cancel;
-//     ObserveState only on actual change; ObserveDeliver before the Deliver
-//     callback.
-//   - Halt discipline: cancel the state timer (reporting ObserveTimer(-1)),
-//     return to the idle state, drain the queue as drops counted in
-//     Stats().Drops and reported via LossObserver.ObserveDrop and the
-//     Dropped callback with DropDisabled, and turn every entry point —
-//     Enqueue, radio indications, stray timers — into a no-op.
+//   - Observer discipline: ObserveTx immediately before Radio.Transmit
+//     (Base.Transmit); ObserveRx for every clean reception a live engine
+//     processes (Base.Receive); ObserveQueue("push"/"pop"/"drop") with the
+//     post-op length (Base.NoteQueue); ObserveTimer(when) on arm and
+//     ObserveTimer(-1) on cancel (Base.ArmAt, Base.ClearTimer);
+//     ObserveState only on actual change (Base.NoteState); ObserveDeliver
+//     before the Deliver callback (Base.Deliver); ObserveRetry and
+//     ObserveDrop with every Retries and Drops increment (Base.Retry,
+//     Base.Drop).
+//   - Halt discipline: cancel the state timer, reporting ObserveTimer(-1)
+//     (Base.BeginHalt), return to the idle state, drain the queue as drops
+//     counted in Stats().Drops and reported via ObserveDrop and the Dropped
+//     callback with DropDisabled (Base.DrainQueue), and turn every entry
+//     point — Enqueue (Base.Admit), radio indications (Base.Receive), stray
+//     timers — into a no-op.
 //   - Liveness invariant (the fault watchdog's wedge rule): whenever the
 //     engine is quiescent in a non-idle FSM state, or idle with a non-empty
 //     queue, a timer must be pending.
@@ -32,14 +40,29 @@ package mac
 //     in-flight slot) and reads none of its fields afterwards, so the host
 //     may zero and reuse the record for a later offer (see Callbacks).
 //   - AppendState completeness: every field that can affect future behavior
-//     appears in the dump; the passivity and replay tests diff the dumps.
+//     appears in the dump, which ends with Base.AppendState; the passivity
+//     and replay tests diff the dumps.
 type Engine interface {
 	MAC
-	Halter
-	Inspector
 
+	// Halt silences the instance permanently: the state timer is
+	// cancelled, queued packets are dropped (reported via the Dropped
+	// callback with DropDisabled), and every subsequent enqueue, radio
+	// indication, or stray timer becomes a no-op. A crashed station halts
+	// its MAC so a later restart can bind a fresh instance to the same
+	// radio without the two fighting over it.
+	Halt()
 	// Halted reports whether Halt has been called on this instance.
 	Halted() bool
+
+	// FSMState names the current protocol state ("IDLE", "WFCTS", ...).
+	FSMState() string
+	// TimerPending reports whether a state timer (or scheduled
+	// continuation) is armed.
+	TimerPending() bool
+	// TimerWhen reports when the pending timer fires, or -1 when none is
+	// armed.
+	TimerWhen() sim.Time
 
 	// Protocol returns the engine's stable protocol name ("csma", "maca",
 	// "macaw", "token", "dcf", "tournament"). The conformance oracle and

@@ -1,6 +1,11 @@
 package mac
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+
+	"macaw/internal/frame"
+)
 
 // This file provides the queue dumps shared by every protocol engine's
 // snapshot state inventory (DESIGN.md §14). Packet identity is (dst, size,
@@ -44,4 +49,19 @@ func (st Stats) AppendState(b []byte) []byte {
 	return fmt.Appendf(b, "macstats data=%d rx=%d rts=%d retries=%d drops=%d cts=%d ds=%d ack=%d rrts=%d\n",
 		st.DataSent, st.DataReceived, st.RTSSent, st.Retries, st.Drops,
 		st.CTSSent, st.DSSent, st.ACKSent, st.RRTSSent)
+}
+
+// AppendSeqMap appends a per-station sequence map (an engine's dedup
+// bookkeeping) in ascending station order.
+func AppendSeqMap(b []byte, name string, m map[frame.NodeID]uint32) []byte {
+	keys := make([]frame.NodeID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	b = fmt.Appendf(b, "%s n=%d", name, len(keys))
+	for _, k := range keys {
+		b = fmt.Appendf(b, " %d=%d", k, m[k])
+	}
+	return append(b, '\n')
 }

@@ -17,7 +17,7 @@ func TestTimersAllocationFree(t *testing.T) {
 	// Let the ring of one bootstrap: it acquires the token, finds nobody
 	// to pass it to and parks in HOLDING behind a recovery pause.
 	w.s.Run(2 * mac.DefaultConfig().Slot())
-	tk.clearTimer()
+	tk.ClearTimer()
 	if tk.State() != Holding {
 		t.Fatalf("bootstrap left state %s, want HOLDING", tk.State())
 	}
@@ -28,7 +28,7 @@ func TestTimersAllocationFree(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(100, func() {
 			tk.setTimer(sim.Microsecond, fn)
-			tk.clearTimer()
+			tk.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
 			t.Errorf("arming and cancelling %s allocated %.1f times, want 0", name, n)

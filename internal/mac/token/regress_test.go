@@ -42,8 +42,7 @@ func (o *recObs) ObserveRetry(frame.NodeID) {}
 func observedRing(seed int64) (*world, *recObs) {
 	w := newRing(seed, 2, Options{})
 	obs := &recObs{}
-	w.nodes[0].m.env.Obs = obs
-	w.nodes[0].m.lobs = mac.AsLossObserver(obs)
+	w.nodes[0].m.Env.Obs = obs
 	return w, obs
 }
 
@@ -60,7 +59,7 @@ func TestHaltSilencesZombieInstance(t *testing.T) {
 	}
 	w.s.Run(200 * sim.Millisecond) // ring running, token circulating
 	dropped := 0
-	a.m.env.Callbacks.Dropped = func(_ *mac.Packet, r mac.DropReason) {
+	a.m.Env.Callbacks.Dropped = func(_ *mac.Packet, r mac.DropReason) {
 		if r != mac.DropDisabled {
 			t.Fatalf("drop reason %v, want DropDisabled", r)
 		}
@@ -146,11 +145,11 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 		t.Fatalf("timer observations %v: Halt did not report cancellation last", obs.timers)
 	}
 	if len(obs.drops) == 0 {
-		t.Fatal("queue drain bypassed the loss observer")
+		t.Fatal("queue drain bypassed ObserveDrop")
 	}
 	for _, r := range obs.drops {
 		if r != mac.DropDisabled {
-			t.Fatalf("loss observer saw %v, want DropDisabled", r)
+			t.Fatalf("ObserveDrop saw %v, want DropDisabled", r)
 		}
 	}
 }

@@ -83,12 +83,8 @@ func (o Options) withDefaults() Options {
 
 // Token is one station's protocol instance.
 type Token struct {
-	env  *mac.Env
-	opt  Options
-	lobs mac.LossObserver // optional retry/drop extension of env.Obs
-	// out is the frame being sent. The radio copies it at Transmit, so
-	// this one scratch value serves every transmission.
-	out frame.Frame
+	mac.Base
+	opt Options
 
 	st       State
 	q        mac.Queue
@@ -101,11 +97,9 @@ type Token struct {
 	// skipNext is the skip distance the Passing watch timer will retry
 	// with when the successor never shows life.
 	skipNext int
-	timer    sim.Event
+	// watchdog is the silence timer, armed beside the chassis state timer
+	// and not reported to the observer.
 	watchdog sim.Event
-	seq      uint32
-	halted   bool // crashed instance: every entry point is a no-op
-	stats    mac.Stats
 	// Regenerations counts token-recovery events at this station.
 	Regenerations int
 	// Skips counts successors skipped after a watch timeout.
@@ -116,7 +110,7 @@ type Token struct {
 // listed in opt.Ring.
 func New(env *mac.Env, opt Options) *Token {
 	opt = opt.withDefaults()
-	t := &Token{env: env, opt: opt, lobs: mac.AsLossObserver(env.Obs), ringPos: -1}
+	t := &Token{Base: mac.Base{Env: env}, opt: opt, ringPos: -1}
 	for i, id := range opt.Ring {
 		if id == env.ID() {
 			t.ringPos = i
@@ -130,7 +124,7 @@ func New(env *mac.Env, opt Options) *Token {
 	t.armWatchdog()
 	if t.ringPos == 0 {
 		// The first member bootstraps the token once the ring settles.
-		t.env.Sim.AtPriorityCall(t.env.Sim.Now()+t.env.Cfg.Slot(), 0, sim.Call[*Token], t, (*Token).acquire)
+		t.Env.Sim.AtPriorityCall(t.Env.Sim.Now()+t.Env.Cfg.Slot(), 0, sim.Call[*Token], t, (*Token).acquire)
 	}
 	return t
 }
@@ -146,19 +140,19 @@ func timerAt(e sim.Event) sim.Time {
 	return e.When()
 }
 
-// FSMState implements mac.Inspector.
+// FSMState implements mac.Engine.
 func (t *Token) FSMState() string { return t.st.String() }
 
-// TimerPending implements mac.Inspector. The silence watchdog counts: it is
+// TimerPending implements mac.Engine. The silence watchdog counts: it is
 // the event that guarantees liveness in NOTOKEN (the token is elsewhere and
 // only recovery or a reception can change that), so the scheme's pending
 // continuation is whichever of the state timer and the watchdog fires first.
 func (t *Token) TimerPending() bool { return t.TimerWhen() >= 0 }
 
-// TimerWhen implements mac.Inspector: the earlier of the state timer and the
+// TimerWhen implements mac.Engine: the earlier of the state timer and the
 // silence watchdog, or -1 when neither is armed.
 func (t *Token) TimerWhen() sim.Time {
-	a, b := timerAt(t.timer), timerAt(t.watchdog)
+	a, b := t.Base.TimerWhen(), timerAt(t.watchdog)
 	if a < 0 {
 		return b
 	}
@@ -168,110 +162,54 @@ func (t *Token) TimerWhen() sim.Time {
 	return b
 }
 
-// Halt implements mac.Halter: cancel both pending events, drop the queue
-// (reported with DropDisabled), and turn every subsequent entry point into a
-// no-op so a restarted MAC can own the radio without interference. Before the
-// MAC SPI extraction the token engine had no Halt at all, so a crashed
+// Halt implements mac.Engine, cancelling the silence watchdog too. Before
+// the MAC SPI extraction the token engine had no Halt at all, so a crashed
 // station's instance kept driving the shared radio after a restart bound a
 // fresh one — see TestHaltSilencesZombieInstance.
 func (t *Token) Halt() {
-	if t.halted {
+	if !t.BeginHalt() {
 		return
 	}
-	t.halted = true
-	t.clearTimer()
 	t.watchdog.Cancel()
 	t.watchdog = sim.Event{}
 	t.st = NoToken
 	t.sending = nil
-	for p := t.q.Pop(); p != nil; p = t.q.Pop() {
-		t.stats.Drops++
-		t.noteDrop(p.Dst, mac.DropDisabled)
-		t.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
-	}
+	t.DrainQueue(&t.q)
 }
-
-// Halted reports whether Halt has been called.
-func (t *Token) Halted() bool { return t.halted }
 
 // Protocol implements mac.Engine.
 func (t *Token) Protocol() string { return "token" }
-
-// Stats implements mac.MAC.
-func (t *Token) Stats() mac.Stats { return t.stats }
 
 // QueueLen implements mac.MAC.
 func (t *Token) QueueLen() int { return t.q.Len() }
 
 // Enqueue implements mac.MAC.
 func (t *Token) Enqueue(p *mac.Packet) {
-	if t.halted {
-		t.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
+	if !t.Admit(p) {
 		return
 	}
-	t.seq++
-	p.SetSeq(t.seq)
-	p.Enqueued = t.env.Sim.Now()
 	t.q.Push(p)
-	t.noteQueue("push", p.Dst)
+	t.NoteQueue("push", p.Dst, &t.q)
 }
 
-// setTimer arms the state timer for fn, a method expression: with the
-// receiver riding in the pooled event record, re-arming never allocates.
+// setTimer arms the state timer for fn, a method expression, d from now.
 func (t *Token) setTimer(d sim.Duration, fn func(*Token)) {
-	t.timer.Cancel()
-	t.timer = t.env.Sim.AtPriorityCall(t.env.Sim.Now()+d, 0, sim.Call[*Token], t, fn)
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTimer(t.timer.When())
-	}
+	t.ArmAt(t.Env.Sim.Now()+d, sim.Call[*Token], t, fn)
 }
 
-// clearTimer cancels the state timer, reporting the cancellation. The silence
-// watchdog is deliberately not reported through ObserveTimer — the observer
-// contract traces the state timer; the watchdog is visible via TimerWhen.
-func (t *Token) clearTimer() {
-	t.timer.Cancel()
-	t.timer = sim.Event{}
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTimer(-1)
-	}
-}
-
-// transmit radiates f, notifying the conformance observer first.
-func (t *Token) transmit(f *frame.Frame) sim.Duration {
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTx(f)
-	}
-	return t.env.Radio.Transmit(f)
-}
-
-// setState moves the FSM to s, notifying the conformance observer.
+// setState moves the FSM to s.
 func (t *Token) setState(s State) {
-	if t.env.Obs != nil && s != t.st {
-		t.env.Obs.ObserveState(t.st.String(), s.String())
+	if s != t.st {
+		t.NoteState(t.st.String(), s.String())
 	}
 	t.st = s
-}
-
-// noteQueue reports a queue operation to the observer.
-func (t *Token) noteQueue(op string, dst frame.NodeID) {
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveQueue(op, dst, t.q.Len())
-	}
-}
-
-// noteDrop reports an abandoned packet to the loss observer.
-func (t *Token) noteDrop(dst frame.NodeID, reason mac.DropReason) {
-	if t.lobs != nil {
-		t.lobs.ObserveDrop(dst, reason)
-	}
 }
 
 // armWatchdog (re)starts the silence watchdog that triggers token recovery.
 func (t *Token) armWatchdog() {
 	t.watchdog.Cancel()
-	at := t.env.Sim.Now() + sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.env.Cfg.Slot()
-	t.watchdog = t.env.Sim.AtPriorityCall(at, 0, sim.Call[*Token], t, (*Token).onSilence)
+	at := t.Env.Sim.Now() + sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.Env.Cfg.Slot()
+	t.watchdog = t.Env.Sim.AtPriorityCall(at, 0, sim.Call[*Token], t, (*Token).onSilence)
 }
 
 // onSilence fires when nothing has been heard for the recovery window. The
@@ -289,7 +227,7 @@ func (t *Token) onSilence() {
 
 // acquire takes possession of the token.
 func (t *Token) acquire() {
-	if t.halted || t.env.Radio.Transmitting() {
+	if t.Halted() || t.Env.Radio.Transmitting() {
 		return
 	}
 	t.setState(Holding)
@@ -307,21 +245,21 @@ func (t *Token) serve() {
 		return
 	}
 	t.q.Pop()
-	t.noteQueue("pop", head.Dst)
+	t.NoteQueue("pop", head.Dst, &t.q)
 	t.sentThis++
-	t.out = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := t.transmit(&t.out)
+	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := t.Transmit(&t.Out)
 	t.sending = head
 	t.setTimer(air, (*Token).onDataSent)
 }
 
 // onDataSent completes the data frame on the air and keeps serving.
 func (t *Token) onDataSent() {
-	t.timer = sim.Event{}
+	t.Fired()
 	head := t.sending
 	t.sending = nil
-	t.stats.DataSent++
-	t.env.Callbacks.NotifySent(head)
+	t.Counters.DataSent++
+	t.Env.Callbacks.NotifySent(head)
 	t.serve()
 }
 
@@ -329,7 +267,7 @@ func (t *Token) onDataSent() {
 // pause taken when every successor looked dead, or the one-slot self-pass of
 // a ring of one. Both reopen the possession budget.
 func (t *Token) onHoldPause() {
-	t.timer = sim.Event{}
+	t.Fired()
 	t.sentThis = 0
 	t.serve()
 }
@@ -337,7 +275,7 @@ func (t *Token) onHoldPause() {
 // onWatchTimeout fires when the successor the token was passed to never
 // showed life: skip it and pass further around the ring.
 func (t *Token) onWatchTimeout() {
-	t.timer = sim.Event{}
+	t.Fired()
 	t.Skips++
 	t.pass(t.skipNext)
 }
@@ -349,22 +287,22 @@ func (t *Token) pass(skip int) {
 		// Everyone else looks dead; keep the token and try again after
 		// a recovery pause.
 		t.setState(Holding)
-		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.env.Cfg.Slot(), (*Token).onHoldPause)
+		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.Env.Cfg.Slot(), (*Token).onHoldPause)
 		return
 	}
 	t.passTo = (t.ringPos + skip) % len(t.opt.Ring)
 	succ := t.opt.Ring[t.passTo]
-	if succ == t.env.ID() {
+	if succ == t.Env.ID() {
 		// Ring of one: keep serving after a slot's pause.
 		t.sentThis = 0
-		t.setTimer(t.env.Cfg.Slot(), (*Token).onHoldPause)
+		t.setTimer(t.Env.Cfg.Slot(), (*Token).onHoldPause)
 		return
 	}
-	t.out = frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
-	air := t.transmit(&t.out)
+	t.Out = frame.Frame{Type: frame.TOKEN, Src: t.Env.ID(), Dst: succ}
+	air := t.Transmit(&t.Out)
 	t.setState(Passing)
 	t.skipNext = skip + 1
-	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), (*Token).onWatchTimeout)
+	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.Env.Cfg.Slot(), (*Token).onWatchTimeout)
 }
 
 // RadioCarrier implements phy.Handler; token access needs no carrier sense.
@@ -372,33 +310,26 @@ func (t *Token) RadioCarrier(bool) {}
 
 // RadioReceive implements phy.Handler.
 func (t *Token) RadioReceive(f *frame.Frame) {
-	if t.halted {
+	if !t.Receive(f) {
 		return
-	}
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveRx(f)
 	}
 	t.armWatchdog()
 	if t.st == Passing {
 		// Any transmission from the successor proves the hand-off.
 		if f.Src == t.opt.Ring[t.passTo] {
-			t.clearTimer()
+			t.ClearTimer()
 			t.setState(NoToken)
 		}
 	}
 	switch f.Type {
 	case frame.TOKEN:
-		if f.Dst == t.env.ID() {
-			t.clearTimer()
+		if f.Dst == t.Env.ID() {
+			t.ClearTimer()
 			t.acquire()
 		}
 	case frame.DATA:
-		if f.Dst == t.env.ID() || f.Dst == frame.Broadcast {
-			t.stats.DataReceived++
-			if t.env.Obs != nil {
-				t.env.Obs.ObserveDeliver(f)
-			}
-			t.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
+		if f.Dst == t.Env.ID() || f.Dst == frame.Broadcast {
+			t.Deliver(f)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func TestNeverWedgesUnderArbitraryFrames(t *testing.T) {
 				Dst:  frame.NodeID(1 + r.Intn(4)),
 				Seq:  uint32(r.Intn(5)),
 			}
-			if f.Src != nd.m.env.ID() && !nd.m.env.Radio.Transmitting() {
+			if f.Src != nd.m.Env.ID() && !nd.m.Env.Radio.Transmitting() {
 				nd.m.RadioReceive(f)
 			}
 			w.s.Run(w.s.Now() + sim.Duration(r.Intn(4))*sim.Millisecond)

@@ -17,7 +17,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	for k := tBoundary; k <= tACKTimeout; k++ {
 		if n := testing.AllocsPerRun(100, func() {
 			m.setTimer(sim.Millisecond, k)
-			m.clearTimer()
+			m.disarm()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
 			t.Errorf("arming and cancelling timer kind %d allocated %.1f times, want 0", k, n)

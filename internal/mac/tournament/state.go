@@ -2,38 +2,20 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
 
-	"macaw/internal/frame"
 	"macaw/internal/mac"
 )
 
 // AppendState appends the engine's full FSM state for the snapshot
 // inventory (DESIGN.md §14). Field order follows the repository convention:
-// FSM scalars, then timer + cancellation flag, then seq/halted, then the
-// in-flight packet reference, then maps (sorted), queue, and counters.
+// FSM scalars, then the in-flight packet reference, then maps (sorted), the
+// queue, and the chassis section.
 func (t *Tournament) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "tournament st=%s draw=%d round=%d roundStart=%d sentSig=%t lastBusy=%d retries=%d timer=%d timerCancelled=%t tk=%d seq=%d sigs=%d halted=%t",
-		t.st, t.draw, t.round, t.roundStart, t.sentSig, t.lastBusy, t.retries,
-		t.timer.When(), t.timer.Cancelled(), t.tk, t.seq, t.sigs, t.halted)
+	b = fmt.Appendf(b, "tournament st=%s draw=%d round=%d roundStart=%d sentSig=%t lastBusy=%d retries=%d tk=%d sigs=%d",
+		t.st, t.draw, t.round, t.roundStart, t.sentSig, t.lastBusy, t.retries, t.tk, t.sigs)
 	b = mac.AppendPacketRef(b, "sending", t.sending)
 	b = append(b, '\n')
-	b = appendSeqMap(b, "tournament.lastSeq", t.lastSeq)
+	b = mac.AppendSeqMap(b, "tournament.lastSeq", t.lastSeq)
 	b = t.q.AppendState(b)
-	b = t.stats.AppendState(b)
-	return b
-}
-
-// appendSeqMap dumps a per-source sequence map in sorted key order.
-func appendSeqMap(b []byte, name string, m map[frame.NodeID]uint32) []byte {
-	keys := make([]frame.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = fmt.Appendf(b, "%s n=%d", name, len(keys))
-	for _, k := range keys {
-		b = fmt.Appendf(b, " %d=%d", k, m[k])
-	}
-	return append(b, '\n')
+	return t.Base.AppendState(b)
 }

@@ -89,12 +89,8 @@ func (o Options) withDefaults() Options {
 
 // Tournament is one station's protocol instance.
 type Tournament struct {
-	env  *mac.Env
-	opt  Options
-	lobs mac.LossObserver // optional retry/drop extension of env.Obs
-	// out is the frame being sent. The radio copies it at Transmit, so
-	// this one scratch value serves every transmission.
-	out frame.Frame
+	mac.Base
+	opt Options
 
 	st State
 	q  mac.Queue
@@ -110,18 +106,15 @@ type Tournament struct {
 	// the carrier is down now.
 	lastBusy sim.Time
 	retries  int
-	timer    sim.Event
-	tk       tKind
+	// tk names the armed state timer's continuation (tNone when unarmed).
+	tk tKind
 	// sending references the head packet from data transmission until its
 	// exchange completes (still queued; success or drop pops it).
 	sending *mac.Packet
 	// lastSeq records the last delivered sequence number per source so a
 	// retransmission after a lost ACK is re-acknowledged, not re-delivered.
 	lastSeq map[frame.NodeID]uint32
-	seq     uint32
-	sigs    int  // SIG bursts radiated (engine-local; mac.Stats has no slot for them)
-	halted  bool // crashed instance: every entry point is a no-op
-	stats   mac.Stats
+	sigs    int // SIG bursts radiated (engine-local; mac.Stats has no slot for them)
 }
 
 // New returns a tournament instance bound to env's radio. The link-layer
@@ -130,10 +123,10 @@ type Tournament struct {
 func New(env *mac.Env, opt Options) *Tournament {
 	opt = opt.withDefaults()
 	t := &Tournament{
-		env: env, opt: opt, lobs: mac.AsLossObserver(env.Obs),
+		Base:     mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
+		opt:      opt,
 		lastBusy: -1,
 		lastSeq:  make(map[frame.NodeID]uint32),
-		seq:      env.Rand.Uint32() & 0x3fffffff,
 	}
 	env.Radio.SetHandler(t)
 	return t
@@ -157,65 +150,33 @@ func (t *Tournament) rounds() int {
 	return k
 }
 
-// TimerAt returns the firing time of the pending state timer, or -1 when no
-// timer is armed.
-func (t *Tournament) TimerAt() sim.Time {
-	if t.timer.IsZero() || t.timer.Cancelled() {
-		return -1
-	}
-	return t.timer.When()
-}
-
-// FSMState implements mac.Inspector.
+// FSMState implements mac.Engine.
 func (t *Tournament) FSMState() string { return t.st.String() }
 
-// TimerPending implements mac.Inspector.
-func (t *Tournament) TimerPending() bool { return t.TimerAt() >= 0 }
-
-// TimerWhen implements mac.Inspector.
-func (t *Tournament) TimerWhen() sim.Time { return t.TimerAt() }
-
-// Halt implements mac.Halter: cancel the state timer, drop the queue
-// (reported with DropDisabled), and turn every subsequent entry point into a
-// no-op so a restarted MAC can own the radio without interference.
+// Halt implements mac.Engine.
 func (t *Tournament) Halt() {
-	if t.halted {
+	if !t.BeginHalt() {
 		return
 	}
-	t.halted = true
-	t.clearTimer()
+	t.tk = tNone
 	t.st = Idle
 	t.sending = nil
-	for p := t.q.Pop(); p != nil; p = t.q.Pop() {
-		t.stats.Drops++
-		t.noteDrop(p.Dst, mac.DropDisabled)
-		t.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
-	}
+	t.DrainQueue(&t.q)
 }
-
-// Halted reports whether Halt has been called.
-func (t *Tournament) Halted() bool { return t.halted }
 
 // Protocol implements mac.Engine.
 func (t *Tournament) Protocol() string { return "tournament" }
-
-// Stats implements mac.MAC.
-func (t *Tournament) Stats() mac.Stats { return t.stats }
 
 // QueueLen implements mac.MAC.
 func (t *Tournament) QueueLen() int { return t.q.Len() }
 
 // Enqueue implements mac.MAC.
 func (t *Tournament) Enqueue(p *mac.Packet) {
-	if t.halted {
-		t.env.Callbacks.NotifyDropped(p, mac.DropDisabled)
+	if !t.Admit(p) {
 		return
 	}
-	t.seq++
-	p.SetSeq(t.seq)
-	p.Enqueued = t.env.Sim.Now()
 	t.q.Push(p)
-	t.noteQueue("push", p.Dst)
+	t.NoteQueue("push", p.Dst, &t.q)
 	if t.st == Idle {
 		t.startWait()
 	}
@@ -236,69 +197,34 @@ func timerFn(k tKind) func(*Tournament) {
 	return nil
 }
 
+// setTimer arms the state timer for kind k, dur from now.
 func (t *Tournament) setTimer(dur sim.Duration, k tKind) {
-	t.timer.Cancel()
 	t.tk = k
-	t.timer = t.env.Sim.AtPriorityCall(t.env.Sim.Now()+dur, 0, sim.Call[*Tournament], t, timerFn(k))
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTimer(t.timer.When())
-	}
+	t.ArmAt(t.Env.Sim.Now()+dur, sim.Call[*Tournament], t, timerFn(k))
 }
 
-func (t *Tournament) clearTimer() {
-	t.timer.Cancel()
-	t.timer = sim.Event{}
+// disarm cancels the state timer and forgets its kind.
+func (t *Tournament) disarm() {
+	t.ClearTimer()
 	t.tk = tNone
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTimer(-1)
-	}
 }
 
 // fired marks the state timer consumed at the top of every timer callback.
 func (t *Tournament) fired() {
-	t.timer = sim.Event{}
+	t.Fired()
 	t.tk = tNone
 }
 
-// transmit radiates f, notifying the conformance observer first.
-func (t *Tournament) transmit(f *frame.Frame) sim.Duration {
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveTx(f)
-	}
-	return t.env.Radio.Transmit(f)
-}
-
-// setState moves the FSM to s, notifying the conformance observer.
+// setState moves the FSM to s.
 func (t *Tournament) setState(s State) {
-	if t.env.Obs != nil && s != t.st {
-		t.env.Obs.ObserveState(t.st.String(), s.String())
+	if s != t.st {
+		t.NoteState(t.st.String(), s.String())
 	}
 	t.st = s
 }
 
-// noteQueue reports a queue operation to the observer.
-func (t *Tournament) noteQueue(op string, dst frame.NodeID) {
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveQueue(op, dst, t.q.Len())
-	}
-}
-
-// noteRetry reports a retried attempt to the loss observer.
-func (t *Tournament) noteRetry(dst frame.NodeID) {
-	if t.lobs != nil {
-		t.lobs.ObserveRetry(dst)
-	}
-}
-
-// noteDrop reports an abandoned packet to the loss observer.
-func (t *Tournament) noteDrop(dst frame.NodeID, reason mac.DropReason) {
-	if t.lobs != nil {
-		t.lobs.ObserveDrop(dst, reason)
-	}
-}
-
 // slot returns the global grid pitch (one control packet's airtime).
-func (t *Tournament) slot() sim.Duration { return t.env.Cfg.Slot() }
+func (t *Tournament) slot() sim.Duration { return t.Env.Cfg.Slot() }
 
 // startWait enters WaitIdle toward the next grid boundary, or Idle when the
 // queue is empty.
@@ -313,7 +239,7 @@ func (t *Tournament) startWait() {
 
 // armBoundary schedules the next grid-boundary check.
 func (t *Tournament) armBoundary() {
-	now := t.env.Sim.Now()
+	now := t.Env.Sim.Now()
 	slot := t.slot()
 	next := (now/slot + 1) * slot
 	t.setTimer(next-now, tBoundary)
@@ -328,12 +254,12 @@ func (t *Tournament) onBoundary() {
 		t.setState(Idle)
 		return
 	}
-	now := t.env.Sim.Now()
-	if t.env.Radio.Transmitting() || t.env.Radio.CarrierBusy() || t.lastBusy+t.slot() > now {
+	now := t.Env.Sim.Now()
+	if t.Env.Radio.Transmitting() || t.Env.Radio.CarrierBusy() || t.lastBusy+t.slot() > now {
 		t.armBoundary()
 		return
 	}
-	t.draw = t.env.Rand.Intn(t.opt.Window)
+	t.draw = t.Env.Rand.Intn(t.opt.Window)
 	t.round = t.rounds()
 	t.setState(Tourn)
 	t.stepRound()
@@ -347,10 +273,10 @@ func (t *Tournament) stepRound() {
 		return
 	}
 	t.round--
-	t.roundStart = t.env.Sim.Now()
+	t.roundStart = t.Env.Sim.Now()
 	if (t.draw>>t.round)&1 == 1 {
-		t.out = frame.Frame{Type: frame.SIG, Src: t.env.ID(), Dst: frame.Broadcast}
-		t.transmit(&t.out)
+		t.Out = frame.Frame{Type: frame.SIG, Src: t.Env.ID(), Dst: frame.Broadcast}
+		t.Transmit(&t.Out)
 		t.sigs++
 		t.sentSig = true
 	} else {
@@ -363,7 +289,7 @@ func (t *Tournament) stepRound() {
 // return to WaitIdle; everyone else proceeds.
 func (t *Tournament) onRoundEnd() {
 	t.fired()
-	if !t.sentSig && (t.lastBusy >= t.roundStart || t.env.Radio.CarrierBusy()) {
+	if !t.sentSig && (t.lastBusy >= t.roundStart || t.Env.Radio.CarrierBusy()) {
 		t.startWait()
 		return
 	}
@@ -377,8 +303,8 @@ func (t *Tournament) sendHead() {
 		t.setState(Idle)
 		return
 	}
-	t.out = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
-	air := t.transmit(&t.out)
+	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	air := t.Transmit(&t.Out)
 	t.sending = head
 	if head.Dst == frame.Broadcast {
 		t.setState(SendData)
@@ -386,7 +312,7 @@ func (t *Tournament) sendHead() {
 		return
 	}
 	t.setState(WFACK)
-	t.setTimer(air+t.env.Cfg.CtrlTime()+t.env.Cfg.Margin, tACKTimeout)
+	t.setTimer(air+t.Env.Cfg.CtrlTime()+t.Env.Cfg.Margin, tACKTimeout)
 }
 
 // onDataAirDone completes a broadcast data frame (no ACK).
@@ -395,10 +321,10 @@ func (t *Tournament) onDataAirDone() {
 	head := t.sending
 	t.sending = nil
 	t.q.Pop()
-	t.noteQueue("pop", head.Dst)
+	t.NoteQueue("pop", head.Dst, &t.q)
 	t.retries = 0
-	t.stats.DataSent++
-	t.env.Callbacks.NotifySent(head)
+	t.Counters.DataSent++
+	t.Env.Callbacks.NotifySent(head)
 	t.startWait()
 }
 
@@ -408,16 +334,13 @@ func (t *Tournament) onACKTimeout() {
 	t.fired()
 	t.sending = nil
 	t.retries++
-	t.stats.Retries++
 	if head := t.q.Peek(); head != nil {
-		t.noteRetry(head.Dst)
-		if t.retries > t.env.Cfg.MaxRetries {
+		t.Retry(head.Dst)
+		if t.retries > t.Env.Cfg.MaxRetries {
 			t.q.Pop()
-			t.noteQueue("drop", head.Dst)
+			t.NoteQueue("drop", head.Dst, &t.q)
 			t.retries = 0
-			t.stats.Drops++
-			t.noteDrop(head.Dst, mac.DropRetries)
-			t.env.Callbacks.NotifyDropped(head, mac.DropRetries)
+			t.Drop(head, mac.DropRetries)
 		}
 	}
 	t.startWait()
@@ -430,36 +353,29 @@ func (t *Tournament) deliver(f *frame.Frame) {
 		return
 	}
 	t.lastSeq[f.Src] = f.Seq
-	t.stats.DataReceived++
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveDeliver(f)
-	}
-	t.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
+	t.Deliver(f)
 }
 
 // RadioCarrier implements phy.Handler: both edges timestamp lastBusy, so
 // "idle for a full slot" is lastBusy at least a slot old with the carrier
 // down.
 func (t *Tournament) RadioCarrier(bool) {
-	if t.halted {
+	if t.Halted() {
 		return
 	}
-	t.lastBusy = t.env.Sim.Now()
+	t.lastBusy = t.Env.Sim.Now()
 }
 
 // RadioReceive implements phy.Handler.
 func (t *Tournament) RadioReceive(f *frame.Frame) {
-	if t.halted {
+	if !t.Receive(f) {
 		return
-	}
-	if t.env.Obs != nil {
-		t.env.Obs.ObserveRx(f)
 	}
 	if f.Dst == frame.Broadcast && f.Type == frame.DATA {
 		t.deliver(f)
 		return
 	}
-	if f.Dst != t.env.ID() {
+	if f.Dst != t.Env.ID() {
 		return
 	}
 	switch f.Type {
@@ -469,10 +385,10 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		// Idle by the data frame's end: contenders lost their round when
 		// the data's carrier rose). No state change: an armed boundary
 		// timer simply finds the medium busy and re-polls.
-		if !t.env.Radio.Transmitting() {
-			t.out = frame.Frame{Type: frame.ACK, Src: t.env.ID(), Dst: f.Src, Seq: f.Seq}
-			t.transmit(&t.out)
-			t.stats.ACKSent++
+		if !t.Env.Radio.Transmitting() {
+			t.Out = frame.Frame{Type: frame.ACK, Src: t.Env.ID(), Dst: f.Src, Seq: f.Seq}
+			t.Transmit(&t.Out)
+			t.Counters.ACKSent++
 		}
 	case frame.ACK:
 		if t.st != WFACK {
@@ -482,13 +398,13 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 			return
 		}
-		t.clearTimer()
+		t.disarm()
 		t.sending = nil
 		t.q.Pop()
-		t.noteQueue("pop", head.Dst)
+		t.NoteQueue("pop", head.Dst, &t.q)
 		t.retries = 0
-		t.stats.DataSent++
-		t.env.Callbacks.NotifySent(head)
+		t.Counters.DataSent++
+		t.Env.Callbacks.NotifySent(head)
 		t.startWait()
 	}
 }
@@ -507,4 +423,4 @@ func (t *Tournament) SetWindow(v int) error {
 
 // SetMaxRetries rewrites the per-packet retry limit, effective from the next
 // unacknowledged data frame.
-func (t *Tournament) SetMaxRetries(n int) { t.env.Cfg.MaxRetries = n }
+func (t *Tournament) SetMaxRetries(n int) { t.Env.Cfg.MaxRetries = n }

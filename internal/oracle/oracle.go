@@ -648,3 +648,9 @@ func (m *monitor) ObserveTimer(at sim.Time) {
 func (m *monitor) ObserveQueue(op string, dst frame.NodeID, n int) {
 	m.push(entry{kind: entryQueue, op: op, dst: dst, n: n})
 }
+
+// ObserveRetry implements mac.Observer; retries carry no oracle rule.
+func (m *monitor) ObserveRetry(frame.NodeID) {}
+
+// ObserveDrop implements mac.Observer; drops carry no oracle rule.
+func (m *monitor) ObserveDrop(frame.NodeID, mac.DropReason) {}
