@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -155,7 +154,8 @@ func TestShareBarrierTwinAndForkRunOn(t *testing.T) {
 
 // TestAdoptFromRequiresShareBarrier: a packet enqueued before a barrier and
 // completed after it, once the queue was compacted there, is recycled like
-// any other: it comes back zeroed and the next offer reuses it.
+// any other: it comes back zeroed, every field zero and its payload empty,
+// and the next offer reuses it.
 func TestAdoptFromRequiresShareBarrier(t *testing.T) {
 	n := NewNetwork(1)
 	st, c := captureStation(n, "P")
@@ -171,7 +171,7 @@ func TestAdoptFromRequiresShareBarrier(t *testing.T) {
 	} {
 		p := c.got[i]
 		done(p)
-		if !reflect.DeepEqual(*p, mac.Packet{}) {
+		if !recycled(p) {
 			t.Fatalf("packet %d enqueued before the barrier not zeroed on completion: %+v", i, *p)
 		}
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -107,8 +108,9 @@ type Station struct {
 	factory MACFactory
 
 	handlers []func(src frame.NodeID, seg transport.Segment)
-	// free holds completed packets, zeroed, for SendSegment to reuse: a
-	// station allocates a packet only when its backlog sets a new high.
+	// free holds completed packets, zeroed but for their payload buffers,
+	// for SendSegment to reuse: a station allocates a packet, and takes
+	// payload bytes from the arena, only when its backlog sets a new high.
 	free []*mac.Packet
 	// dropped accumulates MAC-level packet drops surfaced via callbacks.
 	dropped int
@@ -202,8 +204,9 @@ func (st *Station) Restart() bool {
 }
 
 // SendSegment implements transport.Endpoint: wrap the segment into a MAC
-// packet of the requested on-air size, reusing a completed packet when the
-// station has one. A powered-off station sends nothing.
+// packet of the requested on-air size, reusing a completed packet, and the
+// payload buffer it kept, when the station has one. A powered-off station
+// sends nothing.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
 	if !st.radio.Enabled() {
 		return
@@ -215,7 +218,12 @@ func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int
 	} else {
 		p = new(mac.Packet)
 	}
-	p.Dst, p.Size, p.Payload = dst, size, st.net.payload(seg)
+	if cap(p.Payload) < transport.HeaderLen {
+		p.Payload = st.net.payload()
+	}
+	p.Payload = p.Payload[:transport.HeaderLen]
+	seg.Put(p.Payload)
+	p.Dst, p.Size = dst, size
 	st.mac.Enqueue(p)
 }
 
@@ -227,13 +235,15 @@ func (st *Station) onDropped(p *mac.Packet, _ mac.DropReason) {
 
 // recycle takes back a packet at its terminal callback (Sent or Dropped):
 // the MAC SPI's lifetime rule makes it dead to the engine once the callback
-// returns. A zeroed packet has Size 0, which no offer carries, so completing
-// one packet twice fails closed.
+// returns, and the radio copied its payload when it went on the air, so the
+// packet keeps its payload buffer (emptied) for the next offer. A zeroed
+// packet has Size 0, which no offer carries, so completing one packet twice
+// fails closed.
 func (st *Station) recycle(p *mac.Packet) {
 	if p.Size == 0 {
 		panic(fmt.Sprintf("core: station %s: packet completed twice", st.name))
 	}
-	*p = mac.Packet{}
+	*p = mac.Packet{Payload: p.Payload[:0]}
 	st.free = append(st.free, p)
 }
 
@@ -273,7 +283,10 @@ func (k TransportKind) String() string {
 	return "TCP"
 }
 
-// Stream is one unidirectional data stream between two stations.
+// Stream is one unidirectional data stream between two stations. Its offer
+// bookkeeping costs one 8-byte word per offered packet, which holds the
+// offer time while the packet is pending and its delay once it arrives
+// inside the measurement window (NumDelays, EachDelay).
 type Stream struct {
 	Name      string
 	From, To  *Station
@@ -288,16 +301,23 @@ type Stream struct {
 	tcpRecv   *transport.TCPReceiver
 	offered   int
 
-	// offeredAt holds each offered packet's offer time, indexed by seq-1:
-	// UDP and TCP senders both number their offers 1, 2, 3, ... Delivered
-	// entries are overwritten with consumed; pending counts the rest.
+	// offeredAt holds one word per offered packet, indexed by seq-1: UDP
+	// and TCP senders both number their offers 1, 2, 3, ... A pending
+	// entry holds its offer time, and pending counts those. A delivery
+	// overwrites its entry with consumed or, inside the measurement
+	// window, with the folded delay consumed-1-delay, so the delays cost
+	// no storage of their own (see EachDelay).
 	offeredAt []sim.Time
 	pending   int
-	delays    []sim.Duration
+	// ndelays counts the folded delays; lastDelay is the seq of the
+	// latest one.
+	ndelays   int
+	lastDelay uint32
 }
 
-// consumed marks an offeredAt entry whose packet was delivered (or that was
-// never offered). Offer times are never negative.
+// consumed marks an offeredAt entry whose packet was delivered outside the
+// measurement window (or that was never offered). Offer times are never
+// negative, and a folded delay is below consumed.
 const consumed sim.Time = -1
 
 // Offered reports the number of packets the application generated.
@@ -333,8 +353,8 @@ type Network struct {
 	// obsFactories build the per-MAC-lifetime passive observers; see
 	// SetMACObserver and AddMACObserver.
 	obsFactories []MACObserverFactory
-	// arena is the unused tail of the chunk that packet payloads are cut
-	// from (see payload).
+	// arena is the unused tail of the chunk that new packets' payload
+	// buffers are cut from (see payload).
 	arena []byte
 
 	// TCPCfg configures new TCP streams. The default matches the
@@ -363,16 +383,15 @@ func NewNetwork(seed int64) *Network {
 // in the 1 KiB size class.
 const arenaChunk = 85 * transport.HeaderLen
 
-// payload encodes seg into the next HeaderLen bytes of the network's
-// append-only arena. Arena bytes are never reused, so a DATA frame still on
-// the air keeps its payload after the packet that carried it is recycled.
-func (n *Network) payload(seg transport.Segment) []byte {
+// payload cuts the next HeaderLen bytes from the network's arena, a payload
+// buffer for a packet allocated at a new backlog high; the packet keeps it
+// across recycling.
+func (n *Network) payload() []byte {
 	if len(n.arena) < transport.HeaderLen {
 		n.arena = make([]byte, arenaChunk)
 	}
 	b := n.arena[:transport.HeaderLen:transport.HeaderLen]
 	n.arena = n.arena[transport.HeaderLen:]
-	seg.Put(b)
 	return b
 }
 
@@ -464,27 +483,50 @@ func (s *Stream) offer(seq uint32) {
 	for len(s.offeredAt) <= i {
 		s.offeredAt = append(s.offeredAt, consumed)
 	}
-	if s.offeredAt[i] == consumed {
+	switch at := s.offeredAt[i]; {
+	case at == consumed:
 		s.pending++
+	case at < consumed:
+		panic(fmt.Sprintf("core: stream %s: seq %d offered again after its delay was recorded", s.Name, seq))
 	}
 	s.offeredAt[i] = s.From.net.Sim.Now()
 }
 
+// record accounts the in-order arrival of seq at t. An in-window arrival
+// folds its delay into the offer's slot; EachDelay reads the slots in seq
+// order, which is arrival order only while in-window arrivals come in
+// rising seq, so one that does not panics rather than reorder the delays.
 func (s *Stream) record(t sim.Time, seq uint32) {
 	if s.counter != nil {
 		s.counter.Record(t)
-		if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] != consumed {
-			if t >= s.counter.Warmup() {
-				s.delays = append(s.delays, t-s.offeredAt[i])
-			}
-			s.offeredAt[i] = consumed
+		if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] >= 0 {
 			s.pending--
+			if t < s.counter.Warmup() {
+				s.offeredAt[i] = consumed
+				return
+			}
+			if seq <= s.lastDelay {
+				panic(fmt.Sprintf("core: stream %s: seq %d arrived in the window after seq %d", s.Name, seq, s.lastDelay))
+			}
+			s.offeredAt[i] = consumed - 1 - (t - s.offeredAt[i])
+			s.ndelays++
+			s.lastDelay = seq
 		}
 	}
 }
 
-// Delays returns the in-window delivery delays (offer to in-order arrival).
-func (s *Stream) Delays() []sim.Duration { return s.delays }
+// NumDelays reports the number of in-window delivery delays.
+func (s *Stream) NumDelays() int { return s.ndelays }
+
+// EachDelay calls fn with every in-window delivery delay (offer to in-order
+// arrival), in seq order, which record holds equal to arrival order.
+func (s *Stream) EachDelay(fn func(sim.Duration)) {
+	for _, v := range s.offeredAt {
+		if v < consumed {
+			fn(consumed - 1 - v)
+		}
+	}
+}
 
 // At schedules fn at simulation time t (for mobility, power-off, noise
 // toggles and other scenario events).
@@ -606,9 +648,7 @@ func (n *Network) Start(total, warmup sim.Duration) {
 		s.counter = stats.NewWindowed(start+warmup, start+total)
 		// A CBR source offers at most rate×total packets in the run, so
 		// the bookkeeping never regrows mid-run.
-		expect := int(s.Rate*total.Seconds()) + 1
-		s.offeredAt = slices.Grow(s.offeredAt, expect)
-		s.delays = slices.Grow(s.delays, expect)
+		s.offeredAt = slices.Grow(s.offeredAt, int(s.Rate*total.Seconds())+1)
 		s.gen.Start(start + s.startAt)
 	}
 }
@@ -632,22 +672,41 @@ func (n *Network) Collect() Results {
 			Delivered: s.counter.Count(),
 			Offered:   s.offered,
 		}
-		if len(s.delays) > 0 {
+		if count := s.NumDelays(); count > 0 {
 			var sum sim.Duration
-			xs := make([]float64, len(s.delays))
-			for i, d := range s.delays {
+			lo, hi := sim.Duration(math.MaxInt64), sim.Duration(0)
+			s.EachDelay(func(d sim.Duration) {
 				sum += d
-				xs[i] = float64(d)
-			}
-			r.MeanDelay = sum / sim.Duration(len(s.delays))
-			// xs is Collect's own copy: sort it in place rather than
-			// letting Percentile copy it again.
-			sort.Float64s(xs)
-			r.P95Delay = sim.Duration(stats.PercentileSorted(xs, 0.95))
+				lo, hi = min(lo, d), max(hi, d)
+			})
+			r.MeanDelay = sum / sim.Duration(count)
+			r.P95Delay = s.delayRank(int(0.95*float64(count)), lo, hi)
 		}
 		res.Streams = append(res.Streams, r)
 	}
 	return res
+}
+
+// delayRank returns the delay of rank k (0-based, ascending) among the
+// stream's delays, all in [lo, hi]: what indexing the sorted delays at k
+// reads, found by binary search over values, counting the delays at or
+// below the midpoint on each step, so it allocates nothing.
+func (s *Stream) delayRank(k int, lo, hi sim.Duration) sim.Duration {
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		n := 0
+		s.EachDelay(func(d sim.Duration) {
+			if d <= mid {
+				n++
+			}
+		})
+		if n > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // HearingGraph returns the station names each station can hear, keyed by

@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"macaw/internal/backoff"
+	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/mac"
 	"macaw/internal/mac/csma"
@@ -271,9 +274,73 @@ func TestDelayStatsPopulated(t *testing.T) {
 	if r.P95Delay < r.MeanDelay {
 		t.Fatal("p95 below mean")
 	}
-	if len(st.Delays()) == 0 {
-		t.Fatal("Delays() empty")
+	if st.NumDelays() == 0 {
+		t.Fatal("NumDelays() is 0")
 	}
+}
+
+// delayStream returns a started stream whose offers 1..k were all made at
+// t=0 (no traffic runs: the test drives offer and record by hand).
+func delayStream(t *testing.T, k int) (*Network, *Stream) {
+	t.Helper()
+	n := NewNetwork(1)
+	a := n.AddStation("A", geom.V(0, 0, 6), MACAFactory())
+	b := n.AddStation("B", geom.V(6, 0, 6), MACAFactory())
+	s := n.AddStream(a, b, UDP, 1)
+	n.Start(1000*sim.Second, sim.Second)
+	for seq := 1; seq <= k; seq++ {
+		s.offer(uint32(seq))
+	}
+	return n, s
+}
+
+// TestDelayStatsMatchSortedDelays: Collect's mean and P95, taken from the
+// folded delays without a copy, equal the sum over the count and the
+// sorted delays indexed at int(0.95n), on delay sets with repeats, with one
+// delay, and with deliveries before the window that must not count.
+func TestDelayStatsMatchSortedDelays(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, k := range []int{1, 2, 3, 19, 20, 21, 400} {
+		n, s := delayStream(t, k+3)
+		s.record(sim.Second/2, 1) // before the window: no delay
+		var want []sim.Duration
+		for seq := 4; seq <= k+3; seq++ {
+			d := sim.Second + sim.Duration(rng.Int63n(int64(5*sim.Second)))
+			if seq%3 == 0 {
+				d = 2 * sim.Second // repeats
+			}
+			s.record(d, uint32(seq))
+			want = append(want, d)
+		}
+		r := n.Collect().Streams[0]
+		var sum sim.Duration
+		for _, d := range want {
+			sum += d
+		}
+		slices.Sort(want)
+		if s.NumDelays() != k || r.MeanDelay != sum/sim.Duration(k) || r.P95Delay != want[int(0.95*float64(k))] {
+			t.Fatalf("k=%d: %d delays, mean %v p95 %v, want %d, %v and %v",
+				k, s.NumDelays(), r.MeanDelay, r.P95Delay, k, sum/sim.Duration(k), want[int(0.95*float64(k))])
+		}
+	}
+}
+
+// TestRecordPanicsOnOutOfOrderDelay: EachDelay reads delays in seq order,
+// so an in-window arrival below the last recorded seq fails closed, naming
+// the stream and both seqs, while one before the window does not.
+func TestRecordPanicsOnOutOfOrderDelay(t *testing.T) {
+	_, s := delayStream(t, 3)
+	s.record(sim.Second/2, 3)
+	s.record(2*sim.Second, 2)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, part := range []string{s.Name, "seq 1", "seq 2"} {
+			if !strings.Contains(msg, part) {
+				t.Fatalf("out-of-order delay panicked with %q, want it to name %q", msg, part)
+			}
+		}
+	}()
+	s.record(3*sim.Second, 1)
 }
 
 func TestDelayGrowsUnderSaturation(t *testing.T) {
@@ -311,18 +378,29 @@ func captureStation(n *Network, name string) (*Station, *captureMAC) {
 	return st, c
 }
 
+// recycled reports whether p reads as a recycled packet: every field zero
+// and an empty payload, whose buffer the next offer reuses.
+func recycled(p *mac.Packet) bool {
+	q := *p
+	q.Payload = nil
+	return len(p.Payload) == 0 && reflect.DeepEqual(q, mac.Packet{})
+}
+
 // TestPacketRecycling pins the station's packet free list: a completed
-// packet comes back zeroed and is reused by the next offer, its payload
-// bytes are never reused, and completing a packet twice panics.
+// packet comes back zeroed and is reused, payload buffer and all, by the
+// next offer; a frame already on the air keeps the payload it was sent
+// with; and completing a packet twice panics.
 func TestPacketRecycling(t *testing.T) {
 	n := NewNetwork(1)
 	st, c := captureStation(n, "P")
+	rx := n.AddStation("R", geom.V(6, 0, 6), CSMAFactory(csma.Options{}))
+	var decoded []uint32
+	rx.Handle(func(_ frame.NodeID, seg transport.Segment) { decoded = append(decoded, seg.Seq) })
 	seg := transport.Segment{Proto: transport.ProtoUDP, Stream: 1, Kind: transport.KindData, Seq: 1}
-	st.SendSegment(2, seg, 512)
+	st.SendSegment(rx.ID(), seg, 512)
 	first := c.got[0]
-	payload := first.Payload
 	c.cb.NotifySent(first)
-	if !reflect.DeepEqual(*first, mac.Packet{}) {
+	if !recycled(first) {
 		t.Fatalf("completed packet not zeroed: %+v", *first)
 	}
 
@@ -331,14 +409,28 @@ func TestPacketRecycling(t *testing.T) {
 	if c.got[1] != first {
 		t.Fatal("the next offer did not reuse the completed packet")
 	}
-	if got, err := transport.UnmarshalSegment(payload); err != nil || got.Seq != 1 {
-		t.Fatalf("recycling rewrote the first payload: %+v %v", got, err)
-	}
 	if p := c.got[1]; p.Dst != 3 || p.Size != 40 {
 		t.Fatalf("reused packet carries dst=%d size=%d", p.Dst, p.Size)
 	}
 
-	st.SendSegment(2, seg, 512)
+	// Radiate the packet as DATA, then, once the frame has ended but
+	// before its receive notification fires, recycle the packet and
+	// re-offer it with another seq, rewriting its payload buffer.
+	air := st.Radio().Transmit(&frame.Frame{Type: frame.DATA, Src: st.ID(), Dst: rx.ID(),
+		DataBytes: 512, Seq: 1, Payload: first.Payload})
+	n.Sim.AtPriorityCall(n.Sim.Now()+air, -2, func(_, _ any) {
+		c.cb.NotifySent(first)
+		seg.Seq = 3
+		st.SendSegment(rx.ID(), seg, 512)
+		if c.got[2] != first {
+			t.Error("the re-offer did not reuse the packet on the air")
+		}
+	}, nil, nil)
+	n.Sim.Run(n.Sim.Now() + air)
+	if len(decoded) != 1 || decoded[0] != 2 {
+		t.Fatalf("receiver decoded seqs %v, want [2]: the frame on the air lost its payload", decoded)
+	}
+
 	twice := c.got[2]
 	c.cb.NotifySent(twice)
 	defer func() {

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"macaw/internal/sim"
+)
 
 // This file is the network's contribution to the state inventory (DESIGN.md
 // §14): a canonical, deterministic dump of every piece of mutable state the
@@ -41,9 +45,9 @@ func (st *Station) appendState(b []byte) []byte {
 	return st.mac.AppendState(b)
 }
 
-// appendState dumps one stream: measurement window, offered bookkeeping
-// (sorted for determinism), recorded delays, generator, and transport
-// agents.
+// appendState dumps one stream: measurement window, pending offers in seq
+// order, the in-window delays in arrival order (EachDelay's seq order,
+// which record holds equal to it), generator, and transport agents.
 func (s *Stream) appendState(b []byte) []byte {
 	b = fmt.Appendf(b, "stream name=%s kind=%s rate=%g startAt=%d offered=%d\n",
 		s.Name, s.Kind, s.Rate, s.startAt, s.offered)
@@ -52,15 +56,13 @@ func (s *Stream) appendState(b []byte) []byte {
 	}
 	b = fmt.Appendf(b, "offeredAt n=%d", s.pending)
 	for i, at := range s.offeredAt {
-		if at != consumed {
+		if at >= 0 {
 			b = fmt.Appendf(b, " %d@%d", i+1, at)
 		}
 	}
 	b = append(b, '\n')
-	b = fmt.Appendf(b, "delays n=%d", len(s.delays))
-	for _, d := range s.delays {
-		b = fmt.Appendf(b, " %d", d)
-	}
+	b = fmt.Appendf(b, "delays n=%d", s.NumDelays())
+	s.EachDelay(func(d sim.Duration) { b = fmt.Appendf(b, " %d", d) })
 	b = append(b, '\n')
 	if a, ok := s.gen.(stateAppender); ok {
 		b = a.AppendState(b)

@@ -20,6 +20,7 @@ import (
 	"macaw/internal/backoff"
 	"macaw/internal/core"
 	"macaw/internal/fault"
+	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/mac"
 	"macaw/internal/mac/csma"
@@ -31,6 +32,7 @@ import (
 	"macaw/internal/sim"
 	"macaw/internal/topo"
 	"macaw/internal/trace"
+	"macaw/internal/transport"
 )
 
 // spiProtocols are the backends the suite sweeps: every protocol family in
@@ -622,6 +624,95 @@ func TestSPIAppendStateEndsWithChassis(t *testing.T) {
 			check(e)
 			if !bytes.Contains(e.AppendState(nil), []byte("halted=true")) {
 				t.Fatal("halted engine's dump does not carry the halt latch")
+			}
+		})
+	}
+}
+
+// offerKey names one offer: the sending and receiving station and the
+// transport seq.
+type offerKey struct {
+	src, dst frame.NodeID
+	seq      uint32
+}
+
+// offerTap wraps an engine, noting when each transport segment is offered
+// to it.
+type offerTap struct {
+	mac.Engine
+	env *mac.Env
+	at  map[offerKey]sim.Time
+}
+
+func (o *offerTap) Enqueue(p *mac.Packet) {
+	if seg, err := transport.UnmarshalSegment(p.Payload); err == nil {
+		o.at[offerKey{o.env.ID(), p.Dst, seg.Seq}] = o.env.Sim.Now()
+	}
+	o.Engine.Enqueue(p)
+}
+
+// TestEachDelayMatchesArrivalOrder: a stream folds each in-window delay
+// into its offer's slot and EachDelay reads them back in seq order, which
+// holds only while in-window deliveries arrive in rising seq. On every
+// backend, in the suite's contended cell and in the lossy cell with a
+// crash and a restart, the delays taken independently in arrival order
+// (offer time from the MAC's Enqueue, arrival from the receiving
+// station) must equal the EachDelay sequence.
+func TestEachDelayMatchesArrivalOrder(t *testing.T) {
+	const warmup = 1 * sim.Second
+	for _, p := range spiProtocols {
+		t.Run(p.name, func(t *testing.T) {
+			for _, lossy := range []bool{false, true} {
+				offered := make(map[offerKey]sim.Time)
+				inner := p.f()
+				n := core.NewNetwork(1)
+				total := 3 * sim.Second
+				if lossy {
+					n = core.NewNetwork(13)
+					n.Cfg.MaxRetries = 2
+					total = 6 * sim.Second
+				}
+				addConformCell(n, func(env *mac.Env) mac.Engine {
+					return &offerTap{Engine: inner(env), env: env, at: offered}
+				})
+				if lossy {
+					for _, kind := range []string{"retry.short", "retry.long"} {
+						if err := n.ApplyDelta(kind, 2); err != nil {
+							t.Fatal(err)
+						}
+					}
+					in := fault.NewInjector(n)
+					in.AsymmetricLoss("P2", "B", 0.9)
+					in.CrashRestart("P2", 3*sim.Second, 4*sim.Second)
+				}
+				arrived := make(map[offerKey][]sim.Duration)
+				for _, st := range n.Stations() {
+					st.Handle(func(src frame.NodeID, seg transport.Segment) {
+						k := offerKey{src, st.ID(), seg.Seq}
+						if at, ok := offered[k]; ok && seg.Kind == transport.KindData {
+							delete(offered, k)
+							if now := n.Sim.Now(); now >= warmup {
+								k.seq = 0
+								arrived[k] = append(arrived[k], now-at)
+							}
+						}
+					})
+				}
+				n.Run(total, warmup)
+				compared := 0
+				for _, s := range n.Streams() {
+					var folded []sim.Duration
+					s.EachDelay(func(d sim.Duration) { folded = append(folded, d) })
+					want := arrived[offerKey{s.From.ID(), s.To.ID(), 0}]
+					compared += len(want)
+					if !reflect.DeepEqual(folded, want) || s.NumDelays() != len(want) {
+						t.Errorf("lossy=%v %s: EachDelay gave %d delays %v,\nwant the %d in arrival order %v",
+							lossy, s.Name, s.NumDelays(), folded, len(want), want)
+					}
+				}
+				if compared == 0 {
+					t.Errorf("lossy=%v: no in-window deliveries to compare", lossy)
+				}
 			}
 		})
 	}

@@ -132,8 +132,10 @@ type Frame struct {
 	// ("a field which indicated the sequence number of the most
 	// recently arrived packet", §4).
 	Ack uint32
-	// Payload is the transport payload of a DATA frame. It is carried by
-	// value inside the simulator and length-checked by the wire codec.
+	// Payload is the transport payload of a DATA frame, length-checked by
+	// the wire codec. The medium copies it at Transmit into a buffer of
+	// its own, which a received frame's Payload refers to for the
+	// duration of the notification only.
 	Payload []byte
 }
 

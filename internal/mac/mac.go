@@ -52,11 +52,13 @@ const (
 // Sent and Dropped are a packet's terminal callbacks: each enqueued packet
 // gets at most one of them, once. When it returns the packet is dead to
 // the engine, which keeps no reference to it and reads none of its fields
-// afterwards; the host may recycle the record at once. A frame already on
-// the air may still alias Payload, so a host that recycles packets must not
-// reuse the payload bytes.
+// afterwards; the host may recycle the record at once, payload bytes
+// included: the radio copies a frame's payload at Transmit, so no frame on
+// the air aliases the packet. Deliver's payload is the radio's copy, valid
+// for the call only: a host that keeps received bytes copies them.
 type Callbacks struct {
-	// Deliver hands a received data packet to the host.
+	// Deliver hands a received data packet's payload to the host, valid
+	// for the call only.
 	Deliver func(src frame.NodeID, payload []byte)
 	// Sent reports that a local packet completed (for MACA: data
 	// transmitted; for MACAW: link-level ACK received).
@@ -215,9 +217,9 @@ type Radio interface {
 	// ID returns the station identifier.
 	ID() frame.NodeID
 	// Transmit radiates f and returns its airtime; the MAC schedules its
-	// own end-of-transmission continuation. The radio copies *f (or
-	// encodes it) before returning, so the MAC may reuse its frame for
-	// the next transmission.
+	// own end-of-transmission continuation. The radio copies *f and its
+	// payload bytes (or encodes them) before returning, so the MAC may
+	// reuse its frame, and the host its payload, at once.
 	Transmit(f *frame.Frame) sim.Duration
 	// Transmitting reports whether a transmission is in flight.
 	Transmitting() bool

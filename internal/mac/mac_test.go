@@ -109,9 +109,10 @@ func TestCallbacksNilSafe(t *testing.T) {
 	}
 }
 
-// TestQueueRingOrder drives the ring through wrap-around, growth while
-// wrapped, and PushFront across the buffer start, checking FIFO order
-// against a plain slice model after every operation.
+// TestQueueRingOrder drives the block queue across block boundaries in both
+// directions: Push opening a block at the tail, Pop retiring the head block
+// to the spare, and PushFront opening a block before the head. It checks
+// FIFO order against a plain slice model after every operation.
 func TestQueueRingOrder(t *testing.T) {
 	var q Queue
 	var model []*Packet
@@ -154,19 +155,25 @@ func TestQueueRingOrder(t *testing.T) {
 	}
 }
 
-// TestQueueAllocationFree pins the ring's point: once the buffer has grown
-// to a queue's high-water mark, Push, Pop and PushFront reuse it.
+// TestQueueAllocationFree pins the spare block's point: a queue whose
+// length stays put while its head walks across block boundaries reuses the
+// block it retires, so steady-state Push, Pop and PushFront allocate
+// nothing.
 func TestQueueAllocationFree(t *testing.T) {
 	var q Queue
-	a, b, c := &Packet{Dst: 1}, &Packet{Dst: 2}, &Packet{Dst: 3}
+	a, b := &Packet{Dst: 1}, &Packet{Dst: 2}
 	q.Push(a)
 	if n := testing.AllocsPerRun(100, func() {
-		q.Push(b)
-		q.Push(c)
+		// A block's worth in and out: every run moves the tail, and the
+		// head, across exactly one block boundary.
+		for range queueBlock {
+			q.Push(b)
+		}
 		p := q.Pop()
 		q.PushFront(p)
-		q.Pop()
-		q.Pop()
+		for range queueBlock {
+			q.Pop()
+		}
 	}); n != 0 {
 		t.Fatalf("steady-state queue operations allocated %.1f times, want 0", n)
 	}

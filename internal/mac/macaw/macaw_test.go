@@ -37,8 +37,9 @@ func (w *world) add(id frame.NodeID, pos geom.Vec3, opt Options) *station {
 		Sim: w.s, Radio: radio, Rand: w.s.NewRand(), Cfg: mac.DefaultConfig(),
 		Callbacks: mac.Callbacks{
 			Deliver: func(src frame.NodeID, payload []byte) {
+				// payload is the radio's buffer, valid for the call only.
 				st.delivered = append(st.delivered, src)
-				st.payloads = append(st.payloads, payload)
+				st.payloads = append(st.payloads, append([]byte(nil), payload...))
 			},
 			Sent:    func(*mac.Packet) { st.sent++ },
 			Dropped: func(*mac.Packet, mac.DropReason) { st.dropped++ },

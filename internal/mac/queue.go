@@ -2,48 +2,65 @@ package mac
 
 import "macaw/internal/frame"
 
-// Queue is a FIFO packet queue. It is a head-indexed ring over a
-// power-of-two buffer, so Pop and PushFront reuse its storage: once the
-// buffer has grown to a queue's high-water mark, steady-state traffic
-// allocates nothing here.
+// queueBlock is the number of packet slots in one block of a Queue: 256
+// bytes, a size class of its own.
+const queueBlock = 32
+
+// block is one fixed run of queue slots.
+type block [queueBlock]*Packet
+
+// Queue is a FIFO packet queue. It keeps its packets in fixed blocks of
+// queueBlock slots, so a backlog costs one slot per packet, rounded up to
+// whole blocks, where a doubling buffer pays up to twice its peak and
+// copies it on every growth. A block emptied from the head is kept
+// as a spare for the next block the queue needs, so traffic that crosses
+// a block boundary back and forth allocates nothing here.
 type Queue struct {
-	buf  []*Packet // len(buf) is zero or a power of two
-	head int       // index of the head packet in buf
-	n    int       // number of queued packets
+	blocks []*block // blocks[0] holds the head packet
+	spare  *block   // an emptied block, reused before a new one
+	head   int      // index of the head packet in blocks[0]
+	n      int      // number of queued packets
 }
 
 // Len returns the number of queued packets.
 func (q *Queue) Len() int { return q.n }
 
 // at returns the i-th packet from the head (0 ≤ i < Len).
-func (q *Queue) at(i int) *Packet { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+func (q *Queue) at(i int) *Packet {
+	i += q.head
+	return q.blocks[i/queueBlock][i%queueBlock]
+}
 
-// grow doubles the buffer (minimum 4), unrolling the ring to start at 0.
-func (q *Queue) grow() {
-	nb := make([]*Packet, max(4, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.at(i)
+// newBlock returns the spare block, or a fresh one.
+func (q *Queue) newBlock() *block {
+	if b := q.spare; b != nil {
+		q.spare = nil
+		return b
 	}
-	q.buf, q.head = nb, 0
+	return new(block)
 }
 
 // Push appends p.
 func (q *Queue) Push(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
+	i := q.head + q.n
+	if i == len(q.blocks)*queueBlock {
+		q.blocks = append(q.blocks, q.newBlock())
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.blocks[i/queueBlock][i%queueBlock] = p
 	q.n++
 }
 
 // PushFront reinstates p at the head of the queue (used when a tentatively
 // completed packet turns out to need retransmission).
 func (q *Queue) PushFront(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
+	if q.head == 0 {
+		q.blocks = append(q.blocks, nil)
+		copy(q.blocks[1:], q.blocks)
+		q.blocks[0] = q.newBlock()
+		q.head = queueBlock
 	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = p
+	q.head--
+	q.blocks[0][q.head] = p
 	q.n++
 }
 
@@ -52,7 +69,7 @@ func (q *Queue) Peek() *Packet {
 	if q.n == 0 {
 		return nil
 	}
-	return q.buf[q.head]
+	return q.blocks[0][q.head]
 }
 
 // Pop removes and returns the head, or nil when empty.
@@ -60,10 +77,20 @@ func (q *Queue) Pop() *Packet {
 	if q.n == 0 {
 		return nil
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	b := q.blocks[0]
+	p := b[q.head]
+	b[q.head] = nil
+	q.head++
 	q.n--
+	if q.head == queueBlock {
+		// The head block is spent: keep it as the spare.
+		copy(q.blocks, q.blocks[1:])
+		q.blocks[len(q.blocks)-1] = nil
+		q.blocks = q.blocks[:len(q.blocks)-1]
+		q.spare, q.head = b, 0
+	} else if q.n == 0 {
+		q.head = 0
+	}
 	return p
 }
 

@@ -222,9 +222,7 @@ func (c *Collector) Snapshot(n *core.Network, res core.Results, seed int64) *Run
 	}
 	for i, s := range n.Streams() {
 		h := NewHistogram(DelayBuckets())
-		for _, d := range s.Delays() {
-			h.Observe(d.Seconds())
-		}
+		s.EachDelay(func(d sim.Duration) { h.Observe(d.Seconds()) })
 		var sr core.StreamResult
 		if i < len(res.Streams) {
 			sr = res.Streams[i]
@@ -241,9 +239,7 @@ func (c *Collector) Snapshot(n *core.Network, res core.Results, seed int64) *Run
 		}
 		if from := rm.Stations[s.From.Name()]; from != nil {
 			agg := from.Histogram("delay_s", DelayBuckets())
-			for _, d := range s.Delays() {
-				agg.Observe(d.Seconds())
-			}
+			s.EachDelay(func(d sim.Duration) { agg.Observe(d.Seconds()) })
 		}
 	}
 	return rm

@@ -14,10 +14,11 @@ import (
 // always delivered from the simulator event loop, never synchronously from
 // inside a Transmit call, so handlers may freely call back into the radio.
 //
-// A frame pointer handed to a handler is the medium's own copy, shared by
-// every receiver of the transmission. It is valid only for the duration of
-// the call: the handler must neither keep it nor mutate it, and must copy
-// any field (or the whole frame by value) it needs afterwards.
+// A frame pointer handed to a handler is the medium's own copy, payload
+// bytes included, shared by every receiver of the transmission. It is valid
+// only for the duration of the call: the handler must neither keep it nor
+// mutate it, and must copy any field it needs afterwards (a copy of the
+// frame by value still shares the payload bytes).
 type Handler interface {
 	// RadioReceive delivers a cleanly received frame, including overheard
 	// frames addressed to other stations.
@@ -64,12 +65,14 @@ type reception struct {
 type transmission struct {
 	m     *Medium
 	radio *Radio
-	// f is the medium's own copy of the radiated frame, taken at Transmit.
-	// Receive and corruption notifications hand out &f, so the record
-	// outlives endTx until the last of them has fired.
-	f   frame.Frame
-	end sim.Time
-	rx  []*reception
+	// f is the medium's own copy of the radiated frame, taken at Transmit,
+	// its payload copied into payload, a buffer the record keeps across
+	// recycling. Receive and corruption notifications hand out &f, so the
+	// record outlives endTx until the last of them has fired.
+	f       frame.Frame
+	payload []byte
+	end     sim.Time
+	rx      []*reception
 	// idx is the transmission's position in Medium.active, kept current by
 	// startTx/endTx so completion does not scan the active list.
 	idx int
@@ -254,8 +257,8 @@ func (m *Medium) allocTx() *transmission {
 	return &transmission{m: m}
 }
 
-// freeTx clears a dead transmission record, dropping its frame (and the
-// payload it references), and returns it to the free list.
+// freeTx clears a dead transmission record's frame, keeping its payload
+// buffer, and returns it to the free list.
 func (m *Medium) freeTx(tx *transmission) {
 	tx.f = frame.Frame{}
 	m.txFree = append(m.txFree, tx)
@@ -648,6 +651,11 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	tx := m.allocTx()
 	m.txSeq++
 	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, *f, m.s.Now()+air, len(m.active), m.txSeq
+	if f.Payload != nil {
+		// The sender may reuse its payload bytes once Transmit returns.
+		tx.payload = append(tx.payload[:0], f.Payload...)
+		tx.f.Payload = tx.payload
+	}
 	r.tx = tx
 	m.active = append(m.active, tx)
 	m.counters.Transmissions++

@@ -65,13 +65,6 @@ func Total(xs []float64) float64 {
 func Percentile(xs []float64, p float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return PercentileSorted(s, p)
-}
-
-// PercentileSorted is Percentile for input already sorted ascending; it
-// neither copies nor sorts, so a caller that owns its slice can sort it in
-// place and skip Percentile's copy.
-func PercentileSorted(s []float64, p float64) float64 {
 	if len(s) == 0 {
 		return 0
 	}
