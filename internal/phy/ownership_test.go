@@ -14,8 +14,9 @@ import (
 // records that make it allocation-free are pinned by
 // TestSteadyStateAllocationFree.
 
-// TestTransmitCopiesFrame: the caller may reuse its frame as soon as
-// Transmit returns; receivers still get what was radiated.
+// TestTransmitCopiesFrame: the caller may reuse its frame, and rewrite its
+// payload bytes, as soon as Transmit returns; receivers still get what was
+// radiated.
 func TestTransmitCopiesFrame(t *testing.T) {
 	s, m := newTestMedium(t)
 	a := m.Attach(1, geom.V(0, 0, 6), nil)
@@ -24,6 +25,7 @@ func TestTransmitCopiesFrame(t *testing.T) {
 	payload := []byte("first")
 	f := &frame.Frame{Type: frame.DATA, Src: 1, Dst: 2, DataBytes: 512, Seq: 7, Payload: payload}
 	a.Transmit(f)
+	copy(payload, "fifth")
 	*f = frame.Frame{Type: frame.ACK, Src: 1, Dst: 9, Seq: 99, Payload: []byte("second")}
 	s.RunAll()
 	if len(bh.received) != 1 {
