@@ -15,6 +15,7 @@ import (
 	"macaw/internal/experiments"
 	"macaw/internal/metrics"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // tinyManifest is a one-job campaign that simulates in well under a second.
@@ -329,8 +330,8 @@ func TestCachedResultServesStoredBytes(t *testing.T) {
 	if !bytes.Equal(res.line, fresh.settledPrefix()[0].line) {
 		t.Error("the cache hit's line differs from the fresh result's")
 	}
-	if n := testing.AllocsPerRun(100, func() { res.WriteJSONL(io.Discard) }); n != 0 {
-		t.Errorf("WriteJSONL of a cached result allocates %.0f times, want 0", n)
+	if n := statecheck.Mallocs(100, func() { res.WriteJSONL(io.Discard) }); n != 0 {
+		t.Errorf("WriteJSONL of a cached result allocates %d times, want 0", n)
 	}
 
 	// A payload that is not this job's line is refused.

@@ -8,6 +8,7 @@ import (
 	"macaw/internal/geom"
 	"macaw/internal/mac"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 	"macaw/internal/transport"
 )
 
@@ -37,7 +38,7 @@ func firstDiffLine(want, got []byte) string {
 
 // finalRender renders a finished network's Results and state inventory.
 func finalRender(n *Network) (string, []byte) {
-	return fmt.Sprintf("%+v", n.Collect()), n.AppendState(nil)
+	return fmt.Sprintf("%+v", n.Collect()), statecheck.Dump(n)
 }
 
 // sameEnd fails t unless got ended with want's Results and state inventory.
@@ -105,7 +106,7 @@ func TestAdoptFromManyForksShareOneTwin(t *testing.T) {
 	parked := buildDeltaNet(7, f)
 	parked.Start(total, warmup)
 	parked.RunTo(sim.Time(warmup))
-	wantParked := parked.AppendState(nil)
+	wantParked := statecheck.Dump(parked)
 
 	var first *Network
 	for i := 0; i < 3; i++ {
@@ -117,7 +118,7 @@ func TestAdoptFromManyForksShareOneTwin(t *testing.T) {
 		} else {
 			sameEnd(t, fmt.Sprintf("cell %d against cell 0", i), first, n)
 		}
-		if got := parked.AppendState(nil); string(got) != string(wantParked) {
+		if got := statecheck.Dump(parked); string(got) != string(wantParked) {
 			t.Fatalf("cell %d disturbed the parked network at %s", i, firstDiffLine(wantParked, got))
 		}
 	}
@@ -194,14 +195,14 @@ func TestAdoptFromRefusesMismatchedShapes(t *testing.T) {
 	f := deltaFactories()["MACA"]
 	started := func(n *Network) string {
 		n.Start(total, warmup)
-		return string(n.AppendState(nil))
+		return string(statecheck.Dump(n))
 	}
 	base := started(buildDeltaNet(3, f))
 
 	ran := buildDeltaNet(3, f)
 	ran.Start(total, warmup)
 	ran.RunTo(sim.Second / 2)
-	if string(ran.AppendState(nil)) == base {
+	if string(statecheck.Dump(ran)) == base {
 		t.Error("a network that ran half a second dumps the state of one that has not")
 	}
 	if started(buildDeltaNet(3, deltaFactories()["MACAW"])) == base {

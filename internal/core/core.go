@@ -32,7 +32,7 @@ import (
 
 // MACFactory builds a protocol engine over the prepared environment. The
 // return type is the explicit MAC SPI (mac.Engine): a backend that misses any
-// part of the contract — lifecycle, introspection, state inventory — does
+// part of the contract — lifecycle, introspection — does
 // not compile as a factory.
 type MACFactory func(env *mac.Env) mac.Engine
 

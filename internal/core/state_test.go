@@ -81,28 +81,30 @@ func shadow(n *Network, s *Stream) *legacyOffers {
 	return l
 }
 
-// offerLines cuts the offeredAt and delays lines out of s's state dump.
-func offerLines(t *testing.T, s *Stream) string {
-	t.Helper()
-	dump := string(s.appendState(nil))
-	i := strings.Index(dump, "offeredAt ")
-	j := strings.Index(dump, "\ndelays ")
-	if i < 0 || j < i {
-		t.Fatalf("dump lacks offeredAt/delays lines:\n%s", dump)
+// offerLines renders s's pending offers in seq order and its recorded
+// delays in EachDelay's order, in the legacy text.
+func offerLines(s *Stream) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "offeredAt n=%d", s.pending)
+	for i, at := range s.offeredAt {
+		if at >= 0 {
+			fmt.Fprintf(&b, " %d@%d", i+1, at)
+		}
 	}
-	end := strings.IndexByte(dump[j+1:], '\n')
-	return dump[i : j+1+end]
+	fmt.Fprintf(&b, "\ndelays n=%d", s.NumDelays())
+	s.EachDelay(func(d sim.Duration) { fmt.Fprintf(&b, " %d", d) })
+	return b.String()
 }
 
 // checkParity steps n from from to to in half-second slices, comparing
-// every shadowed stream's dump lines with the legacy rendering at each
-// barrier.
+// every shadowed stream's offer bookkeeping with the legacy rendering at
+// each barrier.
 func checkParity(t *testing.T, n *Network, from, to sim.Time, shadows map[*Stream]*legacyOffers) {
 	t.Helper()
 	for at := from; at <= to; at += sim.Second / 2 {
 		n.RunTo(at)
 		for s, l := range shadows {
-			if got, want := offerLines(t, s), l.lines(); got != want {
+			if got, want := offerLines(s), l.lines(); got != want {
 				t.Fatalf("%s at %v: dump\n  %.200s\nlegacy\n  %.200s", s.Name, at, got, want)
 			}
 		}

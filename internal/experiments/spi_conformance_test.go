@@ -30,6 +30,7 @@ import (
 	"macaw/internal/mac/tournament"
 	"macaw/internal/metrics"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 	"macaw/internal/topo"
 	"macaw/internal/trace"
 	"macaw/internal/transport"
@@ -92,7 +93,7 @@ func barrierRun(n *core.Network, a audit, total, warmup sim.Duration, barriers .
 		res = n.Collect()
 	}
 	a.check()
-	return fmt.Sprintf("%+v\n%s", res, n.AppendState(nil))
+	return fmt.Sprintf("%+v\n%s", res, statecheck.Dump(n))
 }
 
 // TestRunToBarriersArePassive pins the guarantee that warm-vs-cold sweep
@@ -295,7 +296,7 @@ func TestSPIDeterministicReplay(t *testing.T) {
 				n := conformNet(11, p.f)
 				n.Start(total, warmup)
 				n.RunTo(n.End())
-				return fmt.Sprintf("%+v", n.Collect()), string(n.AppendState(nil))
+				return fmt.Sprintf("%+v", n.Collect()), string(statecheck.Dump(n))
 			}
 			res1, st1 := run()
 			res2, st2 := run()
@@ -324,7 +325,7 @@ func TestSPIForkByteIdentity(t *testing.T) {
 				rc := cfg.instrument(p.name, n)
 				addConformCell(n, p.f())
 				res := rc.run(n)
-				return fmt.Sprintf("%+v\n%s", res, n.AppendState(nil))
+				return fmt.Sprintf("%+v\n%s", res, statecheck.Dump(n))
 			}
 			want := run(nil)
 			if got := run(&SweepVariant{Kind: "cw.min", Value: 15}); got != want {
@@ -389,7 +390,7 @@ func TestSPIPacketDeadAfterCompletion(t *testing.T) {
 				if st := n.Station("P2"); st.Restarts() != 1 {
 					t.Fatalf("P2 restarted %d times, want 1", st.Restarts())
 				}
-				return fmt.Sprintf("%+v\n%s", res, n.AppendState(nil)), tl
+				return fmt.Sprintf("%+v\n%s", res, statecheck.Dump(n)), tl
 			}
 			want, clean := run(false)
 			got, poisoned := run(true)
@@ -589,41 +590,6 @@ func TestSPIObserverStreamsPinned(t *testing.T) {
 
 			if want := observerPins[p.name]; got != want {
 				t.Errorf("observer streams drifted:\n got  %q\n want %q", got, want)
-			}
-		})
-	}
-}
-
-// TestSPIAppendStateEndsWithChassis: every backend's state dump ends with
-// its chassis section (mac.Base.AppendState: state timer, sequence counter,
-// halt latch, counters), mid-run and after Halt. An engine that stops
-// embedding mac.Base, or forgets to append its section, fails here.
-func TestSPIAppendStateEndsWithChassis(t *testing.T) {
-	for _, p := range spiProtocols {
-		t.Run(p.name, func(t *testing.T) {
-			n := conformNet(3, p.f)
-			n.Start(3*sim.Second, 1*sim.Second)
-			n.RunTo(n.Sim.Now() + sim.Time(2*sim.Second))
-			check := func(e mac.Engine) {
-				t.Helper()
-				f := reflect.ValueOf(e).Elem().FieldByName("Base")
-				if !f.IsValid() || f.Type() != reflect.TypeOf(mac.Base{}) {
-					t.Fatalf("%T does not embed mac.Base", e)
-				}
-				base := f.Addr().Interface().(*mac.Base)
-				want := base.AppendState(nil)
-				if got := e.AppendState(nil); !bytes.HasSuffix(got, want) {
-					t.Fatalf("%T dump does not end with its chassis section %q:\n%s", e, want, got)
-				}
-			}
-			for _, st := range n.Stations() {
-				check(st.MAC())
-			}
-			e := n.Stations()[0].MAC()
-			e.Halt()
-			check(e)
-			if !bytes.Contains(e.AppendState(nil), []byte("halted=true")) {
-				t.Fatal("halted engine's dump does not carry the halt latch")
 			}
 		})
 	}

@@ -1,8 +1,6 @@
 package mac
 
 import (
-	"fmt"
-
 	"macaw/internal/frame"
 	"macaw/internal/sim"
 )
@@ -12,8 +10,7 @@ import (
 // MAC counters and the halt latch, and it is the only code that talks to
 // the observer, the radio's transmit path and the host callbacks. The SPI
 // conventions (spi.go) hold by construction for anything routed through it;
-// an engine keeps only its FSM rules and its own share of Halt and
-// AppendState.
+// an engine keeps only its FSM rules and its own share of Halt.
 //
 // The state timer's continuation is passed in as sim.Call[*E] plus the
 // engine and a method expression, never built here: a generic helper that
@@ -171,12 +168,3 @@ func (b *Base) Halted() bool { return b.halted }
 
 // Stats returns the MAC counters.
 func (b *Base) Stats() Stats { return b.Counters }
-
-// AppendState appends the chassis section every engine's state dump ends
-// with: the state timer, the sequence counter, the halt latch and the
-// counters.
-func (b *Base) AppendState(d []byte) []byte {
-	d = fmt.Appendf(d, "mac.base timer=%d timerCancelled=%t seq=%d halted=%t\n",
-		b.timer.When(), b.timer.Cancelled(), b.Seq, b.halted)
-	return b.Counters.AppendState(d)
-}

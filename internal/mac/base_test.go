@@ -8,6 +8,7 @@ import (
 	"macaw/internal/frame"
 	"macaw/internal/phy"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // logRadio is a Radio that logs each transmission into a shared log.
@@ -119,9 +120,6 @@ func TestBaseObserverDiscipline(t *testing.T) {
 	if st := b.Stats(); st.Drops != 3 {
 		t.Fatalf("Drops = %d, want 3 (a refused offer is not counted)", st.Drops)
 	}
-	if dump := string(b.AppendState(nil)); !strings.HasPrefix(dump, "mac.base timer=0 timerCancelled=false seq=1 halted=true\nmacstats ") {
-		t.Fatalf("chassis dump %q", dump)
-	}
 }
 
 // TestDisabledObserverHooksAllocationFree pins the cost side of the
@@ -133,7 +131,7 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	var q Queue
 	p := &Packet{Dst: 2}
 	f := &frame.Frame{Type: frame.DATA, Src: 2}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := statecheck.Mallocs(100, func() {
 		b.NoteState("IDLE", "CONTEND")
 		b.NoteQueue("push", 2, &q)
 		b.Retry(2)
@@ -142,6 +140,6 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 		b.Deliver(f)
 		b.Admit(p)
 	}); n != 0 {
-		t.Fatalf("disabled observer hooks allocated %.1f times per call set, want 0", n)
+		t.Fatalf("disabled observer hooks allocated %d times per call set, want 0", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"macaw/internal/geom"
 	"macaw/internal/mac"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // TestDisabledObserverHooksAllocationFree pins the cost side of the
@@ -17,12 +18,12 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	st := w.add(1, geom.V(0, 0, 6), Options{})
 	q := &st.m.q
 	p := &mac.Packet{Dst: 2}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := statecheck.Mallocs(100, func() {
 		st.m.NoteQueue("push", 2, q)
 		st.m.Retry(2)
 		st.m.Drop(p, mac.DropRetries)
 	}); n != 0 {
-		t.Fatalf("disabled observer hooks allocated %.1f times per call set, want 0", n)
+		t.Fatalf("disabled observer hooks allocated %d times per call set, want 0", n)
 	}
 }
 
@@ -42,21 +43,21 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	c := w.add(1, geom.V(0, 0, 6), Options{ACK: true}).m
 	for name, fn := range timers {
-		if n := testing.AllocsPerRun(100, func() {
+		if n := statecheck.Mallocs(100, func() {
 			c.setTimer(sim.Millisecond, fn)
 			c.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
-			t.Errorf("arming and cancelling %s allocated %.1f times, want 0", name, n)
+			t.Errorf("arming and cancelling %s allocated %d times, want 0", name, n)
 		}
 		// With an empty queue each continuation returns to IDLE (or, for
 		// a finished DATA frame, re-arms the ACK timer), so Step measures
 		// the dispatch.
-		if n := testing.AllocsPerRun(100, func() {
+		if n := statecheck.Mallocs(100, func() {
 			c.setTimer(sim.Millisecond, fn)
 			w.s.Step()
 		}); n != 0 {
-			t.Errorf("arming and firing %s allocated %.1f times, want 0", name, n)
+			t.Errorf("arming and firing %s allocated %d times, want 0", name, n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/geom"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // TestStateTimersAllocationFree pins DESIGN.md §8's no-per-event-allocation
@@ -15,22 +16,22 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	d := w.add(1, geom.V(0, 0, 6), Options{}).m
 	for k := tAttempt; k <= tBcastAir; k++ {
-		if n := testing.AllocsPerRun(100, func() {
+		if n := statecheck.Mallocs(100, func() {
 			d.setTimer(sim.Millisecond, k)
 			d.disarm()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
-			t.Errorf("arming and cancelling timer kind %d allocated %.1f times, want 0", k, n)
+			t.Errorf("arming and cancelling timer kind %d allocated %d times, want 0", k, n)
 		}
 	}
 	// With an empty queue these continuations fall back to IDLE, so Step
 	// measures the dispatch. (The rest transmit a frame, which allocates.)
 	for _, k := range []tKind{tAttempt, tCTSTimeout, tACKTimeout, tDataTimeout, tAckAir} {
-		if n := testing.AllocsPerRun(100, func() {
+		if n := statecheck.Mallocs(100, func() {
 			d.setTimer(sim.Millisecond, k)
 			w.s.Step()
 		}); n != 0 {
-			t.Errorf("arming and firing timer kind %d allocated %.1f times, want 0", k, n)
+			t.Errorf("arming and firing timer kind %d allocated %d times, want 0", k, n)
 		}
 		if d.State() != Idle {
 			t.Fatalf("firing timer kind %d left state %s, want IDLE", k, d.State())

@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"fmt"
 	"testing"
 
 	"macaw/internal/frame"
@@ -9,7 +8,7 @@ import (
 )
 
 // FuzzQueueMatchesSlice drives a Queue and a plain-slice reference through
-// the same operations and requires the same Len, Peek, Pop and AppendState
+// the same operations and requires the same Len, Peek, Pop and contents
 // after each. Each input byte is one operation: its low three bits pick
 // the operation, its high five a repeat count of 1 to 32, so short inputs
 // already cross block boundaries at both ends.
@@ -68,14 +67,15 @@ func FuzzQueueMatchesSlice(f *testing.F) {
 	})
 }
 
-// checkQueueState compares q's dump with the one ref renders.
+// checkQueueState requires q to hold ref's packets in ref's order.
 func checkQueueState(t *testing.T, op int, q *Queue, ref []*Packet) {
 	t.Helper()
-	want := fmt.Sprintf("queue n=%d", len(ref))
-	for _, p := range ref {
-		want += fmt.Sprintf(" {dst=%d size=%d seq=%d enq=%d pay=%d}", p.Dst, p.Size, p.Seq(), p.Enqueued, len(p.Payload))
+	if q.Len() != len(ref) {
+		t.Fatalf("op %d: Len = %d, want %d", op, q.Len(), len(ref))
 	}
-	if got := string(q.AppendState(nil)); got != want+"\n" {
-		t.Fatalf("op %d: AppendState\n  %q\nwant\n  %q", op, got, want+"\n")
+	for i, want := range ref {
+		if got := q.at(i); got != want {
+			t.Fatalf("op %d: packet %d is %p, want %p", op, i, got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"macaw/internal/frame"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // TestPacketLayout pins the packet record's 48 bytes on 64-bit platforms:
@@ -163,7 +164,7 @@ func TestQueueAllocationFree(t *testing.T) {
 	var q Queue
 	a, b := &Packet{Dst: 1}, &Packet{Dst: 2}
 	q.Push(a)
-	if n := testing.AllocsPerRun(100, func() {
+	if n := statecheck.Mallocs(100, func() {
 		// A block's worth in and out: every run moves the tail, and the
 		// head, across exactly one block boundary.
 		for range queueBlock {
@@ -175,13 +176,13 @@ func TestQueueAllocationFree(t *testing.T) {
 			q.Pop()
 		}
 	}); n != 0 {
-		t.Fatalf("steady-state queue operations allocated %.1f times, want 0", n)
+		t.Fatalf("steady-state queue operations allocated %d times, want 0", n)
 	}
 	s := NewStreamQueues()
 	s.Push(&Packet{Dst: 5})
 	s.Push(&Packet{Dst: 3})
 	scratch := make([]frame.NodeID, 0, 2)
-	if n := testing.AllocsPerRun(100, func() { scratch = s.NonEmpty(scratch[:0]) }); n != 0 {
-		t.Fatalf("NonEmpty into scratch allocated %.1f times, want 0", n)
+	if n := statecheck.Mallocs(100, func() { scratch = s.NonEmpty(scratch[:0]) }); n != 0 {
+		t.Fatalf("NonEmpty into scratch allocated %d times, want 0", n)
 	}
 }

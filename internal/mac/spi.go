@@ -39,9 +39,11 @@ import "macaw/internal/sim"
 //     returns. The engine keeps no reference to it (queue, pending entry,
 //     in-flight slot) and reads none of its fields afterwards, so the host
 //     may zero and reuse the record for a later offer (see Callbacks).
-//   - AppendState completeness: every field that can affect future behavior
-//     appears in the dump, which ends with Base.AppendState; the passivity
-//     and replay tests diff the dumps.
+//   - Visible state: everything that can affect future behavior is held
+//     in the engine's fields or what they point to, never only in a
+//     closure, since the passivity and replay tests compare engines
+//     through a reflective dump (internal/statecheck) that cannot see
+//     captured variables.
 type Engine interface {
 	MAC
 
@@ -68,8 +70,4 @@ type Engine interface {
 	// "macaw", "token", "dcf", "tournament"). The conformance oracle and
 	// the sweep delta taxonomy dispatch on it instead of on concrete types.
 	Protocol() string
-
-	// AppendState appends the engine's canonical FSM dump for the snapshot
-	// state inventory (DESIGN.md §14).
-	AppendState(b []byte) []byte
 }

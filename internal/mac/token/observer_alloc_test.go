@@ -5,6 +5,7 @@ import (
 
 	"macaw/internal/mac"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // TestTimersAllocationFree pins DESIGN.md §8's no-per-event-allocation rule
@@ -26,17 +27,17 @@ func TestTimersAllocationFree(t *testing.T) {
 		"onHoldPause":    (*Token).onHoldPause,
 		"onWatchTimeout": (*Token).onWatchTimeout,
 	} {
-		if n := testing.AllocsPerRun(100, func() {
+		if n := statecheck.Mallocs(100, func() {
 			tk.setTimer(sim.Microsecond, fn)
 			tk.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
-			t.Errorf("arming and cancelling %s allocated %.1f times, want 0", name, n)
+			t.Errorf("arming and cancelling %s allocated %d times, want 0", name, n)
 		}
 	}
 	// Only the watchdog is pending now; in HOLDING it fires and re-arms.
-	if n := testing.AllocsPerRun(100, func() { w.s.Step() }); n != 0 {
-		t.Errorf("firing and re-arming the watchdog allocated %.1f times, want 0", n)
+	if n := statecheck.Mallocs(100, func() { w.s.Step() }); n != 0 {
+		t.Errorf("firing and re-arming the watchdog allocated %d times, want 0", n)
 	}
 	if tk.State() != Holding || tk.Regenerations != 0 {
 		t.Fatalf("watchdog firings left state %s, %d regenerations", tk.State(), tk.Regenerations)

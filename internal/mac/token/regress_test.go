@@ -2,11 +2,9 @@ package token
 
 // Regression tests for the convention-divergence bugs the MAC SPI extraction
 // flushed out of the token engine: before the extraction the engine had no
-// Halt at all, skipped the observer discipline the other engines follow, and
-// its snapshot inventory omitted the timer-cancellation and halt bits.
+// Halt at all and skipped the observer discipline the other engines follow.
 
 import (
-	"strings"
 	"testing"
 
 	"macaw/internal/frame"
@@ -151,25 +149,5 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 		if r != mac.DropDisabled {
 			t.Fatalf("ObserveDrop saw %v, want DropDisabled", r)
 		}
-	}
-}
-
-// TestAppendStateCarriesCancellationAndHalt pins the AppendState field-order
-// fix: the inventory must carry the timer Cancelled flags and the halted
-// bit, in the SPI's conventional positions.
-func TestAppendStateCarriesCancellationAndHalt(t *testing.T) {
-	w := newRing(14, 2, Options{})
-	line := string(w.nodes[0].m.AppendState(nil))
-	for _, field := range []string{"timerCancelled=", "watchdogCancelled=", "halted=false"} {
-		if !strings.Contains(line, field) {
-			t.Fatalf("inventory %q missing %q", line, field)
-		}
-	}
-	if !strings.Contains(line, "halted=false") {
-		t.Fatalf("inventory %q missing halt bit", line)
-	}
-	w.nodes[0].m.Halt()
-	if line := string(w.nodes[0].m.AppendState(nil)); !strings.Contains(line, "halted=true") {
-		t.Fatalf("inventory %q does not flip the halt bit", line)
 	}
 }

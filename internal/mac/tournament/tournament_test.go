@@ -1,7 +1,6 @@
 package tournament
 
 import (
-	"strings"
 	"testing"
 
 	"macaw/internal/frame"
@@ -9,6 +8,7 @@ import (
 	"macaw/internal/mac"
 	"macaw/internal/phy"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 type station struct {
@@ -170,8 +170,7 @@ func drivePair(w *world, a *station, n int, until sim.Time) {
 
 // TestAdoptFromMatchesByteState: two engines built alike and driven alike
 // dump byte-identical state inventories when parked mid-traffic, and again
-// after the same barrier retune and more traffic. The dump leads with the
-// protocol prefix.
+// after the same barrier retune and more traffic.
 func TestAdoptFromMatchesByteState(t *testing.T) {
 	mk := func() (*world, *station, *station) {
 		w := newWorld(6)
@@ -184,12 +183,9 @@ func TestAdoptFromMatchesByteState(t *testing.T) {
 	same := func(when string) {
 		t.Helper()
 		for i, p := range [][2]*station{{a1, a2}, {b1, b2}} {
-			got, want := string(p[1].m.AppendState(nil)), string(p[0].m.AppendState(nil))
+			got, want := string(statecheck.Dump(p[1].m)), string(statecheck.Dump(p[0].m))
 			if got != want {
 				t.Fatalf("%s: station %d state diverges:\n got %q\nwant %q", when, i+1, got, want)
-			}
-			if !strings.HasPrefix(want, "tournament st=") {
-				t.Fatalf("state inventory missing protocol prefix: %q", want)
 			}
 		}
 	}
@@ -222,9 +218,9 @@ func TestAdoptFromRefusesWrongEngineAndOptions(t *testing.T) {
 			}
 		}
 		drivePair(w, a, 20, 30*sim.Millisecond) // mid-traffic
-		mid := string(a.m.AppendState(nil))
+		mid := string(statecheck.Dump(a.m))
 		drivePair(w, a, 0, sim.Second)
-		return mid + string(a.m.AppendState(nil))
+		return mid + string(statecheck.Dump(a.m))
 	}
 	built := run(Options{Window: 8}, false)
 	if got := run(Options{}, true); got != built {

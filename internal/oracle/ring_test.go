@@ -7,6 +7,7 @@ import (
 	"macaw/internal/frame"
 	"macaw/internal/mac/macaw"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 	"macaw/internal/trace"
 )
 
@@ -62,7 +63,7 @@ func TestReportHooksAllocationFree(t *testing.T) {
 		m.ObserveDeliver(data)
 	}
 	hooks()
-	if n := testing.AllocsPerRun(100, hooks); n != 0 {
-		t.Fatalf("report hooks allocate %v times per call set, want 0", n)
+	if n := statecheck.Mallocs(100, hooks); n != 0 {
+		t.Fatalf("report hooks allocate %d times over the runs, want 0", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // The tests in this file validate the neighborhood index (DESIGN.md §10):
@@ -310,12 +311,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		radios[0].Transmit(f)
 		s.RunAll()
 	}
-	// Warm pools, gain cache, and slice capacities.
-	for i := 0; i < 4; i++ {
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("steady-state transmit cycle allocates %.2f times per run, want 0", avg)
+	if n := statecheck.Mallocs(200, cycle); n != 0 {
+		t.Fatalf("steady-state transmit cycle allocates %d times over the runs, want 0", n)
 	}
 	// Overlapping transmissions (collision path) must also be clean.
 	f2 := &frame.Frame{Type: frame.DATA, Src: 8, Dst: 7, DataBytes: 256}
@@ -324,11 +321,8 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		radios[7].Transmit(f2)
 		s.RunAll()
 	}
-	for i := 0; i < 4; i++ {
-		both()
-	}
-	if avg := testing.AllocsPerRun(200, both); avg != 0 {
-		t.Fatalf("steady-state collision cycle allocates %.2f times per run, want 0", avg)
+	if n := statecheck.Mallocs(200, both); n != 0 {
+		t.Fatalf("steady-state collision cycle allocates %d times over the runs, want 0", n)
 	}
 }
 

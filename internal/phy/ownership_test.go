@@ -6,6 +6,7 @@ import (
 	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // The medium owns every frame in flight by value: Transmit copies the
@@ -74,10 +75,11 @@ func TestNoEarlyRecycle(t *testing.T) {
 	}
 }
 
-// barrierer parks the clock at a barrier from inside a receive
-// notification — it stops the run and compacts the event queue, as a sweep
-// cell's delta barrier does — while a later receiver's notification of the
-// same frame is still pending.
+// barrierer parks the clock at a barrier from inside its first receive
+// notification, when armed with a simulator — it stops the run and
+// compacts the event queue, as a sweep cell's delta barrier does — while a
+// later receiver's notification of the same frame is still pending. An
+// unarmed one only records.
 type barrierer struct {
 	recorder
 	s *sim.Simulator
@@ -85,8 +87,11 @@ type barrierer struct {
 
 func (h *barrierer) RadioReceive(f *frame.Frame) {
 	h.recorder.RadioReceive(f)
-	h.s.Stop()
-	h.s.ForceCompact()
+	if s := h.s; s != nil {
+		h.s = nil
+		s.Stop()
+		s.ForceCompact()
+	}
 }
 
 // TestAdoptFailsClosedWhileDraining: a barrier that falls while an ended
@@ -104,7 +109,7 @@ func TestAdoptFailsClosedWhileDraining(t *testing.T) {
 	}
 	rts := &frame.Frame{Type: frame.RTS, Src: 1, Dst: 2, DataBytes: 512, Seq: 5}
 
-	cs, ctl, ca, _ := build(&recorder{})
+	cs, ctl, ca, _ := build(&barrierer{})
 	ca.Transmit(rts)
 	cs.RunAll()
 
@@ -124,7 +129,7 @@ func TestAdoptFailsClosedWhileDraining(t *testing.T) {
 	if got := ch.received[0]; got.Type != frame.RTS || got.Src != 1 || got.Seq != 5 {
 		t.Fatalf("later receiver got %v seq=%d, want the RTS from N1", &got, got.Seq)
 	}
-	if got, want := string(m.AppendState(nil)), string(ctl.AppendState(nil)); got != want {
+	if got, want := string(statecheck.Dump(m)), string(statecheck.Dump(ctl)); got != want {
 		t.Fatalf("medium state after the barrier:\n%s\nuninterrupted:\n%s", got, want)
 	}
 }

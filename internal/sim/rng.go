@@ -24,16 +24,17 @@ package sim
 // (see Simulator.Recycle). Once its simulator has been recycled the stream
 // is poisoned: it holds no generator, and building one panics.
 type countingSource struct {
-	src      *Source // nil until the first draw, and again once recycled
-	draws    uint64
-	streamNo int64 // 0 = the simulator's primary generator
-	seed     int64
-	s        *Simulator
+	src   *Source // nil until the first draw, and again once recycled
+	draws uint64
+	seed  int64
+	s     *Simulator
 }
 
-// newSource registers a lazily seeded stream with the simulator.
-func (s *Simulator) newSource(streamNo, seed int64) *countingSource {
-	c := &countingSource{streamNo: streamNo, seed: seed, s: s}
+// newSource registers a lazily seeded stream with the simulator. Streams
+// are numbered by creation: the primary generator is 0, each NewRand
+// stream the next.
+func (s *Simulator) newSource(seed int64) *countingSource {
+	c := &countingSource{seed: seed, s: s}
 	s.sources = append(s.sources, c)
 	return c
 }

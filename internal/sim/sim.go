@@ -73,7 +73,7 @@ type Simulator struct {
 // New returns a Simulator whose randomness derives from seed.
 func New(seed int64) *Simulator {
 	s := &Simulator{seed: seed}
-	s.rng = rand.New(s.newSource(0, seed))
+	s.rng = rand.New(s.newSource(seed))
 	return s
 }
 
@@ -100,7 +100,7 @@ func (s *Simulator) NewRand() *rand.Rand {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(s.newSource(s.streams, int64(z)))
+	return rand.New(s.newSource(int64(z)))
 }
 
 // SetNextStream positions the stream counter so the next NewRand call

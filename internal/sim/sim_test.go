@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"macaw/internal/statecheck"
 )
 
 func TestTimeConversions(t *testing.T) {
@@ -495,5 +497,26 @@ func TestRunRealtimeClosedInjectReturns(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("RunRealtime did not return on closed inject channel")
+	}
+}
+
+// timerOwner stands in for a protocol engine with a state timer.
+type timerOwner struct{ fired int }
+
+func (o *timerOwner) onTimeout() { o.fired++ }
+
+// TestCallAllocationFree pins the trampoline's point: arming and firing a
+// method through Call allocates nothing, where a method value would.
+func TestCallAllocationFree(t *testing.T) {
+	s := New(1)
+	o := &timerOwner{}
+	if n := statecheck.Mallocs(100, func() {
+		s.AtPriorityCall(s.Now()+1, 0, Call[*timerOwner], o, (*timerOwner).onTimeout)
+		s.Step()
+	}); n != 0 {
+		t.Fatalf("arming and firing through Call allocated %d times in 100 runs, want 0", n)
+	}
+	if o.fired != 400 {
+		t.Fatalf("Call trampoline fired the method %d times, want 400", o.fired)
 	}
 }

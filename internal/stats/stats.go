@@ -209,9 +209,3 @@ func (f FaultCounters) String() string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// AppendState appends the counter's full state for the snapshot inventory
-// (DESIGN.md §14).
-func (w *Windowed) AppendState(b []byte) []byte {
-	return fmt.Appendf(b, "win warmup=%d end=%d count=%d total=%d\n", w.warmup, w.end, w.count, w.total)
-}

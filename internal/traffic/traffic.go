@@ -157,17 +157,3 @@ func (p *Poisson) tick() {
 	p.offer()
 	p.ev = p.s.AtPriorityCall(p.s.Now()+p.gap(), 0, sim.Call[*Poisson], p, (*Poisson).tick)
 }
-
-// AppendState appends the source's full state for the snapshot inventory
-// (DESIGN.md §14): phase, tick count, running/stop flags, and the pending
-// tick's scheduled time (the event's identity lives in the engine dump).
-func (c *CBR) AppendState(b []byte) []byte {
-	return fmt.Appendf(b, "cbr interval=%d phase=%d count=%d running=%t stopAt=%d hasStop=%t next=%d\n",
-		c.interval, c.phase, c.count, c.running, c.stopAt, c.hasStop, c.ev.When())
-}
-
-// AppendState appends the source's full state for the snapshot inventory.
-func (p *Poisson) AppendState(b []byte) []byte {
-	return fmt.Appendf(b, "poisson rate=%g count=%d running=%t stopAt=%d hasStop=%t next=%d\n",
-		p.rate, p.count, p.running, p.stopAt, p.hasStop, p.ev.When())
-}

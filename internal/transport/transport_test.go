@@ -7,6 +7,7 @@ import (
 
 	"macaw/internal/frame"
 	"macaw/internal/sim"
+	"macaw/internal/statecheck"
 )
 
 // pipeEnd is an in-memory Endpoint connecting two transport agents with a
@@ -340,10 +341,10 @@ func TestRTOTimerAllocationFree(t *testing.T) {
 	s := sim.New(1)
 	snd := NewTCPSender(lossyEnd{s}, 2, 1, DefaultTCPConfig())
 	snd.Offer()
-	if n := testing.AllocsPerRun(20, func() { s.Step() }); n != 0 {
-		t.Fatalf("an RTO firing allocated %.1f times, want 0", n)
+	if n := statecheck.Mallocs(20, func() { s.Step() }); n != 0 {
+		t.Fatalf("an RTO firing allocated %d times, want 0", n)
 	}
-	if got := snd.Stats().Timeouts; got != 21 {
-		t.Fatalf("%d timeouts, want 21", got)
+	if got := snd.Stats().Timeouts; got != 80 {
+		t.Fatalf("%d timeouts, want 80", got)
 	}
 }
