@@ -7,13 +7,15 @@ import (
 	"macaw/internal/backoff"
 	"macaw/internal/core"
 	"macaw/internal/mac/macaw"
+	"macaw/internal/metrics"
 	"macaw/internal/sim"
 	"macaw/internal/topo"
 )
 
 // figure2Cell builds the Table 1 cell (the Figure 2 single cell,
-// RTS-CTS-DATA under BEB+copy) with each pad offering rate pps.
-func figure2Cell(t *testing.T, rate float64) *core.Network {
+// RTS-CTS-DATA under BEB+copy) with each pad offering rate pps, attaching
+// obs to every station.
+func figure2Cell(t *testing.T, rate float64, obs ...core.MACObserverFactory) *core.Network {
 	t.Helper()
 	l := topo.Figure2()
 	for i := range l.Streams {
@@ -22,6 +24,9 @@ func figure2Cell(t *testing.T, rate float64) *core.Network {
 	f := core.MACAWFactoryWith(macaw.Options{Exchange: macaw.Basic},
 		func() backoff.Policy { return backoff.NewSingle(backoff.NewBEB(), true) })
 	n := core.NewNetwork(1)
+	for _, o := range obs {
+		n.AddMACObserver(o)
+	}
 	if err := l.Build(n, f); err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +47,48 @@ func figure2Cell(t *testing.T, rate float64) *core.Network {
 // Measured: 1786 mallocs.
 const maxMallocsPerCell = 2059
 
-// TestMallocsPerFiredEvent fails when a change reintroduces a per-event
-// allocation on the simulation's hot path.
-func TestMallocsPerFiredEvent(t *testing.T) {
-	n := figure2Cell(t, 64)
+// maxMallocsPerCollectedStation is what a metrics collector may add to the
+// cell per station (TestMallocsPerInstrumentedCell): the measured 41 with
+// the plain pin's 15% headroom.
+const maxMallocsPerCollectedStation = 48
+
+// cellMallocs runs n for 20 s after a 2 s warmup and returns the heap
+// allocations the run made.
+func cellMallocs(n *core.Network) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	n.Run(20*sim.Second, 2*sim.Second)
 	runtime.ReadMemStats(&after)
-	mallocs := after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs
+}
+
+// TestMallocsPerFiredEvent fails when a change reintroduces a per-event
+// allocation on the simulation's hot path.
+func TestMallocsPerFiredEvent(t *testing.T) {
+	n := figure2Cell(t, 64)
+	mallocs := cellMallocs(n)
 	t.Logf("%d mallocs over %d fired events", mallocs, n.Sim.Fired())
 	if mallocs > maxMallocsPerCell {
 		t.Fatalf("%d mallocs in the cell, want at most %d", mallocs, maxMallocsPerCell)
+	}
+}
+
+// TestMallocsPerInstrumentedCell runs the same cell with a metrics
+// collector attached. The collector resolves each station's instruments
+// once, on the hook that first needs them, and counts through the handles
+// after (DESIGN.md §12), so what it adds is a fixed per-station cost, not a
+// per-hook one: the registry, its maps and their instruments, and the
+// growth of the backoff series toward each destination. Measured: 1909
+// mallocs, 41 per station over the plain cell's 1785, against 22 329 when
+// each hook looked its instrument up by a name it built.
+func TestMallocsPerInstrumentedCell(t *testing.T) {
+	n := figure2Cell(t, 64, metrics.NewCollector().Observer)
+	mallocs := cellMallocs(n)
+	stations := len(n.Stations())
+	limit := uint64(maxMallocsPerCell + stations*maxMallocsPerCollectedStation)
+	t.Logf("%d mallocs over %d fired events with %d stations collected", mallocs, n.Sim.Fired(), stations)
+	if mallocs > limit {
+		t.Fatalf("%d mallocs in the instrumented cell, want at most %d", mallocs, limit)
 	}
 }
 

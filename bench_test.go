@@ -2,6 +2,7 @@ package macaw_test
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"macaw/internal/experiments"
 	"macaw/internal/geom"
 	"macaw/internal/mac/macaw"
+	"macaw/internal/metrics"
 	"macaw/internal/phy"
 	"macaw/internal/sim"
 	"macaw/internal/topo"
@@ -88,6 +90,41 @@ func BenchmarkAllTablesParallel(b *testing.B) {
 		jobs = 4
 	}
 	benchAllTables(b, jobs)
+}
+
+// BenchmarkMetricsOverhead regenerates every paper table per iteration,
+// plain and then as macawsim -metrics does: a collector on every run and
+// the document written at the end. It fails when the metrics side's ns/op
+// exceeds maxMetricsOverPlain times the plain side's; both sides run in
+// this process, so the ceiling does not depend on host speed. With
+// -benchtime 1x the ratio read 1.21-1.62x over 12 runs on a 2-vCPU
+// linux/amd64 host, and 1.69-2.23x when every hook looked its instrument
+// up by a name it built.
+func BenchmarkMetricsOverhead(b *testing.B) {
+	const maxMetricsOverPlain = 1.8
+	nsPerOp := map[string]float64{}
+	for _, mode := range []string{"plain", "metrics"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := experiments.Bench()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i + 1)
+				if mode == "metrics" {
+					cfg.Metrics = metrics.NewSink()
+				}
+				for _, g := range experiments.All() {
+					g.Run(cfg)
+				}
+				if cfg.Metrics != nil {
+					if err := cfg.Metrics.WriteJSON(io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			nsPerOp[mode] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		})
+	}
+	requireCeiling(b, nsPerOp, "metrics", "plain", maxMetricsOverPlain)
 }
 
 // singleStream runs one saturating UDP pad-to-base stream under the given
@@ -266,6 +303,22 @@ func requireRatio(b *testing.B, nsPerOp map[string]float64, slow, fast string, f
 	b.Logf("%s/%s ns/op ratio %.2fx (floor %gx)", slow, fast, r, floor)
 	if r < floor {
 		b.Fatalf("%s/%s ns/op ratio %.2fx is below its %gx floor", slow, fast, r, floor)
+	}
+}
+
+// requireCeiling is requireRatio's other side: it fails b when both modes
+// ran and slow's ns/op is over ceiling times fast's.
+func requireCeiling(b *testing.B, nsPerOp map[string]float64, slow, fast string, ceiling float64) {
+	b.Helper()
+	s, okSlow := nsPerOp[slow]
+	f, okFast := nsPerOp[fast]
+	if !okSlow || !okFast {
+		return
+	}
+	r := s / f
+	b.Logf("%s/%s ns/op ratio %.2fx (ceiling %gx)", slow, fast, r, ceiling)
+	if r > ceiling {
+		b.Fatalf("%s/%s ns/op ratio %.2fx exceeds its %gx ceiling", slow, fast, r, ceiling)
 	}
 }
 

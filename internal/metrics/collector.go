@@ -52,16 +52,54 @@ func (c *Collector) Observer(st *core.Station) mac.Observer {
 	return sc
 }
 
+// frameHandles is the number of frame types whose tx_/rx_ counters a
+// station keeps handles for; every defined type fits, and a type past it
+// still resolves through the registry by name.
+const frameHandles = 16
+
 // stationCollector accumulates one station's metrics across MAC lifetimes.
+// Its hooks count through handles into reg, each resolved by name on the
+// first hook that needs it and reused after, so an instrument that never
+// fires stays absent from the document and a hook that does costs no map
+// lookup and no name.
 type stationCollector struct {
 	c       *Collector
 	reg     *Registry
 	backoff map[frame.NodeID]*Series
 
+	tx, rx                         [frameHandles]*Counter
+	queuePush, queuePop, queueDrop *Counter
+	queueDepth                     *Gauge
+	queueHist, backoffHist         *Histogram
+	deliver, retries               *Counter
+	timerArm, timerCancel          *Counter
+	fsmTransitions                 *Counter
+	dropsRetryLimit, dropsDisabled *Counter
+
 	// FSM residency bookkeeping: time spent in cur since 'since'.
 	residency map[string]sim.Duration
 	cur       string
 	since     sim.Time
+}
+
+// counter returns *h, resolving it to reg's counter called name first if
+// it is unset.
+func (sc *stationCollector) counter(h **Counter, name string) *Counter {
+	if *h == nil {
+		*h = sc.reg.Counter(name)
+	}
+	return *h
+}
+
+// frameCounter returns the prefix+type counter through hs.
+func (sc *stationCollector) frameCounter(hs *[frameHandles]*Counter, prefix string, t frame.Type) *Counter {
+	if int(t) >= len(hs) {
+		return sc.reg.Counter(prefix + t.String())
+	}
+	if hs[t] == nil {
+		hs[t] = sc.reg.Counter(prefix + t.String())
+	}
+	return hs[t]
 }
 
 func (sc *stationCollector) closeResidency(now sim.Time) {
@@ -70,7 +108,7 @@ func (sc *stationCollector) closeResidency(now sim.Time) {
 }
 
 func (sc *stationCollector) ObserveTx(f *frame.Frame) {
-	sc.reg.Counter("tx_" + f.Type.String()).Inc()
+	sc.frameCounter(&sc.tx, "tx_", f.Type).Inc()
 	if f.LocalBackoff >= 0 {
 		s := sc.backoff[f.Dst]
 		if s == nil {
@@ -78,56 +116,68 @@ func (sc *stationCollector) ObserveTx(f *frame.Frame) {
 			sc.backoff[f.Dst] = s
 		}
 		s.Observe(sc.c.clock.Now(), float64(f.LocalBackoff))
-		sc.reg.Histogram("backoff", BackoffBuckets()).Observe(float64(f.LocalBackoff))
+		if sc.backoffHist == nil {
+			sc.backoffHist = sc.reg.Histogram("backoff", backoffBounds)
+		}
+		sc.backoffHist.Observe(float64(f.LocalBackoff))
 	}
 }
 
 func (sc *stationCollector) ObserveRx(f *frame.Frame) {
-	sc.reg.Counter("rx_" + f.Type.String()).Inc()
+	sc.frameCounter(&sc.rx, "rx_", f.Type).Inc()
 }
 
 func (sc *stationCollector) ObserveState(from, to string) {
 	now := sc.c.clock.Now()
 	sc.closeResidency(now)
 	sc.cur = to
-	sc.reg.Counter("fsm_transitions").Inc()
+	sc.counter(&sc.fsmTransitions, "fsm_transitions").Inc()
 }
 
 func (sc *stationCollector) ObserveTimer(at sim.Time) {
 	if at < 0 {
-		sc.reg.Counter("timer_cancel").Inc()
+		sc.counter(&sc.timerCancel, "timer_cancel").Inc()
 		return
 	}
-	sc.reg.Counter("timer_arm").Inc()
+	sc.counter(&sc.timerArm, "timer_arm").Inc()
 }
 
 func (sc *stationCollector) ObserveQueue(op string, dst frame.NodeID, n int) {
-	sc.reg.Counter("queue_" + op).Inc()
-	sc.reg.Gauge("queue_depth").Set(float64(n))
-	sc.reg.Histogram("queue_depth", QueueBuckets()).Observe(float64(n))
+	switch op {
+	case "push":
+		sc.counter(&sc.queuePush, "queue_push").Inc()
+	case "pop":
+		sc.counter(&sc.queuePop, "queue_pop").Inc()
+	case "drop":
+		sc.counter(&sc.queueDrop, "queue_drop").Inc()
+	default:
+		sc.reg.Counter("queue_" + op).Inc()
+	}
+	if sc.queueDepth == nil {
+		sc.queueDepth = sc.reg.Gauge("queue_depth")
+		sc.queueHist = sc.reg.Histogram("queue_depth", queueBounds)
+	}
+	sc.queueDepth.Set(float64(n))
+	sc.queueHist.Observe(float64(n))
 }
 
 func (sc *stationCollector) ObserveDeliver(f *frame.Frame) {
-	sc.reg.Counter("deliver").Inc()
+	sc.counter(&sc.deliver, "deliver").Inc()
 }
 
 func (sc *stationCollector) ObserveRetry(dst frame.NodeID) {
-	sc.reg.Counter("retries").Inc()
+	sc.counter(&sc.retries, "retries").Inc()
 }
 
 func (sc *stationCollector) ObserveDrop(dst frame.NodeID, reason mac.DropReason) {
-	sc.reg.Counter("drops_" + dropSlug(reason)).Inc()
-}
-
-// dropSlug maps a drop reason to a stable counter-name suffix.
-func dropSlug(r mac.DropReason) string {
-	switch r {
+	switch reason {
 	case mac.DropRetries:
-		return "retry_limit"
+		sc.counter(&sc.dropsRetryLimit, "drops_retry_limit").Inc()
 	case mac.DropDisabled:
-		return "disabled"
+		sc.counter(&sc.dropsDisabled, "drops_disabled").Inc()
+	default:
+		sc.reg.Counter("drops_" + strings.ReplaceAll(string(reason), " ", "_")).Inc()
 	}
-	return strings.ReplaceAll(string(r), " ", "_")
 }
 
 // StationMetrics is one station's snapshot: the instrument registry, the

@@ -11,8 +11,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
+	"slices"
+	"strconv"
 )
 
 // Counter is a monotonically increasing event count.
@@ -25,7 +26,7 @@ func (c *Counter) Inc() { c.N++ }
 func (c *Counter) Add(d int64) { c.N += d }
 
 // MarshalJSON renders the bare number.
-func (c *Counter) MarshalJSON() ([]byte, error) { return json.Marshal(c.N) }
+func (c *Counter) MarshalJSON() ([]byte, error) { return strconv.AppendInt(nil, c.N, 10), nil }
 
 // Gauge tracks the last, minimum and maximum of a sampled value.
 type Gauge struct {
@@ -123,16 +124,20 @@ func DelayBuckets() []float64 {
 	return b
 }
 
+// queueBounds and backoffBounds are the bucket bounds the collector's
+// histograms share. Nothing writes them; QueueBuckets and BackoffBuckets
+// hand out copies.
+var (
+	queueBounds   = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
+	backoffBounds = []float64{2, 4, 8, 16, 32, 64, 128}
+)
+
 // QueueBuckets returns the queue-depth bucket bounds.
-func QueueBuckets() []float64 {
-	return []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-}
+func QueueBuckets() []float64 { return slices.Clone(queueBounds) }
 
 // BackoffBuckets returns bucket bounds for backoff-counter values (slots);
 // the paper's counters live in [MinBO=2, MaxBO=64].
-func BackoffBuckets() []float64 {
-	return []float64{2, 4, 8, 16, 32, 64, 128}
-}
+func BackoffBuckets() []float64 { return slices.Clone(backoffBounds) }
 
 // Registry is a named bag of instruments with get-or-create accessors. The
 // zero value is not useful; use NewRegistry. Its JSON form groups the

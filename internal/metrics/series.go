@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 
 	"macaw/internal/sim"
 )
@@ -68,18 +70,50 @@ func (s *Series) Seen() int64 { return s.seen }
 // Points returns the retained points in time order.
 func (s *Series) Points() []Point { return s.pts }
 
-// seriesJSON is the marshalled form: points as [seconds, value] pairs.
-type seriesJSON struct {
-	Stride int64        `json:"stride"`
-	Seen   int64        `json:"seen"`
-	Points [][2]float64 `json:"points"`
+// MarshalJSON renders the series as {"stride", "seen", "points"} with each
+// point a [seconds, value] pair, appending the bytes encoding/json would
+// write for the same fields directly.
+func (s *Series) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 48+len(s.pts)*24)
+	b = append(b, `{"stride":`...)
+	b = strconv.AppendInt(b, s.stride, 10)
+	b = append(b, `,"seen":`...)
+	b = strconv.AppendInt(b, s.seen, 10)
+	b = append(b, `,"points":[`...)
+	var err error
+	for i, p := range s.pts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		if b, err = appendFloat(b, p.T.Seconds()); err != nil {
+			return nil, err
+		}
+		b = append(b, ',')
+		if b, err = appendFloat(b, p.V); err != nil {
+			return nil, err
+		}
+		b = append(b, ']')
+	}
+	return append(b, "]}"...), nil
 }
 
-// MarshalJSON renders the series with timestamps in seconds.
-func (s *Series) MarshalJSON() ([]byte, error) {
-	out := seriesJSON{Stride: s.stride, Seen: s.seen, Points: make([][2]float64, len(s.pts))}
-	for i, p := range s.pts {
-		out.Points[i] = [2]float64{p.T.Seconds(), p.V}
+// appendFloat appends v as encoding/json formats a float64: shortest
+// round-trip digits, in exponent form below 1e-6 and from 1e21 up with a
+// one-digit exponent left unpadded. NaN and the infinities have no JSON
+// form.
+func appendFloat(b []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
 	}
-	return json.Marshal(out)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }

@@ -454,32 +454,39 @@ func TestPurgeCompactsCancelledHeap(t *testing.T) {
 }
 
 func TestRunRealtimeFiresOnWallClock(t *testing.T) {
+	const timeout = 500 * time.Millisecond
 	s := New(1)
 	var fired []Time
-	s.After(10*Millisecond, func() { fired = append(fired, s.Now()) })
-	s.After(30*Millisecond, func() { fired = append(fired, s.Now()) })
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	first := make(chan struct{})
+	s.After(10*Millisecond, func() { fired = append(fired, s.Now()); close(first) })
+	s.After(150*Millisecond, func() { fired = append(fired, s.Now()) })
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	start := time.Now()
 	inject := make(chan func(), 1)
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		inject <- func() { fired = append(fired, s.Now()) }
+		select {
+		case <-first:
+			inject <- func() { fired = append(fired, s.Now()) }
+		case <-ctx.Done():
+		}
 	}()
 	s.RunRealtime(ctx, 2, inject) // scale 2: 10ms sim = 20ms wall
 	elapsed := time.Since(start)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events, want 3", len(fired))
 	}
-	// The injection (50ms wall / scale 2 = ~25ms sim) interleaves between
-	// the two timers, and everything fires in simulated-time order.
-	if fired[0] != 10*Millisecond || fired[2] != 30*Millisecond {
+	// The injection is sent once the first timer has fired (20ms wall),
+	// 280ms of wall time before the second timer is due (300ms wall), so
+	// it lands between the two, and everything fires in simulated-time
+	// order.
+	if fired[0] != 10*Millisecond || fired[2] != 150*Millisecond {
 		t.Fatalf("fired at %v", fired)
 	}
-	if fired[1] < 20*Millisecond || fired[1] > 30*Millisecond {
-		t.Fatalf("injection at sim %v, want ~25ms", fired[1])
+	if fired[1] < 10*Millisecond || fired[1] >= 150*Millisecond {
+		t.Fatalf("injection at sim %v, want between the timers at 10ms and 150ms", fired[1])
 	}
-	if elapsed < 250*time.Millisecond {
+	if elapsed < timeout-50*time.Millisecond {
 		t.Fatalf("RunRealtime returned before ctx expiry: %v", elapsed)
 	}
 }
