@@ -154,16 +154,10 @@ func (st *Station) newEnv() *mac.Env {
 			Dropped: st.onDropped,
 		},
 	}
-	switch len(st.net.obsFactories) {
-	case 0:
-	case 1:
-		env.Obs = st.net.obsFactories[0](st)
-	default:
-		obs := make([]mac.Observer, len(st.net.obsFactories))
-		for i, f := range st.net.obsFactories {
-			obs[i] = f(st)
+	for _, f := range st.net.obsFactories {
+		if o := f(st); o != nil {
+			env.Obs = append(env.Obs, o)
 		}
-		env.Obs = mac.CombineObservers(obs...)
 	}
 	return env
 }
@@ -303,12 +297,11 @@ type Stream struct {
 
 	// offeredAt holds one word per offered packet, indexed by seq-1: UDP
 	// and TCP senders both number their offers 1, 2, 3, ... A pending
-	// entry holds its offer time, and pending counts those. A delivery
-	// overwrites its entry with consumed or, inside the measurement
-	// window, with the folded delay consumed-1-delay, so the delays cost
-	// no storage of their own (see EachDelay).
+	// entry holds its offer time. A delivery overwrites its entry with
+	// consumed or, inside the measurement window, with the folded delay
+	// consumed-1-delay, so the delays cost no storage of their own (see
+	// EachDelay).
 	offeredAt []sim.Time
-	pending   int
 	// ndelays counts the folded delays; lastDelay is the seq of the
 	// latest one.
 	ndelays   int
@@ -351,7 +344,7 @@ type Network struct {
 	runStart sim.Time
 	runTotal sim.Duration
 	// obsFactories build the per-MAC-lifetime passive observers; see
-	// SetMACObserver and AddMACObserver.
+	// AddMACObserver.
 	obsFactories []MACObserverFactory
 	// arena is the unused tail of the chunk that new packets' payload
 	// buffers are cut from (see payload).
@@ -403,19 +396,12 @@ func (n *Network) payload() []byte {
 // the first event.
 type MACObserverFactory func(st *Station) mac.Observer
 
-// SetMACObserver installs a factory producing a passive mac.Observer for
-// every MAC instance the network creates, replacing any factories installed
-// so far. It must be called before stations are added; observers must not
-// affect simulation behavior (see mac.Observer).
-func (n *Network) SetMACObserver(f MACObserverFactory) {
-	n.obsFactories = []MACObserverFactory{f}
-}
-
-// AddMACObserver installs an additional observer factory alongside any
-// already present — e.g. the conformance oracle and a metrics collector on
-// the same run. When several are attached, each MAC sees a composite that
-// fans every hook out in attachment order. Like SetMACObserver it must be
-// called before stations are added.
+// AddMACObserver installs a factory producing a passive mac.Observer for
+// every MAC instance the network creates, alongside any already present —
+// e.g. the conformance oracle and a metrics collector on the same run. Each
+// MAC calls its observers in attachment order; a factory may return nil to
+// skip a station. It must be called before stations are added; observers
+// must not affect simulation behavior (see mac.Observer).
 func (n *Network) AddMACObserver(f MACObserverFactory) {
 	n.obsFactories = append(n.obsFactories, f)
 }
@@ -483,10 +469,7 @@ func (s *Stream) offer(seq uint32) {
 	for len(s.offeredAt) <= i {
 		s.offeredAt = append(s.offeredAt, consumed)
 	}
-	switch at := s.offeredAt[i]; {
-	case at == consumed:
-		s.pending++
-	case at < consumed:
+	if s.offeredAt[i] < consumed {
 		panic(fmt.Sprintf("core: stream %s: seq %d offered again after its delay was recorded", s.Name, seq))
 	}
 	s.offeredAt[i] = s.From.net.Sim.Now()
@@ -500,7 +483,6 @@ func (s *Stream) record(t sim.Time, seq uint32) {
 	if s.counter != nil {
 		s.counter.Record(t)
 		if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] >= 0 {
-			s.pending--
 			if t < s.counter.Warmup() {
 				s.offeredAt[i] = consumed
 				return

@@ -84,8 +84,14 @@ func shadow(n *Network, s *Stream) *legacyOffers {
 // offerLines renders s's pending offers in seq order and its recorded
 // delays in EachDelay's order, in the legacy text.
 func offerLines(s *Stream) string {
+	pending := 0
+	for _, at := range s.offeredAt {
+		if at >= 0 {
+			pending++
+		}
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "offeredAt n=%d", s.pending)
+	fmt.Fprintf(&b, "offeredAt n=%d", pending)
 	for i, at := range s.offeredAt {
 		if at >= 0 {
 			fmt.Fprintf(&b, " %d@%d", i+1, at)

@@ -275,8 +275,8 @@ func TestStaleBackoffDetection(t *testing.T) {
 	// Fabricate the post-restart situation directly: A remembers a high
 	// exchange number from B's previous life while B's fresh policy has
 	// barely started counting.
-	apd := a.MAC().(interface{ Policy() backoff.Policy }).Policy().(*backoff.PerDest)
-	bpd := b.MAC().(interface{ Policy() backoff.Policy }).Policy().(*backoff.PerDest)
+	apd := a.MAC().(interface{ BackoffPolicy() backoff.Policy }).BackoffPolicy().(*backoff.PerDest)
+	bpd := b.MAC().(interface{ BackoffPolicy() backoff.Policy }).BackoffPolicy().(*backoff.PerDest)
 	apd.Peer(b.ID()).SeenESN = 500
 	bpd.Peer(a.ID()).SendESN = 2
 	stale := w.StaleBackoff()

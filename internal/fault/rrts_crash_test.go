@@ -48,7 +48,7 @@ func (o rrtsTxObs) ObserveDrop(frame.NodeID, mac.DropReason) {}
 func TestNoRRTSToCrashedSender(t *testing.T) {
 	n := core.NewNetwork(1)
 	l := &rrtsTxLog{s: n.Sim, from: "P1"}
-	n.SetMACObserver(func(st *core.Station) mac.Observer { return rrtsTxObs{l: l, name: st.Name()} })
+	n.AddMACObserver(func(st *core.Station) mac.Observer { return rrtsTxObs{l: l, name: st.Name()} })
 	if err := topo.Figure6().Build(n, core.MACAWFactory(macaw.DefaultOptions())); err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,9 @@ func (w *Watchdog) checkStation(st *core.Station) string {
 	return ""
 }
 
-// policyHolder is the introspection surface MACAW exposes for its backoff
-// policy.
-type policyHolder interface{ Policy() backoff.Policy }
+// policyHolder is the introspection surface the backoff-driven engines
+// (csma, maca, macaw) expose for their backoff policy.
+type policyHolder interface{ BackoffPolicy() backoff.Policy }
 
 // StaleBackoff reports the per-destination backoff entries that are stale
 // against a restarted peer: holder Y's entry about X claims to have seen an
@@ -197,7 +197,7 @@ func perDestOf(st *core.Station) *backoff.PerDest {
 	if !ok {
 		return nil
 	}
-	pd, _ := ph.Policy().(*backoff.PerDest)
+	pd, _ := ph.BackoffPolicy().(*backoff.PerDest)
 	return pd
 }
 

@@ -8,7 +8,7 @@ import (
 // Base is the engine chassis every protocol engine embeds: it owns the Env,
 // the state timer, the frame scratch, the link-layer sequence counter, the
 // MAC counters and the halt latch, and it is the only code that talks to
-// the observer, the radio's transmit path and the host callbacks. The SPI
+// the observers, the radio's transmit path and the host callbacks. The SPI
 // conventions (spi.go) hold by construction for anything routed through it;
 // an engine keeps only its FSM rules and its own share of Halt.
 //
@@ -32,12 +32,12 @@ type Base struct {
 // ArmAt (re)arms the state timer to run call(recv, fn) at t — for an engine
 // E, call is sim.Call[*E] and fn a method expression of type func(*E), so
 // the receiver rides in the pooled event record and re-arming never
-// allocates — and reports the arm to the observer.
+// allocates — and reports the arm to the observers.
 func (b *Base) ArmAt(t sim.Time, call func(a, b any), recv, fn any) {
 	b.timer.Cancel()
 	b.timer = b.Env.Sim.AtPriorityCall(t, 0, call, recv, fn)
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveTimer(t)
+	for _, o := range b.Env.Obs {
+		o.ObserveTimer(t)
 	}
 }
 
@@ -45,8 +45,8 @@ func (b *Base) ArmAt(t sim.Time, call func(a, b any), recv, fn any) {
 func (b *Base) ClearTimer() {
 	b.timer.Cancel()
 	b.timer = sim.Event{}
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveTimer(-1)
+	for _, o := range b.Env.Obs {
+		o.ObserveTimer(-1)
 	}
 }
 
@@ -65,23 +65,23 @@ func (b *Base) TimerWhen() sim.Time {
 // TimerPending reports whether the state timer is armed.
 func (b *Base) TimerPending() bool { return b.TimerWhen() >= 0 }
 
-// Transmit radiates f, reporting it to the observer first.
+// Transmit radiates f, reporting it to the observers first.
 func (b *Base) Transmit(f *frame.Frame) sim.Duration {
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveTx(f)
+	for _, o := range b.Env.Obs {
+		o.ObserveTx(f)
 	}
 	return b.Env.Radio.Transmit(f)
 }
 
 // Receive is the prologue of every radio reception: false on a halted
-// engine, which ignores the frame; otherwise it reports f to the observer
+// engine, which ignores the frame; otherwise it reports f to the observers
 // and returns true.
 func (b *Base) Receive(f *frame.Frame) bool {
 	if b.halted {
 		return false
 	}
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveRx(f)
+	for _, o := range b.Env.Obs {
+		o.ObserveRx(f)
 	}
 	return true
 }
@@ -89,14 +89,14 @@ func (b *Base) Receive(f *frame.Frame) bool {
 // Deliver hands a received DATA frame's payload to transport.
 func (b *Base) Deliver(f *frame.Frame) {
 	b.Counters.DataReceived++
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveDeliver(f)
+	for _, o := range b.Env.Obs {
+		o.ObserveDeliver(f)
 	}
 	b.Env.Callbacks.NotifyDeliver(f.Src, f.Payload)
 }
 
-// Admit stamps a packet offered to Enqueue with the next sequence number and
-// the enqueue time. A halted engine refuses it instead, with DropDisabled
+// Admit stamps a packet offered to Enqueue with the next sequence number. A
+// halted engine refuses it instead, with DropDisabled
 // and no drop counted, and Admit returns false.
 func (b *Base) Admit(p *Packet) bool {
 	if b.halted {
@@ -105,31 +105,30 @@ func (b *Base) Admit(p *Packet) bool {
 	}
 	b.Seq++
 	p.SetSeq(b.Seq)
-	p.Enqueued = b.Env.Sim.Now()
 	return true
 }
 
 // NoteState reports an FSM transition; the engine calls it only on an
 // actual change.
 func (b *Base) NoteState(from, to string) {
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveState(from, to)
+	for _, o := range b.Env.Obs {
+		o.ObserveState(from, to)
 	}
 }
 
 // NoteQueue reports a queue operation on q, the queue toward dst, with its
 // length after the operation.
 func (b *Base) NoteQueue(op string, dst frame.NodeID, q *Queue) {
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveQueue(op, dst, q.Len())
+	for _, o := range b.Env.Obs {
+		o.ObserveQueue(op, dst, q.Len())
 	}
 }
 
 // Retry counts one failed attempt toward dst being retried.
 func (b *Base) Retry(dst frame.NodeID) {
 	b.Counters.Retries++
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveRetry(dst)
+	for _, o := range b.Env.Obs {
+		o.ObserveRetry(dst)
 	}
 }
 
@@ -137,8 +136,8 @@ func (b *Base) Retry(dst frame.NodeID) {
 // packet is dead once Drop returns.
 func (b *Base) Drop(p *Packet, reason DropReason) {
 	b.Counters.Drops++
-	if b.Env.Obs != nil {
-		b.Env.Obs.ObserveDrop(p.Dst, reason)
+	for _, o := range b.Env.Obs {
+		o.ObserveDrop(p.Dst, reason)
 	}
 	b.Env.Callbacks.NotifyDropped(p, reason)
 }

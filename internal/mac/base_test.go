@@ -45,7 +45,7 @@ func (o logObs) ObserveQueue(op string, _ frame.NodeID, n int) {
 // append to one log, so the tests can check the order of every report.
 func newLoggedBase() (*Base, *[]string) {
 	log := &[]string{}
-	env := &Env{Sim: sim.New(1), Radio: logRadio{log}, Cfg: DefaultConfig(), Obs: logObs{log}}
+	env := &Env{Sim: sim.New(1), Radio: logRadio{log}, Cfg: DefaultConfig(), Obs: []Observer{logObs{log}}}
 	env.Callbacks = Callbacks{
 		Deliver: func(frame.NodeID, []byte) { *log = append(*log, "cb deliver") },
 		Sent:    func(*Packet) { *log = append(*log, "cb sent") },

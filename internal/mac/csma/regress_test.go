@@ -33,7 +33,7 @@ func TestHaltReportsTimerCancellation(t *testing.T) {
 	w := newWorld(21)
 	a := w.add(1, geom.V(0, 0, 6), Options{ACK: true})
 	obs := &timerObs{}
-	a.m.Env.Obs = obs
+	a.m.Env.Obs = []mac.Observer{obs}
 	a.m.Enqueue(pkt(9)) // arms the attempt timer toward an absent peer
 	w.s.Run(5 * sim.Millisecond)
 	if n := len(obs.timers); n == 0 || obs.timers[n-1] < 0 {

@@ -66,23 +66,6 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// tKind discriminates which continuation the single state timer carries
-// (several states chain two timers).
-type tKind int
-
-const (
-	tNone tKind = iota
-	tAttempt
-	tCTSTimeout
-	tSendData
-	tACKTimeout
-	tSendCTS
-	tDataTimeout
-	tSendACK
-	tAckAir
-	tBcastAir
-)
-
 // Options configures a DCF instance.
 type Options struct {
 	// CWMin and CWMax bound the contention window (defaults 15 and 1023,
@@ -138,8 +121,6 @@ type DCF struct {
 	// nav is the virtual-carrier reservation: the medium is considered
 	// busy until this time regardless of physical carrier.
 	nav sim.Time
-	// tk names the armed state timer's continuation (tNone when unarmed).
-	tk tKind
 	// sending references the head packet from CTS receipt until its
 	// exchange completes (still queued; success or drop pops it).
 	sending *mac.Packet
@@ -186,7 +167,6 @@ func (d *DCF) Halt() {
 	if !d.BeginHalt() {
 		return
 	}
-	d.tk = tNone
 	d.st = Idle
 	d.sending = nil
 	d.DrainQueue(&d.q)
@@ -210,47 +190,9 @@ func (d *DCF) Enqueue(p *mac.Packet) {
 	}
 }
 
-// timerFn maps a timer kind to its continuation.
-func timerFn(k tKind) func(*DCF) {
-	switch k {
-	case tAttempt:
-		return (*DCF).attempt
-	case tCTSTimeout:
-		return (*DCF).onCTSTimeout
-	case tSendData:
-		return (*DCF).sendData
-	case tACKTimeout:
-		return (*DCF).onACKTimeout
-	case tSendCTS:
-		return (*DCF).sendCTS
-	case tDataTimeout:
-		return (*DCF).onDataTimeout
-	case tSendACK:
-		return (*DCF).sendACK
-	case tAckAir:
-		return (*DCF).onAckAirDone
-	case tBcastAir:
-		return (*DCF).onBcastAirDone
-	}
-	return nil
-}
-
-// setTimer arms the state timer for kind k, dur from now.
-func (d *DCF) setTimer(dur sim.Duration, k tKind) {
-	d.tk = k
-	d.ArmAt(d.Env.Sim.Now()+dur, sim.Call[*DCF], d, timerFn(k))
-}
-
-// disarm cancels the state timer and forgets its kind.
-func (d *DCF) disarm() {
-	d.ClearTimer()
-	d.tk = tNone
-}
-
-// fired marks the state timer consumed at the top of every timer callback.
-func (d *DCF) fired() {
-	d.Fired()
-	d.tk = tNone
+// setTimer arms the state timer for fn, a method expression, dur from now.
+func (d *DCF) setTimer(dur sim.Duration, fn func(*DCF)) {
+	d.ArmAt(d.Env.Sim.Now()+dur, sim.Call[*DCF], d, fn)
 }
 
 // setState moves the FSM to s.
@@ -301,7 +243,7 @@ func (d *DCF) armAttempt() {
 	if d.nav > base {
 		base = d.nav
 	}
-	d.setTimer(base-now+d.difs()+sim.Duration(d.bo)*d.slot(), tAttempt)
+	d.setTimer(base-now+d.difs()+sim.Duration(d.bo)*d.slot(), (*DCF).attempt)
 }
 
 // attempt fires at the end of the countdown: if the medium is busy the
@@ -309,7 +251,7 @@ func (d *DCF) armAttempt() {
 // or a broadcast DATA frame, which 802.11 sends without RTS or ACK — goes on
 // the air.
 func (d *DCF) attempt() {
-	d.fired()
+	d.Fired()
 	head := d.q.Peek()
 	if head == nil {
 		d.setState(Idle)
@@ -324,19 +266,19 @@ func (d *DCF) attempt() {
 		air := d.Transmit(&d.Out)
 		d.sending = head
 		d.setState(WFACK)
-		d.setTimer(air, tBcastAir)
+		d.setTimer(air, (*DCF).onBcastAirDone)
 		return
 	}
 	d.Out = frame.Frame{Type: frame.RTS, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 	air := d.Transmit(&d.Out)
 	d.Counters.RTSSent++
 	d.setState(WFCTS)
-	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, tCTSTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, (*DCF).onCTSTimeout)
 }
 
 // onBcastAirDone completes a broadcast DATA frame (no ACK in 802.11).
 func (d *DCF) onBcastAirDone() {
-	d.fired()
+	d.Fired()
 	head := d.sending
 	d.sending = nil
 	d.q.Pop()
@@ -350,7 +292,7 @@ func (d *DCF) onBcastAirDone() {
 // onCTSTimeout charges a failed RTS against the short retry limit and doubles
 // the window.
 func (d *DCF) onCTSTimeout() {
-	d.fired()
+	d.Fired()
 	d.src++
 	d.growCW()
 	if head := d.q.Peek(); head != nil {
@@ -365,7 +307,7 @@ func (d *DCF) onCTSTimeout() {
 // onACKTimeout charges a failed data transmission against the long retry
 // limit and doubles the window; the retry restarts from the RTS.
 func (d *DCF) onACKTimeout() {
-	d.fired()
+	d.Fired()
 	d.sending = nil
 	d.lrc++
 	d.growCW()
@@ -389,42 +331,42 @@ func (d *DCF) dropHead(head *mac.Packet) {
 
 // sendData radiates the head DATA frame a SIFS after the CTS arrived.
 func (d *DCF) sendData() {
-	d.fired()
+	d.Fired()
 	head := d.sending
 	d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := d.Transmit(&d.Out)
 	d.setState(WFACK)
-	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, tACKTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, (*DCF).onACKTimeout)
 }
 
 // sendCTS radiates the CTS a SIFS after the granted RTS.
 func (d *DCF) sendCTS() {
-	d.fired()
+	d.Fired()
 	d.Out = frame.Frame{Type: frame.CTS, Src: d.Env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
 	air := d.Transmit(&d.Out)
 	d.Counters.CTSSent++
 	d.setState(WFData)
-	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.DataTime(int(d.peerBytes))+d.Env.Cfg.Margin, tDataTimeout)
+	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.DataTime(int(d.peerBytes))+d.Env.Cfg.Margin, (*DCF).onDataTimeout)
 }
 
 // onDataTimeout gives up on a granted exchange whose DATA never arrived.
 func (d *DCF) onDataTimeout() {
-	d.fired()
+	d.Fired()
 	d.resume()
 }
 
 // sendACK radiates the ACK a SIFS after the DATA frame.
 func (d *DCF) sendACK() {
-	d.fired()
+	d.Fired()
 	d.Out = frame.Frame{Type: frame.ACK, Src: d.Env.ID(), Dst: d.peer, Seq: d.peerSeq}
 	air := d.Transmit(&d.Out)
 	d.Counters.ACKSent++
-	d.setTimer(air, tAckAir)
+	d.setTimer(air, (*DCF).onAckAirDone)
 }
 
 // onAckAirDone completes the responder side of an exchange.
 func (d *DCF) onAckAirDone() {
-	d.fired()
+	d.Fired()
 	d.resume()
 }
 
@@ -507,7 +449,7 @@ func (d *DCF) onRTS(f *frame.Frame) {
 	}
 	d.peer, d.peerBytes, d.peerSeq = f.Src, f.DataBytes, f.Seq
 	d.setState(SendCTS)
-	d.setTimer(d.opt.SIFS, tSendCTS)
+	d.setTimer(d.opt.SIFS, (*DCF).sendCTS)
 }
 
 // onCTS advances the sender a SIFS toward the DATA frame.
@@ -519,10 +461,10 @@ func (d *DCF) onCTS(f *frame.Frame) {
 	if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 		return
 	}
-	d.disarm()
+	d.ClearTimer()
 	d.sending = head
 	d.setState(SendData)
-	d.setTimer(d.opt.SIFS, tSendData)
+	d.setTimer(d.opt.SIFS, (*DCF).sendData)
 }
 
 // onData delivers and schedules the ACK when the DATA answers this station's
@@ -530,11 +472,11 @@ func (d *DCF) onCTS(f *frame.Frame) {
 // retries through a proper exchange and the duplicate is suppressed).
 func (d *DCF) onData(f *frame.Frame) {
 	if d.st == WFData && f.Src == d.peer {
-		d.disarm()
+		d.ClearTimer()
 		d.peerSeq = f.Seq
 		d.deliver(f)
 		d.setState(SendACK)
-		d.setTimer(d.opt.SIFS, tSendACK)
+		d.setTimer(d.opt.SIFS, (*DCF).sendACK)
 		return
 	}
 	d.deliver(f)
@@ -549,7 +491,7 @@ func (d *DCF) onACK(f *frame.Frame) {
 	if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 		return
 	}
-	d.disarm()
+	d.ClearTimer()
 	d.sending = nil
 	d.q.Pop()
 	d.NoteQueue("pop", head.Dst, &d.q)

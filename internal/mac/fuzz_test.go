@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"macaw/internal/frame"
-	"macaw/internal/sim"
 )
 
 // FuzzQueueMatchesSlice drives a Queue and a plain-slice reference through
@@ -23,7 +22,7 @@ func FuzzQueueMatchesSlice(f *testing.F) {
 		made := 0
 		next := func() *Packet {
 			made++
-			p := &Packet{Dst: frame.NodeID(made), Size: made % 600, Enqueued: sim.Time(made) * 7,
+			p := &Packet{Dst: frame.NodeID(made), Size: made % 600,
 				Payload: make([]byte, made%13)}
 			p.SetSeq(uint32(made * 3))
 			return p

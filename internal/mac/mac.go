@@ -14,7 +14,8 @@ import (
 )
 
 // Packet is one transport-layer packet handed to a MAC for transmission.
-// The fields are ordered widest first so the record packs into 48 bytes.
+// The fields are ordered widest first so the record packs into 40 bytes
+// (the 48-byte malloc size class).
 // A packet is dead once its Sent or Dropped callback returns (see
 // Callbacks): the host may then zero and reuse it for a later offer.
 type Packet struct {
@@ -23,8 +24,6 @@ type Packet struct {
 	// Size is the on-air size in bytes (the paper's data packets are 512
 	// bytes regardless of payload).
 	Size int
-	// Enqueued is when the packet entered the MAC queue.
-	Enqueued sim.Time
 
 	seq uint32 // link-layer sequence number, assigned by the MAC
 
@@ -105,12 +104,12 @@ type MAC interface {
 // not transmit, enqueue packets, schedule simulator events, or consume
 // randomness — attaching an observer must leave every simulation result
 // bit-identical. Every protocol engine (csma, maca, macaw, token, dcf,
-// tournament) reaches the hooks through its Base when Env.Obs is non-nil;
-// the metrics collector and the trace bridge record retries and drops, the
-// oracle ignores them. A frame pointer
-// passed to a hook is valid only for that call (the engine's reused send
-// buffer, or the medium's copy of a received frame): an observer must not
-// keep or mutate it.
+// tournament) reaches the hooks through its Base, which calls each entry of
+// Env.Obs in order; the metrics collector and the trace bridge record
+// retries and drops, the oracle ignores them. A frame pointer passed to a
+// hook is valid only for that call (the engine's reused send buffer, or the
+// medium's copy of a received frame): an observer must not keep or mutate
+// it.
 type Observer interface {
 	// ObserveTx is invoked immediately before the MAC radiates f.
 	ObserveTx(f *frame.Frame)
@@ -237,9 +236,10 @@ type Env struct {
 	Radio Radio
 	Rand  *rand.Rand
 	Cfg   Config
-	// Obs, when non-nil, receives MAC-internal events for passive
-	// protocol auditing (see Observer).
-	Obs Observer
+	// Obs are this MAC lifetime's passive observers (see Observer), in
+	// attachment order; Base calls each of them on every hook. Empty
+	// means unobserved.
+	Obs []Observer
 	Callbacks
 }
 

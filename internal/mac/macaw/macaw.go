@@ -129,21 +129,6 @@ type contender struct {
 	rrts bool
 }
 
-// txKind discriminates which transmission the SendData-state timer is
-// completing. Five different frames can be on the air in SendData; the kind
-// (with txHead/txWantAck) is the full continuation state, so the timer
-// callbacks can be named methods instead of capturing closures.
-type txKind int
-
-const (
-	txNone txKind = iota
-	txMcastRTS
-	txMcastData
-	txDS
-	txData
-	txCtrl
-)
-
 // MACAW is one station's protocol instance.
 type MACAW struct {
 	mac.Base
@@ -169,10 +154,9 @@ type MACAW struct {
 	curDst    frame.NodeID // destination of the exchange in flight
 	expectSrc frame.NodeID // sender we issued a CTS/RRTS toward
 
-	// tx/txHead/txWantAck are the continuation state of the SendData
-	// timer: which frame is on the air, the packet it belongs to, and
-	// whether the DATA frame requested an ACK.
-	tx        txKind
+	// txHead/txWantAck are the continuation state of the SendData timer:
+	// the packet the frame on the air belongs to, and whether the DATA
+	// frame requested an ACK.
 	txHead    *mac.Packet
 	txWantAck bool
 
@@ -252,7 +236,7 @@ func (m *MACAW) Halt() {
 	m.st = Idle
 	m.hasRRTS = false
 	m.deferUntil = 0
-	m.tx, m.txHead, m.txWantAck = txNone, nil, false
+	m.txHead, m.txWantAck = nil, false
 	if m.opt.PerStream {
 		for _, d := range m.streams.Destinations() {
 			m.DrainQueue(m.streams.Queue(d))
@@ -279,9 +263,6 @@ func (m *MACAW) Protocol() string { return "macaw" }
 
 // Options returns the configured options.
 func (m *MACAW) Options() Options { return m.opt }
-
-// Policy returns the backoff policy in use.
-func (m *MACAW) Policy() backoff.Policy { return m.pol }
 
 // QueueLen implements mac.MAC.
 func (m *MACAW) QueueLen() int {
@@ -514,7 +495,7 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 	air := m.Transmit(&m.Out)
 	m.Counters.RTSSent++
 	m.setState(SendData)
-	m.tx, m.txHead = txMcastRTS, head
+	m.txHead = head
 	m.setTimer(air, (*MACAW).onMcastRTSSent)
 }
 
@@ -525,7 +506,6 @@ func (m *MACAW) onMcastRTSSent() {
 	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
 	m.pol.StampSend(&m.Out)
 	dair := m.Transmit(&m.Out)
-	m.tx = txMcastData
 	m.setTimer(dair, (*MACAW).onMcastDataSent)
 }
 
@@ -533,7 +513,7 @@ func (m *MACAW) onMcastRTSSent() {
 func (m *MACAW) onMcastDataSent() {
 	m.Fired()
 	head := m.txHead
-	m.tx, m.txHead = txNone, nil
+	m.txHead = nil
 	q := m.queueFor(frame.Broadcast)
 	q.Pop()
 	m.NoteQueue("pop", frame.Broadcast, q)
@@ -649,7 +629,6 @@ func (m *MACAW) onExpectTimeout() {
 		air := m.Transmit(&m.Out)
 		m.expectSrc = 0
 		m.setState(SendData)
-		m.tx = txCtrl
 		m.setTimer(air, (*MACAW).onCtrlSent)
 		return
 	}
@@ -932,7 +911,7 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		air := m.Transmit(&m.Out)
 		m.Counters.DSSent++
 		m.setState(SendData)
-		m.tx, m.txHead = txDS, head
+		m.txHead = head
 		m.setTimer(air, (*MACAW).onDSSent)
 	} else {
 		m.setState(SendData)
@@ -954,7 +933,7 @@ func (m *MACAW) sendData(head *mac.Packet) {
 	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
-	m.tx, m.txHead, m.txWantAck = txData, head, wantAck
+	m.txHead, m.txWantAck = head, wantAck
 	m.setTimer(air, (*MACAW).onDataAirDone)
 }
 
@@ -962,7 +941,7 @@ func (m *MACAW) sendData(head *mac.Packet) {
 func (m *MACAW) onDSSent() {
 	m.Fired()
 	head := m.txHead
-	m.tx, m.txHead = txNone, nil
+	m.txHead = nil
 	m.sendData(head)
 }
 
@@ -971,7 +950,7 @@ func (m *MACAW) onDSSent() {
 func (m *MACAW) onDataAirDone() {
 	m.Fired()
 	head, wantAck := m.txHead, m.txWantAck
-	m.tx, m.txHead, m.txWantAck = txNone, nil, false
+	m.txHead, m.txWantAck = nil, false
 	if wantAck {
 		m.setState(WFACK)
 		m.setTimer(m.Env.Cfg.CTSWait(), (*MACAW).onACKTimeout)
@@ -999,7 +978,6 @@ func (m *MACAW) onDataAirDone() {
 // the air.
 func (m *MACAW) onCtrlSent() {
 	m.Fired()
-	m.tx = txNone
 	m.next()
 }
 
@@ -1126,7 +1104,6 @@ func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
 	air := m.Transmit(&m.Out)
 	m.Counters.ACKSent++
 	m.setState(SendData)
-	m.tx = txCtrl
 	m.setTimer(air, (*MACAW).onCtrlSent)
 }
 
@@ -1166,8 +1143,8 @@ func (m *MACAW) onNACK(f *frame.Frame) {
 	m.next()
 }
 
-// BackoffPolicy exposes the live policy for barrier-time retuning (sweep
-// deltas).
+// BackoffPolicy exposes the live policy for the watchdog's stale-entry check
+// and for barrier-time retuning (sweep deltas).
 func (m *MACAW) BackoffPolicy() backoff.Policy { return m.pol }
 
 // SetMaxRetries rewrites the per-packet retry limit, effective from the next

@@ -88,7 +88,7 @@ func TestDefaultOptions(t *testing.T) {
 	}
 	w := newWorld(1)
 	st := w.add(1, geom.V(0, 0, 6), o)
-	if _, ok := st.m.Policy().(*backoff.PerDest); !ok {
+	if _, ok := st.m.BackoffPolicy().(*backoff.PerDest); !ok {
 		t.Fatal("default policy is not per-destination")
 	}
 	if st.m.Options().Exchange != Full {

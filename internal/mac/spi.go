@@ -17,7 +17,8 @@ import "macaw/internal/sim"
 // which implements the plumbing each convention marks with (Base) once for
 // all of them:
 //
-//   - Observer discipline: ObserveTx immediately before Radio.Transmit
+//   - Observer discipline: every hook goes to each observer in Env.Obs,
+//     in order. ObserveTx immediately before Radio.Transmit
 //     (Base.Transmit); ObserveRx for every clean reception a live engine
 //     processes (Base.Receive); ObserveQueue("push"/"pop"/"drop") with the
 //     post-op length (Base.NoteQueue); ObserveTimer(when) on arm and

@@ -40,7 +40,7 @@ func (o *recObs) ObserveRetry(frame.NodeID) {}
 func observedRing(seed int64) (*world, *recObs) {
 	w := newRing(seed, 2, Options{})
 	obs := &recObs{}
-	w.nodes[0].m.Env.Obs = obs
+	w.nodes[0].m.Env.Obs = []mac.Observer{obs}
 	return w, obs
 }
 

@@ -8,6 +8,14 @@ import (
 	"macaw/internal/statecheck"
 )
 
+// timers lists every tournament state-timer continuation by name.
+var timers = map[string]func(*Tournament){
+	"onBoundary":    (*Tournament).onBoundary,
+	"onRoundEnd":    (*Tournament).onRoundEnd,
+	"onDataAirDone": (*Tournament).onDataAirDone,
+	"onACKTimeout":  (*Tournament).onACKTimeout,
+}
+
 // TestStateTimersAllocationFree pins DESIGN.md §8's no-per-event-allocation
 // rule for the MAC layer: a state timer is armed with the receiver and a
 // method expression riding in a pooled event record, so arming, cancelling
@@ -15,26 +23,26 @@ import (
 func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	m := w.add(1, geom.V(0, 0, 6), Options{}).m
-	for k := tBoundary; k <= tACKTimeout; k++ {
+	for name, fn := range timers {
 		if n := statecheck.Mallocs(100, func() {
-			m.setTimer(sim.Millisecond, k)
-			m.disarm()
+			m.setTimer(sim.Millisecond, fn)
+			m.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
 		}); n != 0 {
-			t.Errorf("arming and cancelling timer kind %d allocated %d times, want 0", k, n)
+			t.Errorf("arming and cancelling %s allocated %d times, want 0", name, n)
 		}
 	}
 	// With an empty queue these continuations fall back to IDLE, so Step
 	// measures the dispatch. (A finished DATA frame needs a packet in flight.)
-	for _, k := range []tKind{tBoundary, tRound, tACKTimeout} {
+	for _, name := range []string{"onBoundary", "onRoundEnd", "onACKTimeout"} {
 		if n := statecheck.Mallocs(100, func() {
-			m.setTimer(sim.Millisecond, k)
+			m.setTimer(sim.Millisecond, timers[name])
 			w.s.Step()
 		}); n != 0 {
-			t.Errorf("arming and firing timer kind %d allocated %d times, want 0", k, n)
+			t.Errorf("arming and firing %s allocated %d times, want 0", name, n)
 		}
 		if m.State() != Idle {
-			t.Fatalf("firing timer kind %d left state %s, want IDLE", k, m.State())
+			t.Fatalf("firing %s left state %s, want IDLE", name, m.State())
 		}
 	}
 }

@@ -61,17 +61,6 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// tKind discriminates the single state timer's continuation.
-type tKind int
-
-const (
-	tNone tKind = iota
-	tBoundary
-	tRound
-	tDataAir
-	tACKTimeout
-)
-
 // Options configures a tournament instance.
 type Options struct {
 	// Window is the constant contention window W: draws are uniform over
@@ -106,8 +95,6 @@ type Tournament struct {
 	// the carrier is down now.
 	lastBusy sim.Time
 	retries  int
-	// tk names the armed state timer's continuation (tNone when unarmed).
-	tk tKind
 	// sending references the head packet from data transmission until its
 	// exchange completes (still queued; success or drop pops it).
 	sending *mac.Packet
@@ -158,7 +145,6 @@ func (t *Tournament) Halt() {
 	if !t.BeginHalt() {
 		return
 	}
-	t.tk = tNone
 	t.st = Idle
 	t.sending = nil
 	t.DrainQueue(&t.q)
@@ -182,37 +168,9 @@ func (t *Tournament) Enqueue(p *mac.Packet) {
 	}
 }
 
-// timerFn maps a timer kind to its continuation.
-func timerFn(k tKind) func(*Tournament) {
-	switch k {
-	case tBoundary:
-		return (*Tournament).onBoundary
-	case tRound:
-		return (*Tournament).onRoundEnd
-	case tDataAir:
-		return (*Tournament).onDataAirDone
-	case tACKTimeout:
-		return (*Tournament).onACKTimeout
-	}
-	return nil
-}
-
-// setTimer arms the state timer for kind k, dur from now.
-func (t *Tournament) setTimer(dur sim.Duration, k tKind) {
-	t.tk = k
-	t.ArmAt(t.Env.Sim.Now()+dur, sim.Call[*Tournament], t, timerFn(k))
-}
-
-// disarm cancels the state timer and forgets its kind.
-func (t *Tournament) disarm() {
-	t.ClearTimer()
-	t.tk = tNone
-}
-
-// fired marks the state timer consumed at the top of every timer callback.
-func (t *Tournament) fired() {
-	t.Fired()
-	t.tk = tNone
+// setTimer arms the state timer for fn, a method expression, dur from now.
+func (t *Tournament) setTimer(dur sim.Duration, fn func(*Tournament)) {
+	t.ArmAt(t.Env.Sim.Now()+dur, sim.Call[*Tournament], t, fn)
 }
 
 // setState moves the FSM to s.
@@ -242,14 +200,14 @@ func (t *Tournament) armBoundary() {
 	now := t.Env.Sim.Now()
 	slot := t.slot()
 	next := (now/slot + 1) * slot
-	t.setTimer(next-now, tBoundary)
+	t.setTimer(next-now, (*Tournament).onBoundary)
 }
 
 // onBoundary fires at a grid boundary in WaitIdle: a tournament starts only
 // if the medium has been idle for a full slot; otherwise the station keeps
 // polling boundaries.
 func (t *Tournament) onBoundary() {
-	t.fired()
+	t.Fired()
 	if t.q.Peek() == nil {
 		t.setState(Idle)
 		return
@@ -282,13 +240,13 @@ func (t *Tournament) stepRound() {
 	} else {
 		t.sentSig = false
 	}
-	t.setTimer(t.slot(), tRound)
+	t.setTimer(t.slot(), (*Tournament).onRoundEnd)
 }
 
 // onRoundEnd closes a round: silent contenders that heard traffic lose and
 // return to WaitIdle; everyone else proceeds.
 func (t *Tournament) onRoundEnd() {
-	t.fired()
+	t.Fired()
 	if !t.sentSig && (t.lastBusy >= t.roundStart || t.Env.Radio.CarrierBusy()) {
 		t.startWait()
 		return
@@ -308,16 +266,16 @@ func (t *Tournament) sendHead() {
 	t.sending = head
 	if head.Dst == frame.Broadcast {
 		t.setState(SendData)
-		t.setTimer(air, tDataAir)
+		t.setTimer(air, (*Tournament).onDataAirDone)
 		return
 	}
 	t.setState(WFACK)
-	t.setTimer(air+t.Env.Cfg.CtrlTime()+t.Env.Cfg.Margin, tACKTimeout)
+	t.setTimer(air+t.Env.Cfg.CtrlTime()+t.Env.Cfg.Margin, (*Tournament).onACKTimeout)
 }
 
 // onDataAirDone completes a broadcast data frame (no ACK).
 func (t *Tournament) onDataAirDone() {
-	t.fired()
+	t.Fired()
 	head := t.sending
 	t.sending = nil
 	t.q.Pop()
@@ -331,7 +289,7 @@ func (t *Tournament) onDataAirDone() {
 // onACKTimeout charges an unacknowledged data frame against MaxRetries —
 // the only path that consumes retry budget (elimination losses are free).
 func (t *Tournament) onACKTimeout() {
-	t.fired()
+	t.Fired()
 	t.sending = nil
 	t.retries++
 	if head := t.q.Peek(); head != nil {
@@ -398,7 +356,7 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		if head == nil || f.Src != head.Dst || f.Seq != head.Seq() {
 			return
 		}
-		t.disarm()
+		t.ClearTimer()
 		t.sending = nil
 		t.q.Pop()
 		t.NoteQueue("pop", head.Dst, &t.q)

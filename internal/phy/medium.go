@@ -493,9 +493,6 @@ func (m *Medium) InRange(a, b *Radio) bool {
 	return m.gain(a, b) >= m.threshold
 }
 
-// power returns the received power at q for a transmission from r.
-func (m *Medium) power(r, q *Radio) float64 { return m.gain(r, q) }
-
 // noiseEnergyAt sums the energy of active noise sources at q, skipping
 // contributions under the negligibility floor (they are defined as zero).
 func (m *Medium) noiseEnergyAt(q *Radio) float64 {

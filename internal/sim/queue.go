@@ -45,9 +45,6 @@ func packKey(prio int32, seq uint64) uint64 {
 	return uint64(uint16(prio)^0x8000)<<seqBits | seq
 }
 
-func (x entry) prio() int32 { return int32(int16(uint16(x.key>>seqBits) ^ 0x8000)) }
-func (x entry) seq() uint64 { return x.key & (1<<seqBits - 1) }
-
 // less orders entries by (time, priority, insertion). seq is unique, so
 // this is a total order and the pop sequence is independent of the heap's
 // internal layout: compaction cannot change a run.
