@@ -13,8 +13,8 @@ import (
 )
 
 // The tests in this file pin what a sweep cell rests on: a network parked
-// at a barrier — RunTo, then the event-queue compaction ApplyDelta performs —
-// continues exactly as an uninterrupted run; a delta's continuation is a
+// at a barrier continues exactly as an uninterrupted run, even with its
+// event queue compacted there; a delta's continuation is a
 // pure function of (state at the barrier, delta); and networks in one
 // process share no mutable state, so cells may run side by side. Their names
 // date from warm-start forking, whose forked continuations they compared
@@ -64,9 +64,9 @@ func straightRun(seed int64, f func() MACFactory, total, warmup sim.Duration) *N
 }
 
 // TestAdoptFromContinuationBitIdentical: a network parked at a barrier,
-// with its event queue compacted as ApplyDelta compacts it, runs to the end
-// with byte-identical Results and final state inventory to the uninterrupted
-// run, for every protocol and several seeds and barriers.
+// with its event queue compacted there, runs to the end with byte-identical
+// Results and final state inventory to the uninterrupted run, for every
+// protocol and several seeds and barriers.
 func TestAdoptFromContinuationBitIdentical(t *testing.T) {
 	const total, warmup = 4 * sim.Second, 1 * sim.Second
 	for name, f := range deltaFactories() {

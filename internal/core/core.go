@@ -288,7 +288,7 @@ type Stream struct {
 	Rate      float64
 	id        uint16
 	startAt   sim.Duration
-	gen       traffic.Generator
+	gen       *traffic.CBR
 	counter   *stats.Windowed
 	udpSender *transport.UDPSender
 	tcpSender *transport.TCPSender

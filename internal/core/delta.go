@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"macaw/internal/backoff"
-	"macaw/internal/traffic"
 )
 
 // This file applies typed parameter deltas at a run barrier (DESIGN.md §15).
@@ -83,12 +82,9 @@ type dcfRetryRetuner interface {
 type windowRetuner interface{ SetWindow(v int) error }
 
 // ApplyDelta applies one typed parameter delta to the running network. It
-// must be invoked with the network parked at a barrier; it first compacts
-// the event queue (invisible to the run), then dispatches on the kind. Every
-// error is typed and fails the whole application before any station was
-// touched.
+// must be invoked with the network parked at a barrier. Every error is typed
+// and fails the whole application before any station was touched.
 func (n *Network) ApplyDelta(kind string, value float64) error {
-	n.Sim.ForceCompact()
 	switch kind {
 	case "backoff.min", "backoff.max":
 		v := int(value)
@@ -117,11 +113,7 @@ func (n *Network) ApplyDelta(kind string, value float64) error {
 			return fmt.Errorf("%w: %s=%g", ErrDeltaInvalid, kind, value)
 		}
 		for _, s := range n.streams {
-			cg, ok := s.gen.(*traffic.CBR)
-			if !ok {
-				return fmt.Errorf("%w: %s over generator %T", ErrDeltaInvalid, kind, s.gen)
-			}
-			if err := cg.SetRate(value); err != nil {
+			if err := s.gen.SetRate(value); err != nil {
 				return fmt.Errorf("%w: %v", ErrDeltaInvalid, err)
 			}
 			s.Rate = value

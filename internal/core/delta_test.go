@@ -70,6 +70,46 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaLeavesQueueAsIs: applying a delta does not touch the event
+// queue. At a barrier where the queue holds cancelled events, a no-op delta
+// leaves Pending and MaxQueued as they were, and the run ends with the queue
+// counters of the delta-free run.
+func TestApplyDeltaLeavesQueueAsIs(t *testing.T) {
+	const total, warmup = 3 * sim.Second, 1 * sim.Second
+	f := deltaFactories()["MACAW"]
+	parked := func() *Network {
+		n := buildDeltaNet(1, f)
+		n.Start(total, warmup)
+		n.RunTo(sim.Time(warmup))
+		return n
+	}
+	twin := parked()
+	before := twin.Sim.Pending()
+	twin.Sim.ForceCompact()
+	if twin.Sim.Pending() >= before {
+		t.Fatalf("the barrier queue holds no cancelled events: Pending %d before and %d after a compaction",
+			before, twin.Sim.Pending())
+	}
+
+	n := parked()
+	pending, maxq := n.Sim.Pending(), n.Sim.MaxQueued()
+	if err := n.ApplyDelta("tournament.window", 16); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	if n.Sim.Pending() != pending || n.Sim.MaxQueued() != maxq {
+		t.Fatalf("a no-op delta moved the queue counters: Pending %d -> %d, MaxQueued %d -> %d",
+			pending, n.Sim.Pending(), maxq, n.Sim.MaxQueued())
+	}
+	n.RunTo(n.End())
+	ref := buildDeltaNet(1, f)
+	ref.Start(total, warmup)
+	ref.RunTo(ref.End())
+	if n.Sim.Pending() != ref.Sim.Pending() || n.Sim.MaxQueued() != ref.Sim.MaxQueued() {
+		t.Fatalf("end of run: Pending %d, MaxQueued %d; the delta-free run ends with %d, %d",
+			n.Sim.Pending(), n.Sim.MaxQueued(), ref.Sim.Pending(), ref.Sim.MaxQueued())
+	}
+}
+
 // TestDeltaBoundariesExact pins the clamp-rejection boundaries at exactly the
 // live limits: the last legal value applies cleanly and one step past it is a
 // typed validation error, never a silent clamp.

@@ -59,15 +59,12 @@ func randomScenario(t *testing.T, seed int64) {
 		st.SetStart(sim.Duration(r.Intn(3)) * sim.Second)
 	}
 
+	// Half the scenarios (draws 2 and 3) run on a noiseless medium.
 	switch r.Intn(4) {
 	case 0:
 		n.Medium.SetNoise(phy.DestLoss{P: r.Float64() * 0.2})
 	case 1:
 		n.Medium.SetNoise(phy.UniformLoss{P: r.Float64() * 0.05})
-	case 2:
-		ns := n.Medium.AddNoiseSource(geom.V(r.Float64()*20-10, r.Float64()*20-10, 6), r.Float64())
-		n.At(sim.Second, func() { ns.Set(true) })
-		n.At(5*sim.Second, func() { ns.Set(false) })
 	}
 
 	// Random power and mobility events.

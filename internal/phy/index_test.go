@@ -15,34 +15,30 @@ import (
 // The tests in this file validate the neighborhood index (DESIGN.md §10):
 // the indexed medium must be bit-identical to the exhaustive one on every
 // observable — deliveries, corruptions, carrier transitions, counters, and
-// the raw carrier-sense energies — across random topologies, mobility,
-// noise sources, and power cycling.
+// the raw carrier-sense energies — across random topologies, mobility and
+// power cycling.
 
 // scriptEvent is one externally driven medium event.
 type scriptEvent struct {
 	at    sim.Time
-	kind  int // 0 = transmit, 1 = move, 2 = power, 3 = noise toggle
+	kind  int // 0 = transmit, 1 = move, 2 = power
 	radio int
 	dst   frame.NodeID
 	bytes uint16
 	pos   geom.Vec3
 	on    bool
-	src   int // noise-source index
 }
 
 const (
 	evTx = iota
 	evMove
 	evPower
-	evNoise
 )
 
 // diffTrial describes one random (topology, script) pair.
 type diffTrial struct {
 	n       int
 	pos     []geom.Vec3
-	sources []geom.Vec3
-	power   []float64
 	events  []scriptEvent
 	simSeed int64
 }
@@ -50,7 +46,7 @@ type diffTrial struct {
 // genTrial draws a random trial. Positions span several cutoff radii so
 // neighborhoods are proper subsets of the station set, and the script mixes
 // overlapping transmissions with mobility (including moves across the
-// cutoff), power cycling, and noise-source toggles.
+// cutoff) and power cycling.
 func genTrial(rng *rand.Rand) diffTrial {
 	tr := diffTrial{
 		n:       4 + rng.Intn(21),
@@ -62,10 +58,6 @@ func genTrial(rng *rand.Rand) diffTrial {
 	}
 	for i := 0; i < tr.n; i++ {
 		tr.pos = append(tr.pos, rpos())
-	}
-	for i := 0; i < 2; i++ {
-		tr.sources = append(tr.sources, rpos())
-		tr.power = append(tr.power, 0.25+rng.Float64()*4)
 	}
 	nev := 40 + rng.Intn(40)
 	horizon := sim.Time(2_000_000_000) // 2 s
@@ -82,13 +74,9 @@ func genTrial(rng *rand.Rand) diffTrial {
 		case r < 0.75:
 			ev.kind = evMove
 			ev.pos = rpos()
-		case r < 0.88:
+		default:
 			ev.kind = evPower
 			ev.on = rng.Float64() < 0.6
-		default:
-			ev.kind = evNoise
-			ev.src = rng.Intn(len(tr.sources))
-			ev.on = rng.Float64() < 0.5
 		}
 		tr.events = append(tr.events, ev)
 	}
@@ -97,11 +85,10 @@ func genTrial(rng *rand.Rand) diffTrial {
 
 // diffWorld is one medium instance driven by a trial script.
 type diffWorld struct {
-	s       *sim.Simulator
-	m       *Medium
-	radios  []*Radio
-	recs    []*recorder
-	sources []*NoiseSource
+	s      *sim.Simulator
+	m      *Medium
+	radios []*Radio
+	recs   []*recorder
 }
 
 func buildWorld(tr diffTrial, exhaustive bool) *diffWorld {
@@ -113,9 +100,6 @@ func buildWorld(tr diffTrial, exhaustive bool) *diffWorld {
 		rec := &recorder{}
 		w.recs = append(w.recs, rec)
 		w.radios = append(w.radios, w.m.Attach(frame.NodeID(i+1), tr.pos[i], rec))
-	}
-	for i, p := range tr.sources {
-		w.sources = append(w.sources, w.m.AddNoiseSource(p, tr.power[i]))
 	}
 	for _, ev := range tr.events {
 		ev := ev
@@ -132,8 +116,6 @@ func buildWorld(tr diffTrial, exhaustive bool) *diffWorld {
 				r.SetPos(ev.pos)
 			case evPower:
 				r.SetEnabled(ev.on)
-			case evNoise:
-				w.sources[ev.src].Set(ev.on)
 			}
 		})
 	}

@@ -85,50 +85,6 @@ type transmission struct {
 	pending int
 }
 
-// NoiseSource is a positional energy emitter (e.g. the Figure 11 electronic
-// whiteboard modeled as raw interference rather than packet loss).
-type NoiseSource struct {
-	m     *Medium
-	pos   geom.Vec3
-	power float64
-	on    bool
-	// cutoff is the distance beyond which this source's energy is below
-	// the medium's negligibility floor (scaled by the source power);
-	// +Inf when the medium has no floor.
-	cutoff float64
-}
-
-// Set switches the source on or off, immediately re-evaluating ongoing
-// receptions and carrier indications. Only radios within the source's
-// negligibility range are touched: beyond it the source's energy is exactly
-// zero, so nothing there can change.
-func (n *NoiseSource) Set(on bool) {
-	if n.on == on {
-		return
-	}
-	n.on = on
-	m := n.m
-	if m.useIndex() {
-		rs := m.radiosNear(n.pos, n.cutoff)
-		for _, q := range rs {
-			m.noiseSums[q.idx] = math.NaN()
-		}
-		for _, q := range rs {
-			m.refoldCarrier(q)
-		}
-		m.recheckReceptionsAt(rs)
-		m.updateCarrierFor(rs)
-		return
-	}
-	m.invalidateNoise()
-	m.recomputeCarrier()
-	m.recheckInterference()
-	m.updateCarrierFor(m.radios)
-}
-
-// On reports whether the source is radiating.
-func (n *NoiseSource) On() bool { return n.on }
-
 // Medium is the shared radio channel.
 //
 // Interference bookkeeping is designed so that every decision the medium
@@ -138,15 +94,15 @@ func (n *NoiseSource) On() bool { return n.on }
 //   - gains caches prop.Gain for every ordered radio pair, so a pair's
 //     path loss (a math.Pow chain under the default model) is computed at
 //     most once between position changes.
-//   - carrier holds, per radio, the carrier-sense energy: the noise-source
-//     energy followed by the gain of every active transmission, summed in
-//     active-list order. Starting a transmission extends each radio's sum
-//     on the right (exactly extending the left-to-right fold); ending one
-//     re-folds from the cached gains. Sums are never maintained by blind
-//     add/subtract accumulation: floating-point subtraction is not the
-//     inverse of addition, and drift accumulated over millions of events
-//     could flip marginal capture and carrier decisions, making runs
-//     diverge from their seed-defined behaviour.
+//   - carrier holds, per radio, the carrier-sense energy: the gain of every
+//     active transmission, summed in active-list order. Starting a
+//     transmission extends each radio's sum on the right (exactly extending
+//     the left-to-right fold); ending one re-folds from the cached gains.
+//     Sums are never maintained by blind add/subtract accumulation:
+//     floating-point subtraction is not the inverse of addition, and drift
+//     accumulated over millions of events could flip marginal capture and
+//     carrier decisions, making runs diverge from their seed-defined
+//     behaviour.
 //
 // On top of the caches sits the neighborhood index (see DESIGN.md §10).
 // When the propagation model can certify a range (Bounded) and the params
@@ -169,7 +125,6 @@ type Medium struct {
 	capture   float64
 	radios    []*Radio
 	active    []*transmission
-	sources   []*NoiseSource
 	noise     NoiseModel
 	rng       *rand.Rand
 	counters  Counters
@@ -179,8 +134,6 @@ type Medium struct {
 	// with the negligibility floor applied, so cached and fresh
 	// computations are interchangeable.
 	gains [][]float64
-	// noiseSums caches noiseEnergyAt per radio (NaN = dirty).
-	noiseSums []float64
 	// carrier is the per-radio carrier-sense energy described above. The
 	// entry for a transmitting radio may include its own (clamped, huge)
 	// self-gain; it is never read while the radio transmits, and is
@@ -202,8 +155,8 @@ type Medium struct {
 	grid   *geom.Grid
 	// txSeq stamps transmissions with their start order.
 	txSeq uint64
-	// oldNbr and unionNbr are scratch buffers for mobility and noise-source
-	// events; single is the scratch for one-radio carrier updates.
+	// oldNbr and unionNbr are scratch buffers for mobility events; single is
+	// the scratch for one-radio carrier updates.
 	oldNbr   []*Radio
 	unionNbr []*Radio
 	single   [1]*Radio
@@ -306,7 +259,6 @@ func (m *Medium) SetPropagation(p Propagation) {
 	m.prop = p
 	m.reindex()
 	m.invalidateAllGains()
-	m.invalidateNoise()
 	m.recomputeCarrier()
 }
 
@@ -365,26 +317,6 @@ func (m *Medium) reindex() {
 			r.nbr, r.audible = nil, nil
 		}
 	}
-	for _, ns := range m.sources {
-		ns.cutoff = math.Inf(1)
-		if m.indexed {
-			ns.cutoff = m.sourceCutoff(ns.power)
-		}
-	}
-}
-
-// sourceCutoff bounds the distance at which a source of the given transmit
-// power still matters: beyond it, power*gain is under the floor.
-func (m *Medium) sourceCutoff(power float64) float64 {
-	if power <= 0 {
-		return 0
-	}
-	if b, ok := m.prop.(Bounded); ok {
-		if d, ok := b.RangeFor(m.floor / power); ok {
-			return d
-		}
-	}
-	return math.Inf(1)
 }
 
 // Params returns the medium's physical parameters.
@@ -409,7 +341,6 @@ func (m *Medium) Attach(id frame.NodeID, pos geom.Vec3, h Handler) *Radio {
 		row[i] = nan
 	}
 	m.gains = append(m.gains, row)
-	m.noiseSums = append(m.noiseSums, nan)
 	m.carrier = append(m.carrier, 0)
 	if m.indexed {
 		m.grid.Insert(int32(r.idx), pos)
@@ -423,19 +354,6 @@ func (m *Medium) Attach(id frame.NodeID, pos geom.Vec3, h Handler) *Radio {
 	}
 	m.refoldCarrier(r)
 	return r
-}
-
-// AddNoiseSource registers an energy emitter at pos with the given transmit
-// power (1.0 = station power). It starts switched off.
-func (m *Medium) AddNoiseSource(pos geom.Vec3, power float64) *NoiseSource {
-	ns := &NoiseSource{m: m, pos: pos, power: power, cutoff: math.Inf(1)}
-	if m.indexed {
-		ns.cutoff = m.sourceCutoff(power)
-	}
-	m.sources = append(m.sources, ns)
-	m.invalidateNoise()
-	m.recomputeCarrier()
-	return ns
 }
 
 // Radios returns the attached radios in attach order.
@@ -463,14 +381,6 @@ func (m *Medium) invalidateRadioGains(r *Radio) {
 	}
 }
 
-// invalidateNoise marks every radio's cached noise-source energy dirty.
-func (m *Medium) invalidateNoise() {
-	nan := math.NaN()
-	for i := range m.noiseSums {
-		m.noiseSums[i] = nan
-	}
-}
-
 // gain returns prop.Gain(a.pos, b.pos) through the cache, with values under
 // the negligibility floor stored as exactly zero. Directions are cached
 // independently: the default models are symmetric, but a custom Propagation
@@ -493,33 +403,12 @@ func (m *Medium) InRange(a, b *Radio) bool {
 	return m.gain(a, b) >= m.threshold
 }
 
-// noiseEnergyAt sums the energy of active noise sources at q, skipping
-// contributions under the negligibility floor (they are defined as zero).
-func (m *Medium) noiseEnergyAt(q *Radio) float64 {
-	v := m.noiseSums[q.idx]
-	if math.IsNaN(v) {
-		v = 0
-		for _, ns := range m.sources {
-			if !ns.on {
-				continue
-			}
-			e := ns.power * m.prop.Gain(ns.pos, q.pos)
-			if m.floor > 0 && e < m.floor {
-				continue
-			}
-			v += e
-		}
-		m.noiseSums[q.idx] = v
-	}
-	return v
-}
-
 // interferenceAt sums received power at q from every active transmission
-// except exclude, plus noise-source energy. The indexed path folds q's
-// audible list — the active transmissions whose sources are q's neighbors,
-// in active-list order; the skipped transmissions' gains are exactly zero.
+// except exclude. The indexed path folds q's audible list — the active
+// transmissions whose sources are q's neighbors, in active-list order; the
+// skipped transmissions' gains are exactly zero.
 func (m *Medium) interferenceAt(q *Radio, exclude *transmission) float64 {
-	sum := m.noiseEnergyAt(q)
+	sum := 0.0
 	if m.useIndex() {
 		for _, t := range q.audible {
 			if t == exclude || t.radio == q {
@@ -572,7 +461,7 @@ func (m *Medium) recheckReceptionsAt(rs []*Radio) {
 }
 
 // refoldCarrier re-folds one radio's carrier-sense energy from the cached
-// noise and gain values, in canonical (noise, then active-list) order.
+// gains, in canonical (active-list) order.
 func (m *Medium) refoldCarrier(q *Radio) {
 	m.carrier[q.idx] = m.interferenceAt(q, nil)
 }
@@ -817,24 +706,6 @@ func (m *Medium) rebuildAudible(r *Radio) {
 	}
 }
 
-// radiosNear collects the radios within rad of p into the union scratch,
-// idx-sorted. An unbounded radius (no certificate) degenerates to all radios.
-func (m *Medium) radiosNear(p geom.Vec3, rad float64) []*Radio {
-	m.unionNbr = m.unionNbr[:0]
-	if m.grid == nil || math.IsInf(rad, 1) {
-		m.unionNbr = append(m.unionNbr, m.radios...)
-		return m.unionNbr
-	}
-	m.grid.ForEachWithin(p, rad, func(id int32) {
-		q := m.radios[id]
-		if q.pos.Dist(p) <= rad {
-			m.unionNbr = append(m.unionNbr, q)
-		}
-	})
-	sortRadiosByIdx(m.unionNbr)
-	return m.unionNbr
-}
-
 // unionOf merges two idx-sorted radio sets into the union scratch.
 func (m *Medium) unionOf(a, b []*Radio) []*Radio {
 	m.unionNbr = m.unionNbr[:0]
@@ -968,7 +839,6 @@ func (r *Radio) SetPos(p geom.Vec3) {
 	if !m.indexed {
 		r.pos = p
 		m.invalidateRadioGains(r)
-		m.noiseSums[r.idx] = math.NaN()
 		m.recomputeCarrier()
 		m.recheckInterference()
 		m.updateCarrierFor(m.radios)
@@ -1011,7 +881,6 @@ func (r *Radio) SetPos(p geom.Vec3) {
 		m.gains[r.idx][q.idx] = nan
 		m.gains[q.idx][r.idx] = nan
 	}
-	m.noiseSums[r.idx] = math.NaN()
 	if m.useIndex() {
 		if r.tx != nil {
 			// r is radiating: interference changes across both its old

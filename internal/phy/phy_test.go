@@ -417,40 +417,6 @@ func TestMultiNoise(t *testing.T) {
 	}
 }
 
-func TestNoiseSourceCorruptsOngoing(t *testing.T) {
-	s, m := newTestMedium(t)
-	a := m.Attach(1, geom.V(0, 0, 6), nil)
-	bh := &recorder{}
-	m.Attach(2, geom.V(8, 0, 6), bh)
-	ns := m.AddNoiseSource(geom.V(8, 1, 6), 1.0)
-	a.Transmit(&frame.Frame{Type: frame.DATA, Src: 1, Dst: 2, DataBytes: 512})
-	s.After(4*sim.Millisecond, func() { ns.Set(true) })
-	s.RunAll()
-	if len(bh.received) != 0 {
-		t.Fatal("reception survived adjacent noise source")
-	}
-	if !ns.On() {
-		t.Fatal("noise source not on")
-	}
-	ns.Set(true) // idempotent
-	ns.Set(false)
-	if ns.On() {
-		t.Fatal("noise source not off")
-	}
-}
-
-func TestNoiseSourceRaisesCarrier(t *testing.T) {
-	s, m := newTestMedium(t)
-	bh := &recorder{}
-	m.Attach(2, geom.V(8, 0, 6), bh)
-	ns := m.AddNoiseSource(geom.V(8, 1, 6), 1.0)
-	s.After(1*sim.Millisecond, func() { ns.Set(true) })
-	s.Run(2 * sim.Millisecond)
-	if len(bh.carrier) != 1 || !bh.carrier[0] {
-		t.Fatalf("carrier = %v, want [true]", bh.carrier)
-	}
-}
-
 func TestInRangePredicate(t *testing.T) {
 	_, m := newTestMedium(t)
 	a := m.Attach(1, geom.V(0, 0, 6), nil)

@@ -20,14 +20,13 @@ import "fmt"
 // record's incarnation: it is unique per scheduling and zeroed when the
 // record is recycled, so stale handles can tell that their event is gone.
 type record struct {
-	fn func()
-	// callFn/argA/argB are the closure-free alternative to fn (see
-	// AtPriorityCall): the function value and its arguments ride in the
-	// pooled record, so scheduling does not allocate a closure.
-	callFn     func(a, b any)
-	argA, argB any
-	seq        uint64
-	cancelled  bool
+	// fn is called with a and b when the event fires (see AtPriorityCall):
+	// the function value and its arguments ride in the pooled record, so
+	// scheduling does not allocate a closure.
+	fn        func(a, b any)
+	a, b      any
+	seq       uint64
+	cancelled bool
 }
 
 // entry is one heap slot: the (when, prio, seq) ordering key, with prio
@@ -169,8 +168,9 @@ func (s *Simulator) purge() {
 
 // compact removes every cancelled event from the queue and re-establishes
 // the heap invariant. Because (when, prio, seq) is a total order, the pop
-// sequence of the surviving events is unchanged: compaction is invisible to
-// the simulation.
+// sequence of the surviving events is unchanged, so firing order is too. The
+// queue counters are not: Pending drops at once, and MaxQueued may later
+// read lower than it would have.
 func (s *Simulator) compact() {
 	kept := s.queue[:0]
 	for _, x := range s.queue {
@@ -189,8 +189,8 @@ func (s *Simulator) compact() {
 }
 
 // ForceCompact removes every cancelled event from the queue immediately,
-// regardless of the purge heuristics. Like compact, it is invisible to the
-// simulation.
+// regardless of the purge heuristics. Like compact, it keeps firing order
+// but changes Pending and possibly MaxQueued.
 func (s *Simulator) ForceCompact() { s.compact() }
 
 // Event is a handle to a scheduled callback. The zero Event refers to no

@@ -136,10 +136,12 @@ func (s *Simulator) AtPriority(t Time, prio int, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	i, x := s.push(t, prio)
-	x.fn = fn
-	return Event{s: s, seq: s.seq, when: t, e: i}
+	return s.AtPriorityCall(t, prio, callFunc, fn, nil)
 }
+
+// callFunc is the AtPriorityCall trampoline for a plain func(). A func value
+// is pointer-shaped, so boxing it into the event record does not allocate.
+func callFunc(a, _ any) { a.(func())() }
 
 // AtPriorityCall schedules fn(a, b) at time t with the given priority — the
 // allocation-free twin of AtPriority. The function value and its arguments
@@ -153,7 +155,7 @@ func (s *Simulator) AtPriorityCall(t Time, prio int, fn func(a, b any), a, b any
 		panic("sim: nil event function")
 	}
 	i, x := s.push(t, prio)
-	x.callFn, x.argA, x.argB = fn, a, b
+	x.fn, x.a, x.b = fn, a, b
 	return Event{s: s, seq: s.seq, when: t, e: i}
 }
 
@@ -214,13 +216,9 @@ func (s *Simulator) Step() bool {
 	s.now = top.when
 	s.nfired++
 	x := &s.slab[top.rec]
-	fn, callFn, a, b := x.fn, x.callFn, x.argA, x.argB
+	fn, a, b := x.fn, x.a, x.b
 	s.recycle(top.rec)
-	if fn != nil {
-		fn()
-	} else {
-		callFn(a, b)
-	}
+	fn(a, b)
 	return true
 }
 

@@ -60,27 +60,6 @@ func Total(xs []float64) float64 {
 	return sum
 }
 
-// Percentile returns the p-quantile (0..1) of xs by nearest-rank (0 for
-// empty input). xs is left untouched: it sorts a copy.
-func Percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 1 {
-		return s[len(s)-1]
-	}
-	i := int(p * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
 // Median returns the median of xs (0 for empty input).
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {

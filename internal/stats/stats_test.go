@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,74 +121,6 @@ func TestTimeSeriesBadWidthPanics(t *testing.T) {
 		}
 	}()
 	NewTimeSeries(0)
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 1); got != 5 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 0.5); got != 3 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("empty = %v", got)
-	}
-	// The input must not be reordered.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
-// Property: Percentile leaves every element of its caller's slice in place,
-// and reads a sorted copy at the nearest rank.
-func TestQuickPercentileKeepsInput(t *testing.T) {
-	f := func(raw []int16, a uint8) bool {
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		before := append([]float64(nil), xs...)
-		p := float64(a) / 255
-		got := Percentile(xs, p)
-		if !slices.Equal(xs, before) {
-			return false
-		}
-		slices.Sort(before)
-		if len(before) == 0 {
-			return got == 0
-		}
-		return got == before[min(int(p*float64(len(before))), len(before)-1)]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the percentile is monotone in p and bounded by min/max.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []int16, a, b uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		pa, pb := float64(a)/255, float64(b)/255
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		qa, qb := Percentile(xs, pa), Percentile(xs, pb)
-		lo, hi := Percentile(xs, 0), Percentile(xs, 1)
-		return qa <= qb && qa >= lo && qb <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFaultCountersStringAndAdd(t *testing.T) {

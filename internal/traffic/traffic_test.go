@@ -86,65 +86,19 @@ func TestCBRInvalidRatePanics(t *testing.T) {
 	NewCBR(sim.New(1), 0, nil, func() {})
 }
 
-func TestPoissonMeanRate(t *testing.T) {
-	s := sim.New(2)
-	n := 0
-	p := NewPoisson(s, 100, s.NewRand(), func() { n++ })
-	p.Start(0)
-	s.Run(20 * sim.Second)
-	if n < 1700 || n > 2300 {
-		t.Fatalf("poisson 100pps generated %d in 20s", n)
-	}
-	if p.Generated() != n {
-		t.Fatal("Generated() mismatch")
-	}
-}
-
-func TestPoissonStop(t *testing.T) {
-	s := sim.New(3)
-	n := 0
-	p := NewPoisson(s, 100, s.NewRand(), func() { n++ })
-	p.Start(0)
-	p.Stop(1 * sim.Second)
-	s.Run(5 * sim.Second)
-	if n > 130 {
-		t.Fatalf("stopped poisson generated %d", n)
-	}
-}
-
-func TestPoissonRequiresRNG(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for nil rng")
-		}
-	}()
-	NewPoisson(sim.New(1), 1, nil, func() {})
-}
-
-func TestGeneratorInterfaces(t *testing.T) {
-	s := sim.New(1)
-	var _ Generator = NewCBR(s, 1, nil, func() {})
-	var _ Generator = NewPoisson(s, 1, s.NewRand(), func() {})
-}
-
 // TestTicksAllocationFree pins DESIGN.md §8's no-per-event-allocation rule
 // for the traffic layer: each tick re-arms the next with the receiver and a
 // method expression riding in a pooled event record, so a running source
 // allocates nothing per packet beyond what its offer callback does.
 func TestTicksAllocationFree(t *testing.T) {
-	for name, build := range map[string]func(*sim.Simulator, func()) Generator{
-		"cbr":     func(s *sim.Simulator, offer func()) Generator { return NewCBR(s, 64, nil, offer) },
-		"poisson": func(s *sim.Simulator, offer func()) Generator { return NewPoisson(s, 64, s.NewRand(), offer) },
-	} {
-		s := sim.New(1)
-		n := 0
-		g := build(s, func() { n++ })
-		g.Start(0)
-		if allocs := statecheck.Mallocs(100, func() { s.Step() }); allocs != 0 {
-			t.Errorf("%s: a tick allocated %d times, want 0", name, allocs)
-		}
-		if n != 400 || g.Generated() != n {
-			t.Fatalf("%s: %d offers, Generated %d, want 400", name, n, g.Generated())
-		}
+	s := sim.New(1)
+	n := 0
+	c := NewCBR(s, 64, nil, func() { n++ })
+	c.Start(0)
+	if allocs := statecheck.Mallocs(100, func() { s.Step() }); allocs != 0 {
+		t.Errorf("a tick allocated %d times, want 0", allocs)
+	}
+	if n != 400 || c.Generated() != n {
+		t.Fatalf("%d offers, Generated %d, want 400", n, c.Generated())
 	}
 }
