@@ -35,17 +35,18 @@ func figure2Cell(t *testing.T, rate float64, obs ...core.MACObserverFactory) *co
 
 // maxMallocsPerCell pins the heap-allocation count of a short Table 1 run
 // at the paper's 64 pps per pad. Timers, traffic ticks, queues, offer
-// bookkeeping and frames allocate nothing per event, and a station reuses
-// completed packets with their payload buffers (DESIGN.md §8); what
-// remains is a packet, a payload cut and a share of a queue block per new
-// backlog high. The run fires 37 442 events; the pin is the 0.055 mallocs
-// per fired event this test held before it counted whole cells (measured
-// 0.047 on go1.24 linux/amd64, against 0.139 when every offer allocated
-// its packet and payload, 0.245 when every transmission allocated its
-// frame and 0.552 when every timer arm allocated a method-value closure),
-// so a change to the number of events neither loosens nor tightens it.
-// Measured: 1786 mallocs.
-const maxMallocsPerCell = 2059
+// bookkeeping and frames allocate nothing per event, a station reuses
+// completed packets with their payload buffers, and a new backlog high
+// takes its packet from the network's 32-packet slab blocks (DESIGN.md
+// §8); what remains is a share of a slab block, a payload cut and a share
+// of a queue block per new backlog high, and the cell's fixed costs. The
+// run fires 37 442 events. Measured on go1.24 linux/amd64: 200 to 204
+// mallocs, pinned at 204 plus 15% headroom, against 1786 when every new
+// backlog high allocated its own packet (0.047 per fired event), 0.139
+// per event when every offer allocated its packet and payload, 0.245 when
+// every transmission allocated its frame and 0.552 when every timer arm
+// allocated a method-value closure.
+const maxMallocsPerCell = 235
 
 // maxMallocsPerCollectedStation is what a metrics collector may add to the
 // cell per station (TestMallocsPerInstrumentedCell): the measured 41 with
@@ -78,9 +79,10 @@ func TestMallocsPerFiredEvent(t *testing.T) {
 // once, on the hook that first needs them, and counts through the handles
 // after (DESIGN.md §12), so what it adds is a fixed per-station cost, not a
 // per-hook one: the registry, its maps and their instruments, and the
-// growth of the backoff series toward each destination. Measured: 1909
-// mallocs, 41 per station over the plain cell's 1785, against 22 329 when
-// each hook looked its instrument up by a name it built.
+// growth of the backoff series toward each destination. Measured: 326
+// mallocs, 41 per station over the plain cell's 204 (1909 over 1785
+// before packets came from slab blocks), against 22 329 when each hook
+// looked its instrument up by a name it built.
 func TestMallocsPerInstrumentedCell(t *testing.T) {
 	n := figure2Cell(t, 64, metrics.NewCollector().Observer)
 	mallocs := cellMallocs(n)
@@ -93,11 +95,11 @@ func TestMallocsPerInstrumentedCell(t *testing.T) {
 }
 
 // Bytes a backlogged packet and an offer cost (DESIGN.md §8): the packet
-// record's 48-byte size class, the 12 payload bytes it keeps across recycling and its
-// 8-byte queue slot; an offer's 8-byte offer-time slot; and what a run
-// allocates whatever its load, measured at 6.9 KB.
+// record's 40 bytes in a slab block, the 12 payload bytes it keeps across
+// recycling and its 8-byte queue slot; an offer's 8-byte offer-time slot;
+// and what a run allocates whatever its load, measured at 6.9 KB.
 const (
-	bytesPerBacklogPacket = 48 + 12 + 8
+	bytesPerBacklogPacket = 40 + 12 + 8
 	bytesPerOffer         = 8
 	bytesPerRun           = 8 << 10
 )

@@ -15,8 +15,8 @@ import (
 // The tests in this file pin what a sweep cell rests on: a network parked
 // at a barrier continues exactly as an uninterrupted run, even with its
 // event queue compacted there; a delta's continuation is a
-// pure function of (state at the barrier, delta); and networks in one
-// process share no mutable state, so cells may run side by side. Their names
+// pure function of (state at the barrier, delta); and networks built
+// apart share no mutable state, so cells may run side by side. Their names
 // date from warm-start forking, whose forked continuations they compared
 // with cold ones; every sweep cell now continues its own warmed network, so
 // they compare that continuation instead.

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -109,8 +108,8 @@ type Station struct {
 
 	handlers []func(src frame.NodeID, seg transport.Segment)
 	// free holds completed packets, zeroed but for their payload buffers,
-	// for SendSegment to reuse: a station allocates a packet, and takes
-	// payload bytes from the arena, only when its backlog sets a new high.
+	// for SendSegment to reuse: a station takes a packet from the network's
+	// slab only when its backlog sets a new high.
 	free []*mac.Packet
 	// dropped accumulates MAC-level packet drops surfaced via callbacks.
 	dropped int
@@ -199,8 +198,9 @@ func (st *Station) Restart() bool {
 
 // SendSegment implements transport.Endpoint: wrap the segment into a MAC
 // packet of the requested on-air size, reusing a completed packet, and the
-// payload buffer it kept, when the station has one. A powered-off station
-// sends nothing.
+// payload buffer it kept, when the station has one, and taking the next
+// packet of the network's slab otherwise. A powered-off station sends
+// nothing.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
 	if !st.radio.Enabled() {
 		return
@@ -210,7 +210,7 @@ func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int
 		p = st.free[k-1]
 		st.free = st.free[:k-1]
 	} else {
-		p = new(mac.Packet)
+		p = st.net.packet()
 	}
 	if cap(p.Payload) < transport.HeaderLen {
 		p.Payload = st.net.payload()
@@ -349,6 +349,16 @@ type Network struct {
 	// arena is the unused tail of the chunk that new packets' payload
 	// buffers are cut from (see payload).
 	arena []byte
+	// blocks is the packet slab SendSegment takes new packets from, in
+	// order; used counts the packets taken. words is the arena Start cuts
+	// the streams' offer bookkeeping from. spares, when set, is where
+	// Release hands all three and the simulator (see Spares); released
+	// marks a network that Release has ended.
+	blocks   []*packetBlock
+	used     int
+	words    []sim.Time
+	spares   *Spares
+	released bool
 
 	// TCPCfg configures new TCP streams. The default matches the
 	// paper-era TCP §3.3.1 describes: a 0.5 s minimum retransmission
@@ -377,8 +387,8 @@ func NewNetwork(seed int64) *Network {
 const arenaChunk = 85 * transport.HeaderLen
 
 // payload cuts the next HeaderLen bytes from the network's arena, a payload
-// buffer for a packet allocated at a new backlog high; the packet keeps it
-// across recycling.
+// buffer for a slab packet that has none yet; the packet keeps it across
+// recycling, and across Release to the next network's slab.
 func (n *Network) payload() []byte {
 	if len(n.arena) < transport.HeaderLen {
 		n.arena = make([]byte, arenaChunk)
@@ -617,20 +627,38 @@ func (n *Network) Run(total, warmup sim.Duration) Results {
 
 // Start arms the measurement windows and traffic generators for a run of
 // total simulated seconds with the given warmup, without advancing the
-// clock. Pair with RunTo and Collect.
+// clock. Pair with RunTo and Collect. A network runs once: Start panics
+// on a network already started, or released.
 func (n *Network) Start(total, warmup sim.Duration) {
+	n.mustLive("Start")
 	if warmup >= total {
 		panic("core: warmup must precede the end of the run")
+	}
+	if n.runTotal != 0 {
+		panic("core: Start on a network already started")
 	}
 	n.warmup = warmup
 	start := n.Sim.Now()
 	n.runStart = start
 	n.runTotal = total
+	// A CBR source offers at most rate×total packets in the run, so the
+	// bookkeeping never regrows mid-run unless a load.rate delta raises
+	// the rate. Each stream's words are a 3-index cut of the network's
+	// arena, so one that does regrow moves to an array of its own instead
+	// of writing into the next stream's words.
+	bound := func(s *Stream) int { return int(s.Rate*total.Seconds()) + 1 }
+	need := 0
+	for _, s := range n.streams {
+		need += bound(s)
+	}
+	if cap(n.words) < need {
+		n.words = make([]sim.Time, need)
+	}
+	words := n.words[:need]
 	for _, s := range n.streams {
 		s.counter = stats.NewWindowed(start+warmup, start+total)
-		// A CBR source offers at most rate×total packets in the run, so
-		// the bookkeeping never regrows mid-run.
-		s.offeredAt = slices.Grow(s.offeredAt, int(s.Rate*total.Seconds())+1)
+		k := bound(s)
+		s.offeredAt, words = words[:0:k], words[k:]
 		s.gen.Start(start + s.startAt)
 	}
 }
@@ -641,10 +669,14 @@ func (n *Network) End() sim.Time { return n.runStart + n.runTotal }
 // RunTo advances the simulation to virtual time t (inclusive of events
 // scheduled exactly at t). Calling RunTo repeatedly with increasing barriers
 // is bit-identical to one call with the final time.
-func (n *Network) RunTo(t sim.Time) { n.Sim.Run(t) }
+func (n *Network) RunTo(t sim.Time) {
+	n.mustLive("RunTo")
+	n.Sim.Run(t)
+}
 
 // Collect summarizes the run armed by Start once RunTo has reached End.
 func (n *Network) Collect() Results {
+	n.mustLive("Collect")
 	total, warmup := n.runTotal, n.warmup
 	res := Results{Duration: total, Warmup: warmup, Medium: n.Medium.Counters()}
 	for _, s := range n.streams {

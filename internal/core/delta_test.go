@@ -17,7 +17,12 @@ import (
 // pads in a single cell, two UDP streams up and one down, with the MAC f
 // returns.
 func buildDeltaNet(seed int64, f func() MACFactory) *Network {
-	n := NewNetwork(seed)
+	return deltaNetFrom(nil, seed, f)
+}
+
+// deltaNetFrom builds buildDeltaNet's cell through sp.
+func deltaNetFrom(sp *Spares, seed int64, f func() MACFactory) *Network {
+	n := sp.Network(seed)
 	b := n.AddStation("B", geom.V(0, 0, 12), f())
 	p1 := n.AddStation("P1", geom.V(4, 3, 6), f())
 	p2 := n.AddStation("P2", geom.V(2, 3, 6), f())

@@ -94,9 +94,9 @@ type Blueprint struct {
 	// the bit-identity contract outright; a per-heap observer (metrics
 	// queue depths, trace order) sees only its component's heap, so its
 	// output does not match the monolithic run's. When sharded, a
-	// component network is dead once its finish hook returns (see Run):
-	// neither the hook nor anything it keeps may draw from the network's
-	// random streams afterwards.
+	// component network is released once its finish hook returns (see
+	// Run): neither the hook nor anything it keeps may read the network
+	// or draw from its random streams afterwards.
 	Instrument func(n *Network, comp int) func(Results)
 
 	// Verify, when non-nil, checks each materialized network after
@@ -150,14 +150,10 @@ func (bp Blueprint) Partition() (labels []int, count int, cutoff float64, ok boo
 // monolithic run would assign — node id, stream id, simulator random
 // stream — is positioned explicitly before each entity is added, so the
 // subset network deals out exactly the values the full building would.
-// prev, when non-nil, is a finished network's simulator whose RNG
-// generators and event storage the new one takes over before any station
-// is added.
-func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, prev *sim.Simulator) (*Network, func(Results), error) {
-	n := NewNetwork(bp.Seed)
-	if prev != nil {
-		n.Sim.Recycle(prev)
-	}
+// The network takes over the storage released to sp (nil builds a fresh
+// one) before any station is added.
+func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, sp *Spares) (*Network, func(Results), error) {
+	n := sp.Network(bp.Seed)
 	var finish func(Results)
 	if bp.Instrument != nil {
 		finish = bp.Instrument(n, comp)
@@ -205,15 +201,16 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, prev
 // that is one connected component all fall back to the serial path — the
 // exact construction sequence a monolithic Build performs.
 //
-// On the sharded path each worker runs its components one after another,
-// and a component network lives until its Run and its Instrument finish
-// hook have both returned. The worker then hands that network's simulator
-// to sim.Simulator.Recycle on the next component it materializes, before
-// any station is added: the next component seeds its random streams into
-// the finished one's generators instead of allocating its own and
-// schedules into its event slab and heap, and every stream of the finished
-// network panics on a later draw, as does scheduling on it. The serial
-// path builds one network and recycles nothing.
+// On the sharded path each worker runs its components one after another
+// through a Spares of its own, and a component network lives until its
+// Run and its Instrument finish hook have both returned. The worker then
+// releases it, and the next component it materializes takes over its
+// storage before any station is added: it seeds its random streams into
+// the finished one's generators instead of allocating its own, schedules
+// into its event slab and heap, and takes its packets and offer words.
+// Every stream of the finished network panics on a later draw, as does
+// scheduling on it or running it. The serial path builds one network and
+// recycles nothing.
 func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardInfo, error) {
 	labels, count, cutoff, certified := bp.Partition()
 	info := ShardInfo{Cutoff: cutoff, Components: count, Workers: 1}
@@ -274,10 +271,10 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 		wg.Add(1)
 		go func(list []int) {
 			defer wg.Done()
-			// prev is the worker's last finished simulator: its run and
-			// finish hook have returned, so the next component takes over
-			// its RNG generators and event storage.
-			var prev *sim.Simulator
+			// sp holds what the worker's finished components released:
+			// their runs and finish hooks have returned, so the next
+			// component takes over their storage.
+			var sp Spares
 			for _, c := range list {
 				out[c] = func() (r compResult) {
 					defer func() {
@@ -285,7 +282,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 							r.pan = p
 						}
 					}()
-					n, finish, err := bp.materialize(comps[c], compStreams[c], true, c, prev)
+					n, finish, err := bp.materialize(comps[c], compStreams[c], true, c, &sp)
 					if err != nil {
 						r.err = err
 						return
@@ -294,7 +291,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 					if finish != nil {
 						finish(r.res)
 					}
-					prev = n.Sim
+					n.Release()
 					return
 				}()
 			}

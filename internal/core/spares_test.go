@@ -1,0 +1,184 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"macaw/internal/geom"
+	"macaw/internal/sim"
+	"macaw/internal/statecheck"
+)
+
+// sparesOrder lists deltaFactories' engines in a fixed order: each one's
+// donor cell runs the engine after it.
+var sparesOrder = []string{"CSMA", "MACA", "MACAW", "token", "DCF", "TOURN"}
+
+// donorCell builds, runs and releases through sp a cell larger than
+// buildDeltaNet's in every store Spares hands on: as many stations (the
+// token ring holds four) but twice the streams, so more random streams,
+// and a longer run at a higher load, so more packets, offer words and
+// event records.
+func donorCell(sp *Spares, f func() MACFactory) {
+	n := sp.Network(11)
+	b := n.AddStation("B", geom.V(0, 0, 12), f())
+	for i := 1; i <= 3; i++ {
+		p := n.AddStation(fmt.Sprintf("P%d", i), geom.V(float64(2*i-4), 3, 6), f())
+		n.AddStream(p, b, UDP, 64)
+		n.AddStream(b, p, UDP, 32)
+	}
+	n.Run(8*sim.Second, sim.Second)
+	n.Release()
+}
+
+// TestSparesPassiveOnAllBackends builds each backend's delta cell from
+// the storage a larger cell of another engine released, and requires its
+// state dump at the barrier and at the end, and its Results, to equal a
+// fresh network's. A load.rate delta at the barrier makes every stream
+// offer past the words Start cut for it.
+func TestSparesPassiveOnAllBackends(t *testing.T) {
+	const total, warmup = 6 * sim.Second, 2 * sim.Second
+	barrier := sim.Time(total / 2)
+	run := func(n *Network) (at, end []byte, res Results) {
+		n.Start(total, warmup)
+		n.RunTo(barrier)
+		at = statecheck.Dump(n)
+		if err := n.ApplyDelta("load.rate", 96); err != nil {
+			t.Fatal(err)
+		}
+		n.RunTo(n.End())
+		return at, statecheck.Dump(n), n.Collect()
+	}
+	factories := deltaFactories()
+	for i, name := range sparesOrder {
+		t.Run(name, func(t *testing.T) {
+			f := factories[name]
+			wantAt, wantEnd, want := run(buildDeltaNet(3, f))
+
+			sp := new(Spares)
+			donorCell(sp, factories[sparesOrder[(i+1)%len(sparesOrder)]])
+			blocks := len(sp.blocks)
+			n := deltaNetFrom(sp, 3, f)
+			if len(n.blocks) != blocks || blocks == 0 || n.words == nil || len(sp.sims) != 0 {
+				t.Fatalf("the new network took %d of %d blocks, %d words, left %d simulators",
+					len(n.blocks), blocks, cap(n.words), len(sp.sims))
+			}
+			at, end, res := run(n)
+			if !bytes.Equal(at, wantAt) {
+				t.Error("dumps at the barrier differ from a fresh network's")
+			}
+			if !bytes.Equal(end, wantEnd) {
+				t.Error("end-of-run dumps differ from a fresh network's")
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("Results differ from a fresh network's:\n%v\nwant:\n%v", res, want)
+			}
+			if n.used > blocks*packetsPerBlock || len(n.blocks) != blocks {
+				t.Errorf("the cell took %d packets, grew the slab to %d blocks: the donor's %d blocks did not cover it",
+					n.used, len(n.blocks), blocks)
+			}
+		})
+	}
+}
+
+// TestSparesReleasedNetworkFailsClosed requires every way of running a
+// released network, and a second Release, to panic, whether or not it was
+// built through Spares.
+func TestSparesReleasedNetworkFailsClosed(t *testing.T) {
+	for _, sp := range []*Spares{nil, new(Spares)} {
+		n := sp.Network(1)
+		f := deltaFactories()["MACAW"]
+		p := n.AddStation("P", geom.V(-4, 0, 6), f())
+		b := n.AddStation("B", geom.V(0, 0, 12), f())
+		n.AddStream(p, b, UDP, 64)
+		n.Run(2*sim.Second, sim.Second)
+		n.Release()
+		for _, c := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Start", func() { n.Start(2*sim.Second, sim.Second) }},
+			{"RunTo", func() { n.RunTo(3 * sim.Second) }},
+			{"Collect", func() { n.Collect() }},
+			{"Release", func() { n.Release() }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("spares %v: %s on a released network did not panic", sp != nil, c.name)
+					}
+				}()
+				c.fn()
+			}()
+		}
+	}
+}
+
+// saturatedCell builds through sp a base and four pads offering 64 pps
+// each, past what one cell carries, so the backlog grows all run.
+func saturatedCell(sp *Spares) *Network {
+	n := sp.Network(5)
+	f := deltaFactories()["MACAW"]
+	b := n.AddStation("B", geom.V(0, 0, 12), f())
+	for i := 1; i <= 4; i++ {
+		p := n.AddStation(fmt.Sprintf("P%d", i), geom.V(float64(2*i-5), 3, 6), f())
+		n.AddStream(p, b, UDP, 64)
+	}
+	return n
+}
+
+// TestSparesReuseAllocatesLess runs two saturated cells through one Spares:
+// the second takes over the first's random generators, event storage,
+// packets with their payload buffers and offer words, so it must allocate
+// less than a quarter of the bytes the first does. What it still allocates
+// is its stations, engines, MAC queue blocks and the run's fixed costs.
+func TestSparesReuseAllocatesLess(t *testing.T) {
+	sp := new(Spares)
+	cell := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := saturatedCell(sp)
+		n.Run(20*sim.Second, 2*sim.Second)
+		n.Release()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first, second := cell(), cell()
+	t.Logf("first cell %d bytes, second %d (%.1f%%)", first, second, 100*float64(second)/float64(first))
+	if second*4 >= first {
+		t.Fatalf("second cell allocated %d bytes, want less than a quarter of the first's %d", second, first)
+	}
+}
+
+// TestSparesConcurrentHandOff builds, runs and releases cells of all six
+// engines through one Spares from several goroutines at once; each must
+// report what a fresh network does. Run it under the race detector.
+func TestSparesConcurrentHandOff(t *testing.T) {
+	const total, warmup = 3 * sim.Second, sim.Second
+	factories := deltaFactories()
+	want := make(map[string]Results)
+	for _, name := range sparesOrder {
+		want[name] = buildDeltaNet(3, factories[name]).Run(total, warmup)
+	}
+	sp := new(Spares)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range sparesOrder {
+				name := sparesOrder[(g+k)%len(sparesOrder)]
+				n := deltaNetFrom(sp, 3, factories[name])
+				res := n.Run(total, warmup)
+				n.Release()
+				if !reflect.DeepEqual(res, want[name]) {
+					t.Errorf("goroutine %d: %s through shared Spares differs from a fresh network", g, name)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -42,7 +42,7 @@ func ChaosTable(cfg RunConfig) Table {
 		for ci, c := range classes {
 			name, mk := p.name+"/"+c.name, p.f
 			futs[pi][ci] = goFuture(cfg, func() point {
-				n := core.NewNetwork(cfg.Seed)
+				n := cfg.spares.Network(cfg.Seed)
 				rc := cfg.instrument(name, n)
 				in := buildChaosCell(n, mk(), c)
 				res := rc.run(n)

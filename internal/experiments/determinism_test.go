@@ -57,3 +57,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
+
+// TestSparesHandOffMatchesFresh runs tables whose runs hand their storage
+// on through the table's core.Spares — in order on the serial path, and
+// concurrently under a worker pool — and requires the rendering of every
+// run building its network fresh. Run it under the race detector.
+func TestSparesHandOffMatchesFresh(t *testing.T) {
+	cfg := RunConfig{Total: 4 * sim.Second, Warmup: sim.Second, Seed: 3}
+	var gens []Generator
+	for _, id := range []string{"table4", "ext-loadsweep"} {
+		g, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no generator %s", id)
+		}
+		gens = append(gens, g)
+	}
+	fresh := make([]Table, len(gens))
+	for i, g := range gens {
+		fresh[i] = g.Run(cfg)
+	}
+	want := renderAll(fresh)
+	for _, jobs := range []int{1, 4} {
+		tabs, err := NewRunner(jobs).Tables(gens, cfg)
+		if err != nil {
+			t.Fatalf("jobs %d: %v", jobs, err)
+		}
+		if got := renderAll(tabs); got != want {
+			t.Errorf("jobs %d: tables through Spares differ from fresh networks:\n%s\nwant:\n%s", jobs, got, want)
+		}
+	}
+}

@@ -64,6 +64,11 @@ type RunConfig struct {
 
 	// table is the run-label prefix ("table1"…), set by ForTable.
 	table string
+
+	// spares, set by ForTable, hands each finished run's storage to the
+	// next run of the same table (core.Spares); nil builds every network
+	// fresh.
+	spares *core.Spares
 }
 
 // DefaultTraceMax bounds per-run trace recording: enough for several
@@ -71,10 +76,12 @@ type RunConfig struct {
 const DefaultTraceMax = 200_000
 
 // ForTable returns a copy of cfg whose run labels are prefixed with the
-// given table id. Tables applies it automatically; call it directly when
-// invoking a single generator by hand.
+// given table id, and whose runs hand their storage on to each other
+// through a core.Spares of their own. Tables applies it automatically;
+// call it directly when invoking a single generator by hand.
 func (cfg RunConfig) ForTable(id string) RunConfig {
 	cfg.table = id
+	cfg.spares = new(core.Spares)
 	return cfg
 }
 
@@ -216,11 +223,11 @@ func (t Table) MeasuredTotal(i int) float64 {
 	return total
 }
 
-// runLayout builds the layout on a fresh network, applies mods (noise,
+// runLayout builds the layout on a new network, applies mods (noise,
 // mobility, power events), and runs it. name labels the run in the metrics
 // and trace sinks.
 func runLayout(cfg RunConfig, name string, l topo.Layout, f core.MACFactory, mods ...func(*core.Network)) core.Results {
-	n := core.NewNetwork(cfg.Seed)
+	n := cfg.spares.Network(cfg.Seed)
 	rc := cfg.instrument(name, n)
 	if err := l.Build(n, f); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -278,27 +285,30 @@ func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
 	return runCtl{cfg: cfg, label: label, finish: finish}
 }
 
-// run executes the built network and invokes the finish hook. It is the
-// single chokepoint every generator's run goes through, in one of two
+// run executes the built network, invokes the finish hook and releases
+// the network, so the next run of the table takes over its storage. It is
+// the single chokepoint every generator's run goes through, in one of two
 // shapes: a plain run, or a sweep variant that pauses at the delta barrier
 // (start+Warmup) to apply its delta to the network warmed up under the base
 // configuration. RunTo pauses are not events, so the variant fires exactly
-// the events a plain run would up to the barrier.
+// the events a plain run would up to the barrier. The caller may keep the
+// Results and what its own observers recorded, not the network.
 func (rc runCtl) run(n *core.Network) core.Results {
 	cfg := rc.cfg
+	var res core.Results
 	if cfg.Delta == nil {
-		res := n.Run(cfg.Total, cfg.Warmup)
-		rc.finish(res)
-		return res
+		res = n.Run(cfg.Total, cfg.Warmup)
+	} else {
+		n.Start(cfg.Total, cfg.Warmup)
+		n.RunTo(n.Sim.Now() + sim.Time(cfg.Warmup))
+		if err := n.ApplyDelta(cfg.Delta.Kind, cfg.Delta.Value); err != nil {
+			panic(fmt.Sprintf("experiments: delta for %s: %v", rc.label, err))
+		}
+		n.RunTo(n.End())
+		res = n.Collect()
 	}
-	n.Start(cfg.Total, cfg.Warmup)
-	n.RunTo(n.Sim.Now() + sim.Time(cfg.Warmup))
-	if err := n.ApplyDelta(cfg.Delta.Kind, cfg.Delta.Value); err != nil {
-		panic(fmt.Sprintf("experiments: delta for %s: %v", rc.label, err))
-	}
-	n.RunTo(n.End())
-	res := n.Collect()
 	rc.finish(res)
+	n.Release()
 	return res
 }
 

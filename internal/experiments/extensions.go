@@ -43,7 +43,7 @@ func ExtAckSchemes(cfg RunConfig) Table {
 		for pi, p := range rates {
 			name, opt, p := sc.name, sc.opt, p
 			futs[si][pi] = goFuture(cfg, func() float64 {
-				n := core.NewNetwork(cfg.Seed)
+				n := cfg.spares.Network(cfg.Seed)
 				rc := cfg.instrument(fmt.Sprintf("%s/p=%g", name, p), n)
 				f := core.MACAWFactory(opt)
 				pad := n.AddStation("P", geom.V(-4, 0, 6), f)
@@ -196,7 +196,7 @@ func ExtTokenVsMACAW(cfg RunConfig) Table {
 	run := func(name string, f core.MACFactory, kill bool) *future[core.Results] {
 		return goFuture(cfg, func() core.Results {
 			l := topo.Figure3()
-			n := core.NewNetwork(cfg.Seed)
+			n := cfg.spares.Network(cfg.Seed)
 			rc := cfg.instrument(name, n)
 			if err := l.Build(n, f); err != nil {
 				panic(err)
@@ -269,7 +269,7 @@ func ExtLoadSweep(cfg RunConfig) Table {
 		for ri, r := range rates {
 			name, mk, r := p.name, p.f, r
 			futs[pi][ri] = goFuture(cfg, func() point {
-				n := core.NewNetwork(cfg.Seed)
+				n := cfg.spares.Network(cfg.Seed)
 				rc := cfg.instrument(fmt.Sprintf("%s/offered=%gx4", name, r), n)
 				f := mk()
 				base := n.AddStation("B", geom.V(0, 0, 12), f)

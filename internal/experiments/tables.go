@@ -107,7 +107,7 @@ var table4Rates = []float64{0, 0.001, 0.01, 0.1}
 func Table4(cfg RunConfig) Table {
 	run := func(name string, exchange macaw.Exchange, p float64) *future[float64] {
 		return goFuture(cfg, func() float64 {
-			n := core.NewNetwork(cfg.Seed)
+			n := cfg.spares.Network(cfg.Seed)
 			rc := cfg.instrument(fmt.Sprintf("%s/p=%g", name, p), n)
 			f := variant(macaw.Options{Exchange: exchange}, singlePolicy(backoff.NewMILD(), true))
 			pad := n.AddStation("P", geom.V(-4, 0, 6), f)
@@ -252,7 +252,7 @@ func Table8(cfg RunConfig) Table {
 func Table9(cfg RunConfig) Table {
 	run := func(name string, f core.MACFactory) *future[core.Results] {
 		return goFuture(cfg, func() core.Results {
-			n := core.NewNetwork(cfg.Seed)
+			n := cfg.spares.Network(cfg.Seed)
 			rc := cfg.instrument(name, n)
 			pad := n.AddStation("P", geom.V(-4, 0, 6), f)
 			base := n.AddStation("B", geom.V(0, 0, 12), f)

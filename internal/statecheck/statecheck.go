@@ -34,6 +34,15 @@ var skip = map[string]bool{
 	// A station's dead packets, kept for reuse: the SPI lets the host
 	// overwrite a packet once it is completed.
 	"macaw/internal/core.Station.free": true,
+	// A network's packet slab, its payload and offer-word arenas and the
+	// Spares it releases them to: the packets in use are rendered from
+	// the queues that hold them and the offers from each stream's slice,
+	// and what the arenas hold past that depends on which network owned
+	// the storage before.
+	"macaw/internal/core.Network.blocks": true,
+	"macaw/internal/core.Network.arena":  true,
+	"macaw/internal/core.Network.words":  true,
+	"macaw/internal/core.Network.spares": true,
 }
 
 // eventQueue is the simulator's heap, rendered by events.

@@ -89,9 +89,10 @@ func TestDumpCatchesMutations(t *testing.T) {
 // side: what they leave out is layout, so changing it leaves the dump as
 // it was. Compacting the event queue at the first millisecond after the
 // barrier where it holds a cancelled event leaves the end-of-run dump
-// alone; poisoning every station's dead packets leaves the dump at the
-// barrier and at the end alone; a simulator that took over a dead one's
-// storage and generators dumps like a fresh one.
+// alone; poisoning every station's dead packets, or the network's slab
+// packets no station has taken yet, leaves the dump at the barrier and at
+// the end alone; a simulator that took over a dead one's storage and
+// generators dumps like a fresh one.
 func TestDumpIgnoresLayout(t *testing.T) {
 	end := func(n *core.Network) []byte {
 		n.RunTo(n.End())
@@ -130,6 +131,31 @@ func TestDumpIgnoresLayout(t *testing.T) {
 	}
 	if !bytes.Equal(end(n), want) {
 		t.Error("poisoned free list: end-of-run dumps differ")
+	}
+
+	// The slab's unused tail: packets SendSegment has not taken yet, which
+	// a network built through core.Spares inherits with whatever an
+	// earlier owner left in them.
+	n = macawCell()
+	blocks, used := field(n, "blocks"), int(field(n, "used").Int())
+	tail := 0
+	for i := used; i < blocks.Len()*32; i++ {
+		p := blocks.Index(i / 32).Elem().Index(i % 32).Addr().Interface().(*mac.Packet)
+		*p = mac.Packet{Payload: []byte("unused packet"), Size: -1, Dst: 0x7ffe}
+		p.SetSeq(0xdead)
+		tail++
+	}
+	if tail == 0 {
+		t.Fatal("no unused slab packet to poison at the barrier")
+	}
+	if !bytes.Equal(statecheck.Dump(n), at) {
+		t.Error("poisoned slab tail: dumps at the barrier differ")
+	}
+	if !bytes.Equal(end(n), want) {
+		t.Error("poisoned slab tail: end-of-run dumps differ")
+	}
+	if int(field(n, "used").Int()) == used {
+		t.Error("the run took no packet from the poisoned tail")
 	}
 
 	old := sim.New(2)

@@ -19,7 +19,6 @@ type CBR struct {
 	interval sim.Duration
 	phase    sim.Duration
 	offer    func()
-	count    int
 	running  bool
 	stopAt   sim.Time
 	hasStop  bool
@@ -39,12 +38,6 @@ func NewCBR(s *sim.Simulator, rate float64, rng *rand.Rand, offer func()) *CBR {
 	}
 	return c
 }
-
-// Interval returns the inter-packet gap.
-func (c *CBR) Interval() sim.Duration { return c.interval }
-
-// Generated reports the number of offers made so far.
-func (c *CBR) Generated() int { return c.count }
 
 // SetRate rewrites the source's rate to rate packets/second, effective from
 // the next tick: the pending tick keeps its scheduled time, and every gap
@@ -81,7 +74,6 @@ func (c *CBR) tick() {
 		c.running = false
 		return
 	}
-	c.count++
 	c.offer()
 	c.ev = c.s.AtPriorityCall(c.s.Now()+c.interval, 0, sim.Call[*CBR], c, (*CBR).tick)
 }
