@@ -1,6 +1,7 @@
 package macaw_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -36,21 +37,23 @@ func figure2Cell(t *testing.T, rate float64, obs ...core.MACObserverFactory) *co
 // maxMallocsPerCell pins the heap-allocation count of a short Table 1 run
 // at the paper's 64 pps per pad. Timers, traffic ticks, queues, offer
 // bookkeeping and frames allocate nothing per event, a station reuses
-// completed packets with their payload buffers, and a new backlog high
-// takes its packet from the network's 32-packet slab blocks (DESIGN.md
-// §8); what remains is a share of a slab block, a payload cut and a share
-// of a queue block per new backlog high, and the cell's fixed costs. The
-// run fires 37 442 events. Measured on go1.24 linux/amd64: 200 to 204
-// mallocs, pinned at 204 plus 15% headroom, against 1786 when every new
+// completed packets with their payload buffers, a new backlog high takes
+// its packet from the network's 32-packet slab blocks, and queues take
+// their blocks from the network's store, cut from 8-block chunks
+// (DESIGN.md §8); what remains is a share of a slab block, a payload cut
+// and a share of a queue-block chunk per new backlog high, and the cell's
+// fixed costs. The run fires 37 442 events. Measured on go1.24
+// linux/amd64: 146 mallocs, pinned at 146 plus 15% headroom, against 200
+// to 204 when each queue allocated its own blocks, 1786 when every new
 // backlog high allocated its own packet (0.047 per fired event), 0.139
 // per event when every offer allocated its packet and payload, 0.245 when
 // every transmission allocated its frame and 0.552 when every timer arm
 // allocated a method-value closure.
-const maxMallocsPerCell = 235
+const maxMallocsPerCell = 168
 
 // maxMallocsPerCollectedStation is what a metrics collector may add to the
-// cell per station (TestMallocsPerInstrumentedCell): the measured 41 with
-// the plain pin's 15% headroom.
+// cell per station (TestMallocsPerInstrumentedCell): the measured 42 with
+// 14% headroom.
 const maxMallocsPerCollectedStation = 48
 
 // cellMallocs runs n for 20 s after a 2 s warmup and returns the heap
@@ -79,10 +82,11 @@ func TestMallocsPerFiredEvent(t *testing.T) {
 // once, on the hook that first needs them, and counts through the handles
 // after (DESIGN.md §12), so what it adds is a fixed per-station cost, not a
 // per-hook one: the registry, its maps and their instruments, and the
-// growth of the backoff series toward each destination. Measured: 326
-// mallocs, 41 per station over the plain cell's 204 (1909 over 1785
-// before packets came from slab blocks), against 22 329 when each hook
-// looked its instrument up by a name it built.
+// growth of the backoff series toward each destination. Measured: 272
+// mallocs, 42 per station over the plain cell's 146 (326 over 204 before
+// queues took their blocks from a store, 1909 over 1785 before packets
+// came from slab blocks), against 22 329 when each hook looked its
+// instrument up by a name it built.
 func TestMallocsPerInstrumentedCell(t *testing.T) {
 	n := figure2Cell(t, 64, metrics.NewCollector().Observer)
 	mallocs := cellMallocs(n)
@@ -95,13 +99,15 @@ func TestMallocsPerInstrumentedCell(t *testing.T) {
 }
 
 // Bytes a backlogged packet and an offer cost (DESIGN.md §8): the packet
-// record's 40 bytes in a slab block, the 12 payload bytes it keeps across
+// record's 32 bytes in a slab block, the 12 payload bytes it keeps across
 // recycling and its 8-byte queue slot; an offer's 8-byte offer-time slot;
-// and what a run allocates whatever its load, measured at 6.9 KB.
+// and what a run allocates whatever its load, measured at 8.8 KB, the
+// first 2 KiB chunk of queue blocks among it (7.3 KB when each queue
+// allocated its own blocks).
 const (
-	bytesPerBacklogPacket = 40 + 12 + 8
+	bytesPerBacklogPacket = 32 + 12 + 8
 	bytesPerOffer         = 8
-	bytesPerRun           = 8 << 10
+	bytesPerRun           = 9 << 10
 )
 
 // TestBytesPerBacklogPacket bounds a saturated cell's heap bytes by its
@@ -111,7 +117,11 @@ const (
 // for the whole run while the offers that complete outnumber it: at 64 pps
 // the backlog's bytes are five times the offers', and a per-offer
 // regression (a payload cut per offer, a second slot per offer) would fit
-// inside the headroom.
+// inside the headroom. It takes the fewest bytes of three identical runs:
+// the heap counter is process-wide, so it also counts what the runtime and
+// other goroutines allocate meanwhile (one full go test ./... on a loaded
+// 2-vCPU host read 5248 bytes over the run's steady 39 216), and such a
+// one-off shows in one run, not in all three.
 //
 // The byte model holds for the plain runtime only: under the race detector
 // the same run reads about 25% more bytes, so the test skips there. The
@@ -120,29 +130,33 @@ func TestBytesPerBacklogPacket(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per heap object; the byte model is for the plain runtime")
 	}
-	n := figure2Cell(t, 32)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n.Start(20*sim.Second, 2*sim.Second)
-	peak := 0
-	for at := sim.Time(0); at <= n.End(); at += sim.Second / 10 {
-		n.RunTo(at)
-		backlog := 0
-		for _, st := range n.Stations() {
-			backlog += st.MAC().QueueLen()
+	got := uint64(math.MaxUint64)
+	var peak, offers int
+	for range 3 {
+		n := figure2Cell(t, 32)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n.Start(20*sim.Second, 2*sim.Second)
+		peak = 0
+		for at := sim.Time(0); at <= n.End(); at += sim.Second / 10 {
+			n.RunTo(at)
+			backlog := 0
+			for _, st := range n.Stations() {
+				backlog += st.MAC().QueueLen()
+			}
+			peak = max(peak, backlog)
 		}
-		peak = max(peak, backlog)
+		res := n.Collect()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		offers = 0
+		for _, s := range res.Streams {
+			offers += s.Offered
+		}
+		if res.TotalPPS() >= 64 || peak < offers/5 {
+			t.Fatalf("cell not saturated: %.1f of 64 pps carried, peak backlog %d of %d offers", res.TotalPPS(), peak, offers)
+		}
 	}
-	res := n.Collect()
-	runtime.ReadMemStats(&after)
-	offers := 0
-	for _, s := range res.Streams {
-		offers += s.Offered
-	}
-	if res.TotalPPS() >= 64 || peak < offers/5 {
-		t.Fatalf("cell not saturated: %.1f of 64 pps carried, peak backlog %d of %d offers", res.TotalPPS(), peak, offers)
-	}
-	got := after.TotalAlloc - before.TotalAlloc
 	want := peak*bytesPerBacklogPacket + offers*bytesPerOffer + bytesPerRun
 	t.Logf("%d bytes for a peak backlog of %d packets and %d offers; model %d", got, peak, offers, want)
 	if limit := uint64(float64(want) * 1.15); got > limit {

@@ -330,7 +330,7 @@ func TestCachedResultServesStoredBytes(t *testing.T) {
 	if !bytes.Equal(res.line, fresh.settledPrefix()[0].line) {
 		t.Error("the cache hit's line differs from the fresh result's")
 	}
-	if n := statecheck.Mallocs(100, func() { res.WriteJSONL(io.Discard) }); n != 0 {
+	if n := statecheck.Mallocs(t, 100, func() { res.WriteJSONL(io.Discard) }); n != 0 {
 		t.Errorf("WriteJSONL of a cached result allocates %d times, want 0", n)
 	}
 

@@ -143,10 +143,11 @@ func (st *Station) Restarts() int { return st.restarts }
 // reproducible stream.
 func (st *Station) newEnv() *mac.Env {
 	env := &mac.Env{
-		Sim:   st.net.Sim,
-		Radio: st.radio,
-		Rand:  st.net.Sim.NewRand(),
-		Cfg:   st.net.Cfg,
+		Sim:    st.net.Sim,
+		Radio:  st.radio,
+		Rand:   st.net.Sim.NewRand(),
+		Cfg:    st.net.Cfg,
+		Blocks: st.net.queues,
 		Callbacks: mac.Callbacks{
 			Deliver: st.onDeliver,
 			Sent:    st.recycle,
@@ -200,8 +201,12 @@ func (st *Station) Restart() bool {
 // packet of the requested on-air size, reusing a completed packet, and the
 // payload buffer it kept, when the station has one, and taking the next
 // packet of the network's slab otherwise. A powered-off station sends
-// nothing.
+// nothing. A size the air cannot carry, outside 1..65535 bytes (the range
+// of frame.Frame.DataBytes), panics.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
+	if size < 1 || size > math.MaxUint16 {
+		panic(fmt.Sprintf("core: station %s: packet size %d outside 1..%d", st.name, size, math.MaxUint16))
+	}
 	if !st.radio.Enabled() {
 		return
 	}
@@ -217,7 +222,7 @@ func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int
 	}
 	p.Payload = p.Payload[:transport.HeaderLen]
 	seg.Put(p.Payload)
-	p.Dst, p.Size = dst, size
+	p.Dst, p.Size = dst, uint16(size)
 	st.mac.Enqueue(p)
 }
 
@@ -231,8 +236,8 @@ func (st *Station) onDropped(p *mac.Packet, _ mac.DropReason) {
 // the MAC SPI's lifetime rule makes it dead to the engine once the callback
 // returns, and the radio copied its payload when it went on the air, so the
 // packet keeps its payload buffer (emptied) for the next offer. A zeroed
-// packet has Size 0, which no offer carries, so completing one packet twice
-// fails closed.
+// packet has Size 0, which SendSegment refuses to offer, so completing one
+// packet twice fails closed.
 func (st *Station) recycle(p *mac.Packet) {
 	if p.Size == 0 {
 		panic(fmt.Sprintf("core: station %s: packet completed twice", st.name))
@@ -351,12 +356,14 @@ type Network struct {
 	arena []byte
 	// blocks is the packet slab SendSegment takes new packets from, in
 	// order; used counts the packets taken. words is the arena Start cuts
-	// the streams' offer bookkeeping from. spares, when set, is where
-	// Release hands all three and the simulator (see Spares); released
+	// the streams' offer bookkeeping from. queues is the store every MAC
+	// engine's queues take their blocks from. spares, when set, is where
+	// Release hands all four and the simulator (see Spares); released
 	// marks a network that Release has ended.
 	blocks   []*packetBlock
 	used     int
 	words    []sim.Time
+	queues   *mac.Blocks
 	spares   *Spares
 	released bool
 
@@ -377,6 +384,7 @@ func NewNetwork(seed int64) *Network {
 		Medium: phy.New(s, phy.DefaultParams()),
 		Cfg:    mac.DefaultConfig(),
 		byName: make(map[string]*Station),
+		queues: new(mac.Blocks),
 		nextID: 1,
 		TCPCfg: tcpCfg,
 	}

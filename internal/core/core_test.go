@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -439,4 +440,34 @@ func TestPacketRecycling(t *testing.T) {
 		}
 	}()
 	c.cb.NotifyDropped(twice, mac.DropDisabled)
+}
+
+// TestSendSegmentSizeBounds: a packet size the air cannot carry, under 1
+// byte or past the 65535 that frame.Frame.DataBytes holds, panics at the
+// offer, where narrowing it would send a frame of another size and a
+// size-0 packet would later read as completed twice; both bounds
+// themselves are sent as they are.
+func TestSendSegmentSizeBounds(t *testing.T) {
+	n := NewNetwork(1)
+	st, c := captureStation(n, "P")
+	seg := transport.Segment{Proto: transport.ProtoUDP, Stream: 1, Kind: transport.KindData, Seq: 1}
+	for _, size := range []int{1, math.MaxUint16} {
+		st.SendSegment(2, seg, size)
+		if p := c.got[len(c.got)-1]; int(p.Size) != size {
+			t.Errorf("size %d sent as %d", size, p.Size)
+		}
+	}
+	for _, size := range []int{0, -1, math.MaxUint16 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("size %d did not panic", size)
+				}
+			}()
+			st.SendSegment(2, seg, size)
+		}()
+	}
+	if len(c.got) != 2 {
+		t.Fatalf("%d packets enqueued, want the 2 in bounds", len(c.got))
+	}
 }

@@ -11,10 +11,11 @@ import (
 // through it (DESIGN.md §8, "Recycled networks"): its simulator, whose RNG
 // generators and event storage the next simulator takes over through
 // sim.Simulator.Recycle; its packet slab, whose packets keep their payload
-// buffers; and its offer-word arena. Network builds from it and Release
-// gives back, so a sequence of networks holds storage only for the largest
-// one so far. Reuse is passive: a network built through Spares runs, and
-// dumps, exactly like one from NewNetwork.
+// buffers; its offer-word arena; and the chunks of its MAC queue-block
+// store (mac.Blocks). Network builds from it and Release gives back, so a
+// sequence of networks holds storage only for the largest one so far.
+// Reuse is passive: a network built through Spares runs, and dumps,
+// exactly like one from NewNetwork.
 //
 // A Spares is safe for concurrent use; networks built from one may run on
 // different goroutines. It is scoped by its owner, one per table run and
@@ -26,10 +27,11 @@ type Spares struct {
 	sims   []*sim.Simulator
 	blocks []*packetBlock
 	words  []sim.Time
+	queues mac.Blocks
 }
 
 // packetsPerBlock is the number of packets in one slab block: 32 records
-// of 40 bytes fill the 1280-byte size class exactly.
+// of 32 bytes fill the 1024-byte size class exactly.
 const packetsPerBlock = 32
 
 // packetBlock is one block of a network's packet slab.
@@ -53,6 +55,7 @@ func (sp *Spares) Network(seed int64) *Network {
 	}
 	n.blocks, sp.blocks = sp.blocks, nil
 	n.words, sp.words = sp.words, nil
+	sp.queues.MoveTo(n.queues)
 	return n
 }
 
@@ -63,7 +66,8 @@ func (sp *Spares) Network(seed int64) *Network {
 // sim.Simulator.Recycle); the packets, which every station and MAC engine
 // of n may still point to, are rewritten as the next network sends; and
 // so are the offer words, which every stream's offer bookkeeping points
-// into. So nothing of n may be read after Release: call it once the run's
+// into; and so are the queue blocks, which every MAC engine's queues hold.
+// So nothing of n may be read after Release: call it once the run's
 // results and observers are done.
 func (n *Network) Release() {
 	n.mustLive("Release")
@@ -80,6 +84,7 @@ func (n *Network) Release() {
 		sp.words = n.words
 	}
 	n.blocks, n.words = nil, nil
+	n.queues.MoveTo(&sp.queues)
 }
 
 // mustLive panics when n has been released.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"macaw/internal/geom"
+	"macaw/internal/mac"
 	"macaw/internal/sim"
 	"macaw/internal/statecheck"
 )
@@ -132,9 +133,9 @@ func saturatedCell(sp *Spares) *Network {
 
 // TestSparesReuseAllocatesLess runs two saturated cells through one Spares:
 // the second takes over the first's random generators, event storage,
-// packets with their payload buffers and offer words, so it must allocate
-// less than a quarter of the bytes the first does. What it still allocates
-// is its stations, engines, MAC queue blocks and the run's fixed costs.
+// packets with their payload buffers, offer words and MAC queue blocks, so
+// it must allocate less than a quarter of the bytes the first does. What
+// it still allocates is its stations, engines and the run's fixed costs.
 func TestSparesReuseAllocatesLess(t *testing.T) {
 	sp := new(Spares)
 	cell := func() uint64 {
@@ -151,6 +152,46 @@ func TestSparesReuseAllocatesLess(t *testing.T) {
 	if second*4 >= first {
 		t.Fatalf("second cell allocated %d bytes, want less than a quarter of the first's %d", second, first)
 	}
+}
+
+// queueChunks reports how many chunks the queue-block store s holds and
+// how many blocks it has cut from them.
+func queueChunks(s *mac.Blocks) (chunks, cut int) {
+	v := reflect.ValueOf(s).Elem()
+	cs, c := v.FieldByName("chunks"), int(v.FieldByName("c").Int())
+	cut = int(v.FieldByName("i").Int())
+	for k := 0; k < c; k++ {
+		cut += cs.Index(k).Len()
+	}
+	return cs.Len(), cut
+}
+
+// TestSparesQueueBlocksHandedOn runs two saturated cells through one
+// Spares: the second takes over every chunk of queue blocks the first
+// cut, and its backlog, as deep as the first's, takes every block it
+// needs from them and allocates no chunk of its own.
+func TestSparesQueueBlocksHandedOn(t *testing.T) {
+	sp := new(Spares)
+	first := saturatedCell(sp)
+	first.Run(20*sim.Second, 2*sim.Second)
+	chunks, cut := queueChunks(first.queues)
+	if cut <= 32 {
+		t.Fatalf("the first cell cut %d queue blocks: not saturated", cut)
+	}
+	first.Release()
+	if c, _ := queueChunks(first.queues); c != 0 {
+		t.Fatalf("a released network kept %d chunks", c)
+	}
+
+	second := saturatedCell(sp)
+	if c, _ := queueChunks(second.queues); c != chunks {
+		t.Fatalf("the second cell took %d of %d chunks", c, chunks)
+	}
+	second.Run(20*sim.Second, 2*sim.Second)
+	if c, cut2 := queueChunks(second.queues); c != chunks || cut2 != cut {
+		t.Fatalf("the second cell holds %d chunks and cut %d blocks, want the first's %d and %d", c, cut2, chunks, cut)
+	}
+	second.Release()
 }
 
 // TestSparesConcurrentHandOff builds, runs and releases cells of all six

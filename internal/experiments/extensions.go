@@ -143,6 +143,7 @@ func ExtMulticast(cfg RunConfig) MulticastResult {
 	s := sim.New(cfg.Seed)
 	medium := phy.New(s, phy.DefaultParams())
 	cfgMAC := mac.DefaultConfig()
+	blocks := new(mac.Blocks)
 
 	type node struct {
 		m         *macaw.MACAW
@@ -153,7 +154,7 @@ func ExtMulticast(cfg RunConfig) MulticastResult {
 		nd := &node{}
 		radio := medium.Attach(id, pos, nil)
 		env := &mac.Env{
-			Sim: s, Radio: radio, Rand: s.NewRand(), Cfg: cfgMAC,
+			Sim: s, Radio: radio, Rand: s.NewRand(), Cfg: cfgMAC, Blocks: blocks,
 			Callbacks: mac.Callbacks{
 				Deliver: func(frame.NodeID, []byte) { nd.delivered++ },
 				Sent:    func(*mac.Packet) { nd.sent++ },

@@ -413,7 +413,7 @@ func TestSPIPacketDeadAfterCompletion(t *testing.T) {
 // poisonPacket overwrites a completed packet with values no live packet
 // carries.
 func poisonPacket(p *mac.Packet) {
-	*p = mac.Packet{Payload: []byte("dead packet!"), Size: -1, Dst: 0x7ffe}
+	*p = mac.Packet{Payload: []byte("dead packet!"), Size: 0xffff, Dst: 0x7ffe}
 	p.SetSeq(0xdeadbeef)
 }
 

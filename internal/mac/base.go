@@ -155,11 +155,12 @@ func (b *Base) BeginHalt() bool {
 }
 
 // DrainQueue drops every packet in q with DropDisabled (no queue notes: the
-// queue dies with the station).
+// queue dies with the station) and gives its last block back to its store.
 func (b *Base) DrainQueue(q *Queue) {
 	for p := q.Pop(); p != nil; p = q.Pop() {
 		b.Drop(p, DropDisabled)
 	}
+	q.release()
 }
 
 // Halted reports whether the engine has been halted.

@@ -131,7 +131,7 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	var q Queue
 	p := &Packet{Dst: 2}
 	f := &frame.Frame{Type: frame.DATA, Src: 2}
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		b.NoteState("IDLE", "CONTEND")
 		b.NoteQueue("push", 2, &q)
 		b.Retry(2)

@@ -64,7 +64,7 @@ type CSMA struct {
 
 // New returns a CSMA instance bound to env's radio.
 func New(env *mac.Env, opt Options) *CSMA {
-	c := &CSMA{Base: mac.Base{Env: env}, opt: opt, pol: opt.Policy}
+	c := &CSMA{Base: mac.Base{Env: env}, opt: opt, pol: opt.Policy, q: mac.NewQueue(env.Blocks)}
 	if c.pol == nil {
 		c.pol = backoff.NewSingle(backoff.NewBEB(), false)
 	}
@@ -145,7 +145,7 @@ func (c *CSMA) attempt() {
 		c.schedule()
 		return
 	}
-	c.Out = frame.Frame{Type: frame.DATA, Src: c.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	c.Out = frame.Frame{Type: frame.DATA, Src: c.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 	c.pol.StampSend(&c.Out)
 	air := c.Transmit(&c.Out)
 	c.setState(Sending)

@@ -18,7 +18,7 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	st := w.add(1, geom.V(0, 0, 6), Options{})
 	q := &st.m.q
 	p := &mac.Packet{Dst: 2}
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		st.m.NoteQueue("push", 2, q)
 		st.m.Retry(2)
 		st.m.Drop(p, mac.DropRetries)
@@ -43,7 +43,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	c := w.add(1, geom.V(0, 0, 6), Options{ACK: true}).m
 	for name, fn := range timers {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			c.setTimer(sim.Millisecond, fn)
 			c.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -53,7 +53,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 		// With an empty queue each continuation returns to IDLE (or, for
 		// a finished DATA frame, re-arms the ACK timer), so Step measures
 		// the dispatch.
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			c.setTimer(sim.Millisecond, fn)
 			w.s.Step()
 		}); n != 0 {

@@ -144,6 +144,7 @@ func New(env *mac.Env, opt Options) *DCF {
 		Base:    mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
 		opt:     opt,
 		cw:      opt.CWMin,
+		q:       mac.NewQueue(env.Blocks),
 		lastSeq: make(map[frame.NodeID]uint32),
 	}
 	env.Radio.SetHandler(d)
@@ -262,14 +263,14 @@ func (d *DCF) attempt() {
 		return
 	}
 	if head.Dst == frame.Broadcast {
-		d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 		air := d.Transmit(&d.Out)
 		d.sending = head
 		d.setState(WFACK)
 		d.setTimer(air, (*DCF).onBcastAirDone)
 		return
 	}
-	d.Out = frame.Frame{Type: frame.RTS, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	d.Out = frame.Frame{Type: frame.RTS, Src: d.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}
 	air := d.Transmit(&d.Out)
 	d.Counters.RTSSent++
 	d.setState(WFCTS)
@@ -333,7 +334,7 @@ func (d *DCF) dropHead(head *mac.Packet) {
 func (d *DCF) sendData() {
 	d.Fired()
 	head := d.sending
-	d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	d.Out = frame.Frame{Type: frame.DATA, Src: d.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 	air := d.Transmit(&d.Out)
 	d.setState(WFACK)
 	d.setTimer(air+d.opt.SIFS+d.Env.Cfg.CtrlTime()+d.Env.Cfg.Margin, (*DCF).onACKTimeout)

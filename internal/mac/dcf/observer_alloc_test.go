@@ -29,7 +29,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	d := w.add(1, geom.V(0, 0, 6), Options{}).m
 	for name, fn := range timers {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			d.setTimer(sim.Millisecond, fn)
 			d.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -40,7 +40,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	// With an empty queue these continuations fall back to IDLE, so Step
 	// measures the dispatch. (The rest transmit a frame, which allocates.)
 	for _, name := range []string{"attempt", "onCTSTimeout", "onACKTimeout", "onDataTimeout", "onAckAirDone"} {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			d.setTimer(sim.Millisecond, timers[name])
 			w.s.Step()
 		}); n != 0 {

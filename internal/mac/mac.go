@@ -14,18 +14,19 @@ import (
 )
 
 // Packet is one transport-layer packet handed to a MAC for transmission.
-// The fields are ordered widest first so the record packs into 40 bytes
-// (the 48-byte malloc size class).
+// The fields are ordered widest first so the record packs into 32 bytes:
+// a core slab block of 32 packets fills the 1024-byte size class.
 // A packet is dead once its Sent or Dropped callback returns (see
 // Callbacks): the host may then zero and reuse it for a later offer.
 type Packet struct {
 	// Payload is the transport payload carried to the receiver.
 	Payload []byte
-	// Size is the on-air size in bytes (the paper's data packets are 512
-	// bytes regardless of payload).
-	Size int
 
 	seq uint32 // link-layer sequence number, assigned by the MAC
+
+	// Size is the on-air size in bytes (the paper's data packets are 512
+	// bytes regardless of payload), of the type of frame.Frame.DataBytes.
+	Size uint16
 
 	// Dst is the destination station (frame.Broadcast for multicast).
 	Dst frame.NodeID
@@ -240,6 +241,10 @@ type Env struct {
 	// attachment order; Base calls each of them on every hook. Empty
 	// means unobserved.
 	Obs []Observer
+	// Blocks is the store the engine's queues take their blocks from,
+	// shared by every engine of the network (see NewQueue). Nil allocates
+	// each block on its own.
+	Blocks *Blocks
 	Callbacks
 }
 

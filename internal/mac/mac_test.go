@@ -9,16 +9,21 @@ import (
 	"macaw/internal/statecheck"
 )
 
-// TestPacketLayout pins the packet record's 40 bytes on 64-bit platforms,
-// inside the 48-byte malloc size class: a field order that reintroduces
-// padding grows the record, and past 48 bytes moves it into the 64-byte
-// class.
+// TestPacketLayout pins the packet record's 32 bytes on 64-bit platforms,
+// so that a core slab block of 32 packets fills the 1024-byte malloc size
+// class: a field order that reintroduces padding, or a Size wider than
+// frame.Frame.DataBytes, grows the record and moves the block into the
+// 1152-byte class or past it. It pins the queue block's 256 bytes, its own
+// size class, too.
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Packet{}); got != 40 {
-		t.Fatalf("mac.Packet is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(Packet{}); got != 32 {
+		t.Fatalf("mac.Packet is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(block{}); got != 256 {
+		t.Fatalf("queue block is %d bytes, want 256", got)
 	}
 }
 
@@ -55,7 +60,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestStreamQueues(t *testing.T) {
-	s := NewStreamQueues()
+	s := NewStreamQueues(nil)
 	s.Push(&Packet{Dst: 5})
 	s.Push(&Packet{Dst: 3})
 	s.Push(&Packet{Dst: 5})
@@ -112,11 +117,11 @@ func TestCallbacksNilSafe(t *testing.T) {
 }
 
 // TestQueueRingOrder drives the block queue across block boundaries in both
-// directions: Push opening a block at the tail, Pop retiring the head block
-// to the spare, and PushFront opening a block before the head. It checks
-// FIFO order against a plain slice model after every operation.
+// directions: Push opening a block at the tail, Pop giving the spent head
+// block back to the store, and PushFront opening a block before the head.
+// It checks FIFO order against a plain slice model after every operation.
 func TestQueueRingOrder(t *testing.T) {
-	var q Queue
+	q := NewQueue(new(Blocks))
 	var model []*Packet
 	check := func(step int) {
 		t.Helper()
@@ -157,15 +162,15 @@ func TestQueueRingOrder(t *testing.T) {
 	}
 }
 
-// TestQueueAllocationFree pins the spare block's point: a queue whose
-// length stays put while its head walks across block boundaries reuses the
-// block it retires, so steady-state Push, Pop and PushFront allocate
-// nothing.
+// TestQueueAllocationFree pins the store's free list's point: a queue
+// whose length stays put while its head walks across block boundaries
+// takes back the block it gave the store, so steady-state Push, Pop and
+// PushFront allocate nothing.
 func TestQueueAllocationFree(t *testing.T) {
-	var q Queue
+	q := NewQueue(new(Blocks))
 	a, b := &Packet{Dst: 1}, &Packet{Dst: 2}
 	q.Push(a)
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		// A block's worth in and out: every run moves the tail, and the
 		// head, across exactly one block boundary.
 		for range queueBlock {
@@ -179,11 +184,11 @@ func TestQueueAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state queue operations allocated %d times, want 0", n)
 	}
-	s := NewStreamQueues()
+	s := NewStreamQueues(nil)
 	s.Push(&Packet{Dst: 5})
 	s.Push(&Packet{Dst: 3})
 	scratch := make([]frame.NodeID, 0, 2)
-	if n := statecheck.Mallocs(100, func() { scratch = s.NonEmpty(scratch[:0]) }); n != 0 {
+	if n := statecheck.Mallocs(t, 100, func() { scratch = s.NonEmpty(scratch[:0]) }); n != 0 {
 		t.Fatalf("NonEmpty into scratch allocated %d times, want 0", n)
 	}
 }

@@ -66,7 +66,7 @@ type MACA struct {
 // New returns a MACA instance bound to env's radio. It installs itself as
 // the radio's handler.
 func New(env *mac.Env, opts ...Option) *MACA {
-	m := &MACA{Base: mac.Base{Env: env}, pol: backoff.NewSingle(backoff.NewBEB(), false)}
+	m := &MACA{Base: mac.Base{Env: env}, pol: backoff.NewSingle(backoff.NewBEB(), false), q: mac.NewQueue(env.Blocks)}
 	for _, o := range opts {
 		o(m)
 	}
@@ -160,7 +160,7 @@ func (m *MACA) onContendTimeout() {
 		m.enterContend()
 		return
 	}
-	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
 	m.Counters.RTSSent++
@@ -288,7 +288,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		m.retries = 0
 		head := m.q.Pop()
 		m.NoteQueue("pop", head.Dst, &m.q)
-		m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 		m.pol.StampSend(&m.Out)
 		air := m.Transmit(&m.Out)
 		m.setState(SendData)

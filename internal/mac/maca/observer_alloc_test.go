@@ -18,7 +18,7 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	st := w.addStation(1, geom.V(0, 0, 6))
 	q := &st.m.q
 	p := &mac.Packet{Dst: 2}
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		st.m.NoteQueue("push", 2, q)
 		st.m.Retry(2)
 		st.m.Drop(p, mac.DropRetries)
@@ -44,7 +44,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	m := w.addStation(1, geom.V(0, 0, 6)).m
 	for name, fn := range timers {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, fn)
 			m.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -53,7 +53,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 		}
 		// With an empty queue every continuation is a no-op or a return
 		// to IDLE, so Step measures the dispatch.
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, fn)
 			w.s.Step()
 		}); n != 0 {

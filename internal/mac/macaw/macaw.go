@@ -192,7 +192,8 @@ func New(env *mac.Env, opt Options) *MACAW {
 		Base:           mac.Base{Env: env},
 		opt:            opt,
 		pol:            opt.Policy,
-		streams:        mac.NewStreamQueues(),
+		streams:        mac.NewStreamQueues(env.Blocks),
+		fifo:           mac.NewQueue(env.Blocks),
 		attempts:       make(map[frame.NodeID]int),
 		lastAcked:      make(map[frame.NodeID]uint32),
 		everAcked:      make(map[frame.NodeID]bool),
@@ -464,7 +465,7 @@ func (m *MACAW) onContendTimeout() {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
 	m.Counters.RTSSent++
@@ -490,7 +491,7 @@ func (m *MACAW) sendRRTS() {
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
 // followed by the DATA packet, with no CTS.
 func (m *MACAW) sendMulticast(head *mac.Packet) {
-	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: head.Size, Seq: head.Seq(), Multicast: true}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
 	m.Counters.RTSSent++
@@ -503,7 +504,7 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 func (m *MACAW) onMcastRTSSent() {
 	m.Fired()
 	head := m.txHead
-	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
+	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: frame.Broadcast, DataBytes: head.Size, Seq: head.Seq(), Multicast: true, Payload: head.Payload}
 	m.pol.StampSend(&m.Out)
 	dair := m.Transmit(&m.Out)
 	m.setTimer(dair, (*MACAW).onMcastDataSent)
@@ -906,7 +907,7 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		m.pol.OnSuccess(m.curDst)
 	}
 	if m.opt.Exchange.HasDS() {
-		m.Out = frame.Frame{Type: frame.DS, Src: m.Env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+		m.Out = frame.Frame{Type: frame.DS, Src: m.Env.ID(), Dst: m.curDst, DataBytes: head.Size, Seq: head.Seq()}
 		m.pol.StampSend(&m.Out)
 		air := m.Transmit(&m.Out)
 		m.Counters.DSSent++
@@ -930,7 +931,7 @@ func (m *MACAW) sendData(head *mac.Packet) {
 			wantAck = false
 		}
 	}
-	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
+	m.Out = frame.Frame{Type: frame.DATA, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
 	m.txHead, m.txWantAck = head, wantAck
@@ -1121,7 +1122,7 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
 	m.Counters.RTSSent++

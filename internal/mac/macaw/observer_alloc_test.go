@@ -18,7 +18,7 @@ func TestDisabledObserverHooksAllocationFree(t *testing.T) {
 	st := w.add(1, geom.V(0, 0, 6), DefaultOptions())
 	q := st.m.queueFor(2)
 	p := &mac.Packet{Dst: 2}
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		st.m.NoteQueue("push", 2, q)
 		st.m.Retry(2)
 		st.m.Drop(p, mac.DropRetries)
@@ -49,7 +49,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	m := w.add(1, geom.V(0, 0, 6), DefaultOptions()).m
 	for name, fn := range timers {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, fn)
 			m.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -61,7 +61,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	// (state guards, or a return to IDLE), so Step measures the dispatch.
 	for _, name := range []string{"onContendTimeout", "onCTSTimeout", "onACKTimeout", "onExpectTimeout", "onQuietEnd", "onCtrlSent"} {
 		fn := timers[name]
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, fn)
 			w.s.Step()
 		}); n != 0 {

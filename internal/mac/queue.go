@@ -2,65 +2,135 @@ package mac
 
 import "macaw/internal/frame"
 
-// queueBlock is the number of packet slots in one block of a Queue: 256
-// bytes, a size class of its own.
-const queueBlock = 32
+// queueBlock is the number of packet slots in one block of a Queue: with
+// its next link, a block is 256 bytes, a size class of its own.
+const queueBlock = 31
 
-// block is one fixed run of queue slots.
-type block [queueBlock]*Packet
-
-// Queue is a FIFO packet queue. It keeps its packets in fixed blocks of
-// queueBlock slots, so a backlog costs one slot per packet, rounded up to
-// whole blocks, where a doubling buffer pays up to twice its peak and
-// copies it on every growth. A block emptied from the head is kept
-// as a spare for the next block the queue needs, so traffic that crosses
-// a block boundary back and forth allocates nothing here.
-type Queue struct {
-	blocks []*block // blocks[0] holds the head packet
-	spare  *block   // an emptied block, reused before a new one
-	head   int      // index of the head packet in blocks[0]
-	n      int      // number of queued packets
+// block is one fixed run of queue slots, linked to the block after it.
+type block struct {
+	slots [queueBlock]*Packet
+	next  *block
 }
+
+// chunkBlocks is the number of blocks in one chunk of a Blocks store: 8
+// blocks fill the 2048-byte size class.
+const chunkBlocks = 8
+
+// Blocks is a store of queue blocks, shared by the queues of one network
+// (DESIGN.md §8, "Recycled networks"). It cuts blocks from chunks of
+// chunkBlocks and takes a queue's spent blocks back on a free list, so
+// queues that shrink give their blocks to queues that grow, and a network
+// holds blocks for its peak total backlog rather than for each queue's
+// own. A store's chunks pass to another store through MoveTo. The zero
+// value is ready; a nil *Blocks allocates each block with new and drops
+// the spent ones. A Blocks is not safe for concurrent use.
+type Blocks struct {
+	chunks [][]block // every chunk held, cut in order
+	c, i   int       // the next block is cut from chunks[c][i]
+	free   *block    // spent blocks, linked through next
+}
+
+// get returns a zeroed block. A block cut from a chunk that came through
+// MoveTo, or taken back from a queue, may hold what its earlier owner left
+// in it, so every block is zeroed when it is taken.
+func (s *Blocks) get() *block {
+	if s == nil {
+		return new(block)
+	}
+	b := s.free
+	if b != nil {
+		s.free = b.next
+	} else {
+		if s.c < len(s.chunks) && s.i == len(s.chunks[s.c]) {
+			s.c, s.i = s.c+1, 0
+		}
+		if s.c == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]block, chunkBlocks))
+		}
+		b = &s.chunks[s.c][s.i]
+		s.i++
+	}
+	*b = block{}
+	return b
+}
+
+// put takes back a spent block.
+func (s *Blocks) put(b *block) {
+	if s != nil {
+		b.next, s.free = s.free, b
+	}
+}
+
+// MoveTo hands every chunk of s to dst, which cuts its blocks from them
+// once its own run out, and leaves s empty. Every block of s goes with its
+// chunk, so no queue over s may be used after: it is for a store whose
+// network has ended.
+func (s *Blocks) MoveTo(dst *Blocks) {
+	if len(dst.chunks) == 0 {
+		dst.chunks = s.chunks
+	} else {
+		dst.chunks = append(dst.chunks, s.chunks...)
+	}
+	*s = Blocks{}
+}
+
+// Queue is a FIFO packet queue: a linked list of blocks of queueBlock
+// slots, taken from a Blocks store. A backlog costs one slot per packet,
+// rounded up to whole blocks, where a doubling buffer pays up to twice its
+// peak and copies it on every growth; and a block spent at the head goes
+// back to the store, where any queue over it can take it again. An empty
+// queue keeps its last block. The zero value is an empty queue over a nil
+// store; NewQueue gives one a store.
+type Queue struct {
+	src        *Blocks
+	head, tail *block // head holds the head packet, tail the last one
+	lo, hi     int    // the head packet is head.slots[lo]; tail.slots[hi] is free
+	n          int    // number of queued packets
+}
+
+// NewQueue returns an empty queue that takes its blocks from src.
+func NewQueue(src *Blocks) Queue { return Queue{src: src} }
 
 // Len returns the number of queued packets.
 func (q *Queue) Len() int { return q.n }
 
 // at returns the i-th packet from the head (0 ≤ i < Len).
 func (q *Queue) at(i int) *Packet {
-	i += q.head
-	return q.blocks[i/queueBlock][i%queueBlock]
-}
-
-// newBlock returns the spare block, or a fresh one.
-func (q *Queue) newBlock() *block {
-	if b := q.spare; b != nil {
-		q.spare = nil
-		return b
+	i += q.lo
+	b := q.head
+	for ; i >= queueBlock; i -= queueBlock {
+		b = b.next
 	}
-	return new(block)
+	return b.slots[i]
 }
 
 // Push appends p.
 func (q *Queue) Push(p *Packet) {
-	i := q.head + q.n
-	if i == len(q.blocks)*queueBlock {
-		q.blocks = append(q.blocks, q.newBlock())
+	if q.tail == nil {
+		q.head = q.src.get()
+		q.tail = q.head
+	} else if q.hi == queueBlock {
+		b := q.src.get()
+		q.tail.next, q.tail, q.hi = b, b, 0
 	}
-	q.blocks[i/queueBlock][i%queueBlock] = p
+	q.tail.slots[q.hi] = p
+	q.hi++
 	q.n++
 }
 
 // PushFront reinstates p at the head of the queue (used when a tentatively
 // completed packet turns out to need retransmission).
 func (q *Queue) PushFront(p *Packet) {
-	if q.head == 0 {
-		q.blocks = append(q.blocks, nil)
-		copy(q.blocks[1:], q.blocks)
-		q.blocks[0] = q.newBlock()
-		q.head = queueBlock
+	if q.n == 0 {
+		q.Push(p)
+		return
 	}
-	q.head--
-	q.blocks[0][q.head] = p
+	if q.lo == 0 {
+		b := q.src.get()
+		b.next, q.head, q.lo = q.head, b, queueBlock
+	}
+	q.lo--
+	q.head.slots[q.lo] = p
 	q.n++
 }
 
@@ -69,7 +139,7 @@ func (q *Queue) Peek() *Packet {
 	if q.n == 0 {
 		return nil
 	}
-	return q.blocks[0][q.head]
+	return q.head.slots[q.lo]
 }
 
 // Pop removes and returns the head, or nil when empty.
@@ -77,21 +147,30 @@ func (q *Queue) Pop() *Packet {
 	if q.n == 0 {
 		return nil
 	}
-	b := q.blocks[0]
-	p := b[q.head]
-	b[q.head] = nil
-	q.head++
+	b := q.head
+	p := b.slots[q.lo]
+	b.slots[q.lo] = nil
+	q.lo++
 	q.n--
-	if q.head == queueBlock {
-		// The head block is spent: keep it as the spare.
-		copy(q.blocks, q.blocks[1:])
-		q.blocks[len(q.blocks)-1] = nil
-		q.blocks = q.blocks[:len(q.blocks)-1]
-		q.spare, q.head = b, 0
-	} else if q.n == 0 {
-		q.head = 0
+	if q.n == 0 {
+		// Empty: b is the only block left; start it over from its first
+		// slot.
+		q.lo, q.hi = 0, 0
+	} else if q.lo == queueBlock {
+		// The head block is spent: give it back.
+		q.head, q.lo = b.next, 0
+		q.src.put(b)
 	}
 	return p
+}
+
+// release gives the last block of q, which must be empty, back to its
+// store.
+func (q *Queue) release() {
+	if q.head != nil {
+		q.src.put(q.head)
+		q.head, q.tail = nil, nil
+	}
 }
 
 // StreamQueues keys packets by destination, implementing §3.2's
@@ -99,20 +178,22 @@ func (q *Queue) Pop() *Packet {
 // each queue has its own backoff counter and retry counter". Destinations
 // are tracked in first-seen order so iteration is deterministic.
 type StreamQueues struct {
+	src   *Blocks
 	order []frame.NodeID
 	qs    map[frame.NodeID]*Queue
 }
 
-// NewStreamQueues returns an empty set of per-destination queues.
-func NewStreamQueues() *StreamQueues {
-	return &StreamQueues{qs: make(map[frame.NodeID]*Queue)}
+// NewStreamQueues returns an empty set of per-destination queues that
+// take their blocks from src.
+func NewStreamQueues(src *Blocks) *StreamQueues {
+	return &StreamQueues{src: src, qs: make(map[frame.NodeID]*Queue)}
 }
 
 // Push enqueues p on its destination's queue.
 func (s *StreamQueues) Push(p *Packet) {
 	q := s.qs[p.Dst]
 	if q == nil {
-		q = &Queue{}
+		q = &Queue{src: s.src}
 		s.qs[p.Dst] = q
 		s.order = append(s.order, p.Dst)
 	}

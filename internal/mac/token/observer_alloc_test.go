@@ -27,7 +27,7 @@ func TestTimersAllocationFree(t *testing.T) {
 		"onHoldPause":    (*Token).onHoldPause,
 		"onWatchTimeout": (*Token).onWatchTimeout,
 	} {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			tk.setTimer(sim.Microsecond, fn)
 			tk.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -36,7 +36,7 @@ func TestTimersAllocationFree(t *testing.T) {
 		}
 	}
 	// Only the watchdog is pending now; in HOLDING it fires and re-arms.
-	if n := statecheck.Mallocs(100, func() { w.s.Step() }); n != 0 {
+	if n := statecheck.Mallocs(t, 100, func() { w.s.Step() }); n != 0 {
 		t.Errorf("firing and re-arming the watchdog allocated %d times, want 0", n)
 	}
 	if tk.State() != Holding || tk.Regenerations != 0 {

@@ -110,7 +110,7 @@ type Token struct {
 // listed in opt.Ring.
 func New(env *mac.Env, opt Options) *Token {
 	opt = opt.withDefaults()
-	t := &Token{Base: mac.Base{Env: env}, opt: opt, ringPos: -1}
+	t := &Token{Base: mac.Base{Env: env}, opt: opt, ringPos: -1, q: mac.NewQueue(env.Blocks)}
 	for i, id := range opt.Ring {
 		if id == env.ID() {
 			t.ringPos = i
@@ -247,7 +247,7 @@ func (t *Token) serve() {
 	t.q.Pop()
 	t.NoteQueue("pop", head.Dst, &t.q)
 	t.sentThis++
-	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 	air := t.Transmit(&t.Out)
 	t.sending = head
 	t.setTimer(air, (*Token).onDataSent)

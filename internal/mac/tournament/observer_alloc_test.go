@@ -24,7 +24,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	w := newWorld(1)
 	m := w.add(1, geom.V(0, 0, 6), Options{}).m
 	for name, fn := range timers {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, fn)
 			m.ClearTimer()
 			w.s.NextEventTime() // purge: the cancelled record is recycled
@@ -35,7 +35,7 @@ func TestStateTimersAllocationFree(t *testing.T) {
 	// With an empty queue these continuations fall back to IDLE, so Step
 	// measures the dispatch. (A finished DATA frame needs a packet in flight.)
 	for _, name := range []string{"onBoundary", "onRoundEnd", "onACKTimeout"} {
-		if n := statecheck.Mallocs(100, func() {
+		if n := statecheck.Mallocs(t, 100, func() {
 			m.setTimer(sim.Millisecond, timers[name])
 			w.s.Step()
 		}); n != 0 {

@@ -113,6 +113,7 @@ func New(env *mac.Env, opt Options) *Tournament {
 		Base:     mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
 		opt:      opt,
 		lastBusy: -1,
+		q:        mac.NewQueue(env.Blocks),
 		lastSeq:  make(map[frame.NodeID]uint32),
 	}
 	env.Radio.SetHandler(t)
@@ -261,7 +262,7 @@ func (t *Tournament) sendHead() {
 		t.setState(Idle)
 		return
 	}
-	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	t.Out = frame.Frame{Type: frame.DATA, Src: t.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq(), Payload: head.Payload}
 	air := t.Transmit(&t.Out)
 	t.sending = head
 	if head.Dst == frame.Broadcast {

@@ -47,7 +47,7 @@ func TestCollectorHooksAllocationFree(t *testing.T) {
 		{"ObserveDrop", func() { obs.ObserveDrop(2, mac.DropRetries) }},
 	} {
 		h.hook() // resolve the hook's instruments
-		if got := statecheck.Mallocs(100, h.hook); got != 0 {
+		if got := statecheck.Mallocs(t, 100, h.hook); got != 0 {
 			t.Errorf("%s: %d mallocs per 100 calls on a resolved station, want 0", h.name, got)
 		}
 	}

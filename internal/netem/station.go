@@ -100,10 +100,11 @@ func NewStation(brokerAddr string, id frame.NodeID, pos geom.Vec3, scale float64
 	}
 	st.radio = &SocketRadio{st: st, bitrate: cfg.BitrateBPS}
 	env := &mac.Env{
-		Sim:   st.s,
-		Radio: st.radio,
-		Rand:  st.s.NewRand(),
-		Cfg:   cfg,
+		Sim:    st.s,
+		Radio:  st.radio,
+		Rand:   st.s.NewRand(),
+		Cfg:    cfg,
+		Blocks: new(mac.Blocks),
 		Callbacks: mac.Callbacks{
 			Deliver: func(src frame.NodeID, payload []byte) {
 				if st.Deliver != nil {

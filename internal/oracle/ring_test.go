@@ -63,7 +63,7 @@ func TestReportHooksAllocationFree(t *testing.T) {
 		m.ObserveDeliver(data)
 	}
 	hooks()
-	if n := statecheck.Mallocs(100, hooks); n != 0 {
+	if n := statecheck.Mallocs(t, 100, hooks); n != 0 {
 		t.Fatalf("report hooks allocate %d times over the runs, want 0", n)
 	}
 }

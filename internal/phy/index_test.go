@@ -293,7 +293,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		radios[0].Transmit(f)
 		s.RunAll()
 	}
-	if n := statecheck.Mallocs(200, cycle); n != 0 {
+	if n := statecheck.Mallocs(t, 200, cycle); n != 0 {
 		t.Fatalf("steady-state transmit cycle allocates %d times over the runs, want 0", n)
 	}
 	// Overlapping transmissions (collision path) must also be clean.
@@ -303,7 +303,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		radios[7].Transmit(f2)
 		s.RunAll()
 	}
-	if n := statecheck.Mallocs(200, both); n != 0 {
+	if n := statecheck.Mallocs(t, 200, both); n != 0 {
 		t.Fatalf("steady-state collision cycle allocates %d times over the runs, want 0", n)
 	}
 }

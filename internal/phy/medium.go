@@ -35,6 +35,28 @@ type CorruptionObserver interface {
 	RadioCorrupted(f *frame.Frame)
 }
 
+// handler is a radio's installed Handler with its CorruptionObserver view,
+// resolved once. SetHandler installs a new record rather than rewriting the
+// old one, so a notification, which carries the record current when it was
+// scheduled, reaches that handler whatever is installed when it fires. The
+// record is a concrete pointer: the notifications' event arguments are
+// typed any, and converting one back to an interface type is a runtime
+// type assertion whose per-call-site cache allocates, at a random one of
+// the first thousand or so events, when it takes the handler's type.
+type handler struct {
+	Handler
+	obs CorruptionObserver
+}
+
+// newHandler returns the record for h, nil for a nil h.
+func newHandler(h Handler) *handler {
+	if h == nil {
+		return nil
+	}
+	obs, _ := h.(CorruptionObserver)
+	return &handler{h, obs}
+}
+
 // Counters aggregates medium-level statistics.
 type Counters struct {
 	// Transmissions counts frames put on the air.
@@ -173,18 +195,18 @@ type Medium struct {
 // functions whose arguments ride in the pooled event record, so the phy hot
 // path schedules completions and notifications without allocating closures.
 func endTxCall(a, b any)      { a.(*Medium).endTx(b.(*transmission)) }
-func carrierOnCall(a, _ any)  { a.(Handler).RadioCarrier(true) }
-func carrierOffCall(a, _ any) { a.(Handler).RadioCarrier(false) }
+func carrierOnCall(a, _ any)  { a.(*handler).RadioCarrier(true) }
+func carrierOffCall(a, _ any) { a.(*handler).RadioCarrier(false) }
 
 func receiveCall(a, b any) {
 	tx := b.(*transmission)
-	a.(Handler).RadioReceive(&tx.f)
+	a.(*handler).RadioReceive(&tx.f)
 	tx.notified()
 }
 
 func corruptedCall(a, b any) {
 	tx := b.(*transmission)
-	a.(CorruptionObserver).RadioCorrupted(&tx.f)
+	a.(*handler).obs.RadioCorrupted(&tx.f)
 	tx.notified()
 }
 
@@ -328,7 +350,7 @@ func (m *Medium) Counters() Counters { return m.counters }
 // Attach adds a radio at pos. The handler may be nil initially and installed
 // later with SetHandler, but must be set before any frame can be delivered.
 func (m *Medium) Attach(id frame.NodeID, pos geom.Vec3, h Handler) *Radio {
-	r := &Radio{id: id, pos: pos, m: m, h: h, enabled: true, idx: len(m.radios)}
+	r := &Radio{id: id, pos: pos, m: m, h: newHandler(h), enabled: true, idx: len(m.radios)}
 	m.radios = append(m.radios, r)
 	// Extend the gain cache by one dirty column and one dirty row; existing
 	// entries stay valid — attaching a radio moves nobody.
@@ -672,13 +694,11 @@ func (m *Medium) endTx(tx *transmission) {
 }
 
 func (m *Medium) notifyCorrupted(q *Radio, tx *transmission) {
-	if q.h == nil || tx.f.Dst != q.id {
+	if q.h == nil || q.h.obs == nil || tx.f.Dst != q.id {
 		return
 	}
-	if obs, ok := q.h.(CorruptionObserver); ok {
-		m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, obs, tx)
-		tx.pending++
-	}
+	m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, q.h, tx)
+	tx.pending++
 }
 
 // rebuildNeighborhood recomputes r.nbr (r itself included) from the grid,
@@ -798,7 +818,7 @@ type Radio struct {
 	id          frame.NodeID
 	pos         geom.Vec3
 	m           *Medium
-	h           Handler
+	h           *handler
 	tx          *transmission
 	enabled     bool
 	carrierBusy bool
@@ -824,7 +844,7 @@ func (r *Radio) ID() frame.NodeID { return r.id }
 func (r *Radio) Pos() geom.Vec3 { return r.pos }
 
 // SetHandler installs the upper-layer handler.
-func (r *Radio) SetHandler(h Handler) { r.h = h }
+func (r *Radio) SetHandler(h Handler) { r.h = newHandler(h) }
 
 // SetPos moves the radio (mobility). Powers of receptions already in flight
 // keep their start-of-packet snapshot; the move affects subsequent

@@ -517,7 +517,7 @@ func (o *timerOwner) onTimeout() { o.fired++ }
 func TestCallAllocationFree(t *testing.T) {
 	s := New(1)
 	o := &timerOwner{}
-	if n := statecheck.Mallocs(100, func() {
+	if n := statecheck.Mallocs(t, 100, func() {
 		s.AtPriorityCall(s.Now()+1, 0, Call[*timerOwner], o, (*timerOwner).onTimeout)
 		s.Step()
 	}); n != 0 {

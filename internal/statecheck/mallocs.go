@@ -1,6 +1,9 @@
 package statecheck
 
-import "runtime"
+import (
+	"runtime"
+	"testing"
+)
 
 // Mallocs runs f runs times to reach its steady state — pools filled,
 // bounded amortized growth done — then measures three more batches of runs
@@ -11,18 +14,33 @@ import "runtime"
 // batch; one made by another goroutine in the same instant does not.
 // Growth without bound shows too: a slice that grows each run doubles at
 // least once in the measured batches.
-func Mallocs(runs int, f func()) uint64 {
+//
+// When the count is not 0, Mallocs logs through t each measured batch's
+// allocations and the garbage collections that completed during it, so a
+// failure tells an allocation of f's from one a collection brought about.
+func Mallocs(t testing.TB, runs int, f func()) uint64 {
+	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	batch := func() uint64 {
+	batch := func() (mallocs uint64, gcs uint32) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		before := m.Mallocs
+		before, gc := m.Mallocs, m.NumGC
 		for i := 0; i < runs; i++ {
 			f()
 		}
 		runtime.ReadMemStats(&m)
-		return m.Mallocs - before
+		return m.Mallocs - before, m.NumGC - gc
 	}
 	batch()
-	return min(batch(), batch(), batch())
+	var mallocs [3]uint64
+	var gcs [3]uint32
+	for i := range mallocs {
+		mallocs[i], gcs[i] = batch()
+	}
+	least := min(mallocs[0], mallocs[1], mallocs[2])
+	if least != 0 {
+		t.Logf("statecheck.Mallocs: batches of %d runs made %v heap allocations during %v garbage collections",
+			runs, mallocs, gcs)
+	}
+	return least
 }

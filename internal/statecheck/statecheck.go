@@ -43,6 +43,15 @@ var skip = map[string]bool{
 	"macaw/internal/core.Network.arena":  true,
 	"macaw/internal/core.Network.words":  true,
 	"macaw/internal/core.Network.spares": true,
+	// The queue-block store of a network, as the network, each MAC
+	// environment and each queue points to it: the blocks in use are
+	// rendered from the queues that hold them, and what the store's free
+	// list and unused chunks hold depends on which queue, or which
+	// network, used a block before.
+	"macaw/internal/core.Network.queues":  true,
+	"macaw/internal/mac.Env.Blocks":       true,
+	"macaw/internal/mac.Queue.src":        true,
+	"macaw/internal/mac.StreamQueues.src": true,
 }
 
 // eventQueue is the simulator's heap, rendered by events.

@@ -43,6 +43,29 @@ func field(p any, name string) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
+// settable returns v, which must be addressable, without the read-only
+// mark reflect puts on what it reaches through unexported fields.
+func settable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// storeBlocks returns the queue blocks of s that no queue holds: those on
+// its free list, then those of its chunks not yet cut.
+func storeBlocks(s *mac.Blocks) []reflect.Value {
+	v := reflect.ValueOf(s).Elem()
+	var out []reflect.Value
+	for b := v.FieldByName("free"); !b.IsNil(); b = b.Elem().FieldByName("next") {
+		out = append(out, b.Elem())
+	}
+	chunks := v.FieldByName("chunks")
+	for c, i := int(v.FieldByName("c").Int()), int(v.FieldByName("i").Int()); c < chunks.Len(); c, i = c+1, 0 {
+		for ch := chunks.Index(c); i < ch.Len(); i++ {
+			out = append(out, ch.Index(i))
+		}
+	}
+	return out
+}
+
 func engine(n *core.Network) *macaw.MACAW { return n.Station("P1").MAC().(*macaw.MACAW) }
 
 // TestDumpCatchesMutations builds two identical networks, mutates one, and
@@ -89,10 +112,11 @@ func TestDumpCatchesMutations(t *testing.T) {
 // side: what they leave out is layout, so changing it leaves the dump as
 // it was. Compacting the event queue at the first millisecond after the
 // barrier where it holds a cancelled event leaves the end-of-run dump
-// alone; poisoning every station's dead packets, or the network's slab
-// packets no station has taken yet, leaves the dump at the barrier and at
-// the end alone; a simulator that took over a dead one's storage and
-// generators dumps like a fresh one.
+// alone; poisoning every station's dead packets, the network's slab
+// packets no station has taken yet, or the slots of the queue blocks no
+// queue holds, leaves the dump at the barrier and at the end alone; a
+// simulator that took over a dead one's storage and generators dumps like
+// a fresh one.
 func TestDumpIgnoresLayout(t *testing.T) {
 	end := func(n *core.Network) []byte {
 		n.RunTo(n.End())
@@ -119,7 +143,7 @@ func TestDumpIgnoresLayout(t *testing.T) {
 	dead := 0
 	for _, st := range n.Stations() {
 		for _, p := range field(st, "free").Interface().([]*mac.Packet) {
-			*p = mac.Packet{Payload: []byte("dead packet!"), Size: -1, Dst: 0x7ffe}
+			*p = mac.Packet{Payload: []byte("dead packet!"), Size: 0xffff, Dst: 0x7ffe}
 			dead++
 		}
 	}
@@ -141,7 +165,7 @@ func TestDumpIgnoresLayout(t *testing.T) {
 	tail := 0
 	for i := used; i < blocks.Len()*32; i++ {
 		p := blocks.Index(i / 32).Elem().Index(i % 32).Addr().Interface().(*mac.Packet)
-		*p = mac.Packet{Payload: []byte("unused packet"), Size: -1, Dst: 0x7ffe}
+		*p = mac.Packet{Payload: []byte("unused packet"), Size: 0xffff, Dst: 0x7ffe}
 		p.SetSeq(0xdead)
 		tail++
 	}
@@ -156,6 +180,46 @@ func TestDumpIgnoresLayout(t *testing.T) {
 	}
 	if int(field(n, "used").Int()) == used {
 		t.Error("the run took no packet from the poisoned tail")
+	}
+
+	// The queue blocks no queue holds: those on the store's free list and
+	// those not yet cut from its chunks, which a network built through
+	// core.Spares inherits with whatever an earlier owner left in them. A
+	// load.rate delta at the barrier grows the backlog, so the queues take
+	// blocks from the store before the end.
+	loaded := func(n *core.Network) []byte {
+		if err := n.ApplyDelta("load.rate", 96); err != nil {
+			t.Fatal(err)
+		}
+		return end(n)
+	}
+	wantLoaded := loaded(macawCell())
+	n = macawCell()
+	spare := storeBlocks(field(n, "queues").Interface().(*mac.Blocks))
+	poison := &mac.Packet{Payload: []byte("stale queue slot"), Size: 0xffff, Dst: 0x7ffe}
+	for _, b := range spare {
+		slots := settable(b.FieldByName("slots"))
+		for i := 0; i < slots.Len(); i++ {
+			slots.Index(i).Set(reflect.ValueOf(poison))
+		}
+	}
+	if len(spare) == 0 {
+		t.Fatal("no spare queue block to poison at the barrier")
+	}
+	if !bytes.Equal(statecheck.Dump(n), at) {
+		t.Error("poisoned queue blocks: dumps at the barrier differ")
+	}
+	if !bytes.Equal(loaded(n), wantLoaded) {
+		t.Error("poisoned queue blocks: end-of-run dumps differ")
+	}
+	taken := 0
+	for _, b := range spare {
+		if b.FieldByName("slots").Index(0).Pointer() != uintptr(unsafe.Pointer(poison)) {
+			taken++
+		}
+	}
+	if taken == 0 {
+		t.Error("the run took no poisoned queue block")
 	}
 
 	old := sim.New(2)

@@ -99,7 +99,7 @@ func TestTicksAllocationFree(t *testing.T) {
 	n := 0
 	c := NewCBR(s, 64, nil, func() { n++ })
 	c.Start(0)
-	if allocs := statecheck.Mallocs(100, func() { s.Step() }); allocs != 0 {
+	if allocs := statecheck.Mallocs(t, 100, func() { s.Step() }); allocs != 0 {
 		t.Errorf("a tick allocated %d times, want 0", allocs)
 	}
 	if n != 400 {

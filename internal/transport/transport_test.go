@@ -341,7 +341,7 @@ func TestRTOTimerAllocationFree(t *testing.T) {
 	s := sim.New(1)
 	snd := NewTCPSender(lossyEnd{s}, 2, 1, DefaultTCPConfig())
 	snd.Offer()
-	if n := statecheck.Mallocs(20, func() { s.Step() }); n != 0 {
+	if n := statecheck.Mallocs(t, 20, func() { s.Step() }); n != 0 {
 		t.Fatalf("an RTO firing allocated %d times, want 0", n)
 	}
 	if got := snd.Stats().Timeouts; got != 80 {
