@@ -12,19 +12,27 @@ import (
 // generators and event storage the next simulator takes over through
 // sim.Simulator.Recycle; its packet slab, whose packets keep their payload
 // buffers; its offer-word arena; and the chunks of its MAC queue-block
-// store (mac.Blocks). Network builds from it and Release gives back, so a
-// sequence of networks holds storage only for the largest one so far.
-// Reuse is passive: a network built through Spares runs, and dumps,
-// exactly like one from NewNetwork.
+// store (mac.Blocks). Release pushes the four as one bundle and Network
+// pops the bundle released last, so a Spares holds one bundle for each
+// network that was live at the same moment, each sized for the largest
+// network it has served. Reuse is passive: a network built through Spares
+// runs, and dumps, exactly like one from NewNetwork.
 //
 // A Spares is safe for concurrent use; networks built from one may run on
-// different goroutines. It is scoped by its owner, one per table run and
-// one per shard worker, never process-wide, so what a run reuses is a
-// function of the runs before it in the same scope. The zero value is
-// ready, and a nil *Spares builds fresh networks.
+// different goroutines. Its owner scopes it: the experiments package keeps
+// one for every run it makes, and each shard worker one of its own, so
+// what a run reuses is a function of the runs before it in the same scope.
+// The zero value is ready, and a nil *Spares builds fresh networks.
 type Spares struct {
-	mu     sync.Mutex
-	sims   []*sim.Simulator
+	mu      sync.Mutex
+	bundles []bundle
+}
+
+// bundle is the storage one released network leaves: its simulator, its
+// packet slab, its offer words and its queue-block chunks. Spares keeps
+// bundles by value, so Release allocates nothing once the stack has room.
+type bundle struct {
+	sim    *sim.Simulator
 	blocks []*packetBlock
 	words  []sim.Time
 	queues mac.Blocks
@@ -38,8 +46,7 @@ const packetsPerBlock = 32
 type packetBlock [packetsPerBlock]mac.Packet
 
 // Network returns a network for seed, as NewNetwork does, that takes over
-// the storage of the networks released to sp. A nil sp builds a fresh
-// network.
+// the bundle released to sp last, if any. A nil sp builds a fresh network.
 func (sp *Spares) Network(seed int64) *Network {
 	n := NewNetwork(seed)
 	if sp == nil {
@@ -48,27 +55,29 @@ func (sp *Spares) Network(seed int64) *Network {
 	n.spares = sp
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if k := len(sp.sims); k > 0 {
-		n.Sim.Recycle(sp.sims[k-1])
-		sp.sims[k-1] = nil
-		sp.sims = sp.sims[:k-1]
+	k := len(sp.bundles)
+	if k == 0 {
+		return n
 	}
-	n.blocks, sp.blocks = sp.blocks, nil
-	n.words, sp.words = sp.words, nil
-	sp.queues.MoveTo(n.queues)
+	b := &sp.bundles[k-1]
+	n.Sim.Recycle(b.sim)
+	n.blocks, n.words = b.blocks, b.words
+	b.queues.MoveTo(n.queues)
+	*b = bundle{}
+	sp.bundles = sp.bundles[:k-1]
 	return n
 }
 
 // Release ends the network: Start, RunTo, Collect and a second Release
-// panic from here on, and a network built through Spares hands its storage
-// back to them. The next network takes over the simulator, whose pending
-// events are dropped and whose RNG streams panic on a later draw (see
-// sim.Simulator.Recycle); the packets, which every station and MAC engine
-// of n may still point to, are rewritten as the next network sends; and
-// so are the offer words, which every stream's offer bookkeeping points
-// into; and so are the queue blocks, which every MAC engine's queues hold.
-// So nothing of n may be read after Release: call it once the run's
-// results and observers are done.
+// panic from here on, and a network built through Spares pushes its
+// storage onto them as one bundle. The next network takes over the
+// simulator, whose pending events are dropped and whose RNG streams panic
+// on a later draw (see sim.Simulator.Recycle); the packets, which every
+// station and MAC engine of n may still point to, are rewritten as the
+// next network sends; and so are the offer words, which every stream's
+// offer bookkeeping points into; and so are the queue blocks, which every
+// MAC engine's queues hold. So nothing of n may be read after Release:
+// call it once the run's results and observers are done.
 func (n *Network) Release() {
 	n.mustLive("Release")
 	n.released = true
@@ -78,13 +87,9 @@ func (n *Network) Release() {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.sims = append(sp.sims, n.Sim)
-	sp.blocks = append(n.blocks, sp.blocks...)
-	if cap(n.words) > cap(sp.words) {
-		sp.words = n.words
-	}
+	sp.bundles = append(sp.bundles, bundle{sim: n.Sim, blocks: n.blocks, words: n.words})
+	n.queues.MoveTo(&sp.bundles[len(sp.bundles)-1].queues)
 	n.blocks, n.words = nil, nil
-	n.queues.MoveTo(&sp.queues)
 }
 
 // mustLive panics when n has been released.

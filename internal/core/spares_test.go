@@ -61,11 +61,14 @@ func TestSparesPassiveOnAllBackends(t *testing.T) {
 
 			sp := new(Spares)
 			donorCell(sp, factories[sparesOrder[(i+1)%len(sparesOrder)]])
-			blocks := len(sp.blocks)
+			if len(sp.bundles) != 1 {
+				t.Fatalf("the donor left %d bundles, want 1", len(sp.bundles))
+			}
+			blocks := len(sp.bundles[0].blocks)
 			n := deltaNetFrom(sp, 3, f)
-			if len(n.blocks) != blocks || blocks == 0 || n.words == nil || len(sp.sims) != 0 {
-				t.Fatalf("the new network took %d of %d blocks, %d words, left %d simulators",
-					len(n.blocks), blocks, cap(n.words), len(sp.sims))
+			if len(n.blocks) != blocks || blocks == 0 || n.words == nil || len(sp.bundles) != 0 {
+				t.Fatalf("the new network took %d of %d blocks, %d words, left %d bundles",
+					len(n.blocks), blocks, cap(n.words), len(sp.bundles))
 			}
 			at, end, res := run(n)
 			if !bytes.Equal(at, wantAt) {
@@ -192,6 +195,48 @@ func TestSparesQueueBlocksHandedOn(t *testing.T) {
 		t.Fatalf("the second cell holds %d chunks and cut %d blocks, want the first's %d and %d", c, cut2, chunks, cut)
 	}
 	second.Release()
+}
+
+// TestSparesBoundedUnderOverlap runs k saturated cells at once through one
+// Spares, round after round: each round builds all k before it releases
+// any. Every cell needs what a fresh one does, so after each round the
+// Spares must hold k bundles and no more packet blocks or queue-block
+// chunks than k fresh cells grow to; storage handed to one cell whole, and
+// given back on top of what the others grew, would pile up round on round.
+func TestSparesBoundedUnderOverlap(t *testing.T) {
+	const k, rounds = 2, 5
+	const total, warmup = 10 * sim.Second, sim.Second
+	fresh := saturatedCell(nil)
+	fresh.Run(total, warmup)
+	needBlocks := len(fresh.blocks)
+	needChunks, _ := queueChunks(fresh.queues)
+	if needBlocks == 0 || needChunks == 0 {
+		t.Fatalf("a fresh cell grew %d packet blocks and %d queue chunks: not saturated", needBlocks, needChunks)
+	}
+
+	sp := new(Spares)
+	for r := 1; r <= rounds; r++ {
+		cells := make([]*Network, k)
+		for i := range cells {
+			cells[i] = saturatedCell(sp)
+		}
+		for _, n := range cells {
+			n.Run(total, warmup)
+		}
+		for _, n := range cells {
+			n.Release()
+		}
+		blocks, chunks := 0, 0
+		for i := range sp.bundles {
+			c, _ := queueChunks(&sp.bundles[i].queues)
+			blocks, chunks = blocks+len(sp.bundles[i].blocks), chunks+c
+		}
+		t.Logf("round %d: %d bundles, %d packet blocks, %d queue chunks", r, len(sp.bundles), blocks, chunks)
+		if len(sp.bundles) != k || blocks > k*needBlocks || chunks > k*needChunks {
+			t.Fatalf("round %d: the Spares holds %d bundles, %d packet blocks and %d queue chunks; "+
+				"%d cells need %d blocks and %d chunks", r, len(sp.bundles), blocks, chunks, k, k*needBlocks, k*needChunks)
+		}
+	}
 }
 
 // TestSparesConcurrentHandOff builds, runs and releases cells of all six

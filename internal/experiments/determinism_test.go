@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,9 +60,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestSparesHandOffMatchesFresh runs tables whose runs hand their storage
-// on through the table's core.Spares — in order on the serial path, and
-// concurrently under a worker pool — and requires the rendering of every
-// run building its network fresh. Run it under the race detector.
+// on through the package's core.Spares — in order on the serial path, and
+// concurrently under a worker pool — and requires the rendering of a
+// RunConfig that never went through ForTable, whose every run builds its
+// network fresh. Run it under the race detector.
 func TestSparesHandOffMatchesFresh(t *testing.T) {
 	cfg := RunConfig{Total: 4 * sim.Second, Warmup: sim.Second, Seed: 3}
 	var gens []Generator
@@ -85,5 +87,59 @@ func TestSparesHandOffMatchesFresh(t *testing.T) {
 		if got := renderAll(tabs); got != want {
 			t.Errorf("jobs %d: tables through Spares differ from fresh networks:\n%s\nwant:\n%s", jobs, got, want)
 		}
+	}
+}
+
+// TestSparesAcrossTables runs table10, table1, the sweep and table1 again
+// through ForTable, so each table's runs take over the storage the tables
+// before it released. Every table must render as it does on fresh
+// networks, and every sweep cell must equal a bare run on a fresh network.
+// The second table1 finds storage sized for all of them, so it must
+// allocate under a quarter of the bytes table1 allocates on fresh
+// networks: what it still allocates is its stations, engines and the runs'
+// fixed costs.
+func TestSparesAcrossTables(t *testing.T) {
+	cfg := RunConfig{Total: 10 * sim.Second, Warmup: sim.Second, Seed: 3}
+	lookup := func(id string) Generator {
+		g, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("no generator %s", id)
+		}
+		return g
+	}
+	table1, table10 := lookup("table1"), lookup("table10")
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var fresh1 Table
+	freshBytes := allocated(func() { fresh1 = table1.Run(cfg) })
+	want1 := fresh1.Render()
+
+	if got, want := table10.Run(cfg.ForTable("table10")).Render(), table10.Run(cfg).Render(); got != want {
+		t.Errorf("table10 through the shared Spares differs from fresh networks:\n%s\nwant:\n%s", got, want)
+	}
+	if got := table1.Run(cfg.ForTable("table1")).Render(); got != want1 {
+		t.Errorf("table1 after table10 differs from fresh networks:\n%s\nwant:\n%s", got, want1)
+	}
+	tabs, _, err := RunSweepTables(cfg, sweepTestVariants, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepMatchesBare(t, tabs, cfg, sweepTestVariants)
+
+	var again Table
+	reusedBytes := allocated(func() { again = table1.Run(cfg.ForTable("table1")) })
+	if got := again.Render(); got != want1 {
+		t.Errorf("table1 after the sweep differs from fresh networks:\n%s\nwant:\n%s", got, want1)
+	}
+	t.Logf("table1 on fresh networks %d bytes, after table10, table1 and the sweep %d (%.1f%%)",
+		freshBytes, reusedBytes, 100*float64(reusedBytes)/float64(freshBytes))
+	if reusedBytes*4 >= freshBytes {
+		t.Fatalf("table1 after the other tables allocated %d bytes, want less than a quarter of its %d on fresh networks",
+			reusedBytes, freshBytes)
 	}
 }

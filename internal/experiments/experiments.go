@@ -65,23 +65,31 @@ type RunConfig struct {
 	// table is the run-label prefix ("table1"…), set by ForTable.
 	table string
 
-	// spares, set by ForTable, hands each finished run's storage to the
-	// next run of the same table (core.Spares); nil builds every network
-	// fresh.
+	// spares, set by ForTable to the package's scope, hands each finished
+	// run's storage to the next run (core.Spares); nil builds every
+	// network fresh.
 	spares *core.Spares
 }
+
+// scope is the one core.Spares every run configured by ForTable builds its
+// networks through: each run takes over what the runs before it released,
+// in any table, the sweep or a campaign job (DESIGN.md §8, "Recycled
+// networks"). It holds one bundle of storage for each network that was
+// live at the same moment, so it stays bounded in a long-lived process.
+var scope core.Spares
 
 // DefaultTraceMax bounds per-run trace recording: enough for several
 // minutes of simulated traffic per station without unbounded memory.
 const DefaultTraceMax = 200_000
 
 // ForTable returns a copy of cfg whose run labels are prefixed with the
-// given table id, and whose runs hand their storage on to each other
-// through a core.Spares of their own. Tables applies it automatically;
-// call it directly when invoking a single generator by hand.
+// given table id, and whose runs take over the storage earlier runs
+// released, and release theirs in turn, through the package's scope.
+// Tables applies it automatically; call it directly when invoking a single
+// generator by hand.
 func (cfg RunConfig) ForTable(id string) RunConfig {
 	cfg.table = id
-	cfg.spares = new(core.Spares)
+	cfg.spares = &scope
 	return cfg
 }
 
@@ -286,9 +294,9 @@ func (cfg RunConfig) instrument(name string, n *core.Network) runCtl {
 }
 
 // run executes the built network, invokes the finish hook and releases
-// the network, so the next run of the table takes over its storage. It is
-// the single chokepoint every generator's run goes through, in one of two
-// shapes: a plain run, or a sweep variant that pauses at the delta barrier
+// the network, so the next run takes over its storage. It is the single
+// chokepoint every generator's run goes through, in one of two shapes: a
+// plain run, or a sweep variant that pauses at the delta barrier
 // (start+Warmup) to apply its delta to the network warmed up under the base
 // configuration. RunTo pauses are not events, so the variant fires exactly
 // the events a plain run would up to the barrier. The caller may keep the

@@ -15,9 +15,9 @@ import (
 // Runner executes independent simulation runs on a bounded pool of worker
 // goroutines. Every run builds its own core.Network from the RunConfig seed
 // — its own Simulator, medium, and per-station RNG streams — so each is a
-// pure function of (layout, factory, config). The runs of one table share
-// only the table's core.Spares, under its mutex: a run takes over storage
-// another has released, which changes no value it computes. Parallel
+// pure function of (layout, factory, config). The runs share only the
+// package's core.Spares, under its mutex: a run takes over storage another
+// has released, which changes no value it computes. Parallel
 // execution therefore changes only wall-clock order: the results, and any
 // output rendered from them, are byte-identical to a serial run.
 //

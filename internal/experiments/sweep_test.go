@@ -31,8 +31,7 @@ var sweepTestVariants = []SweepVariant{
 // experiments layer: for every protocol column, every delta kind in
 // sweepTestVariants and twenty seeds, each cell of the audited sweep —
 // dispatched through a worker pool and the run chokepoint — is
-// byte-identical to a bare core run of the same cell: build, start, run to
-// the warmup barrier, apply the delta, run to the end.
+// byte-identical to a bare core run of the same cell (sweepMatchesBare).
 func TestSweepWarmMatchesCold(t *testing.T) {
 	r := NewRunner(4)
 	for seed := int64(1); seed <= 20; seed++ {
@@ -40,34 +39,43 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d sweep: %v", seed, err)
 		}
-		for ci, col := range sweepCols() {
-			for vi, v := range sweepTestVariants {
-				cfg := sweepCfg(seed)
-				n := core.NewNetwork(seed)
-				if err := SweepLayout().Build(n, col.factory()); err != nil {
-					t.Fatal(err)
-				}
-				n.Start(cfg.Total, cfg.Warmup)
-				n.RunTo(sim.Time(cfg.Warmup))
-				if err := n.ApplyDelta(v.Kind, v.Value); err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, col.name, v.Label(), err)
-				}
-				n.RunTo(n.End())
-				res := n.Collect()
-				want := core.StreamResult{Name: v.Label(), PPS: res.TotalPPS()}
-				pps := make([]float64, 0, len(res.Streams))
-				for _, sr := range res.Streams {
-					want.Delivered += sr.Delivered
-					want.Offered += sr.Offered
-					pps = append(pps, sr.PPS)
-				}
-				wantFair := core.StreamResult{Name: v.Label(), PPS: stats.Jain(pps)}
-				if got := tabs[0].Columns[ci].Results.Streams[vi]; got != want {
-					t.Errorf("seed %d %s/%s: sweep cell %+v, bare run %+v", seed, col.name, v.Label(), got, want)
-				}
-				if got := tabs[1].Columns[ci].Results.Streams[vi]; got != wantFair {
-					t.Errorf("seed %d %s/%s: fairness cell %+v, bare run %+v", seed, col.name, v.Label(), got, wantFair)
-				}
+		sweepMatchesBare(t, tabs, sweepCfg(seed), sweepTestVariants)
+	}
+}
+
+// sweepMatchesBare requires every cell of tabs, the tables of a sweep over
+// variants at cfg, to equal a bare core run of the same cell on a fresh
+// network: build, start, run to the warmup barrier, apply the delta, run
+// to the end.
+func sweepMatchesBare(t *testing.T, tabs []Table, cfg RunConfig, variants []SweepVariant) {
+	t.Helper()
+	seed := cfg.Seed
+	for ci, col := range sweepCols() {
+		for vi, v := range variants {
+			n := core.NewNetwork(seed)
+			if err := SweepLayout().Build(n, col.factory()); err != nil {
+				t.Fatal(err)
+			}
+			n.Start(cfg.Total, cfg.Warmup)
+			n.RunTo(sim.Time(cfg.Warmup))
+			if err := n.ApplyDelta(v.Kind, v.Value); err != nil {
+				t.Fatalf("seed %d %s/%s: %v", seed, col.name, v.Label(), err)
+			}
+			n.RunTo(n.End())
+			res := n.Collect()
+			want := core.StreamResult{Name: v.Label(), PPS: res.TotalPPS()}
+			pps := make([]float64, 0, len(res.Streams))
+			for _, sr := range res.Streams {
+				want.Delivered += sr.Delivered
+				want.Offered += sr.Offered
+				pps = append(pps, sr.PPS)
+			}
+			wantFair := core.StreamResult{Name: v.Label(), PPS: stats.Jain(pps)}
+			if got := tabs[0].Columns[ci].Results.Streams[vi]; got != want {
+				t.Errorf("seed %d %s/%s: sweep cell %+v, bare run %+v", seed, col.name, v.Label(), got, want)
+			}
+			if got := tabs[1].Columns[ci].Results.Streams[vi]; got != wantFair {
+				t.Errorf("seed %d %s/%s: fairness cell %+v, bare run %+v", seed, col.name, v.Label(), got, wantFair)
 			}
 		}
 	}

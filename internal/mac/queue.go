@@ -61,17 +61,12 @@ func (s *Blocks) put(b *block) {
 	}
 }
 
-// MoveTo hands every chunk of s to dst, which cuts its blocks from them
-// once its own run out, and leaves s empty. Every block of s goes with its
-// chunk, so no queue over s may be used after: it is for a store whose
-// network has ended.
+// MoveTo hands every chunk of s to dst, a store that has cut no block,
+// which cuts its blocks from them, and leaves s empty. Every block of s
+// goes with its chunk, so no queue over s may be used after: it is for a
+// store whose network has ended.
 func (s *Blocks) MoveTo(dst *Blocks) {
-	if len(dst.chunks) == 0 {
-		dst.chunks = s.chunks
-	} else {
-		dst.chunks = append(dst.chunks, s.chunks...)
-	}
-	*s = Blocks{}
+	*dst, *s = Blocks{chunks: s.chunks}, Blocks{}
 }
 
 // Queue is a FIFO packet queue: a linked list of blocks of queueBlock

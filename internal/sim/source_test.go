@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // edgeSeeds are the seeds at math/rand's seed normalization boundaries:
@@ -93,42 +94,66 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 // BenchmarkSeed re-seeds one source seedsPerOp times per op, a Source
 // ("inrepo") and a rand.NewSource one ("mathrand"). Seeding is 1841 Lehmer
 // steps, which math/rand takes one after the other and Source in four
-// overlapping chains: Source measured 3.6-6.3x faster in single runs on a
-// 2-vCPU linux/amd64 host. Both constructors allocate the same 5376-byte object, so the
-// benchmark leaves allocation out. It fails when mathrand/inrepo drops
-// below minSeedSpeedup. Both sides run in this process, so the floor does
-// not depend on host speed.
+// overlapping chains. Both constructors allocate the same 5376-byte
+// object, so the benchmark leaves allocation out.
+//
+// When both sides run, it fails when mathrand/inrepo drops below
+// minSeedSpeedup, read from seedCosts rather than from the two
+// sub-benchmarks: at -benchtime 1x each side is one op, which catches
+// whatever else the host ran at that moment, and their ratio read 2.3-6.5x
+// on a 2-vCPU linux/amd64 host, where seedCosts read 3.2-6.3x over 20
+// runs. Both sides run in this process, so the floor does not depend on
+// host speed.
 func BenchmarkSeed(b *testing.B) {
 	const (
 		seedsPerOp     = 4096
 		minSeedSpeedup = 2.5
 	)
-	perSeed := map[string]float64{}
-	for _, m := range []struct {
-		name string
-		src  rand.Source
-	}{
-		{"inrepo", NewSource(1)},
-		{"mathrand", rand.NewSource(1)},
-	} {
-		b.Run(m.name, func(b *testing.B) {
+	sides := []rand.Source{NewSource(1), rand.NewSource(1)}
+	var ran [2]bool
+	for k, name := range []string{"inrepo", "mathrand"} {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < seedsPerOp; j++ {
-					m.src.Seed(int64(i*seedsPerOp + j))
+					sides[k].Seed(int64(i*seedsPerOp + j))
 				}
 			}
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*seedsPerOp)
 			b.ReportMetric(ns, "ns/seed")
-			perSeed[m.name] = ns
+			ran[k] = true
 		})
 	}
-	inrepo, okIn := perSeed["inrepo"]
-	mathrand, okMath := perSeed["mathrand"]
-	if !okIn || !okMath {
+	if !ran[0] || !ran[1] {
 		return
 	}
-	b.Logf("mathrand/inrepo seeding cost %.2fx (floor %.1fx)", mathrand/inrepo, minSeedSpeedup)
-	if mathrand < minSeedSpeedup*inrepo {
-		b.Fatalf("mathrand/inrepo seeding cost %.2fx is below its %.1fx floor", mathrand/inrepo, minSeedSpeedup)
+	cost := seedCosts(sides)
+	ratio := float64(cost[1]) / float64(cost[0])
+	b.Logf("mathrand/inrepo seeding cost %.2fx (floor %.1fx)", ratio, minSeedSpeedup)
+	if ratio < minSeedSpeedup {
+		b.Fatalf("mathrand/inrepo seeding cost %.2fx is below its %.1fx floor", ratio, minSeedSpeedup)
 	}
+}
+
+// seedCosts times seedsPerRound re-seedings of each source in turn, over
+// seedRounds rounds that alternate which source goes first, and returns
+// each source's fastest round. A pause of the process, or a burst of other
+// work on the host, slows the rounds it lands in; the fastest round of
+// each source is the one that ran clear of it, so their ratio is the
+// sources' own.
+func seedCosts(srcs []rand.Source) []time.Duration {
+	const seedRounds, seedsPerRound = 16, 1024
+	best := make([]time.Duration, len(srcs))
+	for r := 0; r < seedRounds; r++ {
+		for i := range srcs {
+			k := (i + r) % len(srcs)
+			start := time.Now()
+			for j := 0; j < seedsPerRound; j++ {
+				srcs[k].Seed(int64(r*seedsPerRound + j))
+			}
+			if d := time.Since(start); r == 0 || d < best[k] {
+				best[k] = d
+			}
+		}
+	}
+	return best
 }
