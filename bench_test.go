@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
 	"macaw/internal/backoff"
 	"macaw/internal/core"
@@ -94,37 +95,76 @@ func BenchmarkAllTablesParallel(b *testing.B) {
 
 // BenchmarkMetricsOverhead regenerates every paper table per iteration,
 // plain and then as macawsim -metrics does: a collector on every run and
-// the document written at the end. It fails when the metrics side's ns/op
-// exceeds maxMetricsOverPlain times the plain side's; both sides run in
-// this process, so the ceiling does not depend on host speed. With
-// -benchtime 1x the ratio read 1.21-1.62x over 12 runs on a 2-vCPU
-// linux/amd64 host, and 1.69-2.23x when every hook looked its instrument
-// up by a name it built.
+// the document written at the end. When both sides run, it fails when the
+// metrics side costs more than maxMetricsOverPlain times the plain side,
+// read from metricsCosts rather than from the two sub-benchmarks: at
+// -benchtime 1x each side is one op, which catches whatever else the host
+// ran at that moment. On a 2-vCPU linux/amd64 host their ratio read up to
+// 1.75x over 20 runs, where metricsCosts read 1.26-1.62x over 14 (the
+// one-op ratio read 1.69-2.23x when every hook looked its instrument up
+// by a name it built). Both sides run in this process, so the ceiling
+// does not depend on host speed.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	const maxMetricsOverPlain = 1.8
-	nsPerOp := map[string]float64{}
-	for _, mode := range []string{"plain", "metrics"} {
+	modes := []string{"plain", "metrics"}
+	var ran [2]bool
+	for k, mode := range modes {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := experiments.Bench()
 			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				if mode == "metrics" {
-					cfg.Metrics = metrics.NewSink()
-				}
-				for _, g := range experiments.All() {
-					g.Run(cfg)
-				}
-				if cfg.Metrics != nil {
-					if err := cfg.Metrics.WriteJSON(io.Discard); err != nil {
-						b.Fatal(err)
-					}
-				}
+				paperTables(b, mode, int64(i+1))
 			}
-			nsPerOp[mode] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			ran[k] = true
 		})
 	}
-	requireCeiling(b, nsPerOp, "metrics", "plain", maxMetricsOverPlain)
+	if !ran[0] || !ran[1] {
+		return
+	}
+	requireCeiling(b, metricsCosts(b, modes), "metrics", "plain", maxMetricsOverPlain)
+}
+
+// paperTables regenerates every paper table at seed on the benchmark
+// configuration; in "metrics" mode with a collector on every run and the
+// document written at the end.
+func paperTables(b *testing.B, mode string, seed int64) {
+	cfg := experiments.Bench()
+	cfg.Seed = seed
+	if mode == "metrics" {
+		cfg.Metrics = metrics.NewSink()
+	}
+	for _, g := range experiments.All() {
+		g.Run(cfg)
+	}
+	if cfg.Metrics != nil {
+		if err := cfg.Metrics.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// metricsCosts times metricsRounds table sets in each mode in turn,
+// alternating which mode goes first, and returns each mode's fastest
+// round in ns, as seedCosts does for BenchmarkSeed: a pause of the
+// process, or a burst of other work on the host, slows the rounds it
+// lands in, and the fastest round of each mode is the one that ran clear
+// of it. Each round starts from a collected heap, so neither mode pays
+// for the garbage the other left: the metrics side allocates about 90 MB
+// a round, the plain side about 7 MB.
+func metricsCosts(b *testing.B, modes []string) map[string]float64 {
+	const metricsRounds = 5
+	best := make(map[string]float64, len(modes))
+	for r := 0; r < metricsRounds; r++ {
+		for i := range modes {
+			mode := modes[(i+r)%len(modes)]
+			runtime.GC()
+			start := time.Now()
+			paperTables(b, mode, 1)
+			if d := float64(time.Since(start).Nanoseconds()); r == 0 || d < best[mode] {
+				best[mode] = d
+			}
+		}
+	}
+	return best
 }
 
 // singleStream runs one saturating UDP pad-to-base stream under the given

@@ -28,18 +28,12 @@ func main() {
 	flag.Parse()
 
 	if *randN > 0 {
-		if *mode != "uniform" && *mode != "cluster" {
-			fmt.Fprintf(os.Stderr, "macawtopo: unknown -mode %q (uniform or cluster)\n", *mode)
+		spec, err := randomSpec(*randN, *seed, *mode, *area, *rate)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "macawtopo: %v\n", err)
 			os.Exit(2)
 		}
-		l := topo.Random(topo.RandomSpec{
-			N:         *randN,
-			Seed:      *seed,
-			Clustered: *mode == "cluster",
-			AreaFt:    *area,
-			Rate:      *rate,
-		})
-		showRandom(l)
+		showRandom(topo.Random(spec))
 		return
 	}
 
@@ -61,6 +55,19 @@ func main() {
 	for _, name := range names {
 		show(layouts[name])
 	}
+}
+
+// randomSpec turns the -rand flags into a generator spec, or reports the
+// flag that topo.Random would refuse.
+func randomSpec(n int, seed int64, mode string, area, rate float64) (topo.RandomSpec, error) {
+	if mode != "uniform" && mode != "cluster" {
+		return topo.RandomSpec{}, fmt.Errorf("unknown -mode %q (uniform or cluster)", mode)
+	}
+	spec := topo.RandomSpec{N: n, Seed: seed, Clustered: mode == "cluster", AreaFt: area, Rate: rate}
+	if err := spec.Validate(); err != nil {
+		return topo.RandomSpec{}, fmt.Errorf("-rand %d -area %g -rate %g: %w", n, area, rate, err)
+	}
+	return spec, nil
 }
 
 // showRandom summarizes a generated topology: station/stream counts and the

@@ -1,13 +1,18 @@
 package core_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"macaw/internal/core"
 	"macaw/internal/geom"
+	"macaw/internal/mac/macaw"
 	"macaw/internal/phy"
+	"macaw/internal/topo"
 )
 
 // TestPartitionMatchesBruteForce checks Blueprint.Partition label for label
@@ -85,4 +90,50 @@ func bruteForcePartition(bp core.Blueprint, cutoff float64) ([]int, int) {
 		labels[i] = first[r]
 	}
 	return labels, len(first)
+}
+
+// cityLayoutBlueprint is the bench city's blueprint: 10 000 clustered
+// stations over a 12 000 ft side, seed 1.
+func cityLayoutBlueprint(tb testing.TB) core.Blueprint {
+	tb.Helper()
+	l := topo.Random(topo.RandomSpec{N: 10000, Clustered: true, AreaFt: 12000, Seed: 1})
+	bp, err := l.Blueprint(core.MACAWFactory(macaw.DefaultOptions()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bp
+}
+
+// TestPartitionCityDigest pins the city's partition to what the per-point
+// grid pass computed: the sha256 of its labels, one decimal per line, and
+// its component count. The shard assignment and the bench city's digest
+// both follow from these labels.
+func TestPartitionCityDigest(t *testing.T) {
+	labels, count, _, ok := cityLayoutBlueprint(t).Partition()
+	if !ok {
+		t.Fatal("default physics must certify a cutoff")
+	}
+	sum := sha256.New()
+	for _, l := range labels {
+		fmt.Fprintf(sum, "%d\n", l)
+	}
+	const want = "01bb9b1be54b8b469d6ca8cd04760febd6b033bb3cf7154c3a40426e62d3467f"
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want || count != 1250 {
+		t.Fatalf("city partition: %d components, labels sha256 %s; want 1250, %s", count, got, want)
+	}
+}
+
+// partitionCount keeps BenchmarkPartition's result live.
+var partitionCount int
+
+// BenchmarkPartition partitions the bench city and reports the cost per
+// station.
+func BenchmarkPartition(b *testing.B) {
+	bp := cityLayoutBlueprint(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, partitionCount, _, _ = bp.Partition()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bp.Stations)), "ns/station")
 }

@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -127,6 +129,107 @@ func TestComponentsMatchesBruteForce(t *testing.T) {
 			if l > max {
 				max = l
 			}
+		}
+	}
+}
+
+// gridComponents is Components' reference, a per-point pass: every point
+// queries a Grid of cell edge r for its own block CellOf(p-r)..CellOf(p+r),
+// and labels come from a map of roots in first-occurrence order.
+func gridComponents(pts []Vec3, r float64, links [][2]int) (labels []int, count int) {
+	labels = make([]int, len(pts))
+	if len(pts) == 0 {
+		return labels, 0
+	}
+	if !(r > 0) || math.IsInf(r, 1) {
+		return labels, 1
+	}
+	parent := make([]int, len(pts))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		if ra, rb := find(a), find(b); ra != rb {
+			parent[ra] = rb
+		}
+	}
+	g := NewGrid(r)
+	for i, p := range pts {
+		g.Insert(int32(i), p)
+	}
+	for i, p := range pts {
+		g.ForEachWithin(p, r, func(id int32) {
+			if j := int(id); j != i && pts[j].Dist(p) <= r {
+				union(i, j)
+			}
+		})
+	}
+	for _, l := range links {
+		union(l[0], l[1])
+	}
+	rep := make(map[int]int)
+	for i := range pts {
+		root := find(i)
+		l, ok := rep[root]
+		if !ok {
+			l = len(rep)
+			rep[root] = l
+		}
+		labels[i] = l
+	}
+	return labels, len(rep)
+}
+
+// TestComponentsMatchesGridReference checks the per-cell pass against the
+// per-point grid pass on seeded inputs of up to 2 000 points: uniform and
+// clustered, spanning negative coordinates, with points snapped to exact
+// multiples of r, pairs at exactly r, duplicates and random links.
+func TestComponentsMatchesGridReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(2000)
+		r := []float64{1, 7.5, 10, 102.3, 0.1 + rng.Float64()*50}[trial%5]
+		side := r * (2 + rng.Float64()*40)
+		clustered := trial%2 == 1
+		var centres []Vec3
+		for i := 0; i < 1+n/8; i++ {
+			centres = append(centres, V(rng.Float64()*side-side/2, rng.Float64()*side-side/2, rng.Float64()*3*r-r))
+		}
+		pts := make([]Vec3, n)
+		for i := range pts {
+			switch {
+			case i > 0 && rng.Intn(10) == 0:
+				pts[i] = pts[rng.Intn(i)] // duplicate
+			case i > 0 && rng.Intn(10) == 0:
+				// At exactly r from an earlier point along one axis.
+				d := [3]Vec3{V(r, 0, 0), V(0, -r, 0), V(0, 0, r)}[rng.Intn(3)]
+				pts[i] = pts[rng.Intn(i)].Add(d)
+			case rng.Intn(8) == 0:
+				// On a cell corner: exact multiples of r.
+				pts[i] = V(float64(rng.Intn(41)-20)*r, float64(rng.Intn(41)-20)*r, float64(rng.Intn(5)-2)*r)
+			case clustered:
+				c := centres[rng.Intn(len(centres))]
+				pts[i] = c.Add(V(rng.NormFloat64()*r, rng.NormFloat64()*r, rng.NormFloat64()*r/4))
+			default:
+				pts[i] = V(rng.Float64()*side-side/2, rng.Float64()*side-side/2, rng.Float64()*2*r-r)
+			}
+		}
+		var links [][2]int
+		for j := rng.Intn(n/20 + 1); j > 0; j-- {
+			links = append(links, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		labels, count := Components(pts, r, links)
+		want, wantCount := gridComponents(pts, r, links)
+		if count != wantCount || !reflect.DeepEqual(labels, want) {
+			t.Fatalf("trial %d (%d points, r=%v, clustered=%v, %d links): %d components, reference %d",
+				trial, n, r, clustered, len(links), count, wantCount)
 		}
 	}
 }

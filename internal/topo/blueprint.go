@@ -18,7 +18,10 @@ import (
 // (hearing implies a gain at or above the reception threshold, which is
 // above the negligibility floor, which is within the cutoff).
 func (l Layout) Blueprint(f core.MACFactory) (core.Blueprint, error) {
-	bp := core.Blueprint{}
+	bp := core.Blueprint{
+		Stations: make([]core.BlueprintStation, 0, len(l.Stations)),
+		Streams:  make([]core.BlueprintStream, 0, len(l.Streams)),
+	}
 	index := make(map[string]int, len(l.Stations))
 	for i, s := range l.Stations {
 		if _, dup := index[s.Name]; dup {

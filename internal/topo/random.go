@@ -1,13 +1,16 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"macaw/internal/core"
 	"macaw/internal/geom"
 	"macaw/internal/sim"
+	"macaw/internal/traffic"
 )
 
 // RandomSpec parameterizes a seeded synthetic large-topology generator,
@@ -31,11 +34,11 @@ type RandomSpec struct {
 	AreaFt float64
 	// PadsPerBase sets the base:pad ratio (default 7 pads per base).
 	PadsPerBase int
-	// Rate is the per-stream offered load in packets per second
-	// (default 8).
+	// Rate is the per-stream offered load in packets per second (zero
+	// selects 8).
 	Rate float64
 	// CellRadiusFt bounds pad placement around a base when Clustered
-	// (default 8, the paper's one-cell hearing distance).
+	// (zero selects 8, the paper's one-cell hearing distance).
 	CellRadiusFt float64
 }
 
@@ -43,27 +46,66 @@ func (s RandomSpec) withDefaults() RandomSpec {
 	if s.PadsPerBase <= 0 {
 		s.PadsPerBase = 7
 	}
-	if s.Rate <= 0 {
+	if s.Rate == 0 {
 		s.Rate = 8
 	}
-	if s.CellRadiusFt <= 0 {
+	if s.CellRadiusFt == 0 {
 		s.CellRadiusFt = 8
 	}
-	if s.AreaFt <= 0 {
+	if s.AreaFt == 0 {
 		s.AreaFt = math.Sqrt(float64(s.N) * 400)
 	}
 	return s
 }
 
+// maxExtentFt bounds how far a generated station may lie from the origin
+// along a floor axis. Below 2^52 ft every unit cube's index and centre are
+// exact in float64, so geom.CubeOf gives each square foot a cube of its
+// own; past 2^63 its int conversion saturates and every station lands in
+// one cube.
+const maxExtentFt = 1 << 52
+
+// Validate reports why Random would refuse spec, or nil. Random refuses
+// fewer than 2 stations; a negative or non-finite AreaFt, Rate or
+// CellRadiusFt (zero selects the default); a Rate so high that the CBR
+// gap rounds to zero, which traffic.Interval refuses; and a floor that,
+// with a clustered pad's reach past its edge, spans more than maxExtentFt.
+func (s RandomSpec) Validate() error {
+	if s.N < 2 {
+		return errors.New("topo: Random needs at least 2 stations")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"AreaFt", s.AreaFt}, {"Rate", s.Rate}, {"CellRadiusFt", s.CellRadiusFt}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("topo: Random needs a finite, non-negative %s, got %g", f.name, f.v)
+		}
+	}
+	s = s.withDefaults()
+	if _, err := traffic.Interval(s.Rate); err != nil {
+		return fmt.Errorf("topo: Random Rate: %w", err)
+	}
+	extent := s.AreaFt
+	if s.Clustered {
+		extent += s.CellRadiusFt
+	}
+	if extent > maxExtentFt {
+		return fmt.Errorf("topo: Random floor reaches %g ft, beyond the %g ft that 1-ft cubes quantize exactly", extent, float64(maxExtentFt))
+	}
+	return nil
+}
+
 // Random generates a building-scale layout: base stations on a jittered
 // coarse grid at ceiling height, pads at desk height, and one upstream UDP
 // stream per pad toward its nearest base. No hearing relations are pinned —
-// the geometry is synthetic, not from the paper.
+// the geometry is synthetic, not from the paper. It panics with
+// Validate's message on a spec that Validate refuses.
 func Random(spec RandomSpec) Layout {
-	spec = spec.withDefaults()
-	if spec.N < 2 {
-		panic("topo: Random needs at least 2 stations")
+	if err := spec.Validate(); err != nil {
+		panic(err.Error())
 	}
+	spec = spec.withDefaults()
 	rng := rand.New(sim.NewSource(spec.Seed))
 	nBases := spec.N / (spec.PadsPerBase + 1)
 	if nBases < 1 {
@@ -82,6 +124,8 @@ func Random(spec RandomSpec) Layout {
 	side := int(math.Ceil(math.Sqrt(float64(nBases))))
 	pitch := spec.AreaFt / float64(side)
 	basePos := make([]geom.Vec3, 0, nBases)
+	l.Stations = make([]StationSpec, 0, spec.N)
+	l.Streams = make([]StreamSpec, 0, nPads)
 	for i := 0; i < nBases; i++ {
 		cx := (float64(i%side) + 0.5) * pitch
 		cy := (float64(i/side) + 0.5) * pitch
@@ -92,7 +136,7 @@ func Random(spec RandomSpec) Layout {
 			12)
 		basePos = append(basePos, p)
 		l.Stations = append(l.Stations, StationSpec{
-			Name: fmt.Sprintf("B%d", i+1), Pos: p, Base: true,
+			Name: "B" + strconv.Itoa(i+1), Pos: p, Base: true,
 		})
 	}
 
@@ -107,7 +151,7 @@ func Random(spec RandomSpec) Layout {
 		} else {
 			p = geom.V(rng.Float64()*spec.AreaFt, rng.Float64()*spec.AreaFt, 6)
 		}
-		name := fmt.Sprintf("P%d", i+1)
+		name := "P" + strconv.Itoa(i+1)
 		l.Stations = append(l.Stations, StationSpec{Name: name, Pos: p})
 
 		// One upstream stream per pad toward the nearest base. Start
@@ -115,7 +159,7 @@ func Random(spec RandomSpec) Layout {
 		// building does not contend in lockstep.
 		best := nearestBase(basePos, side, pitch, p)
 		l.Streams = append(l.Streams, StreamSpec{
-			From: name, To: fmt.Sprintf("B%d", best+1),
+			From: name, To: l.Stations[best].Name,
 			Kind: core.UDP, Rate: spec.Rate,
 			StartSec: rng.Float64(),
 		})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"macaw/internal/core"
@@ -138,5 +139,75 @@ func TestNearestBaseTies(t *testing.T) {
 		if got, want := nearestBase(bases, side, pitch, p), bruteNearest(bases, p); got != want {
 			t.Fatalf("nearestBase(%v) = %d, brute force %d", p, got, want)
 		}
+	}
+}
+
+// BenchmarkRandomLayout generates the bench city's layout and its
+// blueprint and reports the cost per station.
+func BenchmarkRandomLayout(b *testing.B) {
+	const stations = 10000
+	f := core.MACAWFactory(macaw.DefaultOptions())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := Random(RandomSpec{N: stations, Clustered: true, AreaFt: 12000, Seed: 1})
+		if _, err := l.Blueprint(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*stations), "ns/station")
+}
+
+// TestRandomRefusesBadSpecs pins the specs Random fails closed on. Each
+// reproduced a hang, a panic deep in the simulator or a degenerate layout
+// before Validate: a NaN or infinite area left nearestBase looking for a
+// base forever, a NaN, infinite or huge rate panicked in the CBR source's
+// phase draw, and a 1e300 ft floor put every station in one quantization
+// cube. Random must panic with Validate's message, which names the field.
+func TestRandomRefusesBadSpecs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		spec RandomSpec
+		want string
+	}{
+		{RandomSpec{N: 1}, "at least 2 stations"},
+		{RandomSpec{N: 50, AreaFt: nan}, "AreaFt, got NaN"},
+		{RandomSpec{N: 50, AreaFt: inf}, "AreaFt, got +Inf"},
+		{RandomSpec{N: 50, AreaFt: -inf}, "AreaFt, got -Inf"},
+		{RandomSpec{N: 50, AreaFt: -1}, "AreaFt, got -1"},
+		{RandomSpec{N: 50, Rate: nan}, "Rate, got NaN"},
+		{RandomSpec{N: 50, Rate: inf}, "Rate, got +Inf"},
+		{RandomSpec{N: 50, Rate: -8}, "Rate, got -8"},
+		{RandomSpec{N: 50, Rate: 1e12}, "zero gap between packets"},
+		{RandomSpec{N: 50, Clustered: true, CellRadiusFt: nan}, "CellRadiusFt, got NaN"},
+		{RandomSpec{N: 50, Clustered: true, CellRadiusFt: inf}, "CellRadiusFt, got +Inf"},
+		{RandomSpec{N: 50, Clustered: true, CellRadiusFt: -8}, "CellRadiusFt, got -8"},
+		{RandomSpec{N: 50, AreaFt: 1e300}, "1-ft cubes quantize exactly"},
+		{RandomSpec{N: 50, AreaFt: maxExtentFt, Clustered: true}, "1-ft cubes quantize exactly"},
+		{RandomSpec{N: 50, Clustered: true, CellRadiusFt: 1e300}, "1-ft cubes quantize exactly"},
+	}
+	for _, c := range cases {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Validate(%+v) = %v, want an error containing %q", c.spec, err, c.want)
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != err.Error() {
+					t.Fatalf("Random(%+v) panicked with %v, want %q", c.spec, p, err)
+				}
+			}()
+			Random(c.spec)
+		}()
+	}
+	// The limits themselves are accepted.
+	for _, spec := range []RandomSpec{
+		{N: 2, AreaFt: maxExtentFt},
+		{N: 2, Clustered: true, AreaFt: maxExtentFt - 8},
+		{N: 2, Rate: float64(sim.Second)},
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("Validate(%+v) = %v, want nil", spec, err)
+		}
+		Random(spec)
 	}
 }

@@ -27,11 +27,12 @@ type CBR struct {
 
 // NewCBR returns a CBR source at rate packets/second calling offer for each
 // packet. rng supplies the initial phase; it may be nil for phase zero.
+// It panics on a rate that Interval refuses.
 func NewCBR(s *sim.Simulator, rate float64, rng *rand.Rand, offer func()) *CBR {
-	if rate <= 0 {
-		panic("traffic: non-positive CBR rate")
+	interval, err := Interval(rate)
+	if err != nil {
+		panic(err.Error())
 	}
-	interval := sim.Duration(math.Round(float64(sim.Second) / rate))
 	c := &CBR{s: s, interval: interval, offer: offer}
 	if rng != nil {
 		c.phase = sim.Duration(rng.Int63n(int64(interval)))
@@ -43,11 +44,27 @@ func NewCBR(s *sim.Simulator, rate float64, rng *rand.Rand, offer func()) *CBR {
 // the next tick: the pending tick keeps its scheduled time, and every gap
 // after it uses the new interval. Barrier-time sweep deltas use this.
 func (c *CBR) SetRate(rate float64) error {
-	if rate <= 0 {
-		return fmt.Errorf("traffic: non-positive CBR rate %g", rate)
+	interval, err := Interval(rate)
+	if err != nil {
+		return err
 	}
-	c.interval = sim.Duration(math.Round(float64(sim.Second) / rate))
+	c.interval = interval
 	return nil
+}
+
+// Interval is the gap between packets at rate packets/second. It refuses a
+// rate that is not positive (NaN included) and one so high that the gap
+// rounds to zero simulator ticks: such a source would offer packets at one
+// instant forever.
+func Interval(rate float64) (sim.Duration, error) {
+	if !(rate > 0) {
+		return 0, fmt.Errorf("traffic: CBR rate %g is not positive", rate)
+	}
+	gap := sim.Duration(math.Round(float64(sim.Second) / rate))
+	if gap < 1 {
+		return 0, fmt.Errorf("traffic: CBR rate %g pps rounds to a zero gap between packets", rate)
+	}
+	return gap, nil
 }
 
 // Start begins generation at time t plus the source's phase.

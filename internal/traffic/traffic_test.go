@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 
 	"macaw/internal/sim"
@@ -81,13 +82,27 @@ func TestCBRDoubleStartIgnored(t *testing.T) {
 	}
 }
 
+// TestCBRInvalidRatePanics covers the rates a source refuses: not
+// positive, NaN, and so high (infinite included) that the gap between
+// packets rounds to zero, which would offer packets at one instant
+// forever. NewCBR panics on each and SetRate returns an error.
 func TestCBRInvalidRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for rate 0")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), 1e12, 2.1e9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for rate %g", rate)
+				}
+			}()
+			NewCBR(sim.New(1), rate, nil, func() {})
+		}()
+		c := NewCBR(sim.New(1), 8, nil, func() {})
+		if err := c.SetRate(rate); err == nil {
+			t.Fatalf("SetRate(%g) = nil, want an error", rate)
 		}
-	}()
-	NewCBR(sim.New(1), 0, nil, func() {})
+	}
+	// A packet per simulator tick is accepted.
+	NewCBR(sim.New(1), float64(sim.Second), nil, func() {})
 }
 
 // TestTicksAllocationFree pins DESIGN.md §8's no-per-event-allocation rule
