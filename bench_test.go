@@ -148,7 +148,7 @@ func paperTables(b *testing.B, mode string, seed int64) {
 // process, or a burst of other work on the host, slows the rounds it
 // lands in, and the fastest round of each mode is the one that ran clear
 // of it. Each round starts from a collected heap, so neither mode pays
-// for the garbage the other left: the metrics side allocates about 90 MB
+// for the garbage the other left: the metrics side allocates about 32 MB
 // a round, the plain side about 7 MB.
 func metricsCosts(b *testing.B, modes []string) map[string]float64 {
 	const metricsRounds = 5

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"macaw/internal/experiments"
+	"macaw/internal/metrics"
 	"macaw/internal/snapshot"
 )
 
@@ -372,9 +373,5 @@ func (c *Campaign) MetricsDoc(spec string, seed int64, haveSeed bool, w io.Write
 			merged[label] = doc
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Runs map[string]json.RawMessage `json:"runs"`
-	}{Runs: merged})
+	return metrics.WriteRuns(w, merged)
 }

@@ -358,8 +358,8 @@ type Network struct {
 	// order; used counts the packets taken. words is the arena Start cuts
 	// the streams' offer bookkeeping from. queues is the store every MAC
 	// engine's queues take their blocks from. spares, when set, is where
-	// Release hands all four and the simulator (see Spares); released
-	// marks a network that Release has ended.
+	// Release hands all four, the simulator and the medium (see Spares);
+	// released marks a network that Release has ended.
 	blocks   []*packetBlock
 	used     int
 	words    []sim.Time

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"macaw/internal/core"
@@ -136,4 +137,34 @@ func BenchmarkPartition(b *testing.B) {
 		_, partitionCount, _, _ = bp.Partition()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bp.Stations)), "ns/station")
+}
+
+// BenchmarkMaterialize builds the bench city's components one after
+// another through one Spares, as one shard worker builds its share, and
+// releases each once it is built. It reports the bytes and allocations of
+// the whole set-up per station; a fresh Spares each op makes the first
+// components grow the storage the rest reuse.
+func BenchmarkMaterialize(b *testing.B) {
+	bp := cityLayoutBlueprint(b)
+	stations, streams := bp.Members()
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sp core.Spares
+		for c := range stations {
+			n, err := bp.Materialize(stations[c], streams[c], c, &sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n.Release()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	per := float64(b.N * len(bp.Stations))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/station")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/station")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/station")
 }

@@ -195,6 +195,19 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, sp *
 	return n, finish, nil
 }
 
+// members returns each of the count components' stations and streams
+// under Partition's labels, in ascending global index order.
+func (bp Blueprint) members(labels []int, count int) (stations, streams [][]int) {
+	stations, streams = make([][]int, count), make([][]int, count)
+	for i, l := range labels {
+		stations[l] = append(stations[l], i)
+	}
+	for j, s := range bp.Streams {
+		streams[labels[s.From]] = append(streams[labels[s.From]], j)
+	}
+	return stations, streams
+}
+
 // Run simulates the blueprint for total seconds (measuring from warmup) on
 // up to shards parallel event heaps and returns results byte-identical to
 // the serial engine's. shards <= 1, an uncertified physics, or a building
@@ -234,15 +247,7 @@ func (bp Blueprint) Run(total, warmup sim.Duration, shards int) (Results, ShardI
 		return res, info, nil
 	}
 
-	// Component membership, in ascending global index order.
-	comps := make([][]int, count)
-	for i, l := range labels {
-		comps[l] = append(comps[l], i)
-	}
-	compStreams := make([][]int, count)
-	for j, s := range bp.Streams {
-		compStreams[labels[s.From]] = append(compStreams[labels[s.From]], j)
-	}
+	comps, compStreams := bp.members(labels, count)
 
 	// Each component is keyed to a shard by the grid cell of its first
 	// station at cell size = cutoff — a deterministic function of the

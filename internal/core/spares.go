@@ -4,15 +4,18 @@ import (
 	"sync"
 
 	"macaw/internal/mac"
+	"macaw/internal/phy"
 	"macaw/internal/sim"
 )
 
 // Spares hands a finished network's storage to the next network built
 // through it (DESIGN.md §8, "Recycled networks"): its simulator, whose RNG
 // generators and event storage the next simulator takes over through
-// sim.Simulator.Recycle; its packet slab, whose packets keep their payload
+// sim.Simulator.Recycle; its medium, whose radio, transmission and
+// reception records and arrays the next medium takes over through
+// phy.Medium.Recycle; its packet slab, whose packets keep their payload
 // buffers; its offer-word arena; and the chunks of its MAC queue-block
-// store (mac.Blocks). Release pushes the four as one bundle and Network
+// store (mac.Blocks). Release pushes the five as one bundle and Network
 // pops the bundle released last, so a Spares holds one bundle for each
 // network that was live at the same moment, each sized for the largest
 // network it has served. Reuse is passive: a network built through Spares
@@ -29,10 +32,12 @@ type Spares struct {
 }
 
 // bundle is the storage one released network leaves: its simulator, its
-// packet slab, its offer words and its queue-block chunks. Spares keeps
-// bundles by value, so Release allocates nothing once the stack has room.
+// medium, its packet slab, its offer words and its queue-block chunks.
+// Spares keeps bundles by value, so Release allocates nothing once the
+// stack has room.
 type bundle struct {
 	sim    *sim.Simulator
+	medium *phy.Medium
 	blocks []*packetBlock
 	words  []sim.Time
 	queues mac.Blocks
@@ -61,6 +66,7 @@ func (sp *Spares) Network(seed int64) *Network {
 	}
 	b := &sp.bundles[k-1]
 	n.Sim.Recycle(b.sim)
+	n.Medium.Recycle(b.medium)
 	n.blocks, n.words = b.blocks, b.words
 	b.queues.MoveTo(n.queues)
 	*b = bundle{}
@@ -72,12 +78,15 @@ func (sp *Spares) Network(seed int64) *Network {
 // panic from here on, and a network built through Spares pushes its
 // storage onto them as one bundle. The next network takes over the
 // simulator, whose pending events are dropped and whose RNG streams panic
-// on a later draw (see sim.Simulator.Recycle); the packets, which every
-// station and MAC engine of n may still point to, are rewritten as the
-// next network sends; and so are the offer words, which every stream's
-// offer bookkeeping points into; and so are the queue blocks, which every
-// MAC engine's queues hold. So nothing of n may be read after Release:
-// call it once the run's results and observers are done.
+// on a later draw (see sim.Simulator.Recycle); the medium, whose radio
+// records, which every station's Radio() and MAC engine point to, are
+// rewritten as the next network attaches its stations (see
+// phy.Medium.Recycle); the packets, which every station and MAC engine
+// of n may still point to, are rewritten as the next network sends; and
+// so are the offer words, which every stream's offer bookkeeping points
+// into; and so are the queue blocks, which every MAC engine's queues
+// hold. So nothing of n, a station's Radio() included, may be read after
+// Release: call it once the run's results and observers are done.
 func (n *Network) Release() {
 	n.mustLive("Release")
 	n.released = true
@@ -87,7 +96,7 @@ func (n *Network) Release() {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.bundles = append(sp.bundles, bundle{sim: n.Sim, blocks: n.blocks, words: n.words})
+	sp.bundles = append(sp.bundles, bundle{sim: n.Sim, medium: n.Medium, blocks: n.blocks, words: n.words})
 	n.queues.MoveTo(&sp.bundles[len(sp.bundles)-1].queues)
 	n.blocks, n.words = nil, nil
 }

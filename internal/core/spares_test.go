@@ -10,6 +10,7 @@ import (
 
 	"macaw/internal/geom"
 	"macaw/internal/mac"
+	"macaw/internal/phy"
 	"macaw/internal/sim"
 	"macaw/internal/statecheck"
 )
@@ -193,6 +194,63 @@ func TestSparesQueueBlocksHandedOn(t *testing.T) {
 	second.Run(20*sim.Second, 2*sim.Second)
 	if c, cut2 := queueChunks(second.queues); c != chunks || cut2 != cut {
 		t.Fatalf("the second cell holds %d chunks and cut %d blocks, want the first's %d and %d", c, cut2, chunks, cut)
+	}
+	second.Release()
+}
+
+// mediumRecords returns the addresses of m's radio, transmission and
+// reception records: those attached or on the air, and those on its free
+// lists.
+func mediumRecords(m *phy.Medium) (radios, txs, recs map[uintptr]bool) {
+	radios, txs, recs = map[uintptr]bool{}, map[uintptr]bool{}, map[uintptr]bool{}
+	add := func(set map[uintptr]bool, list reflect.Value) {
+		for i := 0; i < list.Len(); i++ {
+			set[list.Index(i).Pointer()] = true
+		}
+	}
+	v := reflect.ValueOf(m).Elem()
+	add(radios, v.FieldByName("radios"))
+	add(txs, v.FieldByName("txFree"))
+	add(txs, v.FieldByName("active"))
+	add(recs, v.FieldByName("recFree"))
+	for i, active := 0, v.FieldByName("active"); i < active.Len(); i++ {
+		add(recs, active.Index(i).Elem().FieldByName("rx"))
+	}
+	return radios, txs, recs
+}
+
+// TestSparesMediumHandedOn runs two saturated cells through one Spares:
+// the second attaches its stations into the first's radio records and
+// takes every transmission and reception record it needs from the first's,
+// so it allocates none of the three.
+func TestSparesMediumHandedOn(t *testing.T) {
+	sp := new(Spares)
+	first := saturatedCell(sp)
+	first.Run(20*sim.Second, 2*sim.Second)
+	radios, txs, recs := mediumRecords(first.Medium)
+	first.Release()
+
+	second := saturatedCell(sp)
+	second.Run(20*sim.Second, 2*sim.Second)
+	radios2, txs2, recs2 := mediumRecords(second.Medium)
+	for _, c := range []struct {
+		kind        string
+		first, next map[uintptr]bool
+	}{
+		{"radio", radios, radios2},
+		{"transmission", txs, txs2},
+		{"reception", recs, recs2},
+	} {
+		fresh := 0
+		for p := range c.next {
+			if !c.first[p] {
+				fresh++
+			}
+		}
+		if len(c.next) == 0 || fresh > 0 {
+			t.Errorf("the second cell holds %d %s records, %d of them new; the first held %d",
+				len(c.next), c.kind, fresh, len(c.first))
+		}
 	}
 	second.Release()
 }

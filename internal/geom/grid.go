@@ -22,10 +22,19 @@ type Grid struct {
 // at least as large as the common query radius keeps every query within the
 // 3x3x3 block around the query point.
 func NewGrid(cellSize float64) *Grid {
+	g := &Grid{cells: make(map[Cube][]int32)}
+	g.Reset(cellSize)
+	return g
+}
+
+// Reset empties the grid and gives it a new cell edge, keeping its map's
+// storage for the members inserted next.
+func (g *Grid) Reset(cellSize float64) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		panic("geom: grid cell size must be positive and finite")
 	}
-	return &Grid{cell: cellSize, cells: make(map[Cube][]int32)}
+	g.cell = cellSize
+	clear(g.cells)
 }
 
 // cellOf maps a position to its containing cell.

@@ -3,7 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"macaw/internal/core"
@@ -81,8 +84,11 @@ func TestCollectorHandlesLazy(t *testing.T) {
 }
 
 // TestMarshalersMatchEncodingJSON compares the Counter and Series
-// marshalers with the encoding/json path they replace, byte for byte.
+// marshalers, and WriteRuns's documents (see checkDocuments), with the
+// encoding/json path they replace, byte for byte.
 func TestMarshalersMatchEncodingJSON(t *testing.T) {
+	checkDocuments(t)
+
 	for _, v := range []int64{0, 1, -7, 1 << 40, math.MaxInt64, math.MinInt64} {
 		want, _ := json.Marshal(v)
 		got, err := json.Marshal(&Counter{N: v})
@@ -135,6 +141,105 @@ func TestMarshalersMatchEncodingJSON(t *testing.T) {
 		if b, err := json.Marshal(s); err == nil {
 			t.Errorf("series holding %v marshalled to %s, want an error", v, b)
 		}
+	}
+}
+
+// randomLabel returns a label of up to six runes drawn from ASCII letters,
+// the HTML characters encoding/json escapes, quotes, controls, non-ASCII
+// runes and a byte that is not UTF-8.
+func randomLabel(rng *rand.Rand) string {
+	parts := []string{"a", "Z", "/", " ", "<", ">", "&", "\"", "\\", "\n", "\u2028", "é", "雨", "🙂", "\xff"}
+	var b strings.Builder
+	for k := rng.Intn(7); k > 0; k-- {
+		b.WriteString(parts[rng.Intn(len(parts))])
+	}
+	return b.String()
+}
+
+// randomRun returns a RunMetrics with random stations and streams, under
+// random labels; one run in eight is nil.
+func randomRun(rng *rand.Rand) *RunMetrics {
+	if rng.Intn(8) == 0 {
+		return nil
+	}
+	rm := &RunMetrics{
+		Seed: rng.Int63(), TotalS: rng.Float64() * 100, WarmupS: rng.Float64(),
+		Engine:   EngineMetrics{EventsFired: rng.Uint64(), MaxEventQueue: rng.Intn(1000)},
+		Stations: map[string]*StationMetrics{},
+		Streams:  map[string]*StreamMetrics{},
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		reg := NewRegistry()
+		reg.Counter(randomLabel(rng)).N = rng.Int63n(1000)
+		series := &Series{}
+		series.Observe(sim.Time(rng.Int63n(int64(sim.Second))), rng.NormFloat64())
+		reg.Series[randomLabel(rng)] = series
+		st := &StationMetrics{Registry: reg, MACStats: mac.Stats{RTSSent: rng.Intn(50)}}
+		if rng.Intn(2) == 0 {
+			st.FSMResidencyS = map[string]float64{randomLabel(rng): rng.Float64()}
+		}
+		rm.Stations[randomLabel(rng)] = st
+	}
+	for k := rng.Intn(3); k > 0; k-- {
+		sm := &StreamMetrics{Transport: randomLabel(rng), PPS: rng.Float64() * 64, Offered: rng.Intn(99)}
+		if rng.Intn(2) == 0 {
+			sm.Delay = NewHistogram([]float64{0.01, 0.1, 1})
+			sm.Delay.Observe(rng.Float64())
+		}
+		rm.Streams[randomLabel(rng)] = sm
+	}
+	return rm
+}
+
+// checkDocuments compares whole metrics documents, as Sink.WriteJSON and
+// the campaign's merged document write them, with what an encoding/json
+// Encoder indenting by two spaces writes for the same map: a nil and an
+// empty sink, and random sinks whose runs include nil ones, under labels
+// with HTML characters, non-ASCII runes and invalid UTF-8. The raw
+// documents keep their runs' HTML characters unescaped and their text
+// spaced out, as a json.RawMessage may hold them.
+func checkDocuments(t *testing.T) {
+	viaEncodingJSON := func(runs any) []byte {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(struct {
+			Runs any `json:"runs"`
+		}{runs}); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	check := func(name string, runs any, write func(w io.Writer) error) {
+		t.Helper()
+		var got bytes.Buffer
+		if err := write(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := viaEncodingJSON(runs); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: document\n%s\nwant\n%s", name, got.Bytes(), want)
+		}
+	}
+	check("nil sink", map[string]*RunMetrics(nil), (&Sink{}).WriteJSON)
+	check("empty sink", map[string]*RunMetrics{}, NewSink().WriteJSON)
+	check("nil raw", map[string]json.RawMessage(nil), func(w io.Writer) error {
+		return WriteRuns(w, map[string]json.RawMessage(nil))
+	})
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 60; trial++ {
+		sink := NewSink()
+		raw := map[string]json.RawMessage{}
+		for k := rng.Intn(6); k > 0; k-- {
+			label, rm := randomLabel(rng), randomRun(rng)
+			sink.Add(label, rm)
+			b, err := json.MarshalIndent(rm, " ", "   ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[label] = []byte(strings.NewReplacer(`\u003c`, "<", `\u003e`, ">", `\u0026`, "&").Replace(string(b)))
+		}
+		check("sink", sink.runs, sink.WriteJSON)
+		check("raw", raw, func(w io.Writer) error { return WriteRuns(w, raw) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"sort"
@@ -57,13 +58,64 @@ func (s *Sink) Labels() []string {
 }
 
 // WriteJSON writes every stored run as one indented JSON document:
-// {"runs": {label: RunMetrics, ...}}.
+// {"runs": {label: RunMetrics, ...}} (see WriteRuns).
 func (s *Sink) WriteJSON(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Runs map[string]*RunMetrics `json:"runs"`
-	}{Runs: s.runs})
+	return WriteRuns(w, s.runs)
+}
+
+// WriteRuns writes runs as the document {"runs": {label: run, ...}},
+// byte for byte as an encoding/json Encoder indenting by two spaces
+// writes it: labels sorted, HTML characters escaped, a json.RawMessage
+// compacted. It writes one run at a time, each indented into one reused
+// buffer, so the document costs its largest run's bytes, not its whole
+// size over again. A run that fails to marshal ends the document there:
+// w holds the runs before it.
+func WriteRuns[V any](w io.Writer, runs map[string]V) error {
+	if runs == nil {
+		_, err := io.WriteString(w, "{\n  \"runs\": null\n}\n")
+		return err
+	}
+	if len(runs) == 0 {
+		_, err := io.WriteString(w, "{\n  \"runs\": {}\n}\n")
+		return err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("    ", "  ")
+	// encode appends v's indented text to buf without Encode's newline.
+	encode := func(v any) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		buf.Truncate(buf.Len() - 1)
+		return nil
+	}
+	buf.WriteString("{\n  \"runs\": {\n")
+	labels := make([]string, 0, len(runs))
+	for l := range runs {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for i, label := range labels {
+		buf.WriteString("    ")
+		if err := encode(label); err != nil {
+			return err
+		}
+		buf.WriteString(": ")
+		if err := encode(runs[label]); err != nil {
+			return err
+		}
+		if i < len(labels)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		buf.Reset()
+	}
+	_, err := io.WriteString(w, "  }\n}\n")
+	return err
 }

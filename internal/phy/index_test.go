@@ -91,9 +91,14 @@ type diffWorld struct {
 	recs   []*recorder
 }
 
-func buildWorld(tr diffTrial, exhaustive bool) *diffWorld {
+// buildWorld builds a trial's world; with dead set, its medium first takes
+// over dead's storage.
+func buildWorld(tr diffTrial, exhaustive bool, dead *Medium) *diffWorld {
 	w := &diffWorld{s: sim.New(tr.simSeed)}
 	w.m = New(w.s, DefaultParams())
+	if dead != nil {
+		w.m.Recycle(dead)
+	}
 	w.m.SetExhaustive(exhaustive)
 	w.m.SetNoise(UniformLoss{P: 0.15})
 	for i := 0; i < tr.n; i++ {
@@ -157,8 +162,8 @@ func TestIndexedMatchesExhaustive(t *testing.T) {
 	const trials = 120
 	for trial := 0; trial < trials; trial++ {
 		tr := genTrial(master)
-		wi := buildWorld(tr, false)
-		we := buildWorld(tr, true)
+		wi := buildWorld(tr, false, nil)
+		we := buildWorld(tr, true, nil)
 		if !wi.m.IndexEnabled() {
 			t.Fatal("index not enabled under default params")
 		}

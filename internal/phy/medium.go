@@ -113,9 +113,9 @@ type transmission struct {
 // takes is bit-identical to recomputing propagation from scratch on each
 // query, while doing almost no floating-point math on the hot path:
 //
-//   - gains caches prop.Gain for every ordered radio pair, so a pair's
-//     path loss (a math.Pow chain under the default model) is computed at
-//     most once between position changes.
+//   - each radio's gains row caches prop.Gain for every ordered radio pair
+//     it leads, so a pair's path loss (a math.Pow chain under the default
+//     model) is computed at most once between position changes.
 //   - carrier holds, per radio, the carrier-sense energy: the gain of every
 //     active transmission, summed in active-list order. Starting a
 //     transmission extends each radio's sum on the right (exactly extending
@@ -151,11 +151,6 @@ type Medium struct {
 	rng       *rand.Rand
 	counters  Counters
 
-	// gains is the dense pairwise gain cache (NaN = not yet computed),
-	// indexed [a.idx][b.idx]. Entries are exactly prop.Gain(a.pos, b.pos)
-	// with the negligibility floor applied, so cached and fresh
-	// computations are interchangeable.
-	gains [][]float64
 	// carrier is the per-radio carrier-sense energy described above. The
 	// entry for a transmitting radio may include its own (clamped, huge)
 	// self-gain; it is never read while the radio transmits, and is
@@ -189,6 +184,10 @@ type Medium struct {
 	// (it owns the frame the notifications deliver).
 	txFree  []*transmission
 	recFree []*reception
+	// spare holds the radio records Recycle took over, for Attach to
+	// reuse; recycled marks a medium whose storage Recycle handed on.
+	spare    []*Radio
+	recycled bool
 }
 
 // Closure-free event adapters for Simulator.AtPriorityCall: package-level
@@ -227,6 +226,9 @@ func (m *Medium) allocTx() *transmission {
 		t := m.txFree[n-1]
 		m.txFree[n-1] = nil
 		m.txFree = m.txFree[:n-1]
+		// A record Recycle freed while on the air still lists its
+		// receptions.
+		t.rx, t.pending = t.rx[:0], 0
 		return t
 	}
 	return &transmission{m: m}
@@ -249,6 +251,69 @@ func (m *Medium) allocRec(q *Radio, power float64) *reception {
 		return rec
 	}
 	return &reception{radio: q, power: power}
+}
+
+// Recycle takes over dead's storage, as sim.Simulator.Recycle does for a
+// simulator: its radio records, each keeping the capacity of its neighbor,
+// audible, reception and gain-row slices, for Attach to reuse; its
+// transmission records, each with its payload buffer, and its reception
+// records; its carrier, active-list and scratch arrays; and its grid's
+// map, emptied. A transmission still on the air is dropped, as dead's
+// simulator drops its pending events when it is recycled too. It must
+// come before m's first Attach. dead must be finished for good: the next
+// Attach on m rewrites dead's radio records, so nothing dead attached may
+// be used again. Attach on dead panics, and so does Transmit from a radio
+// of dead's that m has not reused yet. Core's Spares calls it on each
+// network's medium, so a component network attaches its radios into the
+// records of the component before it. None of it is observable: Attach
+// resets a reused record completely, and a reused transmission record is
+// rewritten at Transmit.
+func (m *Medium) Recycle(dead *Medium) {
+	switch {
+	case dead == m:
+		panic("phy: a medium cannot recycle itself")
+	case dead.recycled:
+		panic("phy: recycling a medium already recycled")
+	case len(m.radios) > 0:
+		panic("phy: Recycle after Attach")
+	}
+	for _, t := range dead.active {
+		for _, rec := range t.rx {
+			rec.radio, rec.tx = nil, nil
+			dead.recFree = append(dead.recFree, rec)
+		}
+		t.radio = nil
+		dead.freeTx(t)
+	}
+	for _, t := range dead.txFree {
+		t.m = m
+	}
+	// A spare record keeps dead as its medium, so a stale Transmit on it
+	// panics, and lets go of its handler and transmission.
+	for _, r := range dead.radios {
+		r.h, r.tx = nil, nil
+	}
+	m.spare = append(append(dead.spare, dead.radios...), m.spare...)
+	m.txFree = append(dead.txFree, m.txFree...)
+	m.recFree = append(dead.recFree, m.recFree...)
+	m.radios = larger(m.radios, dead.radios)
+	m.carrier = larger(m.carrier, dead.carrier)
+	m.active = larger(m.active, dead.active)
+	m.oldNbr = larger(m.oldNbr, dead.oldNbr)
+	m.unionNbr = larger(m.unionNbr, dead.unionNbr)
+	if m.grid != nil && dead.grid != nil {
+		dead.grid.Reset(m.cutoff)
+		m.grid = dead.grid
+	}
+	*dead = Medium{recycled: true}
+}
+
+// larger returns own, empty, or spare, emptied, when its array is larger.
+func larger[T any](own, spare []T) []T {
+	if cap(spare) > cap(own) {
+		return spare[:0]
+	}
+	return own[:0]
 }
 
 // New creates a medium with the given physical parameters and no noise.
@@ -350,19 +415,34 @@ func (m *Medium) Counters() Counters { return m.counters }
 // Attach adds a radio at pos. The handler may be nil initially and installed
 // later with SetHandler, but must be set before any frame can be delivered.
 func (m *Medium) Attach(id frame.NodeID, pos geom.Vec3, h Handler) *Radio {
-	r := &Radio{id: id, pos: pos, m: m, h: newHandler(h), enabled: true, idx: len(m.radios)}
-	m.radios = append(m.radios, r)
+	if m.recycled {
+		panic("phy: Attach on a recycled medium")
+	}
+	var r *Radio
+	if k := len(m.spare); k > 0 {
+		r = m.spare[k-1]
+		m.spare[k-1] = nil
+		m.spare = m.spare[:k-1]
+	} else {
+		r = new(Radio)
+	}
+	*r = Radio{id: id, pos: pos, m: m, h: newHandler(h), enabled: true, idx: len(m.radios),
+		nbr: r.nbr[:0], audible: r.audible[:0], recs: r.recs[:0], gains: r.gains[:0]}
 	// Extend the gain cache by one dirty column and one dirty row; existing
 	// entries stay valid — attaching a radio moves nobody.
 	nan := math.NaN()
-	for i := range m.gains {
-		m.gains[i] = append(m.gains[i], nan)
+	for _, q := range m.radios {
+		q.gains = append(q.gains, nan)
 	}
-	row := make([]float64, len(m.radios))
-	for i := range row {
-		row[i] = nan
+	m.radios = append(m.radios, r)
+	if n := len(m.radios); cap(r.gains) < n {
+		r.gains = make([]float64, n)
+	} else {
+		r.gains = r.gains[:n]
 	}
-	m.gains = append(m.gains, row)
+	for i := range r.gains {
+		r.gains[i] = nan
+	}
 	m.carrier = append(m.carrier, 0)
 	if m.indexed {
 		m.grid.Insert(int32(r.idx), pos)
@@ -384,9 +464,9 @@ func (m *Medium) Radios() []*Radio { return m.radios }
 // invalidateAllGains marks every pairwise gain as not computed.
 func (m *Medium) invalidateAllGains() {
 	nan := math.NaN()
-	for _, row := range m.gains {
-		for k := range row {
-			row[k] = nan
+	for _, r := range m.radios {
+		for k := range r.gains {
+			r.gains[k] = nan
 		}
 	}
 }
@@ -394,12 +474,11 @@ func (m *Medium) invalidateAllGains() {
 // invalidateRadioGains marks every gain involving r as not computed.
 func (m *Medium) invalidateRadioGains(r *Radio) {
 	nan := math.NaN()
-	row := m.gains[r.idx]
-	for k := range row {
-		row[k] = nan
+	for k := range r.gains {
+		r.gains[k] = nan
 	}
-	for k := range m.gains {
-		m.gains[k][r.idx] = nan
+	for _, q := range m.radios {
+		q.gains[r.idx] = nan
 	}
 }
 
@@ -408,13 +487,13 @@ func (m *Medium) invalidateRadioGains(r *Radio) {
 // independently: the default models are symmetric, but a custom Propagation
 // need not be.
 func (m *Medium) gain(a, b *Radio) float64 {
-	g := m.gains[a.idx][b.idx]
+	g := a.gains[b.idx]
 	if math.IsNaN(g) {
 		g = m.prop.Gain(a.pos, b.pos)
 		if m.floor > 0 && g < m.floor {
 			g = 0
 		}
-		m.gains[a.idx][b.idx] = g
+		a.gains[b.idx] = g
 	}
 	return g
 }
@@ -540,6 +619,9 @@ func (m *Medium) unlinkRec(rec *reception) {
 
 // startTx begins radiating f from r for its airtime and returns the airtime.
 func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
+	if m.recycled {
+		panic("phy: Transmit on a recycled medium")
+	}
 	air := f.Airtime(m.params.BitrateBPS)
 	if r.tx != nil {
 		panic(fmt.Sprintf("phy: %v transmitting while already transmitting", r.id))
@@ -559,9 +641,11 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	tx := m.allocTx()
 	m.txSeq++
 	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, *f, m.s.Now()+air, len(m.active), m.txSeq
+	// The sender may reuse its payload bytes once Transmit returns. A
+	// frame without payload empties the buffer too, so a reused record
+	// holds no bytes of an earlier frame.
+	tx.payload = append(tx.payload[:0], f.Payload...)
 	if f.Payload != nil {
-		// The sender may reuse its payload bytes once Transmit returns.
-		tx.payload = append(tx.payload[:0], f.Payload...)
 		tx.f.Payload = tx.payload
 	}
 	r.tx = tx
@@ -823,7 +907,7 @@ type Radio struct {
 	enabled     bool
 	carrierBusy bool
 	// idx is the radio's position in Medium.radios, the key into the
-	// medium's gain and interference caches.
+	// medium's carrier cache and into every radio's gains row.
 	idx int
 	// nbr is the idx-sorted set of radios within the medium's cutoff
 	// radius, this radio included; nil when the index is disabled.
@@ -835,6 +919,12 @@ type Radio struct {
 	// recs is the list of receptions in flight at this radio (maintained
 	// in both indexed and exhaustive modes).
 	recs []*reception
+	// gains is this radio's row of the dense pairwise gain cache, indexed
+	// by the other radio's idx (NaN = not yet computed): gains[b.idx] is
+	// exactly prop.Gain(r.pos, b.pos) with the negligibility floor
+	// applied, so cached and fresh computations are interchangeable. The
+	// row travels with the record when Recycle hands it on.
+	gains []float64
 }
 
 // ID returns the radio's station identifier.
@@ -894,12 +984,12 @@ func (r *Radio) SetPos(p geom.Vec3) {
 	// cutoffs were stored as exact zeros and remain exact zeros.
 	nan := math.NaN()
 	for _, q := range m.oldNbr {
-		m.gains[r.idx][q.idx] = nan
-		m.gains[q.idx][r.idx] = nan
+		r.gains[q.idx] = nan
+		q.gains[r.idx] = nan
 	}
 	for _, q := range r.nbr {
-		m.gains[r.idx][q.idx] = nan
-		m.gains[q.idx][r.idx] = nan
+		r.gains[q.idx] = nan
+		q.gains[r.idx] = nan
 	}
 	if m.useIndex() {
 		if r.tx != nil {

@@ -94,11 +94,11 @@ func (h *barrierer) RadioReceive(f *frame.Frame) {
 	}
 }
 
-// TestAdoptFailsClosedWhileDraining: a barrier that falls while an ended
+// TestBarrierMidDrainLosesNoNotification: a barrier that falls while an ended
 // transmission still has notifications pending loses none of them. The
 // later receiver gets the frame as radiated once the run resumes, and the
 // medium ends in the state of an uninterrupted run.
-func TestAdoptFailsClosedWhileDraining(t *testing.T) {
+func TestBarrierMidDrainLosesNoNotification(t *testing.T) {
 	build := func(h Handler) (*sim.Simulator, *Medium, *Radio, *recorder) {
 		s, m := newTestMedium(t)
 		a := m.Attach(1, geom.V(0, 0, 6), nil)

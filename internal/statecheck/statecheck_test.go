@@ -2,6 +2,7 @@ package statecheck_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -21,7 +22,14 @@ const total, warmup, barrier = 3 * sim.Second, sim.Second, sim.Time(3 * sim.Seco
 // cell builds the conformance suite's contended three-station cell and
 // runs it to the barrier.
 func cell(f core.MACFactory) *core.Network {
-	n := core.NewNetwork(7)
+	n := startCell(core.NewNetwork(7), f)
+	n.RunTo(barrier)
+	return n
+}
+
+// startCell builds cell's stations and streams on n, which must come from
+// seed 7, and starts its run.
+func startCell(n *core.Network, f core.MACFactory) *core.Network {
 	b := n.AddStation("B", geom.V(0, 0, 12), f)
 	p1 := n.AddStation("P1", geom.V(-4, 3, 6), f)
 	p2 := n.AddStation("P2", geom.V(4, 3, 6), f)
@@ -29,11 +37,14 @@ func cell(f core.MACFactory) *core.Network {
 	n.AddStream(p2, b, core.UDP, 30)
 	n.AddStream(b, p1, core.UDP, 10)
 	n.Start(total, warmup)
-	n.RunTo(barrier)
 	return n
 }
 
-func macawCell() *core.Network { return cell(core.MACAWFactory(macaw.DefaultOptions())) }
+// macawFactory is macawCell's factory, shared so that a cell built on a
+// network from core.Spares names the same func in its dump.
+var macawFactory = core.MACAWFactory(macaw.DefaultOptions())
+
+func macawCell() *core.Network { return cell(macawFactory) }
 func dcfCell() *core.Network   { return cell(core.DCFFactory(dcf.Options{})) }
 
 // field returns the named field of the struct p points to, settable even
@@ -64,6 +75,44 @@ func storeBlocks(s *mac.Blocks) []reflect.Value {
 		}
 	}
 	return out
+}
+
+// fill sets every element of the slice s up to its capacity, or of a new
+// slice of 8 when its capacity is smaller, to x.
+func fill(s, x reflect.Value) {
+	if s.Cap() < 8 {
+		s.Set(reflect.MakeSlice(s.Type(), 8, 8))
+	}
+	s.Set(s.Slice(0, s.Cap()))
+	for i := 0; i < s.Len(); i++ {
+		s.Index(i).Set(x)
+	}
+}
+
+// poisonFree fills the medium m's free transmission and reception records
+// with state no record has when it is taken: stale times, stamps,
+// positions and counts, and links to the radio r, the transmission tx and
+// the reception rec.
+func poisonFree(m, r, tx, rec reflect.Value) {
+	txs, recs := settable(m.FieldByName("txFree")), settable(m.FieldByName("recFree"))
+	for i := 0; i < txs.Len(); i++ {
+		t := txs.Index(i).Elem()
+		settable(t.FieldByName("radio")).Set(r)
+		settable(t.FieldByName("end")).SetInt(1 << 62)
+		settable(t.FieldByName("seq")).SetUint(1 << 60)
+		settable(t.FieldByName("idx")).SetInt(99)
+		settable(t.FieldByName("pending")).SetInt(7)
+		settable(t.FieldByName("payload")).SetBytes([]byte("stale payload bytes"))
+		fill(settable(t.FieldByName("rx")), rec)
+	}
+	for i := 0; i < recs.Len(); i++ {
+		q := recs.Index(i).Elem()
+		settable(q.FieldByName("radio")).Set(r)
+		settable(q.FieldByName("power")).SetFloat(1e300)
+		settable(q.FieldByName("corrupted")).SetBool(true)
+		settable(q.FieldByName("tx")).Set(tx)
+		settable(q.FieldByName("pos")).SetInt(99)
+	}
 }
 
 func engine(n *core.Network) *macaw.MACAW { return n.Station("P1").MAC().(*macaw.MACAW) }
@@ -220,6 +269,74 @@ func TestDumpIgnoresLayout(t *testing.T) {
 	}
 	if taken == 0 {
 		t.Error("the run took no poisoned queue block")
+	}
+
+	// The medium's storage a network built through core.Spares takes
+	// over: the radio records of a larger network released half way
+	// through its run, each with its neighbor, audible and reception
+	// lists and its gain row, and its free transmission and reception
+	// records. Every one is poisoned before the cell attaches its
+	// stations, and the live medium's free records again at the barrier.
+	// The dumps are compared after each of the first 400 events, while the
+	// first transmissions are on the air in records taken from poison,
+	// then every 5 ms.
+	sp := new(core.Spares)
+	donor := sp.Network(3)
+	base := donor.AddStation("B", geom.V(0, 0, 12), macawFactory)
+	for i := 1; i <= 4; i++ {
+		p := donor.AddStation(fmt.Sprintf("P%d", i), geom.V(float64(2*i-5), 3, 6), macawFactory)
+		donor.AddStream(p, base, core.UDP, 64)
+	}
+	donor.Start(total, warmup)
+	donor.RunTo(barrier)
+	donor.Release()
+	n = sp.Network(7)
+	m := reflect.ValueOf(n.Medium).Elem()
+	radios := settable(m.FieldByName("spare"))
+	if radios.Len() < 3 || m.FieldByName("txFree").Len() == 0 || m.FieldByName("recFree").Len() == 0 {
+		t.Fatalf("the medium took over %d radio, %d transmission and %d reception records, want 3 or more and some",
+			radios.Len(), m.FieldByName("txFree").Len(), m.FieldByName("recFree").Len())
+	}
+	r := settable(radios.Index(0))
+	tx := settable(m.FieldByName("txFree").Index(0))
+	rec := settable(m.FieldByName("recFree").Index(0))
+	poisoned := map[uintptr]bool{}
+	for i := 0; i < radios.Len(); i++ {
+		q := radios.Index(i).Elem()
+		poisoned[radios.Index(i).Pointer()] = true
+		settable(q.FieldByName("tx")).Set(tx)
+		settable(q.FieldByName("carrierBusy")).SetBool(true)
+		settable(q.FieldByName("enabled")).SetBool(false)
+		fill(settable(q.FieldByName("nbr")), r)
+		fill(settable(q.FieldByName("audible")), tx)
+		fill(settable(q.FieldByName("recs")), rec)
+		fill(settable(q.FieldByName("gains")), reflect.ValueOf(1e6))
+	}
+	poisonFree(m, r, tx, rec)
+	startCell(n, macawFactory)
+	for _, st := range n.Stations() {
+		if !poisoned[reflect.ValueOf(st.Radio()).Pointer()] {
+			t.Fatalf("station %s did not attach into a poisoned radio record", st.Name())
+		}
+	}
+	ref := startCell(core.NewNetwork(7), macawFactory)
+	for k, at := 0, sim.Time(0); at < n.End(); k++ {
+		if k < 400 {
+			n.Sim.Step()
+			ref.Sim.Step()
+			at = n.Sim.Now()
+		} else {
+			at = min(at+5*sim.Millisecond, n.End())
+			n.RunTo(at)
+			ref.RunTo(at)
+		}
+		if !bytes.Equal(statecheck.Dump(n), statecheck.Dump(ref)) {
+			t.Errorf("poisoned radio, transmission and reception records: dumps at %v differ", at)
+			break
+		}
+		if at == barrier {
+			poisonFree(m, r, tx, rec)
+		}
 	}
 
 	old := sim.New(2)
