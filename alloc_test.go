@@ -51,6 +51,20 @@ func figure2Cell(t *testing.T, rate float64, obs ...core.MACObserverFactory) *co
 // allocated a method-value closure.
 const maxMallocsPerCell = 168
 
+// maxMallocsPerComponentStation pins the heap allocations per station of
+// building and briefly running a 17-station MACAW component, the size of
+// the city workload's largest, through a core.Spares that a finished
+// component has handed its storage to, as each shard worker does
+// (TestMallocsPerComponentStation). What remains is each station's
+// record, MAC engine, policy and queue records, traffic, and the slices
+// its per-peer records grow in. Measured on go1.24 linux/amd64: 583
+// mallocs, 34.3 per station (36.6 under the race detector), pinned at 40,
+// against 888, 52.2 per station, when MACAW kept its per-peer state in six
+// maps keyed by station id, the per-destination backoff policy and the
+// stream queues kept one map each, every network allocated a medium of
+// its own and every station a handler record.
+const maxMallocsPerComponentStation = 40
+
 // maxMallocsPerCollectedStation is what a metrics collector may add to the
 // cell per station (TestMallocsPerInstrumentedCell): the measured 42 with
 // 14% headroom.
@@ -95,6 +109,43 @@ func TestMallocsPerInstrumentedCell(t *testing.T) {
 	t.Logf("%d mallocs over %d fired events with %d stations collected", mallocs, n.Sim.Fired(), stations)
 	if mallocs > limit {
 		t.Fatalf("%d mallocs in the instrumented cell, want at most %d", mallocs, limit)
+	}
+}
+
+// TestMallocsPerComponentStation fails when a change brings back
+// per-peer or per-network allocations that the city workload makes once
+// per station. It takes the fewest of three components built in turn
+// through one Spares: the heap counter is process-wide.
+func TestMallocsPerComponentStation(t *testing.T) {
+	const stations = 17
+	l := topo.Random(topo.RandomSpec{N: stations, Clustered: true, AreaFt: 24, Seed: 1})
+	factory := core.MACAWFactory(macaw.DefaultOptions())
+	var sp core.Spares
+	build := func() *core.Network {
+		n := sp.Network(1)
+		if err := l.Build(n, factory); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	build().Release()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := build()
+		res := n.Run(2*sim.Second, sim.Second)
+		runtime.ReadMemStats(&after)
+		n.Release()
+		if res.TotalPPS() <= 0 {
+			t.Fatal("the component delivered nothing")
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	per := float64(least) / stations
+	t.Logf("%d mallocs for %d stations: %.1f per station", least, stations, per)
+	if per > maxMallocsPerComponentStation {
+		t.Fatalf("%.1f mallocs per station, want at most %d", per, maxMallocsPerComponentStation)
 	}
 }
 

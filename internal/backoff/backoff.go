@@ -15,8 +15,10 @@ const (
 	DefaultAlpha = 1
 )
 
-// IDontKnow marks an unknown remote backoff estimate.
-const IDontKnow = int(frame.IDontKnow)
+// IDontKnow marks an unknown remote backoff estimate: frame.IDontKnow,
+// untyped so that it compares with the int policy values and the int32
+// Peer fields alike.
+const IDontKnow = -1
 
 // Strategy is a backoff adjustment algorithm: Inc is applied after a failed
 // RTS (Finc), Dec after a successful exchange (Fdec).

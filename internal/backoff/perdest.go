@@ -1,69 +1,78 @@
 package backoff
 
-import (
-	"sort"
-
-	"macaw/internal/frame"
-)
+import "macaw/internal/frame"
 
 // Peer is the per-remote-station state of Appendix B. The pseudocode's
 // exchange_seq_number and retry_count each serve two distinct roles —
 // numbering our own exchanges toward the peer and tracking the peer's
-// exchanges toward us — which this implementation keeps separate.
+// exchanges toward us — which this implementation keeps separate. The
+// counters are 32 bits wide: a packet header carries the backoff values
+// as int16 and the retry counts stay below the retry limit, so nothing is
+// lost, and the record is 24 bytes.
 type Peer struct {
 	// Local is the local end's counter for this stream ("the backoff
 	// value at this station as estimated by the remote station").
-	Local int
+	Local int32
 	// Remote is the estimated backoff value for the remote station, or
 	// IDontKnow.
-	Remote int
+	Remote int32
 	// SendESN numbers our own packet exchanges toward the peer.
 	SendESN uint32
 	// SendRetry counts our transmission attempts for the current packet.
-	SendRetry int
+	SendRetry int32
 	// SeenESN is the highest exchange number observed from the peer.
 	SeenESN uint32
 	// SeenRetry counts observed retransmissions of the peer's current
 	// exchange.
-	SeenRetry int
+	SeenRetry int32
 }
 
 // PerDest is the per-destination backoff policy of §3.4 and Appendix B.
 // Each station keeps its own counter (My) plus, for every remote station, a
 // local/remote pair; the contention window toward a destination combines
 // the congestion estimates of both ends by summing them (footnote 9).
+//
+// The Peer records live by value in a frame.Peers, a slice sorted by
+// station id and searched by bisection.
 type PerDest struct {
 	strat Strategy
 	// Alpha is the additive retry penalty from the Appendix B pseudocode.
 	Alpha int
 	// My is "the backoff value at this station".
 	My    int
-	peers map[frame.NodeID]*Peer
+	peers frame.Peers[Peer]
 }
 
 // NewPerDest returns a per-destination policy using strat.
 func NewPerDest(strat Strategy) *PerDest {
-	return &PerDest{strat: strat, Alpha: DefaultAlpha, My: strat.Min(), peers: make(map[frame.NodeID]*Peer)}
+	return &PerDest{strat: strat, Alpha: DefaultAlpha, My: strat.Min()}
 }
 
-// Peer returns the bookkeeping entry for id, creating it on first use.
+// Peer returns the bookkeeping entry for id, creating it on first use. The
+// pointer is valid until the next call that creates an entry.
 func (p *PerDest) Peer(id frame.NodeID) *Peer {
-	pe := p.peers[id]
-	if pe == nil {
-		pe = &Peer{Local: p.My, Remote: IDontKnow, SendESN: 1, SendRetry: 1}
-		p.peers[id] = pe
+	if pe := p.peers.Get(id); pe != nil {
+		return pe
 	}
+	pe := p.peers.Add(id)
+	*pe = Peer{Local: int32(p.My), Remote: IDontKnow, SendESN: 1, SendRetry: 1}
 	return pe
+}
+
+// Lookup returns the bookkeeping entry for id without creating one, valid
+// as Peer's is — introspection for the fault watchdog's stale-entry checks.
+func (p *PerDest) Lookup(id frame.NodeID) (*Peer, bool) {
+	pe := p.peers.Get(id)
+	return pe, pe != nil
 }
 
 // PeerIDs lists the stations with bookkeeping entries in ascending order —
 // introspection for the fault watchdog's stale-entry checks.
 func (p *PerDest) PeerIDs() []frame.NodeID {
-	ids := make([]frame.NodeID, 0, len(p.peers))
-	for id := range p.peers {
-		ids = append(ids, id)
+	ids := make([]frame.NodeID, p.peers.Len())
+	for i := range ids {
+		ids[i], _ = p.peers.At(i)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -93,9 +102,9 @@ func (p *PerDest) bump(v, d int) int {
 // ends of the stream.
 func (p *PerDest) Backoff(dst frame.NodeID) int {
 	pe := p.Peer(dst)
-	bo := pe.Local
+	bo := int(pe.Local)
 	if pe.Remote != IDontKnow {
-		bo += pe.Remote
+		bo += int(pe.Remote)
 	}
 	return clamp(bo, p.strat.Min(), 2*p.strat.Max())
 }
@@ -105,7 +114,7 @@ func (p *PerDest) Backoff(dst frame.NodeID) int {
 // sequence number advances.
 func (p *PerDest) StartExchange(dst frame.NodeID) {
 	pe := p.Peer(dst)
-	pe.Local = p.My
+	pe.Local = int32(p.My)
 	pe.SendESN++
 	pe.SendRetry = 1
 }
@@ -132,11 +141,11 @@ func (p *PerDest) OnOverhear(f *frame.Frame) {
 		return
 	}
 	if local, ok := p.headerVal(f.LocalBackoff); ok {
-		p.Peer(f.Src).Remote = local
+		p.Peer(f.Src).Remote = int32(local)
 		p.My = local
 	}
 	if remote, ok := p.headerVal(f.RemoteBackoff); ok {
-		p.Peer(f.Dst).Remote = remote
+		p.Peer(f.Dst).Remote = int32(remote)
 	}
 }
 
@@ -177,13 +186,13 @@ func (p *PerDest) OnReceive(f *frame.Frame) {
 			// cumulative bump: the estimate stays bounded by the
 			// retry limit instead of ratcheting to the maximum.
 			if okLocal {
-				pe.Remote = p.clamp(local + pe.SeenRetry*p.Alpha)
+				pe.Remote = int32(p.clamp(local + int(pe.SeenRetry)*p.Alpha))
 				if remote, ok := p.headerVal(f.RemoteBackoff); ok {
 					// "P's local_backoff = (local_backoff +
 					// remote_backoff) - Q's backoff": the sum of
 					// the two ends is preserved regardless of
 					// which end the collision charged.
-					pe.Local = p.clamp(local + remote - pe.Remote)
+					pe.Local = int32(p.clamp(local + remote - int(pe.Remote)))
 				}
 			}
 			pe.SeenRetry++
@@ -196,11 +205,11 @@ func (p *PerDest) OnReceive(f *frame.Frame) {
 	pe.SeenESN = f.ESN
 	pe.SeenRetry = 1
 	if okLocal {
-		pe.Remote = local
+		pe.Remote = int32(local)
 	}
 	if remote, ok := p.headerVal(f.RemoteBackoff); ok {
-		pe.Local = remote
-		p.My = pe.Local
+		pe.Local = int32(remote)
+		p.My = remote
 	}
 }
 
@@ -208,11 +217,11 @@ func (p *PerDest) OnReceive(f *frame.Frame) {
 // ends' estimates and resynchronizes my_backoff.
 func (p *PerDest) OnSuccess(dst frame.NodeID) {
 	pe := p.Peer(dst)
-	pe.Local = p.strat.Dec(pe.Local)
+	pe.Local = int32(p.strat.Dec(int(pe.Local)))
 	if pe.Remote != IDontKnow {
-		pe.Remote = p.strat.Dec(pe.Remote)
+		pe.Remote = int32(p.strat.Dec(int(pe.Remote)))
 	}
-	p.My = pe.Local
+	p.My = int(pe.Local)
 	pe.SendRetry = 1
 }
 
@@ -224,7 +233,7 @@ func (p *PerDest) OnSuccess(dst frame.NodeID) {
 // loaded sender permanently: each rare success undoes only Fdec's worth.)
 func (p *PerDest) OnFailure(dst frame.NodeID) {
 	pe := p.Peer(dst)
-	pe.Remote = p.bump(pe.Remote, pe.SendRetry*p.Alpha)
+	pe.Remote = int32(p.bump(int(pe.Remote), int(pe.SendRetry)*p.Alpha))
 	pe.SendRetry++
 }
 
@@ -238,6 +247,6 @@ func (p *PerDest) OnFailure(dst frame.NodeID) {
 // Fdec on success and the copying rules.
 func (p *PerDest) OnGiveUp(dst frame.NodeID) {
 	pe := p.Peer(dst)
-	pe.Local = p.strat.Max()
+	pe.Local = int32(p.strat.Max())
 	pe.SendRetry = 1
 }

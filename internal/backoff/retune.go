@@ -1,6 +1,9 @@
 package backoff
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file provides the live retuning hooks behind warm-started parameter
 // sweeps (DESIGN.md §15): a delta applied at a barrier rewrites strategy
@@ -45,7 +48,9 @@ func setBounds(p Policy, bomin, bomax int) error {
 		if bomax != 0 {
 			curMax = bomax
 		}
-		if curMin < 1 || curMax < curMin {
+		// A packet header carries backoff values as int16, and the
+		// per-destination Peer records hold them in 32 bits.
+		if curMin < 1 || curMax < curMin || curMax > math.MaxInt16 {
 			return 0, 0, fmt.Errorf("backoff: retune: invalid bounds [%d, %d]", curMin, curMax)
 		}
 		return curMin, curMax, nil

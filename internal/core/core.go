@@ -375,13 +375,23 @@ type Network struct {
 
 // NewNetwork creates a network with the paper's default radio and MAC
 // parameters.
-func NewNetwork(seed int64) *Network {
+func NewNetwork(seed int64) *Network { return newNetwork(seed, nil) }
+
+// newNetwork creates a network as NewNetwork does, building its medium in
+// spare's record when spare is not nil (see phy.Reuse).
+func newNetwork(seed int64, spare *phy.Medium) *Network {
 	s := sim.New(seed)
+	var medium *phy.Medium
+	if spare != nil {
+		medium = phy.Reuse(spare, s, phy.DefaultParams())
+	} else {
+		medium = phy.New(s, phy.DefaultParams())
+	}
 	tcpCfg := transport.DefaultTCPConfig()
 	tcpCfg.DupAckThreshold = 0 // 1994-era TCP: timeout-driven recovery only
 	return &Network{
 		Sim:    s,
-		Medium: phy.New(s, phy.DefaultParams()),
+		Medium: medium,
 		Cfg:    mac.DefaultConfig(),
 		byName: make(map[string]*Station),
 		queues: new(mac.Blocks),
@@ -426,6 +436,7 @@ func (n *Network) AddMACObserver(f MACObserverFactory) {
 
 // AddStation creates a station at pos running the protocol built by f.
 func (n *Network) AddStation(name string, pos geom.Vec3, f MACFactory) *Station {
+	n.mustLive("AddStation")
 	if _, dup := n.byName[name]; dup {
 		panic(fmt.Sprintf("core: duplicate station name %q", name))
 	}

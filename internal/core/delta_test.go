@@ -59,6 +59,7 @@ func TestApplyDeltaFailsClosed(t *testing.T) {
 		{"fault.crash", 1, ErrDeltaInvalidates},
 		{"backoff.min", 0, ErrDeltaInvalid},
 		{"backoff.max", 1.5, ErrDeltaInvalid},
+		{"backoff.max", 1 << 15, ErrDeltaInvalid},
 		{"mild.inc", 0.5, ErrDeltaInvalid},
 		{"mild.dec", 0, ErrDeltaInvalid},
 		{"load.rate", -1, ErrDeltaInvalid},

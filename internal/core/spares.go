@@ -11,10 +11,10 @@ import (
 // Spares hands a finished network's storage to the next network built
 // through it (DESIGN.md §8, "Recycled networks"): its simulator, whose RNG
 // generators and event storage the next simulator takes over through
-// sim.Simulator.Recycle; its medium, whose radio, transmission and
-// reception records and arrays the next medium takes over through
-// phy.Medium.Recycle; its packet slab, whose packets keep their payload
-// buffers; its offer-word arena; and the chunks of its MAC queue-block
+// sim.Simulator.Recycle; its medium, in whose record the next medium is
+// built, taking over its radio, transmission and reception records and
+// arrays, through phy.Reuse; its packet slab, whose packets keep their
+// payload buffers; its offer-word arena; and the chunks of its MAC queue-block
 // store (mac.Blocks). Release pushes the five as one bundle and Network
 // pops the bundle released last, so a Spares holds one bundle for each
 // network that was live at the same moment, each sized for the largest
@@ -53,39 +53,39 @@ type packetBlock [packetsPerBlock]mac.Packet
 // Network returns a network for seed, as NewNetwork does, that takes over
 // the bundle released to sp last, if any. A nil sp builds a fresh network.
 func (sp *Spares) Network(seed int64) *Network {
-	n := NewNetwork(seed)
 	if sp == nil {
-		return n
+		return NewNetwork(seed)
 	}
-	n.spares = sp
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	k := len(sp.bundles)
-	if k == 0 {
-		return n
+	var b bundle
+	if k := len(sp.bundles); k > 0 {
+		b = sp.bundles[k-1]
+		sp.bundles[k-1] = bundle{}
+		sp.bundles = sp.bundles[:k-1]
 	}
-	b := &sp.bundles[k-1]
-	n.Sim.Recycle(b.sim)
-	n.Medium.Recycle(b.medium)
-	n.blocks, n.words = b.blocks, b.words
-	b.queues.MoveTo(n.queues)
-	*b = bundle{}
-	sp.bundles = sp.bundles[:k-1]
+	sp.mu.Unlock()
+	n := newNetwork(seed, b.medium)
+	n.spares = sp
+	if b.sim != nil {
+		n.Sim.Recycle(b.sim)
+		n.blocks, n.words = b.blocks, b.words
+		b.queues.MoveTo(n.queues)
+	}
 	return n
 }
 
-// Release ends the network: Start, RunTo, Collect and a second Release
-// panic from here on, and a network built through Spares pushes its
+// Release ends the network: Start, RunTo, Collect, AddStation and a second
+// Release panic from here on, and a network built through Spares pushes its
 // storage onto them as one bundle. The next network takes over the
 // simulator, whose pending events are dropped and whose RNG streams panic
-// on a later draw (see sim.Simulator.Recycle); the medium, whose radio
-// records, which every station's Radio() and MAC engine point to, are
-// rewritten as the next network attaches its stations (see
-// phy.Medium.Recycle); the packets, which every station and MAC engine
-// of n may still point to, are rewritten as the next network sends; and
-// so are the offer words, which every stream's offer bookkeeping points
-// into; and so are the queue blocks, which every MAC engine's queues
-// hold. So nothing of n, a station's Radio() included, may be read after
+// on a later draw (see sim.Simulator.Recycle); the medium, n.Medium
+// itself, which becomes the next network's, and whose radio records, which
+// every station's Radio() and MAC engine point to, are rewritten as the
+// next network attaches its stations (see phy.Reuse); the packets, which
+// every station and MAC engine of n may still point to, are rewritten as
+// the next network sends; and so are the offer words, which every
+// stream's offer bookkeeping points into; and so are the queue blocks,
+// which every MAC engine's queues hold. So nothing of n, a station's Radio() included, may be read after
 // Release: call it once the run's results and observers are done.
 func (n *Network) Release() {
 	n.mustLive("Release")

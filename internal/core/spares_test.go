@@ -90,8 +90,9 @@ func TestSparesPassiveOnAllBackends(t *testing.T) {
 }
 
 // TestSparesReleasedNetworkFailsClosed requires every way of running a
-// released network, and a second Release, to panic, whether or not it was
-// built through Spares.
+// released network, a second Release and adding a station, whose radio
+// would attach to a medium the next network may own, to panic, whether or
+// not it was built through Spares.
 func TestSparesReleasedNetworkFailsClosed(t *testing.T) {
 	for _, sp := range []*Spares{nil, new(Spares)} {
 		n := sp.Network(1)
@@ -109,6 +110,7 @@ func TestSparesReleasedNetworkFailsClosed(t *testing.T) {
 			{"RunTo", func() { n.RunTo(3 * sim.Second) }},
 			{"Collect", func() { n.Collect() }},
 			{"Release", func() { n.Release() }},
+			{"AddStation", func() { n.AddStation("Q", geom.V(4, 0, 6), f()) }},
 		} {
 			func() {
 				defer func() {
@@ -220,17 +222,22 @@ func mediumRecords(m *phy.Medium) (radios, txs, recs map[uintptr]bool) {
 }
 
 // TestSparesMediumHandedOn runs two saturated cells through one Spares:
-// the second attaches its stations into the first's radio records and
-// takes every transmission and reception record it needs from the first's,
-// so it allocates none of the three.
+// the second builds its medium in the first's record, attaches its
+// stations into the first's radio records and takes every transmission
+// and reception record it needs from the first's, so it allocates none of
+// the four.
 func TestSparesMediumHandedOn(t *testing.T) {
 	sp := new(Spares)
 	first := saturatedCell(sp)
 	first.Run(20*sim.Second, 2*sim.Second)
-	radios, txs, recs := mediumRecords(first.Medium)
+	medium := first.Medium
+	radios, txs, recs := mediumRecords(medium)
 	first.Release()
 
 	second := saturatedCell(sp)
+	if second.Medium != medium {
+		t.Error("the second cell built a medium of its own")
+	}
 	second.Run(20*sim.Second, 2*sim.Second)
 	radios2, txs2, recs2 := mediumRecords(second.Medium)
 	for _, c := range []struct {

@@ -291,6 +291,26 @@ func TestStaleBackoffDetection(t *testing.T) {
 	}
 }
 
+// TestStaleBackoffSkipsUntrackedPairs: a pair whose peer holds no entry
+// toward the holder is skipped, however high the holder's entry reads, and
+// checking it creates no entry.
+func TestStaleBackoffSkipsUntrackedPairs(t *testing.T) {
+	n, a, b := twoStations(t, 5, core.MACAWFactory(macaw.DefaultOptions()))
+	w := NewWatchdog(n)
+	apd := a.MAC().(interface{ BackoffPolicy() backoff.Policy }).BackoffPolicy().(*backoff.PerDest)
+	bpd := b.MAC().(interface{ BackoffPolicy() backoff.Policy }).BackoffPolicy().(*backoff.PerDest)
+	if _, ok := bpd.Lookup(a.ID()); ok {
+		t.Fatal("B tracks A before any contact")
+	}
+	apd.Peer(b.ID()).SeenESN = 500
+	if stale := w.StaleBackoff(); len(stale) != 0 {
+		t.Fatalf("pair without a peer entry reported: %v", stale)
+	}
+	if _, ok := bpd.Lookup(a.ID()); ok {
+		t.Fatal("the check created B's entry for A")
+	}
+}
+
 // TestInjectorMinDowntime: a restart inside the in-flight window is a
 // schedule bug and must be rejected loudly.
 func TestInjectorMinDowntime(t *testing.T) {

@@ -177,12 +177,15 @@ func (w *Watchdog) StaleBackoff() []string {
 				continue
 			}
 			ppd := perDestOf(peer)
-			if ppd == nil || !hasPeer(ppd, holder) {
+			if ppd == nil {
 				continue
 			}
-			seen := pd.Peer(id).SeenESN
-			sent := ppd.Peer(holder.ID()).SendESN
-			if seen > sent {
+			back, ok := ppd.Lookup(holder.ID())
+			if !ok {
+				continue
+			}
+			entry, _ := pd.Lookup(id)
+			if seen, sent := entry.SeenESN, back.SendESN; seen > sent {
 				stale = append(stale, fmt.Sprintf("%s holds stale entry for %s: SeenESN %d > peer SendESN %d",
 					holder.Name(), peer.Name(), seen, sent))
 			}
@@ -199,16 +202,6 @@ func perDestOf(st *core.Station) *backoff.PerDest {
 	}
 	pd, _ := ph.BackoffPolicy().(*backoff.PerDest)
 	return pd
-}
-
-// hasPeer reports whether pd already tracks st (without creating an entry).
-func hasPeer(pd *backoff.PerDest, st *core.Station) bool {
-	for _, id := range pd.PeerIDs() {
-		if id == st.ID() {
-			return true
-		}
-	}
-	return false
 }
 
 // Dump renders every station's FSM, timer, queue, and counter state — the

@@ -132,7 +132,7 @@ type DCF struct {
 	peerSeq   uint32
 	// lastSeq records the last delivered sequence number per source so a
 	// retransmission after a lost ACK is re-acknowledged, not re-delivered.
-	lastSeq map[frame.NodeID]uint32
+	lastSeq frame.Peers[uint32]
 }
 
 // New returns a DCF instance bound to env's radio. The link-layer sequence
@@ -141,11 +141,10 @@ type DCF struct {
 func New(env *mac.Env, opt Options) *DCF {
 	opt = opt.withDefaults()
 	d := &DCF{
-		Base:    mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
-		opt:     opt,
-		cw:      opt.CWMin,
-		q:       mac.NewQueue(env.Blocks),
-		lastSeq: make(map[frame.NodeID]uint32),
+		Base: mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
+		opt:  opt,
+		cw:   opt.CWMin,
+		q:    mac.NewQueue(env.Blocks),
 	}
 	env.Radio.SetHandler(d)
 	return d
@@ -380,10 +379,10 @@ func (d *DCF) resume() {
 // deliver hands a DATA payload up unless it is a retransmission of the last
 // delivered frame from that source (the ACK was lost, not the data).
 func (d *DCF) deliver(f *frame.Frame) {
-	if last, ok := d.lastSeq[f.Src]; ok && last == f.Seq {
+	if last := d.lastSeq.Get(f.Src); last != nil && *last == f.Seq {
 		return
 	}
-	d.lastSeq[f.Src] = f.Seq
+	*d.lastSeq.Add(f.Src) = f.Seq
 	d.Deliver(f)
 }
 

@@ -20,7 +20,6 @@ package macaw
 
 import (
 	"fmt"
-	"sort"
 
 	"macaw/internal/backoff"
 	"macaw/internal/frame"
@@ -129,6 +128,24 @@ type contender struct {
 	rrts bool
 }
 
+// peer is a station's record of one remote station, beside its backoff
+// policy's. The zero record is that of a peer never written about.
+type peer struct {
+	attempts  int32  // RTS attempts for the head packet to the peer
+	lastAcked uint32 // sequence number last delivered from the peer, if everAcked
+	seenESN   uint32 // highest exchange number seen; a regression marks a reboot
+	everAcked bool
+}
+
+// held is a data packet sent to a peer without an ack request, awaiting
+// its piggybacked confirmation (§4), and how often it was retransmitted
+// (see onCTS). It is kept apart from peer, which stays pointer-free and
+// 16 bytes, as only the PiggybackACK option holds packets.
+type held struct {
+	pkt     *mac.Packet
+	retries int32
+}
+
 // MACAW is one station's protocol instance.
 type MACAW struct {
 	mac.Base
@@ -148,8 +165,6 @@ type MACAW struct {
 	// targets is contendTargets' scratch buffer, not protocol state.
 	targets []frame.NodeID
 
-	attempts map[frame.NodeID]int // RTS attempts for the head packet per destination
-
 	cur       contender    // what the contend timer is armed for
 	curDst    frame.NodeID // destination of the exchange in flight
 	expectSrc frame.NodeID // sender we issued a CTS/RRTS toward
@@ -168,38 +183,23 @@ type MACAW struct {
 	// rrtsSeen is when the noted sender last retried; a note whose sender
 	// has gone silent past its worst-case retry period is dropped at the
 	// next fresh defer window instead of soliciting a dead station.
-	rrtsSeen  sim.Time
-	lastAcked map[frame.NodeID]uint32 // per-sender last delivered/acked seq
-	everAcked map[frame.NodeID]bool
-	// seenESN is the highest exchange number observed from each sender; a
-	// regression marks a rebooted peer whose dedup state must be dropped.
-	seenESN map[frame.NodeID]uint32
-	// pending holds, per destination, a data packet transmitted without
-	// an ack request, awaiting its piggybacked confirmation (§4).
-	pending map[frame.NodeID]*mac.Packet
-	// pendingRetries counts consecutive retransmissions of a lost pending
-	// packet per destination. The RTS-CTS leg succeeds on every lap of
-	// that loop, so the ordinary attempt counter (reset by each tentative
-	// completion) never trips; without this bound a link whose data
-	// direction is dead retries forever.
-	pendingRetries map[frame.NodeID]int
+	rrtsSeen sim.Time
+	// peers and pending are read through Value, so an unknown peer reads
+	// as the zero record, and written through Add; no record pointer is
+	// held across Drop or NotifySent, which re-enter the host.
+	peers   frame.Peers[peer]
+	pending frame.Peers[held]
 }
 
 // New returns a MACAW instance bound to env's radio, installing itself as
 // the radio handler.
 func New(env *mac.Env, opt Options) *MACAW {
 	m := &MACAW{
-		Base:           mac.Base{Env: env},
-		opt:            opt,
-		pol:            opt.Policy,
-		streams:        mac.NewStreamQueues(env.Blocks),
-		fifo:           mac.NewQueue(env.Blocks),
-		attempts:       make(map[frame.NodeID]int),
-		lastAcked:      make(map[frame.NodeID]uint32),
-		everAcked:      make(map[frame.NodeID]bool),
-		seenESN:        make(map[frame.NodeID]uint32),
-		pending:        make(map[frame.NodeID]*mac.Packet),
-		pendingRetries: make(map[frame.NodeID]int),
+		Base:    mac.Base{Env: env},
+		opt:     opt,
+		pol:     opt.Policy,
+		streams: mac.NewStreamQueues(env.Blocks),
+		fifo:    mac.NewQueue(env.Blocks),
 	}
 	// Each lifetime numbers its packets from a random point (the TCP
 	// initial-sequence-number argument): a rebooted station restarting
@@ -245,17 +245,13 @@ func (m *MACAW) Halt() {
 	} else {
 		m.DrainQueue(&m.fifo)
 	}
-	// Pending piggyback packets die with the station too; sorted order
-	// keeps the callback sequence deterministic.
-	dsts := make([]frame.NodeID, 0, len(m.pending))
-	for d := range m.pending {
-		dsts = append(dsts, d)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, d := range dsts {
-		p := m.pending[d]
-		delete(m.pending, d)
-		m.Drop(p, mac.DropDisabled)
+	// Pending piggyback packets die with the station too, in peer order.
+	for i := 0; i < m.pending.Len(); i++ {
+		if _, h := m.pending.At(i); h.pkt != nil {
+			p := h.pkt
+			h.pkt = nil
+			m.Drop(p, mac.DropDisabled)
+		}
 	}
 }
 
@@ -462,7 +458,7 @@ func (m *MACAW) onContendTimeout() {
 		m.sendMulticast(head)
 		return
 	}
-	if m.attempts[head.Dst] == 0 {
+	if m.peers.Value(head.Dst).attempts == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
 	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}
@@ -539,10 +535,12 @@ func (m *MACAW) onCTSTimeout() {
 // bumpAttempts increments the per-destination attempt counter, dropping the
 // head packet once the retry limit is exceeded.
 func (m *MACAW) bumpAttempts(dst frame.NodeID) {
-	m.attempts[dst]++
-	if m.attempts[dst] <= m.Env.Cfg.MaxRetries {
+	pe := m.peers.Add(dst)
+	pe.attempts++
+	if int(pe.attempts) <= m.Env.Cfg.MaxRetries {
 		return
 	}
+	pe.attempts = 0
 	if q := m.queueFor(dst); q != nil {
 		if p := q.Peek(); p != nil && p.Dst == dst {
 			q.Pop()
@@ -550,15 +548,14 @@ func (m *MACAW) bumpAttempts(dst frame.NodeID) {
 			m.pol.OnGiveUp(dst)
 			m.Drop(p, mac.DropRetries)
 		}
-		if p := m.pending[dst]; p != nil {
+		if p := m.pending.Value(dst).pkt; p != nil {
 			// An unconfirmed piggyback packet cannot stay in limbo
 			// once its successor is gone; retransmit it normally.
-			delete(m.pending, dst)
+			m.pending.Add(dst).pkt = nil
 			q.PushFront(p)
 			m.NoteQueue("push", dst, q)
 		}
 	}
-	m.attempts[dst] = 0
 }
 
 // next resumes contention for remaining work or returns to IDLE.
@@ -735,7 +732,8 @@ func (m *MACAW) receiveMulticast(f *frame.Frame) {
 }
 
 func (m *MACAW) receiveForMe(f *frame.Frame) {
-	if last, ok := m.seenESN[f.Src]; ok && f.ESN < last {
+	pe := m.peers.Add(f.Src)
+	if f.ESN < pe.seenESN {
 		// Exchange numbers only grow within one lifetime of the peer and
 		// per-sender delivery is ordered, so a smaller number means the
 		// peer rebooted and is numbering from scratch. The dedup state the
@@ -743,10 +741,9 @@ func (m *MACAW) receiveForMe(f *frame.Frame) {
 		// to reuse an acknowledged sequence number would be answered with
 		// a spurious repeated ACK (control rule 7) and silently lost.
 		// Resynchronize before acting on the frame.
-		delete(m.everAcked, f.Src)
-		delete(m.lastAcked, f.Src)
+		pe.everAcked, pe.lastAcked = false, 0
 	}
-	m.seenESN[f.Src] = f.ESN
+	pe.seenESN = f.ESN
 	m.pol.OnReceive(f)
 	switch f.Type {
 	case frame.RTS:
@@ -835,16 +832,17 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 	}
 	// Control rule 7: an RTS for the packet acknowledged last time gets
 	// the ACK again instead of a CTS.
-	if m.opt.Exchange.HasACK() && m.everAcked[f.Src] && m.lastAcked[f.Src] == f.Seq {
+	pe := m.peers.Value(f.Src)
+	if m.opt.Exchange.HasACK() && pe.everAcked && pe.lastAcked == f.Seq {
 		m.ClearTimer()
 		m.sendAck(f.Src, f.Seq)
 		return
 	}
 	m.ClearTimer()
 	m.Out = frame.Frame{Type: frame.CTS, Src: m.Env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
-	if m.opt.PiggybackACK && m.everAcked[f.Src] {
+	if m.opt.PiggybackACK && pe.everAcked {
 		m.Out.HasAck = true
-		m.Out.Ack = m.lastAcked[f.Src]
+		m.Out.Ack = pe.lastAcked
 	}
 	m.pol.StampSend(&m.Out)
 	air := m.Transmit(&m.Out)
@@ -865,11 +863,12 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		return
 	}
 	m.ClearTimer()
-	if p := m.pending[f.Src]; p != nil {
+	if p := m.pending.Value(f.Src).pkt; p != nil {
+		h := m.pending.Add(f.Src)
+		h.pkt = nil
 		if f.HasAck && f.Ack >= p.Seq() {
 			// Piggybacked confirmation of the previous packet.
-			delete(m.pending, f.Src)
-			delete(m.pendingRetries, f.Src)
+			h.retries = 0
 			m.pol.OnSuccess(f.Src)
 			m.Env.Callbacks.NotifySent(p)
 		} else {
@@ -881,11 +880,10 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 			// ordinary attempt counter (reset by each tentative
 			// completion) can never bound it, and a link whose data
 			// direction is dead would otherwise retry forever.
-			delete(m.pending, f.Src)
 			m.Retry(f.Src)
-			m.pendingRetries[f.Src]++
-			if m.pendingRetries[f.Src] > m.Env.Cfg.MaxRetries {
-				delete(m.pendingRetries, f.Src)
+			h.retries++
+			if int(h.retries) > m.Env.Cfg.MaxRetries {
+				h.retries = 0
 				m.pol.OnGiveUp(f.Src)
 				m.Drop(p, mac.DropRetries)
 			} else if q := m.queueFor(f.Src); q != nil {
@@ -926,7 +924,7 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 // bit and defers confirmation to the destination's next CTS (§4).
 func (m *MACAW) sendData(head *mac.Packet) {
 	wantAck := m.opt.Exchange.HasACK()
-	if wantAck && m.opt.PiggybackACK && m.pending[head.Dst] == nil {
+	if wantAck && m.opt.PiggybackACK && m.pending.Value(head.Dst).pkt == nil {
 		if q := m.queueFor(head.Dst); q != nil && q.Len() > 1 {
 			wantAck = false
 		}
@@ -965,8 +963,8 @@ func (m *MACAW) onDataAirDone() {
 			q.Pop()
 			m.NoteQueue("pop", head.Dst, q)
 		}
-		m.pending[head.Dst] = head
-		m.attempts[head.Dst] = 0
+		m.pending.Add(head.Dst).pkt = head
+		m.peers.Add(head.Dst).attempts = 0
 		m.Counters.DataSent++
 		m.next()
 		return
@@ -990,7 +988,7 @@ func (m *MACAW) completeSend(dst frame.NodeID) {
 		p = q.Pop()
 		m.NoteQueue("pop", dst, q)
 	}
-	m.attempts[dst] = 0
+	m.peers.Add(dst).attempts = 0
 	m.Counters.DataSent++
 	if p != nil {
 		m.Env.Callbacks.NotifySent(p)
@@ -1019,9 +1017,8 @@ func (m *MACAW) onACKTimeout() {
 // onACK completes the exchange (control rule 6): the backoff decreases only
 // now, when the ACK arrives (§3.3.1).
 func (m *MACAW) onACK(f *frame.Frame) {
-	if p := m.pending[f.Src]; p != nil && p.Seq() == f.Seq {
-		delete(m.pending, f.Src)
-		delete(m.pendingRetries, f.Src)
+	if p := m.pending.Value(f.Src).pkt; p != nil && p.Seq() == f.Seq {
+		*m.pending.Add(f.Src) = held{}
 		m.pol.OnSuccess(f.Src)
 		m.Env.Callbacks.NotifySent(p)
 		return
@@ -1064,7 +1061,7 @@ func (m *MACAW) onDS(f *frame.Frame) {
 // or our WFData timed out while its bits were still in the air) is
 // re-acknowledged but not delivered again.
 func (m *MACAW) onData(f *frame.Frame) {
-	if m.opt.Exchange.HasACK() && m.everAcked[f.Src] && m.lastAcked[f.Src] == f.Seq {
+	if pe := m.peers.Value(f.Src); m.opt.Exchange.HasACK() && pe.everAcked && pe.lastAcked == f.Seq {
 		if m.st == WFData && f.Src == m.expectSrc {
 			m.ClearTimer()
 			m.sendAck(f.Src, f.Seq)
@@ -1075,8 +1072,8 @@ func (m *MACAW) onData(f *frame.Frame) {
 		m.ClearTimer()
 		m.Deliver(f)
 		if m.opt.Exchange.HasACK() {
-			m.lastAcked[f.Src] = f.Seq
-			m.everAcked[f.Src] = true
+			pe := m.peers.Add(f.Src)
+			pe.lastAcked, pe.everAcked = f.Seq, true
 			if !f.AckRequested && m.opt.PiggybackACK {
 				// §4: the sender will collect the ack from our
 				// next CTS.
@@ -1092,8 +1089,8 @@ func (m *MACAW) onData(f *frame.Frame) {
 	// Data outside the expected window is still data; record it so a
 	// retransmitted copy is not delivered twice.
 	if m.opt.Exchange.HasACK() {
-		m.lastAcked[f.Src] = f.Seq
-		m.everAcked[f.Src] = true
+		pe := m.peers.Add(f.Src)
+		pe.lastAcked, pe.everAcked = f.Seq, true
 	}
 	m.Deliver(f)
 }
@@ -1119,7 +1116,7 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 		return
 	}
 	m.ClearTimer()
-	if m.attempts[head.Dst] == 0 {
+	if m.peers.Value(head.Dst).attempts == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
 	m.Out = frame.Frame{Type: frame.RTS, Src: m.Env.ID(), Dst: head.Dst, DataBytes: head.Size, Seq: head.Seq()}

@@ -2,6 +2,7 @@ package macaw
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"macaw/internal/frame"
@@ -131,6 +132,35 @@ func TestPiggybackOrderPreserved(t *testing.T) {
 	for i, p := range b.payloads {
 		if len(p) != 1 || p[0] != byte(i) {
 			t.Fatalf("delivery %d carried tag %v, want %d", i, p, i)
+		}
+	}
+}
+
+// TestHaltDropsPendingInPeerOrder: the packets awaiting a piggybacked
+// confirmation die with the station, reported in ascending destination
+// order whatever order their records were written in.
+func TestHaltDropsPendingInPeerOrder(t *testing.T) {
+	w := newWorld(35)
+	a := w.add(1, geom.V(0, 0, 6), pbOptions())
+	var got []frame.NodeID
+	a.m.Env.Callbacks.Dropped = func(p *mac.Packet, why mac.DropReason) {
+		if why != mac.DropDisabled {
+			t.Errorf("packet to %v dropped for %v, want %v", p.Dst, why, mac.DropDisabled)
+		}
+		got = append(got, p.Dst)
+	}
+	for _, d := range []frame.NodeID{9, 3, 7, 5} {
+		a.m.pending.Add(d).pkt = pkt(d)
+	}
+	a.m.pending.Add(6).retries = 1 // a lost packet's count, the packet requeued
+	a.m.peers.Add(4).attempts = 2
+	a.m.Halt()
+	if want := []frame.NodeID{3, 5, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("Halt dropped pending packets to %v, want %v", got, want)
+	}
+	for _, d := range []frame.NodeID{3, 5, 7, 9} {
+		if a.m.pending.Value(d).pkt != nil {
+			t.Errorf("the packet pending for %v survived Halt", d)
 		}
 	}
 }

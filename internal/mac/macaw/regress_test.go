@@ -78,9 +78,9 @@ func TestRebootedPeerSeqCollisionGetsCTS(t *testing.T) {
 	w := newWorld(5)
 	b := w.add(1, geom.V(0, 0, 6), DefaultOptions())
 	w.s.After(0, func() {
-		b.m.everAcked[2] = true
-		b.m.lastAcked[2] = 7
-		b.m.seenESN[2] = 9
+		pe := b.m.peers.Add(2)
+		pe.everAcked, pe.lastAcked = true, 7
+		pe.seenESN = 9
 		b.m.RadioReceive(testRTS(2, 1, 7, 9))
 		if s := b.m.Stats(); s.ACKSent != 1 || s.CTSSent != 0 {
 			t.Fatalf("same-lifetime repeat RTS: ACKSent=%d CTSSent=%d, want 1/0", s.ACKSent, s.CTSSent)
@@ -94,9 +94,9 @@ func TestRebootedPeerSeqCollisionGetsCTS(t *testing.T) {
 	w2 := newWorld(5)
 	b2 := w2.add(1, geom.V(0, 0, 6), DefaultOptions())
 	w2.s.After(0, func() {
-		b2.m.everAcked[2] = true
-		b2.m.lastAcked[2] = 7
-		b2.m.seenESN[2] = 9
+		pe := b2.m.peers.Add(2)
+		pe.everAcked, pe.lastAcked = true, 7
+		pe.seenESN = 9
 		b2.m.RadioReceive(testRTS(2, 1, 7, 2))
 		if s := b2.m.Stats(); s.CTSSent != 1 || s.ACKSent != 0 {
 			t.Fatalf("post-reboot colliding RTS: CTSSent=%d ACKSent=%d, want 1/0", s.CTSSent, s.ACKSent)

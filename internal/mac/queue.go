@@ -171,32 +171,41 @@ func (q *Queue) release() {
 // StreamQueues keys packets by destination, implementing §3.2's
 // one-queue-per-stream design: "a separate queue for each stream, and ...
 // each queue has its own backoff counter and retry counter". Destinations
-// are tracked in first-seen order so iteration is deterministic.
+// are kept in first-seen order, which is the order contention draws for
+// them in, with each queue in the parallel slot of qs; a station has few
+// streams, so a lookup scans.
 type StreamQueues struct {
 	src   *Blocks
 	order []frame.NodeID
-	qs    map[frame.NodeID]*Queue
+	qs    []*Queue
 }
 
 // NewStreamQueues returns an empty set of per-destination queues that
 // take their blocks from src.
 func NewStreamQueues(src *Blocks) *StreamQueues {
-	return &StreamQueues{src: src, qs: make(map[frame.NodeID]*Queue)}
+	return &StreamQueues{src: src}
 }
 
 // Push enqueues p on its destination's queue.
 func (s *StreamQueues) Push(p *Packet) {
-	q := s.qs[p.Dst]
+	q := s.Queue(p.Dst)
 	if q == nil {
 		q = &Queue{src: s.src}
-		s.qs[p.Dst] = q
 		s.order = append(s.order, p.Dst)
+		s.qs = append(s.qs, q)
 	}
 	q.Push(p)
 }
 
 // Queue returns the queue for dst, or nil if none exists.
-func (s *StreamQueues) Queue(dst frame.NodeID) *Queue { return s.qs[dst] }
+func (s *StreamQueues) Queue(dst frame.NodeID) *Queue {
+	for i, d := range s.order {
+		if d == dst {
+			return s.qs[i]
+		}
+	}
+	return nil
+}
 
 // Destinations returns the known destinations in first-seen order,
 // including those whose queues are currently empty.
@@ -206,9 +215,9 @@ func (s *StreamQueues) Destinations() []frame.NodeID { return s.order }
 // in first-seen order, and returns the extended slice. Callers pass a
 // reused scratch slice (dst[:0]) so contention rounds do not allocate.
 func (s *StreamQueues) NonEmpty(dst []frame.NodeID) []frame.NodeID {
-	for _, d := range s.order {
-		if s.qs[d].Len() > 0 {
-			dst = append(dst, d)
+	for i, q := range s.qs {
+		if q.Len() > 0 {
+			dst = append(dst, s.order[i])
 		}
 	}
 	return dst

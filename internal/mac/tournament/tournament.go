@@ -100,7 +100,7 @@ type Tournament struct {
 	sending *mac.Packet
 	// lastSeq records the last delivered sequence number per source so a
 	// retransmission after a lost ACK is re-acknowledged, not re-delivered.
-	lastSeq map[frame.NodeID]uint32
+	lastSeq frame.Peers[uint32]
 	sigs    int // SIG bursts radiated (engine-local; mac.Stats has no slot for them)
 }
 
@@ -114,7 +114,6 @@ func New(env *mac.Env, opt Options) *Tournament {
 		opt:      opt,
 		lastBusy: -1,
 		q:        mac.NewQueue(env.Blocks),
-		lastSeq:  make(map[frame.NodeID]uint32),
 	}
 	env.Radio.SetHandler(t)
 	return t
@@ -308,10 +307,10 @@ func (t *Tournament) onACKTimeout() {
 // deliver hands a DATA payload up unless it is a retransmission of the last
 // delivered frame from that source.
 func (t *Tournament) deliver(f *frame.Frame) {
-	if last, ok := t.lastSeq[f.Src]; ok && last == f.Seq {
+	if last := t.lastSeq.Get(f.Src); last != nil && *last == f.Seq {
 		return
 	}
-	t.lastSeq[f.Src] = f.Seq
+	*t.lastSeq.Add(f.Src) = f.Seq
 	t.Deliver(f)
 }
 

@@ -95,9 +95,10 @@ type diffWorld struct {
 // over dead's storage.
 func buildWorld(tr diffTrial, exhaustive bool, dead *Medium) *diffWorld {
 	w := &diffWorld{s: sim.New(tr.simSeed)}
-	w.m = New(w.s, DefaultParams())
 	if dead != nil {
-		w.m.Recycle(dead)
+		w.m = Reuse(dead, w.s, DefaultParams())
+	} else {
+		w.m = New(w.s, DefaultParams())
 	}
 	w.m.SetExhaustive(exhaustive)
 	w.m.SetNoise(UniformLoss{P: 0.15})

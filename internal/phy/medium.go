@@ -36,25 +36,24 @@ type CorruptionObserver interface {
 }
 
 // handler is a radio's installed Handler with its CorruptionObserver view,
-// resolved once. SetHandler installs a new record rather than rewriting the
-// old one, so a notification, which carries the record current when it was
-// scheduled, reaches that handler whatever is installed when it fires. The
-// record is a concrete pointer: the notifications' event arguments are
-// typed any, and converting one back to an interface type is a runtime
-// type assertion whose per-call-site cache allocates, at a random one of
-// the first thousand or so events, when it takes the handler's type.
+// resolved once. A notification carries the record current when it was
+// scheduled and reaches that handler whatever is installed when it fires,
+// so a record, once installed, is never rewritten: a radio's first handler
+// lives in the radio record, and each later one gets a record of its own
+// (see SetHandler). The record is a concrete pointer: the notifications'
+// event arguments are typed any, and converting one back to an interface
+// type is a runtime type assertion whose per-call-site cache allocates, at
+// a random one of the first thousand or so events, when it takes the
+// handler's type.
 type handler struct {
 	Handler
 	obs CorruptionObserver
 }
 
-// newHandler returns the record for h, nil for a nil h.
-func newHandler(h Handler) *handler {
-	if h == nil {
-		return nil
-	}
+// handlerOf returns the record for h.
+func handlerOf(h Handler) handler {
 	obs, _ := h.(CorruptionObserver)
-	return &handler{h, obs}
+	return handler{h, obs}
 }
 
 // Counters aggregates medium-level statistics.
@@ -184,8 +183,8 @@ type Medium struct {
 	// (it owns the frame the notifications deliver).
 	txFree  []*transmission
 	recFree []*reception
-	// spare holds the radio records Recycle took over, for Attach to
-	// reuse; recycled marks a medium whose storage Recycle handed on.
+	// spare holds the radio records recycle took over, for Attach to
+	// reuse; recycled marks a medium whose storage recycle handed on.
 	spare    []*Radio
 	recycled bool
 }
@@ -226,7 +225,7 @@ func (m *Medium) allocTx() *transmission {
 		t := m.txFree[n-1]
 		m.txFree[n-1] = nil
 		m.txFree = m.txFree[:n-1]
-		// A record Recycle freed while on the air still lists its
+		// A record recycle freed while on the air still lists its
 		// receptions.
 		t.rx, t.pending = t.rx[:0], 0
 		return t
@@ -253,7 +252,7 @@ func (m *Medium) allocRec(q *Radio, power float64) *reception {
 	return &reception{radio: q, power: power}
 }
 
-// Recycle takes over dead's storage, as sim.Simulator.Recycle does for a
+// recycle takes over dead's storage, as sim.Simulator.Recycle does for a
 // simulator: its radio records, each keeping the capacity of its neighbor,
 // audible, reception and gain-row slices, for Attach to reuse; its
 // transmission records, each with its payload buffer, and its reception
@@ -263,19 +262,17 @@ func (m *Medium) allocRec(q *Radio, power float64) *reception {
 // come before m's first Attach. dead must be finished for good: the next
 // Attach on m rewrites dead's radio records, so nothing dead attached may
 // be used again. Attach on dead panics, and so does Transmit from a radio
-// of dead's that m has not reused yet. Core's Spares calls it on each
-// network's medium, so a component network attaches its radios into the
-// records of the component before it. None of it is observable: Attach
+// of dead's that m has not reused yet. None of it is observable: Attach
 // resets a reused record completely, and a reused transmission record is
 // rewritten at Transmit.
-func (m *Medium) Recycle(dead *Medium) {
+func (m *Medium) recycle(dead *Medium) {
 	switch {
 	case dead == m:
 		panic("phy: a medium cannot recycle itself")
 	case dead.recycled:
 		panic("phy: recycling a medium already recycled")
 	case len(m.radios) > 0:
-		panic("phy: Recycle after Attach")
+		panic("phy: recycle after Attach")
 	}
 	for _, t := range dead.active {
 		for _, rec := range t.rx {
@@ -288,10 +285,10 @@ func (m *Medium) Recycle(dead *Medium) {
 	for _, t := range dead.txFree {
 		t.m = m
 	}
-	// A spare record keeps dead as its medium, so a stale Transmit on it
-	// panics, and lets go of its handler and transmission.
+	// A spare record loses its medium, so a stale Transmit on it panics,
+	// and lets go of its handlers and transmission.
 	for _, r := range dead.radios {
-		r.h, r.tx = nil, nil
+		r.m, r.h, r.first, r.tx = nil, nil, handler{}, nil
 	}
 	m.spare = append(append(dead.spare, dead.radios...), m.spare...)
 	m.txFree = append(dead.txFree, m.txFree...)
@@ -318,7 +315,32 @@ func larger[T any](own, spare []T) []T {
 
 // New creates a medium with the given physical parameters and no noise.
 func New(s *sim.Simulator, p Params) *Medium {
-	m := &Medium{
+	m := new(Medium)
+	m.init(s, p)
+	return m
+}
+
+// Reuse builds the medium New(s, p) would in dead's record, taking over
+// dead's storage (see recycle), and returns it: the returned medium is
+// dead. dead must be finished for good, and the radio records it attached
+// lose their medium, so a stale Transmit on one panics. Core's Spares
+// builds each network's medium this way, so a component network allocates
+// no medium of its own and attaches its radios into the records of the
+// component before it.
+func Reuse(dead *Medium, s *sim.Simulator, p Params) *Medium {
+	if dead.recycled {
+		panic("phy: reusing a medium already recycled")
+	}
+	spare := *dead
+	dead.init(s, p)
+	dead.recycle(&spare)
+	return dead
+}
+
+// init makes m a fresh medium on s with params p and no noise, keeping
+// only its grid's map, emptied, for the radios it indexes.
+func (m *Medium) init(s *sim.Simulator, p Params) {
+	*m = Medium{
 		s:         s,
 		prop:      NewPropagation(p),
 		params:    p,
@@ -326,9 +348,9 @@ func New(s *sim.Simulator, p Params) *Medium {
 		capture:   p.CaptureRatio(),
 		noise:     NoNoise{},
 		rng:       s.NewRand(),
+		grid:      m.grid,
 	}
 	m.reindex()
-	return m
 }
 
 // SetNoise installs the packet-level noise model.
@@ -382,14 +404,18 @@ func (m *Medium) useIndex() bool { return m.indexed && !m.exhaustive }
 
 // reindex derives the negligibility floor and cutoff radius from the
 // current propagation model and rebuilds the spatial grid and all neighbor
-// structures. Called from New and SetPropagation.
+// structures. Called from init and SetPropagation.
 func (m *Medium) reindex() {
-	m.indexed, m.floor, m.cutoff, m.grid = false, 0, 0, nil
+	m.indexed, m.floor, m.cutoff = false, 0, 0
 	if floor, d, ok := indexCutoff(m.prop, m.params); ok {
 		m.indexed, m.floor, m.cutoff = true, floor, d
 	}
 	if m.indexed {
-		m.grid = geom.NewGrid(m.cutoff)
+		if m.grid == nil {
+			m.grid = geom.NewGrid(m.cutoff)
+		} else {
+			m.grid.Reset(m.cutoff)
+		}
 		for _, r := range m.radios {
 			m.grid.Insert(int32(r.idx), r.pos)
 		}
@@ -400,6 +426,7 @@ func (m *Medium) reindex() {
 			m.rebuildAudible(r)
 		}
 	} else {
+		m.grid = nil
 		for _, r := range m.radios {
 			r.nbr, r.audible = nil, nil
 		}
@@ -426,8 +453,9 @@ func (m *Medium) Attach(id frame.NodeID, pos geom.Vec3, h Handler) *Radio {
 	} else {
 		r = new(Radio)
 	}
-	*r = Radio{id: id, pos: pos, m: m, h: newHandler(h), enabled: true, idx: len(m.radios),
+	*r = Radio{id: id, pos: pos, m: m, enabled: true, idx: len(m.radios),
 		nbr: r.nbr[:0], audible: r.audible[:0], recs: r.recs[:0], gains: r.gains[:0]}
+	r.SetHandler(h)
 	// Extend the gain cache by one dirty column and one dirty row; existing
 	// entries stay valid — attaching a radio moves nobody.
 	nan := math.NaN()
@@ -899,10 +927,16 @@ func removeAudible(q *Radio, tx *transmission) {
 
 // Radio is one station's attachment to the medium.
 type Radio struct {
-	id          frame.NodeID
-	pos         geom.Vec3
-	m           *Medium
-	h           *handler
+	id  frame.NodeID
+	pos geom.Vec3
+	m   *Medium
+	h   *handler
+	// first is the record of the radio's first handler, which h points to
+	// until a later SetHandler. It keeps that handler for the radio's life,
+	// as notifications scheduled for it may still be pending: a restarted
+	// station's first engine, halted, stays reachable until Attach reuses
+	// the record.
+	first       handler
 	tx          *transmission
 	enabled     bool
 	carrierBusy bool
@@ -923,7 +957,7 @@ type Radio struct {
 	// by the other radio's idx (NaN = not yet computed): gains[b.idx] is
 	// exactly prop.Gain(r.pos, b.pos) with the negligibility floor
 	// applied, so cached and fresh computations are interchangeable. The
-	// row travels with the record when Recycle hands it on.
+	// row travels with the record when Reuse hands it on.
 	gains []float64
 }
 
@@ -933,8 +967,21 @@ func (r *Radio) ID() frame.NodeID { return r.id }
 // Pos returns the radio's current position.
 func (r *Radio) Pos() geom.Vec3 { return r.pos }
 
-// SetHandler installs the upper-layer handler.
-func (r *Radio) SetHandler(h Handler) { r.h = newHandler(h) }
+// SetHandler installs the upper-layer handler. The first is recorded in
+// the radio record, each later one in a record of its own, since
+// notifications scheduled for the one before may still be pending.
+func (r *Radio) SetHandler(h Handler) {
+	switch {
+	case h == nil:
+		r.h = nil
+	case r.first.Handler == nil:
+		r.first = handlerOf(h)
+		r.h = &r.first
+	default:
+		hr := handlerOf(h)
+		r.h = &hr
+	}
+}
 
 // SetPos moves the radio (mobility). Powers of receptions already in flight
 // keep their start-of-packet snapshot; the move affects subsequent

@@ -322,6 +322,37 @@ func TestDisabledRadioSilent(t *testing.T) {
 	}
 }
 
+// TestNotificationKeepsItsHandler installs a new handler between a
+// delivery's scheduling and its firing, twice: the delivery reaches the
+// handler installed when it was scheduled, first the one the radio record
+// holds, then one in a record of its own, and the next delivery reaches the
+// new handler.
+func TestNotificationKeepsItsHandler(t *testing.T) {
+	s, m := newTestMedium(t)
+	a := m.Attach(1, geom.V(0, 0, 6), nil)
+	hs := []*recorder{{}, {}, {}}
+	b := m.Attach(2, geom.V(6, 0, 6), hs[0])
+	for i, next := range hs[1:] {
+		air := a.Transmit(ctrl(frame.RTS, 1, 2))
+		// The frame's end schedules the delivery after this event, at
+		// the same instant and priority.
+		s.AtPriority(s.Now()+air, -1, func() { b.SetHandler(next) })
+		s.RunAll()
+		if got, want := len(hs[i].received), 1; got != want {
+			t.Fatalf("handler %d received %d frames, want %d", i, got, want)
+		}
+		if len(next.received) != 0 {
+			t.Fatalf("handler %d received a frame scheduled for handler %d", i+1, i)
+		}
+	}
+	a.Transmit(ctrl(frame.RTS, 1, 2))
+	s.RunAll()
+	if len(hs[2].received) != 1 || len(hs[1].received) != 1 {
+		t.Fatalf("after the last install: handlers received %d and %d frames, want 1 and 1",
+			len(hs[1].received), len(hs[2].received))
+	}
+}
+
 func TestReenabledRadioHearsAgain(t *testing.T) {
 	s, m := newTestMedium(t)
 	a := m.Attach(1, geom.V(0, 0, 6), nil)

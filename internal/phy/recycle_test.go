@@ -22,9 +22,10 @@ func deadMedium(tr diffTrial, rng *rand.Rand) *Medium {
 }
 
 // TestRecycleMatchesFresh drives random trials, with mobility, power
-// cycling and a noise model, on media that took over the storage of a
+// cycling and a noise model, on media that Reuse built in the record of a
 // larger and of a smaller dead medium, each half way through its own
-// trial, on the indexed and on the exhaustive paths. Each must deliver,
+// trial, taking over its storage, on the indexed and on the exhaustive
+// paths. Each must deliver,
 // corrupt and sense exactly what a fresh medium does, and dump the same
 // state at the end. A recycled medium attaches its radios into the dead
 // one's records, as many as it has.
@@ -73,28 +74,40 @@ func TestRecycleMatchesFresh(t *testing.T) {
 
 // TestRecycledMediumFailsClosed: once a medium's storage is handed on,
 // attaching to it or transmitting from a radio it attached panics, as do
-// recycling a medium into itself, recycling one twice and recycling into
-// a medium that already has radios.
+// transmitting from a radio a reused medium has not attached again,
+// recycling a medium into itself, recycling or reusing one twice and
+// recycling into a medium that already has radios.
 func TestRecycledMediumFailsClosed(t *testing.T) {
 	_, dead := newTestMedium(t)
 	a := dead.Attach(1, geom.V(0, 0, 6), nil)
 	dead.Attach(2, geom.V(6, 0, 6), nil)
 	a.Transmit(ctrl(frame.RTS, 1, 2)) // on the air when recycled
 	_, m := newTestMedium(t)
-	m.Recycle(dead)
+	m.recycle(dead)
 	_, late := newTestMedium(t)
 	late.Attach(1, geom.V(0, 0, 6), nil)
+	// A reused medium is live again, but the radio records it has not
+	// attached yet are not.
+	s, reused := newTestMedium(t)
+	stale := reused.Attach(1, geom.V(0, 0, 6), nil)
+	reused.Attach(2, geom.V(6, 0, 6), nil)
+	Reuse(reused, s, DefaultParams())
+	reused.Attach(3, geom.V(0, 6, 6), nil) // into the record of radio 2
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
+		// First, so that a Reuse that rebuilt dead before failing would
+		// let the Attach below through.
+		{"Reuse of a recycled medium", func() { Reuse(dead, sim.New(1), DefaultParams()) }},
 		{"Attach on the recycled medium", func() { dead.Attach(3, geom.V(0, 6, 6), nil) }},
 		{"Transmit from a radio it attached", func() { a.Transmit(ctrl(frame.CTS, 1, 2)) }},
-		{"Recycle into itself", func() { m.Recycle(m) }},
-		{"Recycle of a recycled medium", func() { late.Recycle(dead) }},
+		{"Transmit from a radio of a reused medium", func() { stale.Transmit(ctrl(frame.CTS, 1, 2)) }},
+		{"Recycle into itself", func() { m.recycle(m) }},
+		{"Recycle of a recycled medium", func() { late.recycle(dead) }},
 		{"Recycle after Attach", func() {
 			_, d := newTestMedium(t)
-			late.Recycle(d)
+			late.recycle(d)
 		}},
 	} {
 		func() {
