@@ -55,15 +55,19 @@ const maxMallocsPerCell = 168
 // building and briefly running a 17-station MACAW component, the size of
 // the city workload's largest, through a core.Spares that a finished
 // component has handed its storage to, as each shard worker does
-// (TestMallocsPerComponentStation). What remains is each station's
-// record, MAC engine, policy and queue records, traffic, and the slices
-// its per-peer records grow in. Measured on go1.24 linux/amd64: 583
-// mallocs, 34.3 per station (36.6 under the race detector), pinned at 40,
-// against 888, 52.2 per station, when MACAW kept its per-peer state in six
+// (TestMallocsPerComponentStation). The component is built in the
+// finished one's record, its stations, streams and MAC engines in theirs,
+// so what remains is what each network makes fresh: the random streams of
+// every station and stream, the closures its host callbacks, transport
+// handlers and traffic sources are bound through, and the stream names.
+// Measured on go1.24 linux/amd64: 199 mallocs, 11.7 per station (the same
+// under the race detector), pinned at 13, against 583, 34.3 per station,
+// when a component allocated its own station, stream and engine records,
+// and 888, 52.2 per station, when MACAW kept its per-peer state in six
 // maps keyed by station id, the per-destination backoff policy and the
 // stream queues kept one map each, every network allocated a medium of
 // its own and every station a handler record.
-const maxMallocsPerComponentStation = 40
+const maxMallocsPerComponentStation = 13
 
 // maxMallocsPerCollectedStation is what a metrics collector may add to the
 // cell per station (TestMallocsPerInstrumentedCell): the measured 42 with

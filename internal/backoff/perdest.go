@@ -48,6 +48,13 @@ func NewPerDest(strat Strategy) *PerDest {
 	return &PerDest{strat: strat, Alpha: DefaultAlpha, My: strat.Min()}
 }
 
+// Reset makes p the policy NewPerDest(strat) returns, keeping the capacity
+// of its peer table.
+func (p *PerDest) Reset(strat Strategy) {
+	p.peers.Reset()
+	*p = PerDest{strat: strat, Alpha: DefaultAlpha, My: strat.Min(), peers: p.peers}
+}
+
 // Peer returns the bookkeeping entry for id, creating it on first use. The
 // pointer is valid until the next call that creates an entry.
 func (p *PerDest) Peer(id frame.NodeID) *Peer {

@@ -2,6 +2,7 @@ package backoff
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -235,5 +236,55 @@ func TestPerDestMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSparesPerDestReset: a policy Reset after a run of its own, under
+// another strategy, answers the same random Policy calls as a new policy
+// does, and keeps its peer table: as many peers as it held before cost it
+// no growth.
+func TestSparesPerDestReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5ba7))
+	types := []frame.Type{frame.RTS, frame.CTS, frame.DS, frame.DATA, frame.ACK}
+	drive := func(ps ...*PerDest) {
+		for call := 0; call < 300; call++ {
+			f := frame.Frame{Type: types[rng.Intn(len(types))], Src: frame.NodeID(1 + rng.Intn(12)),
+				Dst: frame.NodeID(1 + rng.Intn(12)), LocalBackoff: int16(rng.Intn(80) - 4),
+				RemoteBackoff: int16(rng.Intn(80) - 4), ESN: uint32(rng.Intn(6))}
+			op := rng.Intn(5)
+			var got []stamped
+			for _, p := range ps {
+				switch op {
+				case 0:
+					p.OnOverhear(&f)
+				case 1:
+					p.OnReceive(&f)
+				case 2:
+					p.OnSuccess(f.Dst)
+				case 3:
+					p.OnFailure(f.Dst)
+				case 4:
+					p.StartExchange(f.Dst)
+				}
+				got = append(got, stamp(p.StampSend, f))
+				got = append(got, stamped{int16(p.Backoff(f.Src)), int16(p.My), 0})
+			}
+			if len(ps) == 2 && (got[0] != got[2] || got[1] != got[3] || !slices.Equal(ps[0].PeerIDs(), ps[1].PeerIDs())) {
+				t.Fatalf("call %d: the reset policy answered %v, a new one %v", call, got[:2], got[2:])
+			}
+		}
+	}
+	peersCap := func(p *PerDest) int { return reflect.ValueOf(&p.peers).Elem().Field(0).Cap() }
+
+	used := NewPerDest(NewBEB())
+	drive(used)
+	held, cp := len(used.PeerIDs()), peersCap(used)
+	used.Reset(NewMILD())
+	if len(used.PeerIDs()) != 0 || peersCap(used) != cp {
+		t.Fatalf("Reset left %d peers and a table of capacity %d, want 0 and %d", len(used.PeerIDs()), peersCap(used), cp)
+	}
+	drive(used, NewPerDest(NewMILD()))
+	if len(used.PeerIDs()) > held || peersCap(used) != cp {
+		t.Fatalf("%d peers grew the reset table from %d to %d", len(used.PeerIDs()), cp, peersCap(used))
 	}
 }

@@ -103,6 +103,7 @@ type Station struct {
 	name    string
 	net     *Network
 	radio   *phy.Radio
+	env     *mac.Env // the environment of mac
 	mac     mac.Engine
 	factory MACFactory
 
@@ -138,16 +139,23 @@ func (st *Station) Crashes() int { return st.crashes }
 // Restarts reports how many times the station has restarted.
 func (st *Station) Restarts() int { return st.restarts }
 
-// newEnv builds a MAC environment bound to the station's radio. Each call
-// draws a fresh generator from the simulator, so a restarted MAC gets its own
-// reproducible stream.
-func (st *Station) newEnv() *mac.Env {
-	env := &mac.Env{
+// buildMAC builds the station's MAC engine with its factory over env,
+// which it rewrites as a MAC environment bound to the station's radio,
+// keeping only the capacity of its observer list; spare, when not nil, is
+// the engine the station record's previous occupant ran, which the
+// factory may build the new engine in (see mac.Env.Spare). Each call
+// draws a fresh generator from the simulator, so a restarted MAC gets its
+// own reproducible stream.
+func (st *Station) buildMAC(env *mac.Env, spare mac.Engine) {
+	clear(env.Obs) // a finished run's observers may be large
+	*env = mac.Env{
 		Sim:    st.net.Sim,
 		Radio:  st.radio,
 		Rand:   st.net.Sim.NewRand(),
 		Cfg:    st.net.Cfg,
+		Obs:    env.Obs[:0],
 		Blocks: st.net.queues,
+		Spare:  spare,
 		Callbacks: mac.Callbacks{
 			Deliver: st.onDeliver,
 			Sent:    st.recycle,
@@ -159,7 +167,9 @@ func (st *Station) newEnv() *mac.Env {
 			env.Obs = append(env.Obs, o)
 		}
 	}
-	return env
+	st.env, st.mac = env, st.factory(env)
+	// A factory that builds no backend leaves the spare untaken.
+	env.Spare = nil
 }
 
 // Crash simulates a node failure: the MAC instance is halted (timers
@@ -170,6 +180,7 @@ func (st *Station) newEnv() *mac.Env {
 // Crashing an already-dark station is a no-op; it reports whether the crash
 // took effect.
 func (st *Station) Crash() bool {
+	st.net.mustLive("Crash")
 	if !st.radio.Enabled() {
 		return false
 	}
@@ -180,19 +191,22 @@ func (st *Station) Crash() bool {
 }
 
 // Restart revives a crashed station: the radio powers back up and a fresh
-// MAC instance is built from the station's factory, replacing the halted one
-// as the radio handler. All protocol state — FSM, queues, backoff counters,
+// MAC instance, in a fresh environment, is built from the station's
+// factory, replacing the halted one as the radio handler; the halted one
+// keeps its own records, since notifications already scheduled still
+// reach it. All protocol state — FSM, queues, backoff counters,
 // link-layer sequence numbers — resets exactly as a rebooted device's would,
 // while peers still hold entries for the pre-crash instance. Restarting a
 // station that is already up is a no-op (a second live MAC bound to the same
 // radio would fight the first for it); it reports whether a restart
 // happened.
 func (st *Station) Restart() bool {
+	st.net.mustLive("Restart")
 	if st.radio.Enabled() {
 		return false
 	}
 	st.radio.SetEnabled(true)
-	st.mac = st.factory(st.newEnv())
+	st.buildMAC(new(mac.Env), nil)
 	st.restarts++
 	return true
 }
@@ -207,6 +221,7 @@ func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int
 	if size < 1 || size > math.MaxUint16 {
 		panic(fmt.Sprintf("core: station %s: packet size %d outside 1..%d", st.name, size, math.MaxUint16))
 	}
+	st.net.mustLive("SendSegment")
 	if !st.radio.Enabled() {
 		return
 	}
@@ -285,7 +300,9 @@ func (k TransportKind) String() string {
 // Stream is one unidirectional data stream between two stations. Its offer
 // bookkeeping costs one 8-byte word per offered packet, which holds the
 // offer time while the packet is pending and its delay once it arrives
-// inside the measurement window (NumDelays, EachDelay).
+// inside the measurement window (NumDelays, EachDelay). Its traffic
+// source, its window counter and a UDP stream's sender and receiver are
+// part of its record.
 type Stream struct {
 	Name      string
 	From, To  *Station
@@ -293,9 +310,10 @@ type Stream struct {
 	Rate      float64
 	id        uint16
 	startAt   sim.Duration
-	gen       *traffic.CBR
-	counter   *stats.Windowed
-	udpSender *transport.UDPSender
+	gen       traffic.CBR
+	counter   stats.Windowed // armed by Start
+	udpSender transport.UDPSender
+	udpRecv   transport.UDPReceiver
 	tcpSender *transport.TCPSender
 	tcpRecv   *transport.TCPReceiver
 	offered   int
@@ -358,8 +376,9 @@ type Network struct {
 	// order; used counts the packets taken. words is the arena Start cuts
 	// the streams' offer bookkeeping from. queues is the store every MAC
 	// engine's queues take their blocks from. spares, when set, is where
-	// Release hands all four, the simulator and the medium (see Spares);
-	// released marks a network that Release has ended.
+	// Release hands the network, all of it, for the next network to be
+	// built in (see Spares); released marks a network that Release has
+	// ended.
 	blocks   []*packetBlock
 	used     int
 	words    []sim.Time
@@ -377,27 +396,59 @@ type Network struct {
 // parameters.
 func NewNetwork(seed int64) *Network { return newNetwork(seed, nil) }
 
-// newNetwork creates a network as NewNetwork does, building its medium in
-// spare's record when spare is not nil (see phy.Reuse).
-func newNetwork(seed int64, spare *phy.Medium) *Network {
+// newNetwork creates a network as NewNetwork does. When dead, a released
+// network, is not nil, the new network is built in its record and takes
+// over its storage (see Spares): its simulator's through sim.Recycle, its
+// medium's record through phy.Reuse, and its slices, map and queue-block
+// store, emptied, with the station and stream records past their length
+// for AddStation and AddStream to rebuild.
+func newNetwork(seed int64, dead *Network) *Network {
 	s := sim.New(seed)
-	var medium *phy.Medium
-	if spare != nil {
-		medium = phy.Reuse(spare, s, phy.DefaultParams())
-	} else {
-		medium = phy.New(s, phy.DefaultParams())
-	}
 	tcpCfg := transport.DefaultTCPConfig()
 	tcpCfg.DupAckThreshold = 0 // 1994-era TCP: timeout-driven recovery only
-	return &Network{
-		Sim:    s,
-		Medium: medium,
-		Cfg:    mac.DefaultConfig(),
-		byName: make(map[string]*Station),
-		queues: new(mac.Blocks),
-		nextID: 1,
-		TCPCfg: tcpCfg,
+	if dead == nil {
+		return &Network{
+			Sim:    s,
+			Medium: phy.New(s, phy.DefaultParams()),
+			Cfg:    mac.DefaultConfig(),
+			byName: make(map[string]*Station),
+			queues: new(mac.Blocks),
+			nextID: 1,
+			TCPCfg: tcpCfg,
+		}
 	}
+	n := dead
+	medium := phy.Reuse(n.Medium, s, phy.DefaultParams())
+	s.Recycle(n.Sim)
+	clear(n.byName)
+	clear(n.obsFactories) // they hold a finished run's observers
+	n.queues.Reset()
+	*n = Network{
+		Sim:          s,
+		Medium:       medium,
+		Cfg:          mac.DefaultConfig(),
+		stations:     n.stations[:0],
+		byName:       n.byName,
+		streams:      n.streams[:0],
+		nextID:       1,
+		obsFactories: n.obsFactories[:0],
+		arena:        n.arena,
+		blocks:       n.blocks,
+		words:        n.words,
+		queues:       n.queues,
+		TCPCfg:       tcpCfg,
+	}
+	return n
+}
+
+// spare returns the record past the end of list, which the released
+// network that the list's network was built in left there, or nil when
+// there is none.
+func spare[T any](list []*T) *T {
+	if k := len(list); k < cap(list) {
+		return list[:k+1][k]
+	}
+	return nil
 }
 
 // arenaChunk is the size of one payload arena chunk: 85 transport headers
@@ -434,16 +485,27 @@ func (n *Network) AddMACObserver(f MACObserverFactory) {
 	n.obsFactories = append(n.obsFactories, f)
 }
 
-// AddStation creates a station at pos running the protocol built by f.
+// AddStation creates a station at pos running the protocol built by f. In
+// a network built in a released one's record it rebuilds the next spare
+// station record, its MAC environment and, through f, its engine in place
+// (see mac.Env.Spare).
 func (n *Network) AddStation(name string, pos geom.Vec3, f MACFactory) *Station {
 	n.mustLive("AddStation")
 	if _, dup := n.byName[name]; dup {
 		panic(fmt.Sprintf("core: duplicate station name %q", name))
 	}
-	st := &Station{id: n.nextID, name: name, net: n, factory: f}
+	st := spare(n.stations)
+	if st == nil {
+		st = new(Station)
+	}
+	env, engine := st.env, st.mac
+	if env == nil {
+		env = new(mac.Env)
+	}
+	*st = Station{id: n.nextID, name: name, net: n, factory: f, handlers: st.handlers[:0], free: st.free[:0]}
 	n.nextID++
 	st.radio = n.Medium.Attach(st.id, pos, nil)
-	st.mac = f(st.newEnv())
+	st.buildMAC(env, engine)
 	n.stations = append(n.stations, st)
 	n.byName[name] = st
 	return st
@@ -463,19 +525,22 @@ func (n *Network) Streams() []*Stream { return n.streams }
 // "P1-B1" convention unless overridden with SetName.
 func (n *Network) AddStream(from, to *Station, kind TransportKind, rate float64) *Stream {
 	n.nextSID++
-	s := &Stream{
+	s := spare(n.streams)
+	if s == nil {
+		s = new(Stream)
+	}
+	*s = Stream{
 		Name: from.name + "-" + to.name,
 		From: from, To: to, Kind: kind, Rate: rate,
 		id: n.nextSID,
 	}
 	switch kind {
 	case UDP:
-		snd := transport.NewUDPSender(from, to.id, s.id)
-		rcv := transport.NewUDPReceiver(s.id)
-		rcv.OnDeliver = func(seq uint32) { s.record(n.Sim.Now(), seq) }
-		to.Handle(rcv.Handle)
-		s.udpSender = snd
-		s.gen = traffic.NewCBR(n.Sim, rate, n.Sim.NewRand(), func() { s.offer(snd.Offer()) })
+		s.udpSender = transport.NewUDPSender(from, to.id, s.id)
+		s.udpRecv = transport.NewUDPReceiver(s.id)
+		s.udpRecv.OnDeliver = func(seq uint32) { s.record(n.Sim.Now(), seq) }
+		to.Handle(s.udpRecv.Handle)
+		s.gen = traffic.NewCBR(n.Sim, rate, n.Sim.NewRand(), func() { s.offer(s.udpSender.Offer()) })
 	case TCP:
 		snd := transport.NewTCPSender(from, to.id, s.id, n.TCPCfg)
 		rcv := transport.NewTCPReceiver(to, s.id)
@@ -509,20 +574,18 @@ func (s *Stream) offer(seq uint32) {
 // order, which is arrival order only while in-window arrivals come in
 // rising seq, so one that does not panics rather than reorder the delays.
 func (s *Stream) record(t sim.Time, seq uint32) {
-	if s.counter != nil {
-		s.counter.Record(t)
-		if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] >= 0 {
-			if t < s.counter.Warmup() {
-				s.offeredAt[i] = consumed
-				return
-			}
-			if seq <= s.lastDelay {
-				panic(fmt.Sprintf("core: stream %s: seq %d arrived in the window after seq %d", s.Name, seq, s.lastDelay))
-			}
-			s.offeredAt[i] = consumed - 1 - (t - s.offeredAt[i])
-			s.ndelays++
-			s.lastDelay = seq
+	s.counter.Record(t)
+	if i := int(seq) - 1; i >= 0 && i < len(s.offeredAt) && s.offeredAt[i] >= 0 {
+		if t < s.counter.Warmup() {
+			s.offeredAt[i] = consumed
+			return
 		}
+		if seq <= s.lastDelay {
+			panic(fmt.Sprintf("core: stream %s: seq %d arrived in the window after seq %d", s.Name, seq, s.lastDelay))
+		}
+		s.offeredAt[i] = consumed - 1 - (t - s.offeredAt[i])
+		s.ndelays++
+		s.lastDelay = seq
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"macaw/internal/frame"
@@ -159,7 +160,7 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, sp *
 		finish = bp.Instrument(n, comp)
 	}
 	total := int64(len(bp.Stations))
-	local := make(map[int]*Station, len(stIdx))
+	first := len(n.stations)
 	for _, i := range stIdx {
 		spec := bp.Stations[i]
 		if inject {
@@ -168,11 +169,19 @@ func (bp Blueprint) materialize(stIdx, strIdx []int, inject bool, comp int, sp *
 			// stream 1 went to the medium at NewNetwork.
 			n.Sim.SetNextStream(int64(i) + 2)
 		}
-		local[i] = n.AddStation(spec.Name, spec.Pos, spec.Factory)
+		n.AddStation(spec.Name, spec.Pos, spec.Factory)
+	}
+	// local returns the station added for global index i, found by
+	// bisection in the ascending stIdx, or nil.
+	local := func(i int) *Station {
+		if k, ok := slices.BinarySearch(stIdx, i); ok {
+			return n.stations[first+k]
+		}
+		return nil
 	}
 	for _, j := range strIdx {
 		spec := bp.Streams[j]
-		from, to := local[spec.From], local[spec.To]
+		from, to := local(spec.From), local(spec.To)
 		if from == nil || to == nil {
 			return nil, nil, fmt.Errorf("core: stream %d references a station outside its component", j)
 		}
@@ -217,10 +226,11 @@ func (bp Blueprint) members(labels []int, count int) (stations, streams [][]int)
 // On the sharded path each worker runs its components one after another
 // through a Spares of its own, and a component network lives until its
 // Run and its Instrument finish hook have both returned. The worker then
-// releases it, and the next component it materializes takes over its
-// storage before any station is added: it seeds its random streams into
+// releases it, and the next component it materializes is built in its
+// record before any station is added: it seeds its random streams into
 // the finished one's generators instead of allocating its own, schedules
-// into its event slab and heap, and takes its packets and offer words.
+// into its event slab and heap, takes its packets and offer words, and
+// rebuilds its station, stream and MAC engine records in place.
 // Every stream of the finished network panics on a later draw, as does
 // scheduling on it or running it. The serial path builds one network and
 // recycles nothing.

@@ -4,22 +4,34 @@ import (
 	"sync"
 
 	"macaw/internal/mac"
-	"macaw/internal/phy"
-	"macaw/internal/sim"
 )
 
 // Spares hands a finished network's storage to the next network built
-// through it (DESIGN.md §8, "Recycled networks"): its simulator, whose RNG
-// generators and event storage the next simulator takes over through
-// sim.Simulator.Recycle; its medium, in whose record the next medium is
-// built, taking over its radio, transmission and reception records and
-// arrays, through phy.Reuse; its packet slab, whose packets keep their
-// payload buffers; its offer-word arena; and the chunks of its MAC queue-block
-// store (mac.Blocks). Release pushes the five as one bundle and Network
-// pops the bundle released last, so a Spares holds one bundle for each
-// network that was live at the same moment, each sized for the largest
-// network it has served. Reuse is passive: a network built through Spares
-// runs, and dumps, exactly like one from NewNetwork.
+// through it (DESIGN.md §8, "Recycled networks"). Release pushes the
+// network itself, and Network pops the one released last and builds the
+// new network in its record (see newNetwork), so a Spares holds one
+// network for each that was live at the same moment, each sized for the
+// largest it has served. The new network takes over:
+//
+//   - the simulator's RNG generators and event storage, through
+//     sim.Simulator.Recycle; the RNG streams stay fresh, so a stale draw
+//     on the old simulator's streams panics;
+//   - the medium's record, radio, transmission and reception records and
+//     arrays, through phy.Reuse;
+//   - the packet slab, whose packets keep their payload buffers, the
+//     payload and offer-word arenas and the MAC queue-block store
+//     (mac.Blocks);
+//   - the station records, each with its MAC environment and engine, and
+//     the stream records, each with its traffic source, counter and UDP
+//     sender and receiver: AddStation and AddStream rebuild them in
+//     place, and each backend's constructor rebuilds its engine in the
+//     old one's record, keeping the capacity of its per-peer tables,
+//     policy and scratch slices (mac.Env.Spare);
+//   - the station list, the stream list and the station-name map,
+//     emptied.
+//
+// Reuse is passive: a network built through Spares runs, and dumps,
+// exactly like one from NewNetwork.
 //
 // A Spares is safe for concurrent use; networks built from one may run on
 // different goroutines. Its owner scopes it: the experiments package keeps
@@ -27,20 +39,8 @@ import (
 // what a run reuses is a function of the runs before it in the same scope.
 // The zero value is ready, and a nil *Spares builds fresh networks.
 type Spares struct {
-	mu      sync.Mutex
-	bundles []bundle
-}
-
-// bundle is the storage one released network leaves: its simulator, its
-// medium, its packet slab, its offer words and its queue-block chunks.
-// Spares keeps bundles by value, so Release allocates nothing once the
-// stack has room.
-type bundle struct {
-	sim    *sim.Simulator
-	medium *phy.Medium
-	blocks []*packetBlock
-	words  []sim.Time
-	queues mac.Blocks
+	mu   sync.Mutex
+	nets []*Network
 }
 
 // packetsPerBlock is the number of packets in one slab block: 32 records
@@ -50,43 +50,38 @@ const packetsPerBlock = 32
 // packetBlock is one block of a network's packet slab.
 type packetBlock [packetsPerBlock]mac.Packet
 
-// Network returns a network for seed, as NewNetwork does, that takes over
-// the bundle released to sp last, if any. A nil sp builds a fresh network.
+// Network returns a network for seed, as NewNetwork does, built in the
+// record of the network released to sp last, if any. A nil sp builds a
+// fresh network.
 func (sp *Spares) Network(seed int64) *Network {
 	if sp == nil {
 		return NewNetwork(seed)
 	}
 	sp.mu.Lock()
-	var b bundle
-	if k := len(sp.bundles); k > 0 {
-		b = sp.bundles[k-1]
-		sp.bundles[k-1] = bundle{}
-		sp.bundles = sp.bundles[:k-1]
+	var dead *Network
+	if k := len(sp.nets); k > 0 {
+		dead = sp.nets[k-1]
+		sp.nets[k-1] = nil
+		sp.nets = sp.nets[:k-1]
 	}
 	sp.mu.Unlock()
-	n := newNetwork(seed, b.medium)
+	n := newNetwork(seed, dead)
 	n.spares = sp
-	if b.sim != nil {
-		n.Sim.Recycle(b.sim)
-		n.blocks, n.words = b.blocks, b.words
-		b.queues.MoveTo(n.queues)
-	}
 	return n
 }
 
-// Release ends the network: Start, RunTo, Collect, AddStation and a second
-// Release panic from here on, and a network built through Spares pushes its
-// storage onto them as one bundle. The next network takes over the
+// Release ends the network: Start, RunTo, Collect, AddStation, a second
+// Release, and a station's SendSegment, Crash and Restart panic from
+// here on, until a later network is built in n's record. A network built
+// through Spares then goes onto them, and the next network built through
+// them is built in its record, taking over its storage (see Spares): its
 // simulator, whose pending events are dropped and whose RNG streams panic
-// on a later draw (see sim.Simulator.Recycle); the medium, n.Medium
-// itself, which becomes the next network's, and whose radio records, which
-// every station's Radio() and MAC engine point to, are rewritten as the
-// next network attaches its stations (see phy.Reuse); the packets, which
-// every station and MAC engine of n may still point to, are rewritten as
-// the next network sends; and so are the offer words, which every
-// stream's offer bookkeeping points into; and so are the queue blocks,
-// which every MAC engine's queues hold. So nothing of n, a station's Radio() included, may be read after
-// Release: call it once the run's results and observers are done.
+// on a later draw (see sim.Simulator.Recycle); its medium, whose radio
+// records every station's Radio() and MAC engine point to; its packets,
+// which every station and MAC engine may still point to; its offer words
+// and queue blocks; and its station, stream and engine records
+// themselves. So nothing of n, a station's Radio() included, may be read
+// after Release: call it once the run's results and observers are done.
 func (n *Network) Release() {
 	n.mustLive("Release")
 	n.released = true
@@ -96,9 +91,7 @@ func (n *Network) Release() {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	sp.bundles = append(sp.bundles, bundle{sim: n.Sim, medium: n.Medium, blocks: n.blocks, words: n.words})
-	n.queues.MoveTo(&sp.bundles[len(sp.bundles)-1].queues)
-	n.blocks, n.words = nil, nil
+	sp.nets = append(sp.nets, n)
 }
 
 // mustLive panics when n has been released.

@@ -74,7 +74,7 @@ type RunConfig struct {
 // scope is the one core.Spares every run configured by ForTable builds its
 // networks through: each run takes over what the runs before it released,
 // in any table, the sweep or a campaign job (DESIGN.md §8, "Recycled
-// networks"). It holds one bundle of storage for each network that was
+// networks"). It holds one released network for each network that was
 // live at the same moment, so it stays bounded in a long-lived process.
 var scope core.Spares
 

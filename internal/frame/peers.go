@@ -47,6 +47,9 @@ func (p *Peers[T]) Add(id NodeID) *T {
 	return &p.recs[i].rec
 }
 
+// Reset removes every record, keeping the slice's capacity.
+func (p *Peers[T]) Reset() { p.recs = p.recs[:0] }
+
 // Len returns the number of records.
 func (p *Peers[T]) Len() int { return len(p.recs) }
 

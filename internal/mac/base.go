@@ -18,7 +18,8 @@ import (
 type Base struct {
 	Env *Env
 	// Out is the frame being sent. The radio copies it at Transmit, so this
-	// one scratch value serves every transmission.
+	// one scratch value serves every transmission, and Transmit clears its
+	// payload, which aliases a packet the engine may complete next.
 	Out frame.Frame
 	// Seq is the last link-layer sequence number Admit assigned.
 	Seq uint32
@@ -65,12 +66,16 @@ func (b *Base) TimerWhen() sim.Time {
 // TimerPending reports whether the state timer is armed.
 func (b *Base) TimerPending() bool { return b.TimerWhen() >= 0 }
 
-// Transmit radiates f, reporting it to the observers first.
+// Transmit radiates f, reporting it to the observers first. Once the radio
+// has copied the frame, the payload of Out is cleared: it is a packet's
+// buffer, and the host reuses a packet once the engine completes it.
 func (b *Base) Transmit(f *frame.Frame) sim.Duration {
 	for _, o := range b.Env.Obs {
 		o.ObserveTx(f)
 	}
-	return b.Env.Radio.Transmit(f)
+	air := b.Env.Radio.Transmit(f)
+	b.Out.Payload = nil
+	return air
 }
 
 // Receive is the prologue of every radio reception: false on a halted

@@ -64,7 +64,11 @@ type CSMA struct {
 
 // New returns a CSMA instance bound to env's radio.
 func New(env *mac.Env, opt Options) *CSMA {
-	c := &CSMA{Base: mac.Base{Env: env}, opt: opt, pol: opt.Policy, q: mac.NewQueue(env.Blocks)}
+	c, ok := mac.TakeSpare[*CSMA](env)
+	if !ok {
+		c = new(CSMA)
+	}
+	*c = CSMA{Base: mac.Base{Env: env}, opt: opt, pol: opt.Policy, q: mac.NewQueue(env.Blocks)}
 	if c.pol == nil {
 		c.pol = backoff.NewSingle(backoff.NewBEB(), false)
 	}

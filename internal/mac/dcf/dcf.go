@@ -140,11 +140,17 @@ type DCF struct {
 // with its pre-crash numbering (the same defense macaw uses).
 func New(env *mac.Env, opt Options) *DCF {
 	opt = opt.withDefaults()
-	d := &DCF{
-		Base: mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
-		opt:  opt,
-		cw:   opt.CWMin,
-		q:    mac.NewQueue(env.Blocks),
+	d, ok := mac.TakeSpare[*DCF](env)
+	if !ok {
+		d = new(DCF)
+	}
+	d.lastSeq.Reset()
+	*d = DCF{
+		Base:    mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
+		opt:     opt,
+		cw:      opt.CWMin,
+		q:       mac.NewQueue(env.Blocks),
+		lastSeq: d.lastSeq,
 	}
 	env.Radio.SetHandler(d)
 	return d

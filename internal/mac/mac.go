@@ -245,7 +245,21 @@ type Env struct {
 	// shared by every engine of the network (see NewQueue). Nil allocates
 	// each block on its own.
 	Blocks *Blocks
+	// Spare is the engine the previous occupant of the host's station
+	// record ran, finished for good with its network, or nil. A backend's
+	// constructor takes it (see TakeSpare) and, when it is the backend's
+	// own type, builds the new engine in its record, keeping the capacity
+	// of its tables and scratch slices.
+	Spare Engine
 	Callbacks
+}
+
+// TakeSpare clears env.Spare and returns it as an E, if it is one. An
+// engine record it returns is dead: the caller rewrites every field.
+func TakeSpare[E Engine](env *Env) (E, bool) {
+	e, ok := env.Spare.(E)
+	env.Spare = nil
+	return e, ok
 }
 
 // ID returns the station identifier of the bound radio.

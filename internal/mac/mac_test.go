@@ -86,6 +86,46 @@ func TestStreamQueues(t *testing.T) {
 	}
 }
 
+// TestSparesStreamQueuesReset: stream queues Reset after use, over a
+// store whose blocks the old queues still point into, start empty and
+// take their blocks from the new store. They rebuild the queue records
+// they kept, in order, so a new owner's destinations cost no record until
+// it has more than the old owner had, and each rebuilt queue is a fresh
+// one.
+func TestSparesStreamQueuesReset(t *testing.T) {
+	var old, store Blocks
+	s := NewStreamQueues(&old)
+	for i := 0; i < 40; i++ {
+		s.Push(&Packet{Dst: frame.NodeID(1 + i%3)})
+	}
+	kept := append([]*Queue(nil), s.qs...)
+	old.Reset()
+	s.Reset(&store)
+	if s.TotalLen() != 0 || len(s.Destinations()) != 0 || len(s.NonEmpty(nil)) != 0 {
+		t.Fatalf("Reset left %d packets toward %v", s.TotalLen(), s.Destinations())
+	}
+	for _, d := range []frame.NodeID{7, 4, 9, 4} {
+		s.Push(&Packet{Dst: d})
+	}
+	if got := s.Destinations(); len(got) != 3 || got[0] != 7 || got[1] != 4 || got[2] != 9 {
+		t.Fatalf("Destinations after Reset = %v, want [7 4 9]", got)
+	}
+	for i, q := range s.qs {
+		if q != kept[i] {
+			t.Errorf("queue %d is a new record", i)
+		}
+		if q.src != &store {
+			t.Errorf("queue %d takes its blocks from the old store", i)
+		}
+	}
+	if s.Queue(7).Len() != 1 || s.Queue(4).Len() != 2 || s.Queue(9).Len() != 1 {
+		t.Fatal("per-stream lengths wrong after Reset")
+	}
+	if p := s.Queue(4).Pop(); p == nil || p.Dst != 4 || s.TotalLen() != 3 {
+		t.Fatal("a rebuilt queue kept what it held before Reset")
+	}
+}
+
 func TestPacketSeq(t *testing.T) {
 	p := &Packet{Dst: 1}
 	p.SetSeq(42)

@@ -66,7 +66,11 @@ type MACA struct {
 // New returns a MACA instance bound to env's radio. It installs itself as
 // the radio's handler.
 func New(env *mac.Env, opts ...Option) *MACA {
-	m := &MACA{Base: mac.Base{Env: env}, pol: backoff.NewSingle(backoff.NewBEB(), false), q: mac.NewQueue(env.Blocks)}
+	m, ok := mac.TakeSpare[*MACA](env)
+	if !ok {
+		m = new(MACA)
+	}
+	*m = MACA{Base: mac.Base{Env: env}, pol: backoff.NewSingle(backoff.NewBEB(), false), q: mac.NewQueue(env.Blocks)}
 	for _, o := range opts {
 		o(m)
 	}

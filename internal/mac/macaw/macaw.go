@@ -191,15 +191,47 @@ type MACAW struct {
 	pending frame.Peers[held]
 }
 
+// defaultStrategy is the default policy's strategy, MILD at the paper's
+// bounds, converted to a Strategy once: a strategy is a value, and
+// retuning a policy replaces its strategy rather than writing into it, so
+// every default policy can share this one.
+var defaultStrategy backoff.Strategy = backoff.NewMILD()
+
 // New returns a MACAW instance bound to env's radio, installing itself as
-// the radio handler.
+// the radio handler. Built in a spare engine's record (see mac.Env.Spare),
+// it keeps the spare's stream queues, peer tables and scratch slice, and
+// its per-destination policy when it builds the default one, each emptied.
 func New(env *mac.Env, opt Options) *MACAW {
-	m := &MACAW{
+	m, ok := mac.TakeSpare[*MACAW](env)
+	if !ok {
+		m = new(MACAW)
+	}
+	streams := m.streams
+	if streams == nil {
+		streams = mac.NewStreamQueues(env.Blocks)
+	} else {
+		streams.Reset(env.Blocks)
+	}
+	pol := opt.Policy
+	if pol == nil {
+		if pd, ok := m.pol.(*backoff.PerDest); ok {
+			pd.Reset(defaultStrategy)
+			pol = pd
+		} else {
+			pol = backoff.NewPerDest(defaultStrategy)
+		}
+	}
+	m.peers.Reset()
+	m.pending.Reset()
+	*m = MACAW{
 		Base:    mac.Base{Env: env},
 		opt:     opt,
-		pol:     opt.Policy,
-		streams: mac.NewStreamQueues(env.Blocks),
+		pol:     pol,
+		streams: streams,
 		fifo:    mac.NewQueue(env.Blocks),
+		targets: m.targets[:0],
+		peers:   m.peers,
+		pending: m.pending,
 	}
 	// Each lifetime numbers its packets from a random point (the TCP
 	// initial-sequence-number argument): a rebooted station restarting
@@ -211,9 +243,6 @@ func New(env *mac.Env, opt Options) *MACAW {
 	// exact collision is indistinguishable there; randomizing the origin
 	// makes it vanishingly unlikely.
 	m.Seq = env.Rand.Uint32() & 0x3fffffff
-	if m.pol == nil {
-		m.pol = backoff.NewPerDest(backoff.NewMILD())
-	}
 	env.Radio.SetHandler(m)
 	return m
 }

@@ -31,10 +31,16 @@ func newWorld(seed int64) *world {
 }
 
 func (w *world) add(id frame.NodeID, pos geom.Vec3, opt Options) *station {
+	return w.addIn(id, pos, opt, nil)
+}
+
+// addIn adds a station as add does, handing New spare as the engine to
+// build in (see mac.Env.Spare).
+func (w *world) addIn(id frame.NodeID, pos geom.Vec3, opt Options, spare mac.Engine) *station {
 	st := &station{}
 	radio := w.medium.Attach(id, pos, nil)
 	env := &mac.Env{
-		Sim: w.s, Radio: radio, Rand: w.s.NewRand(), Cfg: mac.DefaultConfig(),
+		Sim: w.s, Radio: radio, Rand: w.s.NewRand(), Cfg: mac.DefaultConfig(), Spare: spare,
 		Callbacks: mac.Callbacks{
 			Deliver: func(src frame.NodeID, payload []byte) {
 				// payload is the radio's buffer, valid for the call only.

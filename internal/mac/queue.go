@@ -21,7 +21,7 @@ const chunkBlocks = 8
 // chunkBlocks and takes a queue's spent blocks back on a free list, so
 // queues that shrink give their blocks to queues that grow, and a network
 // holds blocks for its peak total backlog rather than for each queue's
-// own. A store's chunks pass to another store through MoveTo. The zero
+// own. Reset takes every block back for a later network. The zero
 // value is ready; a nil *Blocks allocates each block with new and drops
 // the spent ones. A Blocks is not safe for concurrent use.
 type Blocks struct {
@@ -30,8 +30,8 @@ type Blocks struct {
 	free   *block    // spent blocks, linked through next
 }
 
-// get returns a zeroed block. A block cut from a chunk that came through
-// MoveTo, or taken back from a queue, may hold what its earlier owner left
+// get returns a zeroed block. A block cut from a chunk again after Reset,
+// or taken back from a queue, may hold what its earlier owner left
 // in it, so every block is zeroed when it is taken.
 func (s *Blocks) get() *block {
 	if s == nil {
@@ -61,12 +61,11 @@ func (s *Blocks) put(b *block) {
 	}
 }
 
-// MoveTo hands every chunk of s to dst, a store that has cut no block,
-// which cuts its blocks from them, and leaves s empty. Every block of s
-// goes with its chunk, so no queue over s may be used after: it is for a
-// store whose network has ended.
-func (s *Blocks) MoveTo(dst *Blocks) {
-	*dst, *s = Blocks{chunks: s.chunks}, Blocks{}
+// Reset takes back every block s has cut: it keeps its chunks and cuts its
+// next blocks from the first again. No queue over s may be used after: it
+// is for a store whose network has ended.
+func (s *Blocks) Reset() {
+	*s = Blocks{chunks: s.chunks}
 }
 
 // Queue is a FIFO packet queue: a linked list of blocks of queueBlock
@@ -186,11 +185,24 @@ func NewStreamQueues(src *Blocks) *StreamQueues {
 	return &StreamQueues{src: src}
 }
 
+// Reset empties s for a new owner whose queues take their blocks from
+// src. The blocks its queues held are not given back: they belong to the
+// store of the network that ended. It keeps the capacity of its slices and
+// the queue records past their length, which Push rewrites before use.
+func (s *StreamQueues) Reset(src *Blocks) {
+	*s = StreamQueues{src: src, order: s.order[:0], qs: s.qs[:0]}
+}
+
 // Push enqueues p on its destination's queue.
 func (s *StreamQueues) Push(p *Packet) {
 	q := s.Queue(p.Dst)
 	if q == nil {
-		q = &Queue{src: s.src}
+		if k := len(s.qs); k < cap(s.qs) && s.qs[:k+1][k] != nil {
+			q = s.qs[:k+1][k]
+		} else {
+			q = new(Queue)
+		}
+		*q = Queue{src: s.src}
 		s.order = append(s.order, p.Dst)
 		s.qs = append(s.qs, q)
 	}

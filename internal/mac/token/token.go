@@ -110,7 +110,11 @@ type Token struct {
 // listed in opt.Ring.
 func New(env *mac.Env, opt Options) *Token {
 	opt = opt.withDefaults()
-	t := &Token{Base: mac.Base{Env: env}, opt: opt, ringPos: -1, q: mac.NewQueue(env.Blocks)}
+	t, ok := mac.TakeSpare[*Token](env)
+	if !ok {
+		t = new(Token)
+	}
+	*t = Token{Base: mac.Base{Env: env}, opt: opt, ringPos: -1, q: mac.NewQueue(env.Blocks)}
 	for i, id := range opt.Ring {
 		if id == env.ID() {
 			t.ringPos = i

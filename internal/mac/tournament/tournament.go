@@ -109,11 +109,17 @@ type Tournament struct {
 // cannot collide with its pre-crash numbering.
 func New(env *mac.Env, opt Options) *Tournament {
 	opt = opt.withDefaults()
-	t := &Tournament{
+	t, ok := mac.TakeSpare[*Tournament](env)
+	if !ok {
+		t = new(Tournament)
+	}
+	t.lastSeq.Reset()
+	*t = Tournament{
 		Base:     mac.Base{Env: env, Seq: env.Rand.Uint32() & 0x3fffffff},
 		opt:      opt,
 		lastBusy: -1,
 		q:        mac.NewQueue(env.Blocks),
+		lastSeq:  t.lastSeq,
 	}
 	env.Radio.SetHandler(t)
 	return t

@@ -70,7 +70,8 @@ func (s *Sink) WriteJSON(w io.Writer) error {
 // writes it: labels sorted, HTML characters escaped, a json.RawMessage
 // compacted. It writes one run at a time, each indented into one reused
 // buffer, so the document costs its largest run's bytes, not its whole
-// size over again. A run that fails to marshal ends the document there:
+// size over again; the buffer and its encoder are kept for later calls
+// (see spareSection). A run that fails to marshal ends the document there:
 // w holds the runs before it.
 func WriteRuns[V any](w io.Writer, runs map[string]V) error {
 	if runs == nil {
@@ -81,17 +82,9 @@ func WriteRuns[V any](w io.Writer, runs map[string]V) error {
 		_, err := io.WriteString(w, "{\n  \"runs\": {}\n}\n")
 		return err
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("    ", "  ")
-	// encode appends v's indented text to buf without Encode's newline.
-	encode := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		buf.Truncate(buf.Len() - 1)
-		return nil
-	}
+	sec := takeSection()
+	defer putSection(sec)
+	buf := &sec.buf
 	buf.WriteString("{\n  \"runs\": {\n")
 	labels := make([]string, 0, len(runs))
 	for l := range runs {
@@ -100,11 +93,11 @@ func WriteRuns[V any](w io.Writer, runs map[string]V) error {
 	sort.Strings(labels)
 	for i, label := range labels {
 		buf.WriteString("    ")
-		if err := encode(label); err != nil {
+		if err := sec.encode(label); err != nil {
 			return err
 		}
 		buf.WriteString(": ")
-		if err := encode(runs[label]); err != nil {
+		if err := sec.encode(runs[label]); err != nil {
 			return err
 		}
 		if i < len(labels)-1 {
@@ -118,4 +111,52 @@ func WriteRuns[V any](w io.Writer, runs map[string]V) error {
 	}
 	_, err := io.WriteString(w, "  }\n}\n")
 	return err
+}
+
+// section is WriteRuns's buffer for one run's text and the encoder that
+// indents into it, whose own indenting buffer it keeps between calls.
+type section struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// spareSection keeps one section between WriteRuns calls, grown to the
+// largest run it has written, so the next document reuses its storage. It
+// is not a sync.Pool: a pool is emptied by the collections that writing
+// one document's worth of runs sets off.
+var spareSection struct {
+	sync.Mutex
+	sec *section
+}
+
+// takeSection returns the spare section, or a new one when another
+// WriteRuns holds it.
+func takeSection() *section {
+	spareSection.Lock()
+	sec := spareSection.sec
+	spareSection.sec = nil
+	spareSection.Unlock()
+	if sec == nil {
+		sec = new(section)
+		sec.enc = json.NewEncoder(&sec.buf)
+		sec.enc.SetIndent("    ", "  ")
+	}
+	return sec
+}
+
+// putSection empties sec and keeps it as the spare.
+func putSection(sec *section) {
+	sec.buf.Reset()
+	spareSection.Lock()
+	spareSection.sec = sec
+	spareSection.Unlock()
+}
+
+// encode appends v's indented text to the buffer without Encode's newline.
+func (sec *section) encode(v any) error {
+	if err := sec.enc.Encode(v); err != nil {
+		return err
+	}
+	sec.buf.Truncate(sec.buf.Len() - 1)
+	return nil
 }

@@ -59,11 +59,6 @@ var skip = map[string]bool{
 	"macaw/internal/phy.Medium.txFree":  true,
 	"macaw/internal/phy.Medium.recFree": true,
 	"macaw/internal/phy.Medium.spare":   true,
-	// A radio's first handler record: while that handler is installed,
-	// the radio's handler pointer renders it, and after a later
-	// SetHandler only notifications already scheduled reach it, which
-	// are rendered with the pending events.
-	"macaw/internal/phy.Radio.first": true,
 }
 
 // eventQueue is the simulator's heap, rendered by events.

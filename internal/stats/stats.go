@@ -84,8 +84,8 @@ type Windowed struct {
 }
 
 // NewWindowed returns a counter measuring [warmup, end).
-func NewWindowed(warmup, end sim.Time) *Windowed {
-	return &Windowed{warmup: warmup, end: end}
+func NewWindowed(warmup, end sim.Time) Windowed {
+	return Windowed{warmup: warmup, end: end}
 }
 
 // Record registers an event at time t.

@@ -27,13 +27,15 @@ type CBR struct {
 
 // NewCBR returns a CBR source at rate packets/second calling offer for each
 // packet. rng supplies the initial phase; it may be nil for phase zero.
-// It panics on a rate that Interval refuses.
-func NewCBR(s *sim.Simulator, rate float64, rng *rand.Rand, offer func()) *CBR {
+// It panics on a rate that Interval refuses. The source is a value, so a
+// host can keep it in a record of its own; once started it schedules
+// itself by address, so it must not be copied.
+func NewCBR(s *sim.Simulator, rate float64, rng *rand.Rand, offer func()) CBR {
 	interval, err := Interval(rate)
 	if err != nil {
 		panic(err.Error())
 	}
-	c := &CBR{s: s, interval: interval, offer: offer}
+	c := CBR{s: s, interval: interval, offer: offer}
 	if rng != nil {
 		c.phase = sim.Duration(rng.Int63n(int64(interval)))
 	}

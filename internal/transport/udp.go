@@ -13,9 +13,10 @@ type UDPSender struct {
 	sent   int
 }
 
-// NewUDPSender returns a sender for one (destination, stream) pair.
-func NewUDPSender(ep Endpoint, dst frame.NodeID, stream uint16) *UDPSender {
-	return &UDPSender{ep: ep, dst: dst, stream: stream}
+// NewUDPSender returns a sender for one (destination, stream) pair, as a
+// value a host can keep in a record of its own.
+func NewUDPSender(ep Endpoint, dst frame.NodeID, stream uint16) UDPSender {
+	return UDPSender{ep: ep, dst: dst, stream: stream}
 }
 
 // Offer submits one data packet and returns its sequence number.
@@ -38,8 +39,9 @@ type UDPReceiver struct {
 	OnDeliver func(seq uint32)
 }
 
-// NewUDPReceiver returns a receiver for one stream.
-func NewUDPReceiver(stream uint16) *UDPReceiver { return &UDPReceiver{stream: stream} }
+// NewUDPReceiver returns a receiver for one stream, as a value a host can
+// keep in a record of its own.
+func NewUDPReceiver(stream uint16) UDPReceiver { return UDPReceiver{stream: stream} }
 
 // Handle processes an incoming segment for this stream.
 func (u *UDPReceiver) Handle(src frame.NodeID, seg Segment) {
