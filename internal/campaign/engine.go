@@ -286,6 +286,10 @@ func (e *Engine) runJob(ctx context.Context, c *Campaign, i int) {
 		if perr := e.cache.Put(key, res.line); perr != nil {
 			fmt.Fprintf(os.Stderr, "macawd: ledger flush for %s: %v\n", key, perr)
 		}
+		// The ledger keeps its own copy, so the line is held once.
+		if stored, ok := e.cache.Get(key); ok {
+			res.keep(stored)
+		}
 		c.mu.Lock()
 		c.states[i], c.results[i] = jobDone, res
 		c.mu.Unlock()

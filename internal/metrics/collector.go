@@ -36,19 +36,17 @@ func (c *Collector) Observer(st *core.Station) mac.Observer {
 	sc := c.stations[st.Name()]
 	if sc == nil {
 		sc = &stationCollector{
-			c:         c,
-			reg:       NewRegistry(),
-			backoff:   make(map[frame.NodeID]*Series),
-			residency: make(map[string]sim.Duration),
-			cur:       "IDLE",
-			since:     c.clock.Now(),
+			c:       c,
+			reg:     NewRegistry(),
+			backoff: make(map[frame.NodeID]*Series),
+			since:   c.clock.Now(),
 		}
 		c.stations[st.Name()] = sc
 	} else {
 		sc.closeResidency(c.clock.Now())
-		sc.cur = "IDLE"
 		sc.reg.Counter("mac_restarts").Inc()
 	}
+	sc.enter("IDLE")
 	return sc
 }
 
@@ -76,10 +74,17 @@ type stationCollector struct {
 	fsmTransitions                 *Counter
 	dropsRetryLimit, dropsDisabled *Counter
 
-	// FSM residency bookkeeping: time spent in cur since 'since'.
-	residency map[string]sim.Duration
-	cur       string
+	// FSM residency bookkeeping: the time spent in each state entered,
+	// in order of first entry, and in residency[cur] since 'since'.
+	residency []stateTime
+	cur       int
 	since     sim.Time
+}
+
+// stateTime is the time a station has spent in one FSM state.
+type stateTime struct {
+	state string
+	d     sim.Duration
 }
 
 // counter returns *h, resolving it to reg's counter called name first if
@@ -103,8 +108,21 @@ func (sc *stationCollector) frameCounter(hs *[frameHandles]*Counter, prefix stri
 }
 
 func (sc *stationCollector) closeResidency(now sim.Time) {
-	sc.residency[sc.cur] += now - sc.since
+	sc.residency[sc.cur].d += now - sc.since
 	sc.since = now
+}
+
+// enter makes state the current one, adding its record on first entry. A
+// MAC has a handful of states, so a scan finds it.
+func (sc *stationCollector) enter(state string) {
+	for i := range sc.residency {
+		if sc.residency[i].state == state {
+			sc.cur = i
+			return
+		}
+	}
+	sc.cur = len(sc.residency)
+	sc.residency = append(sc.residency, stateTime{state: state})
 }
 
 func (sc *stationCollector) ObserveTx(f *frame.Frame) {
@@ -130,7 +148,7 @@ func (sc *stationCollector) ObserveRx(f *frame.Frame) {
 func (sc *stationCollector) ObserveState(from, to string) {
 	now := sc.c.clock.Now()
 	sc.closeResidency(now)
-	sc.cur = to
+	sc.enter(to)
 	sc.counter(&sc.fsmTransitions, "fsm_transitions").Inc()
 }
 
@@ -265,13 +283,13 @@ func (c *Collector) Snapshot(n *core.Network, res core.Results, seed int64) *Run
 			FSMResidencyS: make(map[string]float64, len(sc.residency)),
 			MACStats:      st.MAC().Stats(),
 		}
-		for state, d := range sc.residency {
-			sm.FSMResidencyS[state] = d.Seconds()
+		for _, r := range sc.residency {
+			sm.FSMResidencyS[r.state] = r.d.Seconds()
 		}
 		rm.Stations[st.Name()] = sm
 	}
 	for i, s := range n.Streams() {
-		h := NewHistogram(DelayBuckets())
+		h := NewHistogram(delayBounds)
 		s.EachDelay(func(d sim.Duration) { h.Observe(d.Seconds()) })
 		var sr core.StreamResult
 		if i < len(res.Streams) {
@@ -288,7 +306,7 @@ func (c *Collector) Snapshot(n *core.Network, res core.Results, seed int64) *Run
 			Delay:      h,
 		}
 		if from := rm.Stations[s.From.Name()]; from != nil {
-			agg := from.Histogram("delay_s", DelayBuckets())
+			agg := from.Histogram("delay_s", delayBounds)
 			s.EachDelay(func(d sim.Duration) { agg.Observe(d.Seconds()) })
 		}
 	}

@@ -6,8 +6,8 @@
 // The package is strictly passive (DESIGN.md §12): collectors consume no
 // randomness, schedule nothing, and transmit nothing, so an instrumented run
 // is byte-identical to a bare one at any -jobs value. Every map in the JSON
-// output is keyed by name and Go's encoder sorts map keys, so the document
-// bytes are a pure function of the run.
+// output is keyed by name and written in key order, so the document bytes
+// are a pure function of the run.
 package metrics
 
 import (
@@ -113,24 +113,25 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max
 }
 
-// DelayBuckets returns the packet-delay bucket bounds in seconds: a
-// geometric ladder from 1 ms to ~2 min, wide enough for the paper's
-// saturated queues.
-func DelayBuckets() []float64 {
-	var b []float64
-	for v := 0.001; v < 130; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}
-
-// queueBounds and backoffBounds are the bucket bounds the collector's
-// histograms share. Nothing writes them; QueueBuckets and BackoffBuckets
-// hand out copies.
+// queueBounds, backoffBounds and delayBounds are the bucket bounds the
+// collector's histograms share. Nothing writes them; QueueBuckets,
+// BackoffBuckets and DelayBuckets hand out copies.
 var (
 	queueBounds   = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 	backoffBounds = []float64{2, 4, 8, 16, 32, 64, 128}
+	delayBounds   = func() []float64 {
+		var b []float64
+		for v := 0.001; v < 130; v *= 2 {
+			b = append(b, v)
+		}
+		return b
+	}()
 )
+
+// DelayBuckets returns the packet-delay bucket bounds in seconds: a
+// geometric ladder from 1 ms to ~2 min, wide enough for the paper's
+// saturated queues.
+func DelayBuckets() []float64 { return slices.Clone(delayBounds) }
 
 // QueueBuckets returns the queue-depth bucket bounds.
 func QueueBuckets() []float64 { return slices.Clone(queueBounds) }

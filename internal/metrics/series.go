@@ -1,12 +1,6 @@
 package metrics
 
-import (
-	"encoding/json"
-	"math"
-	"strconv"
-
-	"macaw/internal/sim"
-)
+import "macaw/internal/sim"
 
 // seriesCap is the default bound on retained points per series.
 const seriesCap = 2048
@@ -71,49 +65,13 @@ func (s *Series) Seen() int64 { return s.seen }
 func (s *Series) Points() []Point { return s.pts }
 
 // MarshalJSON renders the series as {"stride", "seen", "points"} with each
-// point a [seconds, value] pair, appending the bytes encoding/json would
-// write for the same fields directly.
+// point a [seconds, value] pair, the bytes encoding/json would write for
+// the same fields.
 func (s *Series) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 48+len(s.pts)*24)
-	b = append(b, `{"stride":`...)
-	b = strconv.AppendInt(b, s.stride, 10)
-	b = append(b, `,"seen":`...)
-	b = strconv.AppendInt(b, s.seen, 10)
-	b = append(b, `,"points":[`...)
-	var err error
-	for i, p := range s.pts {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '[')
-		if b, err = appendFloat(b, p.T.Seconds()); err != nil {
-			return nil, err
-		}
-		b = append(b, ',')
-		if b, err = appendFloat(b, p.V); err != nil {
-			return nil, err
-		}
-		b = append(b, ']')
+	w := docWriter{b: make([]byte, 0, 48+len(s.pts)*24)}
+	w.series(s)
+	if w.err != nil {
+		return nil, w.err
 	}
-	return append(b, "]}"...), nil
-}
-
-// appendFloat appends v as encoding/json formats a float64: shortest
-// round-trip digits, in exponent form below 1e-6 and from 1e21 up with a
-// one-digit exponent left unpadded. NaN and the infinities have no JSON
-// form.
-func appendFloat(b []byte, v float64) ([]byte, error) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
+	return w.b, nil
 }

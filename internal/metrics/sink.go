@@ -11,8 +11,8 @@ import (
 // Sink aggregates the RunMetrics of many runs into one JSON document, keyed
 // by a deterministic run label assigned at submission time (e.g.
 // "table2/MILD copy"). Labels are stated by the generator code, not by
-// completion order, and the JSON encoder sorts map keys, so the document is
-// byte-identical at any -jobs value. Add is safe for concurrent use.
+// completion order, and every map is written in key order, so the document
+// is byte-identical at any -jobs value. Add is safe for concurrent use.
 type Sink struct {
 	mu   sync.Mutex
 	runs map[string]*RunMetrics
@@ -57,23 +57,45 @@ func (s *Sink) Labels() []string {
 	return out
 }
 
-// WriteJSON writes every stored run as one indented JSON document:
-// {"runs": {label: RunMetrics, ...}} (see WriteRuns).
+// WriteJSON writes every stored run as one indented JSON document,
+// {"runs": {label: RunMetrics, ...}}, byte for byte as an encoding/json
+// Encoder indenting by two spaces writes it: labels sorted, HTML characters
+// escaped. Each run is written by the package's own encoder (see
+// docWriter) into one buffer, reused for every run and kept for later
+// calls (see spareWriter), so the document costs its largest run's bytes,
+// not its whole size over again. A run that fails to encode ends the
+// document there: w holds the runs before it.
 func (s *Sink) WriteJSON(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return WriteRuns(w, s.runs)
+	dw := takeWriter()
+	defer putWriter(dw)
+	return writeRuns(w, s.runs, dw, dw.run)
 }
 
-// WriteRuns writes runs as the document {"runs": {label: run, ...}},
-// byte for byte as an encoding/json Encoder indenting by two spaces
-// writes it: labels sorted, HTML characters escaped, a json.RawMessage
-// compacted. It writes one run at a time, each indented into one reused
-// buffer, so the document costs its largest run's bytes, not its whole
-// size over again; the buffer and its encoder are kept for later calls
-// (see spareSection). A run that fails to marshal ends the document there:
-// w holds the runs before it.
-func WriteRuns[V any](w io.Writer, runs map[string]V) error {
+// WriteRuns writes per-run documents held as raw JSON, as a campaign's
+// result lines hold them, as the document WriteJSON writes for the runs
+// they encode: each is compacted, HTML-escaped and indented as an
+// encoding/json Encoder writes a json.RawMessage.
+func WriteRuns(w io.Writer, runs map[string]json.RawMessage) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent(runIndent, "  ")
+	dw := new(docWriter)
+	return writeRuns(w, runs, dw, func(doc json.RawMessage) {
+		buf.Reset()
+		if err := enc.Encode(doc); err != nil {
+			dw.fail(err)
+			return
+		}
+		dw.b = append(dw.b, buf.Bytes()[:buf.Len()-1]...)
+	})
+}
+
+// writeRuns writes runs as the document {"runs": {label: run, ...}}, one
+// run at a time, each appended by run to dw in the indented form. A run
+// that fails ends the document there, after the runs before it.
+func writeRuns[V any](w io.Writer, runs map[string]V, dw *docWriter, run func(V)) error {
 	if runs == nil {
 		_, err := io.WriteString(w, "{\n  \"runs\": null\n}\n")
 		return err
@@ -82,81 +104,60 @@ func WriteRuns[V any](w io.Writer, runs map[string]V) error {
 		_, err := io.WriteString(w, "{\n  \"runs\": {}\n}\n")
 		return err
 	}
-	sec := takeSection()
-	defer putSection(sec)
-	buf := &sec.buf
-	buf.WriteString("{\n  \"runs\": {\n")
 	labels := make([]string, 0, len(runs))
 	for l := range runs {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
+	dw.indent, dw.depth = true, 0
+	dw.b = append(dw.b[:0], "{\n  \"runs\": {\n"...)
 	for i, label := range labels {
-		buf.WriteString("    ")
-		if err := sec.encode(label); err != nil {
-			return err
-		}
-		buf.WriteString(": ")
-		if err := sec.encode(runs[label]); err != nil {
-			return err
+		dw.b = append(dw.b, runIndent...)
+		dw.b = AppendJSONString(dw.b, label, true)
+		dw.b = append(dw.b, ": "...)
+		run(runs[label])
+		if dw.err != nil {
+			return dw.err
 		}
 		if i < len(labels)-1 {
-			buf.WriteByte(',')
+			dw.b = append(dw.b, ',')
 		}
-		buf.WriteByte('\n')
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		dw.b = append(dw.b, '\n')
+		if _, err := w.Write(dw.b); err != nil {
 			return err
 		}
-		buf.Reset()
+		dw.b = dw.b[:0]
 	}
 	_, err := io.WriteString(w, "  }\n}\n")
 	return err
 }
 
-// section is WriteRuns's buffer for one run's text and the encoder that
-// indents into it, whose own indenting buffer it keeps between calls.
-type section struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// spareSection keeps one section between WriteRuns calls, grown to the
-// largest run it has written, so the next document reuses its storage. It
-// is not a sync.Pool: a pool is emptied by the collections that writing
+// spareWriter keeps one writer between WriteJSON calls, its buffer grown to
+// the largest run it has written, so the next document reuses its storage.
+// It is not a sync.Pool: a pool is emptied by the collections that writing
 // one document's worth of runs sets off.
-var spareSection struct {
+var spareWriter struct {
 	sync.Mutex
-	sec *section
+	w *docWriter
 }
 
-// takeSection returns the spare section, or a new one when another
-// WriteRuns holds it.
-func takeSection() *section {
-	spareSection.Lock()
-	sec := spareSection.sec
-	spareSection.sec = nil
-	spareSection.Unlock()
-	if sec == nil {
-		sec = new(section)
-		sec.enc = json.NewEncoder(&sec.buf)
-		sec.enc.SetIndent("    ", "  ")
+// takeWriter returns the spare writer, or a new one when another WriteJSON
+// holds it.
+func takeWriter() *docWriter {
+	spareWriter.Lock()
+	defer spareWriter.Unlock()
+	w := spareWriter.w
+	spareWriter.w = nil
+	if w == nil {
+		w = new(docWriter)
 	}
-	return sec
+	return w
 }
 
-// putSection empties sec and keeps it as the spare.
-func putSection(sec *section) {
-	sec.buf.Reset()
-	spareSection.Lock()
-	spareSection.sec = sec
-	spareSection.Unlock()
-}
-
-// encode appends v's indented text to the buffer without Encode's newline.
-func (sec *section) encode(v any) error {
-	if err := sec.enc.Encode(v); err != nil {
-		return err
-	}
-	sec.buf.Truncate(sec.buf.Len() - 1)
-	return nil
+// putWriter empties w and keeps it as the spare.
+func putWriter(w *docWriter) {
+	*w = docWriter{b: w.b[:0], keys: w.keys[:0]}
+	spareWriter.Lock()
+	spareWriter.w = w
+	spareWriter.Unlock()
 }

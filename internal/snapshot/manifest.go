@@ -119,8 +119,10 @@ func (m *Manifest) Len() int {
 
 // Put records a completed run's payload and, when the manifest is
 // file-backed, appends it to the file as one record and fsyncs. A later
-// record for the same key supersedes an earlier one. Safe for concurrent
-// use — parallel workers record results as they finish.
+// record for the same key supersedes an earlier one. The ledger keeps a
+// copy of payload of its own, which Get returns from then on, whether or
+// not the append succeeds. Safe for concurrent use — parallel workers
+// record results as they finish.
 func (m *Manifest) Put(key string, payload []byte) error {
 	// Room for a header in front, used only when this Put creates the file.
 	buf := appendHeader(make([]byte, 0, headerLen+recordHeadLen+4+len(key)+len(payload)+recordTailLen))
